@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet vet-force build test race bench profile fuzz-smoke chaos cover
+.PHONY: all vet vet-force build test race bench bench-check profile fuzz-smoke chaos cover
 
 all: vet build test
 
@@ -52,6 +52,13 @@ bench:
 	BENCH_STAMP=$(BENCH_STAMP) $(GO) test \
 		-bench 'BenchmarkThroughput|BenchmarkScanAlloc|BenchmarkPoolContention|BenchmarkParallelScan|BenchmarkParallelHashJoin|BenchmarkPreparedThroughput|BenchmarkPlanCache|BenchmarkVectorized|BenchmarkTraceOverhead' \
 		-benchmem -run xxx .
+
+# bench/ is its own module calling internal/* directly, so nothing above
+# compiles it: vet and test it from its own directory. Run this after any
+# change to an internal signature the repo benchmark (BENCHMARK.json) uses.
+bench-check:
+	$(GO) vet -C bench ./...
+	$(GO) test -C bench ./...
 
 # Repo-wide coverage with a floor. The merged profile (-coverpkg=./...)
 # credits cross-package coverage — engine tests exercising internal/exec

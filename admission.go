@@ -69,8 +69,9 @@ func (g *admissionGate) acquire(ctx context.Context, effLimit int) (queueWait ti
 	}
 	if g.maxWait > 0 && len(g.waiters) >= g.maxWait {
 		g.rejected++
+		queueDepth = len(g.waiters)
 		g.mu.Unlock()
-		return 0, len(g.waiters), &QueryError{
+		return 0, queueDepth, &QueryError{
 			Kind: ErrKindOverload,
 			Err:  fmt.Errorf("admission queue full (%d waiting, limit %d)", g.maxWait, limit),
 		}

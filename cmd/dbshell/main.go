@@ -298,6 +298,8 @@ func (s *shell) stats() {
 		rt.PlanCacheHit, rt.CompiledPredicates)
 	fmt.Fprintf(s.out, "            %d batches processed, %d vectorized operators\n",
 		rt.BatchesProcessed, rt.VectorizedOps)
+	fmt.Fprintf(s.out, "            %d rows touched, %d decoded by table scans\n",
+		rt.RowsTouched, rt.RowsDecoded)
 }
 
 // prepare handles \prepare NAME SELECT ... — the SQL is everything after the

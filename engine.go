@@ -611,6 +611,7 @@ func (e *Engine) ExecuteContext(goCtx context.Context, node plan.Node, mcfg *exe
 			RandomReads:        io.RandomReads,
 			LogicalReads:       poolStats.LogicalReads,
 			RowsTouched:        ctx.RowsTouched(),
+			RowsDecoded:        ctx.RowsDecoded(),
 			Parallelism:        ctx.Parallelism,
 			PrefetchedPages:    poolStats.Prefetched,
 			QueueWait:          queueWait,

@@ -499,54 +499,33 @@ func (it *RowIter) Next() bool {
 	return it.err == nil
 }
 
+// CellJudge decides, page by page and cell by cell, which rows of a scan are
+// decoded — the catalog's side of late materialization. The scan operators'
+// shared page visit implements it to judge the predicate on encoded bytes.
+type CellJudge interface {
+	// EnterPage announces the page whose cells follow, before the first of
+	// them is judged.
+	EnterPage(pid storage.PageID)
+	// Keep reports whether the encoded cell is decoded into the batch. It
+	// must keep cells it cannot interpret, so corruption still surfaces as
+	// a decode error.
+	Keep(cell []byte) bool
+}
+
+// keepFunc adapts a bare cell filter to CellJudge.
+type keepFunc func(cell []byte) bool
+
+func (keepFunc) EnterPage(storage.PageID) {}
+func (f keepFunc) Keep(cell []byte) bool  { return f(cell) }
+
 // NextPage fills b with every row of the next data page (heap page or
 // clustered leaf), pinning the page exactly once. It preserves grouped page
 // access: each page is visited once, in physical order, and for range scans
 // rows beyond the upper bound are excluded. Returns false when the scan is
 // exhausted or on error (check Err); b is valid until the next NextPage.
 func (it *RowIter) NextPage(b *RowBatch) bool {
-	if it.err != nil || it.done {
-		return false
-	}
-	b.reset()
-	ncols := it.table.Schema.NumColumns()
-	if it.table.Kind == KindHeap {
-		if it.pscan == nil {
-			it.pscan = it.table.heapFile.ScanPages()
-		}
-		ok := it.pscan.NextPage(func(rid storage.RID, cell []byte) error {
-			b.PID = rid.Page
-			return b.add(it.table.Schema, rid, cell)
-		})
-		if it.err = it.pscan.Err(); it.err != nil || !ok {
-			return false
-		}
-		b.finish(ncols)
-		return true
-	}
-	it.cur.NextLeaf(func(key, val []byte, rid storage.RID) bool {
-		if it.hi != nil && string(key) >= string(it.hi) {
-			it.done = true
-			return false
-		}
-		b.PID = rid.Page
-		if err := b.add(it.table.Schema, rid, val); err != nil {
-			it.err = err
-			return false
-		}
-		return true
-	})
-	if it.err == nil {
-		it.err = it.cur.Err()
-	}
-	if it.err != nil {
-		return false
-	}
-	if b.Len() == 0 {
-		return false
-	}
-	b.finish(ncols)
-	return true
+	_, ok := it.NextPageJudged(b, nil)
+	return ok
 }
 
 // NextPageFiltered is NextPage for consumers that can judge a row from its
@@ -556,56 +535,56 @@ func (it *RowIter) NextPage(b *RowBatch) bool {
 // exactly as the decoding path does. keep must accept cells it cannot
 // interpret, so corruption still surfaces as a decode error.
 func (it *RowIter) NextPageFiltered(b *RowBatch, keep func(enc []byte) bool) (int, bool) {
+	return it.NextPageJudged(b, keepFunc(keep))
+}
+
+// NextPageJudged is the one page step behind NextPage and NextPageFiltered:
+// it pins the next data page once, tells j which page it is, and decodes
+// into b only the cells j keeps (every cell when j is nil). b.PID is the
+// page and total its cell count whether or not any cell was kept.
+func (it *RowIter) NextPageJudged(b *RowBatch, j CellJudge) (total int, ok bool) {
 	if it.err != nil || it.done {
 		return 0, false
 	}
 	b.reset()
-	total := 0
-	ncols := it.table.Schema.NumColumns()
+	schema := it.table.Schema
+	visit := func(rid storage.RID, cell []byte) error {
+		if total == 0 {
+			b.PID = rid.Page
+			if j != nil {
+				j.EnterPage(rid.Page)
+			}
+		}
+		total++
+		if j != nil && !j.Keep(cell) {
+			return nil
+		}
+		return b.add(schema, rid, cell)
+	}
 	if it.table.Kind == KindHeap {
 		if it.pscan == nil {
 			it.pscan = it.table.heapFile.ScanPages()
 		}
-		ok := it.pscan.NextPage(func(rid storage.RID, cell []byte) error {
-			b.PID = rid.Page
-			total++
-			if !keep(cell) {
-				return nil
+		ok = it.pscan.NextPage(visit)
+		it.err = it.pscan.Err()
+	} else {
+		it.cur.NextLeaf(func(key, val []byte, rid storage.RID) bool {
+			if it.hi != nil && string(key) >= string(it.hi) {
+				it.done = true
+				return false
 			}
-			return b.add(it.table.Schema, rid, cell)
+			it.err = visit(rid, val)
+			return it.err == nil
 		})
-		if it.err = it.pscan.Err(); it.err != nil || !ok {
-			return 0, false
+		if it.err == nil {
+			it.err = it.cur.Err()
 		}
-		b.finish(ncols)
-		return total, true
+		ok = total > 0
 	}
-	it.cur.NextLeaf(func(key, val []byte, rid storage.RID) bool {
-		if it.hi != nil && string(key) >= string(it.hi) {
-			it.done = true
-			return false
-		}
-		b.PID = rid.Page
-		total++
-		if !keep(val) {
-			return true
-		}
-		if err := b.add(it.table.Schema, rid, val); err != nil {
-			it.err = err
-			return false
-		}
-		return true
-	})
-	if it.err == nil {
-		it.err = it.cur.Err()
-	}
-	if it.err != nil {
+	if it.err != nil || !ok {
 		return 0, false
 	}
-	if total == 0 {
-		return 0, false
-	}
-	b.finish(ncols)
+	b.finish(schema.NumColumns())
 	return total, true
 }
 

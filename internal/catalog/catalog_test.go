@@ -413,3 +413,75 @@ func TestIndexOnHeapTable(t *testing.T) {
 		t.Errorf("found %d, want %d", n, want)
 	}
 }
+
+// TestFilteredScanSurfacesCorruptCell: a cell whose string length prefix
+// lies is corrupt whatever its other columns say. Even when the scan
+// predicate would have rejected the row on its intact bytes, a
+// late-materializing scan must hand the cell to the decoder and fail with
+// its error — never skip the row and finish clean.
+func TestFilteredScanSurfacesCorruptCell(t *testing.T) {
+	for _, clustered := range []bool{false, true} {
+		c := newTestCatalog()
+		var tab *Table
+		var err error
+		if clustered {
+			tab, err = c.CreateClusteredTable("s", salesSchema(), []string{"id"})
+		} else {
+			tab, err = c.CreateHeapTable("s", salesSchema())
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		rids, err := tab.BulkLoad(salesRows(1000))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pred, err := expr.And(expr.NewAtom("id", expr.Lt, tuple.Int64(0))).Bind(tab.Schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw := expr.CompileRaw(pred, tab.Schema)
+		if !raw.OK() {
+			t.Fatal("predicate has no encoded form")
+		}
+		scan := func() (kept int, err error) {
+			it, err := tab.ScanAll()
+			if err != nil {
+				return 0, err
+			}
+			defer it.Close()
+			var b RowBatch
+			for {
+				if _, ok := it.NextPageFiltered(&b, raw.Eval); !ok {
+					return kept, it.Err()
+				}
+				kept += b.Len()
+			}
+		}
+		if kept, err := scan(); err != nil || kept != 0 {
+			t.Fatalf("clustered=%v: clean scan kept %d rows, err %v; the predicate rejects every row", clustered, kept, err)
+		}
+
+		// The state column is last and two bytes long, so its length prefix
+		// is the four bytes before those — in a heap cell and in a clustered
+		// leaf cell (whose value is the cell's suffix) alike.
+		var file storage.FileID
+		if clustered {
+			file = tab.clustered.File()
+		} else {
+			file = tab.heapFile.FileID()
+		}
+		rid := rids[500]
+		pp, err := c.pool.FetchPage(file, rid.Page)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cell := pp.Page.Cell(rid.Slot)
+		cell[len(cell)-6] = 200
+		pp.Unpin(false)
+
+		if kept, err := scan(); err == nil {
+			t.Errorf("clustered=%v: scan over a corrupt cell finished clean (kept %d rows)", clustered, kept)
+		}
+	}
+}

@@ -69,9 +69,11 @@ func (s *DPSample) Fork() *DPSample {
 	return &DPSample{f: s.f, seedMix: s.seedMix, thresh: s.thresh}
 }
 
-// inSample reports whether pid belongs to the Bernoulli sample. The decision
-// depends only on the seed and the pid, never on visit order.
-func (s *DPSample) inSample(pid storage.PageID) bool {
+// InSample reports whether pid belongs to the Bernoulli sample. The decision
+// depends only on the seed and the pid, never on visit order or on what the
+// sampler has observed, so a scan can ask before it visits the page — and
+// skip materializing rows no sampled monitor will look at.
+func (s *DPSample) InSample(pid storage.PageID) bool {
 	if s.f >= 1 {
 		return true
 	}
@@ -92,7 +94,7 @@ func (s *DPSample) StartRow(pid storage.PageID) bool {
 		s.curPID = pid
 		s.havePage = true
 		s.pages++
-		s.curIn = s.inSample(pid)
+		s.curIn = s.InSample(pid)
 		s.curHit = false
 		if s.curIn {
 			s.sampled++

@@ -57,9 +57,12 @@ type Context struct {
 	Trace *trace.Recorder
 
 	rowsTouched int64
+	// rowsDecoded counts the rows table scans materialized as values (see
+	// RuntimeStats.RowsDecoded).
+	rowsDecoded int64
 	// compiledPreds counts operators that evaluate their predicate through
-	// a type-specialized expr.Compiled instead of the generic per-atom
-	// dispatch. Operators increment it at construction time (single-
+	// a type-specialized evaluator (expr.Compiled, or expr.RawCompiled on
+	// table scans) instead of the generic per-atom dispatch. Operators increment it at construction time (single-
 	// threaded), so no synchronization is needed.
 	compiledPreds int64
 
@@ -114,19 +117,25 @@ func (c *Context) interrupted() error {
 }
 
 // child creates a worker-private context for one partition of a parallel
-// scan. It shares the pool and the cancellation scope but accumulates
-// rowsTouched locally, so workers never contend on (or race over) the parent
-// counter; the barrier absorbs the counts after the workers have exited.
+// scan. It shares the pool and the cancellation scope but accumulates its
+// row counters locally, so workers never contend on (or race over) the
+// parent's; the barrier absorbs the counts after the workers have exited.
 func (c *Context) child() *Context {
 	return &Context{Pool: c.Pool, CPUPerRow: c.CPUPerRow, Mem: c.Mem, Trace: c.Trace, goCtx: c.goCtx, done: c.done}
 }
 
 // absorb folds a finished worker context's counters into c. Callers must
 // guarantee the worker goroutine has exited (e.g. via WaitGroup.Wait).
-func (c *Context) absorb(w *Context) { c.rowsTouched += w.rowsTouched }
+func (c *Context) absorb(w *Context) {
+	c.rowsTouched += w.rowsTouched
+	c.rowsDecoded += w.rowsDecoded
+}
 
 // touch charges CPU for n rows.
 func (c *Context) touch(n int64) { c.rowsTouched += n }
+
+// noteDecoded records n rows materialized by a table scan.
+func (c *Context) noteDecoded(n int64) { c.rowsDecoded += n }
 
 // noteCompiled records that one operator compiled its predicate.
 func (c *Context) noteCompiled() { c.compiledPreds++ }
@@ -157,6 +166,11 @@ func (c *Context) CompiledPredicates() int64 { return c.compiledPreds }
 
 // RowsTouched returns the total rows processed by all operators so far.
 func (c *Context) RowsTouched() int64 { return c.rowsTouched }
+
+// RowsDecoded returns how many rows table scans have decoded so far. It is
+// deterministic — a function of the data, the predicate, and the monitors'
+// page samples — and never exceeds the scans' share of RowsTouched.
+func (c *Context) RowsDecoded() int64 { return c.rowsDecoded }
 
 // SimCPU returns the simulated CPU time accumulated so far.
 func (c *Context) SimCPU() time.Duration {

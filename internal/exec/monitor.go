@@ -281,6 +281,15 @@ func (m *scanMonitor) shedOff(reason string) {
 	m.shedReason = reason
 }
 
+// wantsRows reports whether the monitor will read the decoded rows of page
+// pid: only a live sampled monitor does, and only on the pages of its sample.
+// The scan asks before it visits the page and materializes rejected rows for
+// no other reason. A monitor is only ever disabled from inside an
+// observation, so the answer still holds when the page is observed.
+func (m *scanMonitor) wantsRows(pid storage.PageID) bool {
+	return !m.disabled && (m.kind == monSampled || m.kind == monJoinFilter) && m.dps.InSample(pid)
+}
+
 // safeObservePage is observePage behind the quarantine guard: a panic inside
 // the monitor machinery (including the core counters) disables this monitor
 // and returns control to the scan, which continues as if the monitor were
@@ -346,11 +355,15 @@ func (m *scanMonitor) safeFinish() {
 
 // observePage processes one page's worth of scanned rows in a single call —
 // the page-batched form of the paper's per-row SE instrumentation. failIdx[i]
-// is the index of the first scan-predicate atom that evaluated false for
-// b.Rows[i] under short-circuiting, or -1 if the row passed; prefix monitors
-// derive their result from it for free. Page-granular mechanisms (grouped
-// counting, DPSample) make exactly one counter transition per page, so
-// batching removes per-row monitor overhead rather than hiding it.
+// is the index of the first scan-predicate atom that evaluated false for the
+// page's i-th row under short-circuiting, or -1 if the row passed; prefix
+// monitors derive their result from it and the page id for free, with no row
+// decoded. b.Rows holds every row of the page exactly when some live sampled
+// monitor said wantsRows — so whenever a sampled monitor's StartRow reports
+// the page in its sample — and only the predicate's survivors otherwise.
+// Page-granular mechanisms (grouped counting, DPSample) make exactly one
+// counter transition per page, so batching removes per-row monitor overhead
+// rather than hiding it.
 func (m *scanMonitor) observePage(b *catalog.RowBatch, failIdx []int) {
 	switch m.kind {
 	case monExactPrefix:

@@ -52,7 +52,7 @@ type ParallelScan struct {
 	ctx      *Context
 	tab      *catalog.Table
 	pred     expr.Conjunction // bound
-	cc       expr.Compiled    // type-specialized pred; workers share it read-only
+	raw      expr.RawCompiled // pred over encoded cells; workers share it read-only
 	degree   int
 	monitors []*scanMonitor // templates; receive merged shard state
 	rowMap   rowMapFn       // optional probe push-down, set before Open
@@ -75,7 +75,7 @@ type ParallelScan struct {
 // the table's schema) with the given worker degree (>= 2).
 func NewParallelScan(ctx *Context, tab *catalog.Table, pred expr.Conjunction, degree int) *ParallelScan {
 	return &ParallelScan{
-		ctx: ctx, tab: tab, pred: pred, cc: compilePred(ctx, pred), degree: degree,
+		ctx: ctx, tab: tab, pred: pred, raw: compileScanPred(ctx, pred, tab.Schema), degree: degree,
 		stats: OpStats{Label: fmt.Sprintf("ParallelScan(%s) x%d", tab.Name, degree)},
 	}
 }
@@ -129,12 +129,12 @@ func (p *ParallelScan) Open() error {
 	return nil
 }
 
-// worker drains one partition. It owns its iterator, row batch, monitor
-// shard, and context; the only shared mutable state it touches is the output
-// channel. A panic anywhere inside — decode failures, monitor bugs escaping
-// the quarantine guard — is converted to an *OperatorPanic and shipped to the
-// consumer like any other error, so the process-wide panic boundary holds
-// across goroutines.
+// worker drains one partition through its own pageVisit — the page step the
+// serial scan uses — over its iterator, monitor shard, and context; the only
+// shared mutable state it touches is the output channel. A panic anywhere
+// inside — decode failures, monitor bugs escaping the quarantine guard — is
+// converted to an *OperatorPanic and shipped to the consumer like any other
+// error, so the process-wide panic boundary holds across goroutines.
 func (p *ParallelScan) worker(idx int, wctx *Context, part catalog.ScanPart, mons []*scanMonitor) {
 	defer p.wg.Done()
 	defer part.Iter.Close()
@@ -160,11 +160,11 @@ func (p *ParallelScan) worker(idx int, wctx *Context, part catalog.ScanPart, mon
 	}
 
 	var (
-		batch   catalog.RowBatch
-		failIdx []int
-		arena   []tuple.Value
-		bounds  []int // prefix lengths into arena, one per pending row
-		pages   int
+		visit  = pageVisit{ctx: wctx, it: part.Iter, pred: p.pred, raw: p.raw, monitors: mons}
+		sel    []int
+		arena  []tuple.Value
+		bounds []int // prefix lengths into arena, one per pending row
+		pages  int
 	)
 	// Arenas are sized for a full batch up front: growing one by append
 	// doubling would allocate (and memcpy) ~2x the final size in discarded
@@ -210,42 +210,23 @@ func (p *ParallelScan) worker(idx int, wctx *Context, part catalog.ScanPart, mon
 	}
 
 	p.prefetch(part, 0)
-	for part.Iter.NextPage(&batch) {
-		if err := wctx.interrupted(); err != nil {
+	for {
+		ok, err := visit.next()
+		if err != nil {
 			p.send(parBatch{err: err})
 			return
+		}
+		if !ok {
+			break
 		}
 		pages++
 		if pages%parPrefetchChunk == 0 {
 			p.prefetch(part, pages)
 		}
-		wctx.touch(int64(batch.Len()))
-		failIdx = failIdx[:0]
-		if p.cc.OK() {
-			for _, row := range batch.Rows {
-				failIdx = append(failIdx, p.cc.FirstFail(row))
-			}
-		} else {
-			for _, row := range batch.Rows {
-				fi := -1
-				for i := range p.pred.Atoms {
-					if !p.pred.Atoms[i].Eval(row) {
-						fi = i
-						break
-					}
-				}
-				failIdx = append(failIdx, fi)
-			}
-		}
-		for _, m := range mons {
-			m.safeObservePage(&batch, failIdx)
-		}
-		for i, row := range batch.Rows {
-			if failIdx[i] != -1 {
-				continue
-			}
-			p.actRows[idx]++
-			if p.rowMap != nil {
+		sel = visit.survivors(sel)
+		p.actRows[idx] += int64(len(sel))
+		for _, i := range sel {
+			if row := visit.batch.Rows[i]; p.rowMap != nil {
 				p.rowMap(wctx, row, emit)
 			} else {
 				emit(row)
@@ -260,13 +241,6 @@ func (p *ParallelScan) worker(idx int, wctx *Context, part catalog.ScanPart, mon
 				return
 			}
 		}
-	}
-	if err := part.Iter.Err(); err != nil {
-		p.send(parBatch{err: err})
-		return
-	}
-	for _, m := range mons {
-		m.safeFinish()
 	}
 	flush()
 }

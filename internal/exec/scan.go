@@ -13,19 +13,13 @@ import (
 // property, so attached monitors can count distinct pages exactly (prefix
 // predicates) or via DPSample (everything else).
 type SEScan struct {
-	ctx      *Context
-	tab      *catalog.Table
-	pred     expr.Conjunction // bound
-	cc       expr.Compiled    // type-specialized pred, when compilable
-	rawCC    expr.RawCompiled // pred over encoded rows, when compilable
-	krange   *expr.KeyRange   // clustered range seek, nil = full scan
-	monitors []*scanMonitor
-	stats    OpStats
+	tab    *catalog.Table
+	krange *expr.KeyRange // clustered range seek, nil = full scan
+	visit  pageVisit
+	stats  OpStats
 
-	it       *catalog.RowIter
-	batch    catalog.RowBatch
-	failIdx  []int // per batch row: first failing atom, -1 = row passes
-	pos      int   // next batch row to deliver
+	sel      []int // row path: the current page's survivors, as batch indices
+	pos      int   // next sel entry to deliver
 	lastRID  storage.RID
 	open     bool
 	vecNoted bool
@@ -34,17 +28,19 @@ type SEScan struct {
 // NewSEScan builds a scan of tab filtered by pred (already bound to the
 // table's schema).
 func NewSEScan(ctx *Context, tab *catalog.Table, pred expr.Conjunction) *SEScan {
-	return &SEScan{ctx: ctx, tab: tab, pred: pred, cc: compilePred(ctx, pred),
-		rawCC: expr.CompileRaw(pred, tab.Schema),
-		stats: OpStats{Label: "Scan(" + tab.Name + ")"}}
+	return newSEScan(ctx, tab, pred, nil, "Scan(")
 }
 
 // NewSEClusterRangeScan builds a clustered index range seek over krange,
 // still applying the full pred to each scanned row.
 func NewSEClusterRangeScan(ctx *Context, tab *catalog.Table, pred expr.Conjunction, krange *expr.KeyRange) *SEScan {
-	return &SEScan{ctx: ctx, tab: tab, pred: pred, cc: compilePred(ctx, pred),
-		rawCC: expr.CompileRaw(pred, tab.Schema), krange: krange,
-		stats: OpStats{Label: "RangeScan(" + tab.Name + ")"}}
+	return newSEScan(ctx, tab, pred, krange, "RangeScan(")
+}
+
+func newSEScan(ctx *Context, tab *catalog.Table, pred expr.Conjunction, krange *expr.KeyRange, label string) *SEScan {
+	return &SEScan{tab: tab, krange: krange,
+		visit: pageVisit{ctx: ctx, pred: pred, raw: compileScanPred(ctx, pred, tab.Schema)},
+		stats: OpStats{Label: label + tab.Name + ")"}}
 }
 
 // compilePred compiles pred at operator-construction time (single-threaded)
@@ -58,7 +54,7 @@ func compilePred(ctx *Context, pred expr.Conjunction) expr.Compiled {
 }
 
 // attach adds a monitor (called by the builder).
-func (s *SEScan) attach(m *scanMonitor) { s.monitors = append(s.monitors, m) }
+func (s *SEScan) attach(m *scanMonitor) { s.visit.monitors = append(s.visit.monitors, m) }
 
 // Table returns the scanned table.
 func (s *SEScan) Table() *catalog.Table { return s.tab }
@@ -75,182 +71,72 @@ func (s *SEScan) Open() error {
 	if err != nil {
 		return err
 	}
-	s.it = it
-	s.batch.Rows = s.batch.Rows[:0]
+	s.visit.it = it
+	s.sel = s.sel[:0]
 	s.pos = 0
 	s.open = true
 	return nil
 }
 
 // Next implements Operator. The scan is page-batched: each underlying data
-// page is pinned once, all of its rows are decoded into a reusable batch,
-// the scan predicate is evaluated atom by atom for every row (so prefix
-// monitors can reuse the short-circuited results, §III-B), monitors observe
-// the whole page in one callback, and cancellation is polled once per page.
-// Rows then stream to the parent from the batch; a returned row is valid
+// page is pinned once and judged by the shared page visit, and the rows that
+// pass stream to the parent from the page batch; a returned row is valid
 // until the scan advances past its page.
 func (s *SEScan) Next() (tuple.Row, bool, error) {
-	for {
-		for s.pos < len(s.batch.Rows) {
-			i := s.pos
-			s.pos++
-			s.lastRID = s.batch.RIDs[i]
-			if s.failIdx[i] == -1 {
-				s.stats.ActRows++
-				return s.batch.Rows[i], true, nil
-			}
-		}
-		ok, err := s.advancePage()
+	for s.pos == len(s.sel) {
+		ok, err := s.visit.next()
 		if err != nil || !ok {
 			return nil, false, err
 		}
+		s.sel = s.visit.survivors(s.sel)
+		s.pos = 0
 	}
+	i := s.sel[s.pos]
+	s.pos++
+	s.lastRID = s.visit.batch.RIDs[i]
+	s.stats.ActRows++
+	return s.visit.batch.Rows[i], true, nil
 }
 
 // NextBatch implements BatchOperator: the scan already works page at a time,
 // so the batch path simply stops flattening — the page batch's rows are
 // handed up directly with a selection vector of the predicate survivors.
-// Polling, CPU charging, predicate evaluation, and monitor observation run
-// in advancePage, shared verbatim with the row path, so the feedback and
-// accounting of the two paths are identical by construction.
+// Everything else runs in the page visit, shared verbatim with the row path,
+// so the feedback and accounting of the two paths are identical by
+// construction.
 func (s *SEScan) NextBatch(b *Batch) (int, error) {
-	s.ctx.noteVectorized(&s.vecNoted)
-	if len(s.monitors) == 0 && s.rawCC.OK() {
-		return s.nextBatchRaw(b)
-	}
-	// With no monitors attached and a compiled predicate, nothing needs the
-	// per-row first-failing-atom vector: the predicate compacts an identity
-	// selection column-at-a-time in one pass instead. CPU accounting
-	// (touch per page row in fetchPage) is identical either way.
-	fast := len(s.monitors) == 0 && s.cc.OK()
+	s.visit.ctx.noteVectorized(&s.vecNoted)
 	for {
-		ok, err := s.fetchPage()
+		ok, err := s.visit.next()
 		if err != nil || !ok {
 			return 0, err
 		}
-		b.Rows = s.batch.Rows
-		if fast {
-			b.Sel = s.cc.EvalBatch(s.batch.Rows, identSel(b.Sel, len(s.batch.Rows)))
-		} else {
-			s.evalPage()
-			b.Sel = b.Sel[:0]
-			for i, fi := range s.failIdx {
-				if fi == -1 {
-					b.Sel = append(b.Sel, i)
-				}
-			}
-		}
+		b.Rows = s.visit.batch.Rows
+		b.Sel = s.visit.survivors(b.Sel)
 		if len(b.Sel) == 0 {
 			continue
 		}
 		s.stats.ActRows += int64(len(b.Sel))
-		s.ctx.noteBatch()
+		s.visit.ctx.noteBatch()
 		return len(b.Sel), nil
 	}
 }
 
-// nextBatchRaw is the late-materializing batch path, taken when no monitor
-// is attached and the predicate compiled against the encoded row layout:
-// each cell is judged on its page bytes and only survivors are decoded, so
-// the batch arrives dense (identity selection). CPU is still charged for
-// every cell of the page — the same rows-touched accounting as the decoding
-// paths — and rejected rows never exist as values at all.
-func (s *SEScan) nextBatchRaw(b *Batch) (int, error) {
-	for {
-		total, ok := s.it.NextPageFiltered(&s.batch, s.rawCC.Eval)
-		if !ok {
-			return 0, s.it.Err()
-		}
-		if err := s.ctx.interrupted(); err != nil {
-			return 0, err
-		}
-		s.ctx.touch(int64(total))
-		if s.batch.Len() == 0 {
-			continue
-		}
-		b.Rows = s.batch.Rows
-		b.Sel = identSel(b.Sel, len(s.batch.Rows))
-		s.stats.ActRows += int64(len(s.batch.Rows))
-		s.ctx.noteBatch()
-		return len(b.Sel), nil
-	}
-}
-
-// advancePage pins and evaluates the next data page: poll cancellation,
-// charge CPU for the page's rows, compute each row's first failing atom (so
-// prefix monitors can reuse the short-circuited results, §III-B), and let
-// every monitor observe the whole page in one callback. Returns false at end
-// of scan, after closing the monitors' last page.
-func (s *SEScan) advancePage() (bool, error) {
-	ok, err := s.fetchPage()
-	if err != nil || !ok {
-		return ok, err
-	}
-	s.evalPage()
-	return true, nil
-}
-
-// fetchPage pins and decodes the next data page, polls cancellation, and
-// charges CPU for the page's rows. Returns false at end of scan, after
-// closing the monitors' last page.
-func (s *SEScan) fetchPage() (bool, error) {
-	if !s.it.NextPage(&s.batch) {
-		if err := s.it.Err(); err != nil {
-			return false, err
-		}
-		for _, m := range s.monitors {
-			m.safeFinish()
-		}
-		return false, nil
-	}
-	if err := s.ctx.interrupted(); err != nil {
-		return false, err
-	}
-	s.ctx.touch(int64(s.batch.Len()))
-	return true, nil
-}
-
-// evalPage computes each fetched row's first failing atom and lets every
-// monitor observe the page in one callback.
-func (s *SEScan) evalPage() {
-	s.failIdx = s.failIdx[:0]
-	if s.cc.OK() {
-		for _, row := range s.batch.Rows {
-			s.failIdx = append(s.failIdx, s.cc.FirstFail(row))
-		}
-	} else {
-		for _, row := range s.batch.Rows {
-			fi := -1
-			for i := range s.pred.Atoms {
-				if !s.pred.Atoms[i].Eval(row) {
-					fi = i
-					break
-				}
-			}
-			s.failIdx = append(s.failIdx, fi)
-		}
-	}
-	for _, m := range s.monitors {
-		m.safeObservePage(&s.batch, s.failIdx)
-	}
-	s.pos = 0
-}
-
-// LastRID returns the RID of the most recently scanned row (used by the
-// RE→SE callback for partial bit-vector filters).
+// LastRID returns the RID of the row most recently returned by Next (used by
+// the RE→SE callback for partial bit-vector filters).
 func (s *SEScan) LastRID() storage.RID { return s.lastRID }
 
 // lateMatch forwards a late join-match notification to join-filter monitors.
 func (s *SEScan) lateMatch(rid storage.RID) {
-	for _, m := range s.monitors {
+	for _, m := range s.visit.monitors {
 		m.safeLateMatch(rid)
 	}
 }
 
 // Close implements Operator.
 func (s *SEScan) Close() error {
-	if s.it != nil {
-		s.it.Close()
+	if s.visit.it != nil {
+		s.visit.it.Close()
 	}
 	s.open = false
 	return nil

@@ -56,6 +56,12 @@ type RuntimeStats struct {
 	RandomReads    int64         `xml:"randomReads,attr"`
 	LogicalReads   int64         `xml:"logicalReads,attr"`
 	RowsTouched    int64         `xml:"rowsTouched,attr"`
+	// RowsDecoded counts the rows table scans materialized as values: the
+	// scan predicate's survivors plus every row of a page some sampled
+	// monitor (DPSample, join bit-vector) had in its sample. Scans charge
+	// RowsTouched for every cell they judge on the page bytes, so the gap
+	// between the two is the decoding late materialization avoided.
+	RowsDecoded int64 `xml:"rowsDecoded,attr"`
 	// QuarantinedMonitors counts DPC monitors disabled mid-query by the
 	// quarantine guard; their results carry no observation.
 	QuarantinedMonitors int `xml:"quarantinedMonitors,attr,omitempty"`

@@ -187,6 +187,18 @@ func (c Conjunction) Eval(row tuple.Row) bool {
 	return true
 }
 
+// FirstFail returns the index of the first atom the row fails under
+// short-circuiting, or -1 when every atom accepts it — the generic form of
+// Compiled.FirstFail and RawCompiled.FirstFail, and their oracle in tests.
+func (c Conjunction) FirstFail(row tuple.Row) int {
+	for i := range c.Atoms {
+		if !c.Atoms[i].Eval(row) {
+			return i
+		}
+	}
+	return -1
+}
+
 // EvalAll evaluates every atom regardless of earlier results — short-
 // circuiting turned off. If results is non-nil it must have len(Atoms) and
 // receives the per-atom truth values. The return value is the conjunction.

@@ -6,61 +6,88 @@ import (
 	"pagefeedback/internal/tuple"
 )
 
-// Raw predicate evaluation: for all-fixed-width schemas every column sits at
-// a known byte offset of the encoded row, so a predicate can be judged
-// against the page bytes directly — before any value is decoded. Scan
-// operators use this for late materialization: rows the predicate rejects
-// are never decoded at all.
+// Raw predicate evaluation: a predicate is judged against the bytes of an
+// encoded row as they sit on the page, before any value is decoded. Every
+// fixed-width column that precedes the schema's first string column sits at
+// a known offset (8 per column); a column after it is reached by walking the
+// length prefixes in between — the same walk that establishes the cell is
+// well-formed. Scans use this for late materialization: rows the predicate
+// rejects are never decoded at all.
 
-// rawAtomFn reports whether one atom accepts a fixed-width encoded row.
-type rawAtomFn func(enc []byte) bool
+// rawAtomFn reports whether one atom accepts the column value that starts at
+// byte offset off of a well-formed encoded row.
+type rawAtomFn func(enc []byte, off int) bool
+
+// rawAtom is one compiled atom and where its column lives.
+type rawAtom struct {
+	fn  rawAtomFn
+	ord int
+	off int // static offset of a fixed-prefix column, -1 = walk to ord
+}
 
 // RawCompiled evaluates a bound Conjunction against the encoded bytes of a
-// fixed-width row. The zero value is invalid; obtain one from CompileRaw and
-// check OK. Evaluation is equivalent to the decoded evaluators: raw numeric
-// comparison and Value comparison agree on every Int and Date.
+// row. The zero value is invalid; obtain one from CompileRaw and check OK.
+// Evaluation is equivalent to the decoded evaluators: raw numeric comparison
+// agrees with Value comparison on every Int and Date, and byte-wise string
+// comparison with Go's string ordering. It is immutable after CompileRaw and
+// safe to share across goroutines.
 type RawCompiled struct {
-	fns  []rawAtomFn
-	size int
+	atoms  []rawAtom
+	schema *tuple.Schema
 }
 
 // OK reports whether the compilation produced a usable evaluator.
-func (c RawCompiled) OK() bool { return c.fns != nil }
+func (c RawCompiled) OK() bool { return c.atoms != nil }
 
-// Eval evaluates the conjunction with short-circuiting. A row whose length
-// does not match the schema's fixed size is accepted unexamined: malformed
-// rows must reach the decoding path, which reports the corruption — raw
-// evaluation never masks it.
-func (c RawCompiled) Eval(enc []byte) bool {
-	if len(enc) != c.size {
-		return true
+// Len returns the number of compiled atoms.
+func (c RawCompiled) Len() int { return len(c.atoms) }
+
+// FirstFail returns the index of the first atom the encoded row fails under
+// short-circuiting, or -1 when every atom accepts it — the vector prefix
+// monitors consume, computed without decoding the row. A cell that is not a
+// well-formed row of the schema is accepted unexamined (-1): malformed rows
+// must reach the decoder, which reports the corruption — raw evaluation
+// never masks it.
+func (c RawCompiled) FirstFail(enc []byte) int {
+	if !c.schema.WellFormed(enc) {
+		return -1
 	}
-	for _, fn := range c.fns {
-		if !fn(enc) {
-			return false
+	for i := range c.atoms {
+		a := &c.atoms[i]
+		off := a.off
+		if off < 0 {
+			off = c.schema.ColumnOffset(enc, a.ord)
+		}
+		if !a.fn(enc, off) {
+			return i
 		}
 	}
-	return true
+	return -1
 }
 
+// Eval evaluates the conjunction with short-circuiting; like FirstFail it
+// accepts malformed cells unexamined.
+func (c RawCompiled) Eval(enc []byte) bool { return c.FirstFail(enc) == -1 }
+
 // CompileRaw specializes every atom of a bound conjunction to read the
-// encoded row directly. It returns a RawCompiled with OK()==false when the
-// schema has variable-width columns, the predicate is empty, or any atom
-// cannot be specialized; callers then stay on the decoded evaluators.
+// encoded row directly. The empty conjunction compiles to the always-true
+// evaluator. It returns a RawCompiled with OK()==false only when an atom has
+// no encoded form: it is unbound, or compares a column with a constant of
+// another kind — a planner bug the generic evaluator reports by panicking,
+// so callers fall back to Conjunction.Eval on decoded rows.
 func CompileRaw(c Conjunction, s *tuple.Schema) RawCompiled {
-	size := s.FixedSize()
-	if size < 0 || len(c.Atoms) == 0 {
-		return RawCompiled{}
-	}
-	fns := make([]rawAtomFn, len(c.Atoms))
+	atoms := make([]rawAtom, len(c.Atoms))
 	for i, a := range c.Atoms {
 		fn := compileRawAtom(a, s)
 		if fn == nil {
 			return RawCompiled{}
 		}
-		fns[i] = fn
+		atoms[i] = rawAtom{fn: fn, ord: a.ord, off: -1}
+		if a.ord < s.FixedPrefix() {
+			atoms[i].off = 8 * a.ord
+		}
 	}
-	return RawCompiled{fns: fns, size: size}
+	return RawCompiled{atoms: atoms, schema: s}
 }
 
 // rawInt reads the fixed-width column at byte offset off.
@@ -68,11 +95,23 @@ func rawInt(enc []byte, off int) int64 {
 	return int64(binary.LittleEndian.Uint64(enc[off:]))
 }
 
+// rawStr returns the payload of the string column at byte offset off,
+// aliasing enc. Comparing string(rawStr(...)) with a string does not
+// allocate: the compiler elides the conversion inside a comparison.
+func rawStr(enc []byte, off int) []byte {
+	n := int(binary.LittleEndian.Uint32(enc[off:]))
+	return enc[off+4 : off+4+n]
+}
+
+// compileRawAtom builds the specialized closure for one atom, or nil when
+// the atom has no encoded form.
 func compileRawAtom(a Atom, s *tuple.Schema) rawAtomFn {
-	if !a.bound || !numericKind(s.Column(a.ord).Kind) {
+	if !a.bound || a.ord >= s.NumColumns() {
 		return nil
 	}
-	off := a.ord * 8
+	if s.Column(a.ord).Kind == tuple.KindString {
+		return compileRawStringAtom(a)
+	}
 	switch a.Op {
 	case Eq, Ne, Lt, Le, Gt, Ge:
 		if !numericKind(a.Val.Kind) {
@@ -81,30 +120,30 @@ func compileRawAtom(a Atom, s *tuple.Schema) rawAtomFn {
 		c := a.Val.Int
 		switch a.Op {
 		case Eq:
-			return func(enc []byte) bool { return rawInt(enc, off) == c }
+			return func(enc []byte, off int) bool { return rawInt(enc, off) == c }
 		case Ne:
-			return func(enc []byte) bool { return rawInt(enc, off) != c }
+			return func(enc []byte, off int) bool { return rawInt(enc, off) != c }
 		case Lt:
-			return func(enc []byte) bool { return rawInt(enc, off) < c }
+			return func(enc []byte, off int) bool { return rawInt(enc, off) < c }
 		case Le:
-			return func(enc []byte) bool { return rawInt(enc, off) <= c }
+			return func(enc []byte, off int) bool { return rawInt(enc, off) <= c }
 		case Gt:
-			return func(enc []byte) bool { return rawInt(enc, off) > c }
+			return func(enc []byte, off int) bool { return rawInt(enc, off) > c }
 		default:
-			return func(enc []byte) bool { return rawInt(enc, off) >= c }
+			return func(enc []byte, off int) bool { return rawInt(enc, off) >= c }
 		}
 	case Between:
 		if !numericKind(a.Val.Kind) || !numericKind(a.Val2.Kind) {
 			return nil
 		}
 		lo, hi := a.Val.Int, a.Val2.Int
-		return func(enc []byte) bool {
+		return func(enc []byte, off int) bool {
 			v := rawInt(enc, off)
 			return v >= lo && v <= hi
 		}
 	case In:
 		if len(a.List) == 0 {
-			return func([]byte) bool { return false }
+			return func([]byte, int) bool { return false }
 		}
 		for _, v := range a.List {
 			if !numericKind(v.Kind) {
@@ -116,7 +155,7 @@ func compileRawAtom(a Atom, s *tuple.Schema) rawAtomFn {
 			for _, v := range a.List {
 				set[v.Int] = struct{}{}
 			}
-			return func(enc []byte) bool {
+			return func(enc []byte, off int) bool {
 				_, ok := set[rawInt(enc, off)]
 				return ok
 			}
@@ -125,10 +164,64 @@ func compileRawAtom(a Atom, s *tuple.Schema) rawAtomFn {
 		for i, v := range a.List {
 			vals[i] = v.Int
 		}
-		return func(enc []byte) bool {
+		return func(enc []byte, off int) bool {
 			v := rawInt(enc, off)
 			for _, c := range vals {
 				if v == c {
+					return true
+				}
+			}
+			return false
+		}
+	default:
+		return nil
+	}
+}
+
+// compileRawStringAtom is compileRawAtom for a string column: the payload
+// bytes are compared in place against string constants.
+func compileRawStringAtom(a Atom) rawAtomFn {
+	switch a.Op {
+	case Eq, Ne, Lt, Le, Gt, Ge:
+		if a.Val.Kind != tuple.KindString {
+			return nil
+		}
+		c := a.Val.Str
+		switch a.Op {
+		case Eq:
+			return func(enc []byte, off int) bool { return string(rawStr(enc, off)) == c }
+		case Ne:
+			return func(enc []byte, off int) bool { return string(rawStr(enc, off)) != c }
+		case Lt:
+			return func(enc []byte, off int) bool { return string(rawStr(enc, off)) < c }
+		case Le:
+			return func(enc []byte, off int) bool { return string(rawStr(enc, off)) <= c }
+		case Gt:
+			return func(enc []byte, off int) bool { return string(rawStr(enc, off)) > c }
+		default:
+			return func(enc []byte, off int) bool { return string(rawStr(enc, off)) >= c }
+		}
+	case Between:
+		if a.Val.Kind != tuple.KindString || a.Val2.Kind != tuple.KindString {
+			return nil
+		}
+		lo, hi := a.Val.Str, a.Val2.Str
+		return func(enc []byte, off int) bool {
+			v := rawStr(enc, off)
+			return string(v) >= lo && string(v) <= hi
+		}
+	case In:
+		vals := make([]string, len(a.List))
+		for i, v := range a.List {
+			if v.Kind != tuple.KindString {
+				return nil
+			}
+			vals[i] = v.Str
+		}
+		return func(enc []byte, off int) bool {
+			v := rawStr(enc, off)
+			for _, c := range vals {
+				if string(v) == c {
 					return true
 				}
 			}

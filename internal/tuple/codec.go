@@ -44,9 +44,18 @@ func Decode(s *Schema, data []byte) (Row, error) {
 }
 
 // DecodeAppend parses one row (under schema s) from data, appending its
-// values to dst and returning the extended slice. Reusing dst's capacity
-// across calls lets steady-state scans decode without per-row allocation
-// (string payloads still allocate; fixed-width columns do not).
+// values to dst and returning the extended slice.
+//
+// Contract: the whole of data must be one well-formed row — exactly the
+// cells WellFormed accepts; anything else is an error, never a partial row.
+// Invariants: fixed-width columns decode into dst's spare capacity with no
+// allocation, each string column costs one allocation for its payload. That
+// per-string cost is why scans judge their predicate on the encoded cell
+// first and call DecodeAppend only for the rows they keep (see
+// internal/exec/pagevisit.go). How it is measured: the repo benchmark's
+// scan_plain and scan_monitored allocs_per_query, and the RowsDecoded
+// runtime counter, which counts the rows a query's scans passed to this
+// function.
 func DecodeAppend(dst []Value, s *Schema, data []byte) ([]Value, error) {
 	// All-fixed-width schemas (the common case for scan-heavy workloads)
 	// decode without the per-column kind dispatch or length bookkeeping:
@@ -104,6 +113,52 @@ func DecodeAppend(dst []Value, s *Schema, data []byte) ([]Value, error) {
 		return nil, fmt.Errorf("tuple: %d trailing bytes after row", len(rest))
 	}
 	return row, nil
+}
+
+// WellFormed reports whether data is exactly one encoded row under s: the
+// length-prefix walk over the columns consumes it with nothing missing and
+// nothing left over. It accepts precisely the inputs Decode accepts, without
+// materializing a value, so code that reads encoded cells in place checks it
+// first and leaves every other cell to Decode, which names the corruption.
+func (s *Schema) WellFormed(data []byte) bool {
+	if s.fixedSize >= 0 {
+		return len(data) == s.fixedSize
+	}
+	return s.walk(data, len(s.cols)) == len(data)
+}
+
+// ColumnOffset returns the byte offset of column ord in data, which must be
+// WellFormed. Columns of the fixed prefix are at 8*ord; later ones are
+// reached by walking the length prefixes of the strings before them.
+func (s *Schema) ColumnOffset(data []byte, ord int) int {
+	if ord <= s.fixedPrefix {
+		return 8 * ord
+	}
+	return s.walk(data, ord)
+}
+
+// walk returns the offset at which column upto starts (the row's end for
+// upto == NumColumns), or -1 when data is too short to get there.
+func (s *Schema) walk(data []byte, upto int) int {
+	off := 8 * s.fixedPrefix
+	if off > len(data) {
+		return -1
+	}
+	for _, c := range s.cols[s.fixedPrefix:upto] {
+		n := uint64(8)
+		if c.Kind == KindString {
+			if len(data)-off < 4 {
+				return -1
+			}
+			n = uint64(binary.LittleEndian.Uint32(data[off:]))
+			off += 4
+		}
+		if n > uint64(len(data)-off) {
+			return -1
+		}
+		off += int(n)
+	}
+	return off
 }
 
 // EncodedSize returns the number of bytes Encode would produce for row.

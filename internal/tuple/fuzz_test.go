@@ -32,7 +32,9 @@ func fuzzSchema(desc uint32) *Schema {
 // FuzzTupleDecode checks the row codec on arbitrary bytes: DecodeAppend must
 // never panic, must leave a pre-populated destination prefix intact, and —
 // because the row encoding is canonical — any accepted input must re-encode
-// to exactly the original bytes.
+// to exactly the original bytes. WellFormed must accept exactly the inputs
+// DecodeAppend accepts, and ColumnOffset must point at each decoded value:
+// the two facts in-place readers of encoded cells rely on.
 func FuzzTupleDecode(f *testing.F) {
 	// Seeds: a valid two-column row, a truncated int, a string whose length
 	// prefix overruns the payload, trailing garbage, and an empty row.
@@ -52,6 +54,9 @@ func FuzzTupleDecode(f *testing.F) {
 		s := fuzzSchema(desc)
 		sentinel := []Value{Int64(7), Str("sentinel")}
 		got, err := DecodeAppend(append([]Value(nil), sentinel...), s, data)
+		if wf := s.WellFormed(data); wf != (err == nil) {
+			t.Fatalf("WellFormed = %v but decode error = %v (schema %s, data %x)", wf, err, s, data)
+		}
 		if err != nil {
 			return
 		}
@@ -64,6 +69,15 @@ func FuzzTupleDecode(f *testing.F) {
 			}
 		}
 		row := Row(got[len(sentinel):])
+		for i, v := range row {
+			one, err := Encode(nil, NewSchema(s.Column(i)), Row{v})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if off := s.ColumnOffset(data, i); !bytes.HasPrefix(data[off:], one) {
+				t.Fatalf("ColumnOffset(%d) = %d does not point at %s in %x", i, off, v, data)
+			}
+		}
 		reencoded, err := Encode(nil, s, row)
 		if err != nil {
 			t.Fatalf("re-encoding accepted row %s: %v", row, err)

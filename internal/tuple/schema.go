@@ -49,6 +49,10 @@ type Schema struct {
 	// or -1 when the schema has a string column; it gates the branch-free
 	// decode fast path.
 	fixedSize int
+	// fixedPrefix is the number of columns before the first string column
+	// (all of them when there is none). Each sits at byte offset 8*i of
+	// every encoded row; later columns are found by the length-prefix walk.
+	fixedPrefix int
 }
 
 // NewSchema builds a schema from the given columns. Column names must be
@@ -70,6 +74,7 @@ func NewSchema(cols ...Column) *Schema {
 				s.fixedSize = -1
 			} else {
 				s.fixedSize += 8
+				s.fixedPrefix++
 			}
 		}
 	}
@@ -79,10 +84,9 @@ func NewSchema(cols ...Column) *Schema {
 // NumColumns reports the number of columns.
 func (s *Schema) NumColumns() int { return len(s.cols) }
 
-// FixedSize returns the encoded byte size shared by every row of an
-// all-fixed-width schema, or -1 when the schema has a string column. Each
-// fixed-width column occupies 8 bytes, so column i starts at offset 8*i.
-func (s *Schema) FixedSize() int { return s.fixedSize }
+// FixedPrefix returns the number of leading fixed-width columns: column i of
+// that prefix starts at offset 8*i of every encoded row, whatever follows.
+func (s *Schema) FixedPrefix() int { return s.fixedPrefix }
 
 // Column returns the i-th column.
 func (s *Schema) Column(i int) Column { return s.cols[i] }
