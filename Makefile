@@ -50,7 +50,7 @@ BENCH_STAMP ?= $(shell git log -1 --format=%cI 2>/dev/null || date -u +%Y-%m-%dT
 
 bench:
 	BENCH_STAMP=$(BENCH_STAMP) $(GO) test \
-		-bench 'BenchmarkThroughput|BenchmarkScanAlloc|BenchmarkPoolContention|BenchmarkParallelScan|BenchmarkParallelHashJoin|BenchmarkPreparedThroughput|BenchmarkPlanCache|BenchmarkVectorized|BenchmarkTraceOverhead' \
+		-bench 'BenchmarkThroughput|BenchmarkScanAlloc|BenchmarkPoolContention|BenchmarkParallelScan|BenchmarkParallelHashJoin|BenchmarkPreparedThroughput|BenchmarkPlanCache|BenchmarkTraceOverhead' \
 		-benchmem -run xxx .
 
 # bench/ is its own module calling internal/* directly, so nothing above

@@ -39,7 +39,7 @@ func TestQError(t *testing.T) {
 // plan of every shape the renderer distinguishes: clustered-range point
 // lookup, secondary-index seek, full scan under an aggregate, index
 // nested-loops join, hash join, and a fully shed monitor. The numbers are a
-// pure function of the 8000-row buildVecDB fixture and the optimizer — any
+// pure function of the 8000-row buildJoinDB fixture and the optimizer — any
 // drift here is a real behavior change, not noise.
 var analyzeGoldens = []struct {
 	name  string
@@ -126,7 +126,7 @@ monitors: 1 requested, 1 shed, 0 quarantined
 }
 
 func TestAnalyzeGolden(t *testing.T) {
-	eng := buildVecDB(t, 8000)
+	eng := buildJoinDB(t, 8000)
 	for _, g := range analyzeGoldens {
 		opts := g.opts
 		res, err := eng.Query(g.query, &opts)
@@ -144,7 +144,7 @@ func TestAnalyzeGolden(t *testing.T) {
 // scan label (ParallelScan(t) xN vs the serial fallback on a single-core
 // host): row counts and DPC feedback are documented to match a serial run.
 func TestAnalyzeGoldenParallel(t *testing.T) {
-	eng := buildVecDB(t, 8000)
+	eng := buildJoinDB(t, 8000)
 	res, err := eng.Query("SELECT COUNT(padding) FROM t WHERE c2 < 2000",
 		&RunOptions{MonitorAll: true, Parallelism: 4})
 	if err != nil {
@@ -169,7 +169,7 @@ monitors: 1 requested, 0 shed, 0 quarantined
 // really runs with tracing forced on, and the WithTimes rendering carries
 // the nondeterministic annotations the golden mode suppresses.
 func TestExplainAnalyzeWithTimes(t *testing.T) {
-	eng := buildVecDB(t, 8000)
+	eng := buildJoinDB(t, 8000)
 	out, err := eng.ExplainAnalyze("SELECT COUNT(padding) FROM t WHERE c2 < 2000",
 		&RunOptions{MonitorAll: true})
 	if err != nil {
@@ -190,7 +190,7 @@ func TestExplainAnalyzeWithTimes(t *testing.T) {
 // they must never shrink). It needs no golden numbers, so it guards the
 // monitoring pipeline under any fixture change.
 func TestAnalyzeMonotonicity(t *testing.T) {
-	eng := buildVecDB(t, 8000)
+	eng := buildJoinDB(t, 8000)
 	tab, ok := eng.Catalog().Table("t")
 	if !ok {
 		t.Fatal("table t missing")
@@ -229,8 +229,8 @@ func TestAnalyzeMonotonicity(t *testing.T) {
 // consume, actual row counts are non-negative, and every planted monitor
 // resolves to an operator that exists in the tree.
 func TestAnalyzeTreeInvariants(t *testing.T) {
-	eng := buildVecDB(t, 8000)
-	queries := append([]string{}, vecParityQueries...)
+	eng := buildJoinDB(t, 8000)
+	queries := append([]string{}, parityQueries...)
 	queries = append(queries,
 		"SELECT c2 FROM t WHERE c5 = 123",
 		"SELECT COUNT(padding) FROM t, u WHERE u.c1 < 5 AND u.fk = t.c5",

@@ -36,7 +36,6 @@ const helpText = `commands:
                         rows and page counts, q-errors, and operator times
   \monitor on|off       toggle DPC monitoring for subsequent queries
   \parallel N           set intra-query parallelism (0/1 = serial)
-  \vectorized on|off    toggle batch-at-a-time execution (default on)
   \trace on|off         record span traces for subsequent queries
   \trace show           print the last traced query's span listing
   \metrics              print engine metrics (Prometheus text format)
@@ -57,7 +56,6 @@ func main() {
 	real := flag.Bool("real", false, "also build the five real-world-like databases (slower)")
 	timeout := flag.Duration("timeout", 0, "per-query timeout (0 = none), e.g. 30s")
 	parallel := flag.Int("parallel", 0, "intra-query parallelism for scans and hash-join probes (0/1 = serial)")
-	vectorized := flag.Bool("vectorized", true, "batch-at-a-time execution (false forces the row-at-a-time path)")
 	slowlog := flag.Duration("slowlog", 0, "slow-query threshold (0 = off), e.g. 250ms; slow queries are captured with trace and plan (\\slowlog)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file (covers the whole session)")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -110,7 +108,7 @@ func main() {
 	}
 	fmt.Fprintln(os.Stderr, `ready — try: SELECT COUNT(padding) FROM t WHERE c2 < 2000  (\help for commands)`)
 
-	sh := &shell{eng: eng, monitor: true, timeout: *timeout, parallel: *parallel, vectorized: *vectorized, out: os.Stdout}
+	sh := &shell{eng: eng, monitor: true, timeout: *timeout, parallel: *parallel, out: os.Stdout}
 	scanner := bufio.NewScanner(os.Stdin)
 	scanner.Buffer(make([]byte, 1<<20), 1<<20)
 	fmt.Print("pagefeedback> ")
@@ -124,23 +122,14 @@ func main() {
 }
 
 type shell struct {
-	eng        *pagefeedback.Engine
-	monitor    bool
-	trace      bool
-	timeout    time.Duration
-	parallel   int
-	vectorized bool
-	last       *pagefeedback.Result
-	prepared   map[string]*pagefeedback.Stmt
-	out        *os.File
-}
-
-// vecMode maps the shell toggle onto the engine's run option.
-func (s *shell) vecMode() pagefeedback.VecMode {
-	if s.vectorized {
-		return pagefeedback.VecOn
-	}
-	return pagefeedback.VecOff
+	eng      *pagefeedback.Engine
+	monitor  bool
+	trace    bool
+	timeout  time.Duration
+	parallel int
+	last     *pagefeedback.Result
+	prepared map[string]*pagefeedback.Stmt
+	out      *os.File
 }
 
 // runOpts assembles the run options from the shell toggles.
@@ -149,7 +138,6 @@ func (s *shell) runOpts() *pagefeedback.RunOptions {
 		MonitorAll:  s.monitor,
 		Timeout:     s.timeout,
 		Parallelism: s.parallel,
-		Vectorized:  s.vecMode(),
 		Trace:       s.trace,
 	}
 }
@@ -184,14 +172,9 @@ func (s *shell) meta(line string) bool {
 			}
 		}
 		fmt.Fprintf(s.out, "parallelism: %d\n", s.parallel)
-	case `\vectorized`:
-		if len(fields) == 2 {
-			s.vectorized = strings.EqualFold(fields[1], "on")
-		}
-		fmt.Fprintf(s.out, "vectorized: %v\n", s.vectorized)
 	case `\explain`:
 		sql := strings.TrimSpace(strings.TrimPrefix(line, fields[0]))
-		out, err := s.eng.ExplainWithOptions(sql, &pagefeedback.RunOptions{Parallelism: s.parallel, Vectorized: s.vecMode()})
+		out, err := s.eng.ExplainWithOptions(sql, &pagefeedback.RunOptions{Parallelism: s.parallel})
 		if err != nil {
 			fmt.Fprintln(s.out, "error:", err)
 			return true
@@ -296,8 +279,7 @@ func (s *shell) stats() {
 		rt.MemPeakBytes, rt.ShedMonitors, rt.QuarantinedMonitors)
 	fmt.Fprintf(s.out, "            plan cache hit: %v, %d compiled predicates\n",
 		rt.PlanCacheHit, rt.CompiledPredicates)
-	fmt.Fprintf(s.out, "            %d batches processed, %d vectorized operators\n",
-		rt.BatchesProcessed, rt.VectorizedOps)
+	fmt.Fprintf(s.out, "            %d batches processed\n", rt.BatchesProcessed)
 	fmt.Fprintf(s.out, "            %d rows touched, %d decoded by table scans\n",
 		rt.RowsTouched, rt.RowsDecoded)
 }

@@ -35,7 +35,6 @@ func TestRangeScanBuildRunAllocs(t *testing.T) {
 	var compiled int64
 	run := func() {
 		ctx := exec.NewContext(eng.Pool())
-		ctx.Vectorized = true
 		ex, err := exec.Build(ctx, node, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -78,7 +77,6 @@ func TestMonitoredScanDecodesOnlyWhatSurvives(t *testing.T) {
 	}{
 		{"plain", nil},
 		{"monitored", &pagefeedback.RunOptions{MonitorAll: true, SampleFraction: 0.01}},
-		{"monitored-row-path", &pagefeedback.RunOptions{MonitorAll: true, SampleFraction: 0.01, Vectorized: pagefeedback.VecOff}},
 		{"monitored-parallel", &pagefeedback.RunOptions{MonitorAll: true, SampleFraction: 0.01, Parallelism: 2}},
 	} {
 		res, err := eng.Query(sql, tc.opts)

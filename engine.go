@@ -296,13 +296,6 @@ type RunOptions struct {
 	// planted monitor; a monitor exceeding it disables itself mid-query and
 	// reports a shed (Degraded) result. 0 means unbounded.
 	MonitorOverheadBudget time.Duration
-	// Vectorized selects the execution path. The default (VecDefault) runs
-	// batch-at-a-time with selection vectors; VecOff forces the serial
-	// row-at-a-time path — the escape hatch and the parity baseline the
-	// chaos tests compare against. Results, DPC feedback, and deterministic
-	// runtime stats are identical across the two paths; only the batch
-	// counters (BatchesProcessed, VectorizedOps) differ.
-	Vectorized VecMode
 	// Trace records a per-query span tree (operator open/next/close phases,
 	// parallel partitions, admission wait, storage events) into
 	// Result.Trace. Off by default; the disabled path costs one nil check
@@ -314,22 +307,6 @@ type RunOptions struct {
 	// (0 inherits Config.TraceSpanCapacity, then trace.DefaultCapacity).
 	TraceCapacity int
 }
-
-// VecMode selects between the vectorized (batch-at-a-time) and the
-// row-at-a-time execution paths.
-type VecMode int
-
-const (
-	// VecDefault is the zero value: vectorized execution.
-	VecDefault VecMode = iota
-	// VecOff forces row-at-a-time execution.
-	VecOff
-	// VecOn requests vectorized execution explicitly (same as VecDefault).
-	VecOn
-)
-
-// vectorized reports whether the options select the batch path.
-func (o *RunOptions) vectorized() bool { return o == nil || o.Vectorized != VecOff }
 
 // traced reports whether the options request span recording.
 func (o *RunOptions) traced() bool { return o != nil && o.Trace }
@@ -557,7 +534,6 @@ func (e *Engine) ExecuteContext(goCtx context.Context, node plan.Node, mcfg *exe
 	if opts != nil && opts.MemBudget > 0 {
 		ctx.Mem = exec.NewMemTracker(opts.MemBudget)
 	}
-	ctx.Vectorized = opts.vectorized()
 	ctx.BindContext(goCtx)
 	ex, err := exec.Build(ctx, node, mcfg)
 	if err != nil {
@@ -622,7 +598,6 @@ func (e *Engine) ExecuteContext(goCtx context.Context, node plan.Node, mcfg *exe
 			MemPeakBytes:       ctx.Mem.Used(),
 			CompiledPredicates: ctx.CompiledPredicates(),
 			BatchesProcessed:   ctx.BatchesProcessed(),
-			VectorizedOps:      ctx.VectorizedOps(),
 		},
 	}
 	for _, r := range res.DPC {

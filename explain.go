@@ -23,9 +23,7 @@ func (e *Engine) Explain(src string) (string, error) {
 // request intra-query parallelism it appends the effective degree and the
 // physical operator tree the executor would run, which shows exactly which
 // scans partition (ParallelScan) and which stay serial because their subtree
-// is order-sensitive; unless opts force the row path it lists which physical
-// operators would run batch-native (everything else falls back to rows
-// through the adapter). Nothing is executed.
+// is order-sensitive. Nothing is executed.
 func (e *Engine) ExplainWithOptions(src string, opts *RunOptions) (string, error) {
 	q, err := e.ParseQuery(src)
 	if err != nil {
@@ -43,16 +41,6 @@ func (e *Engine) ExplainWithOptions(src string, opts *RunOptions) (string, error
 		if ex, err := exec.Build(ctx, node, nil); err == nil {
 			fmt.Fprintf(&b, "parallelism: %d\n", deg)
 			writeOpTree(&b, ex.StatsSnapshot(), 1)
-		}
-	}
-	if opts.vectorized() {
-		ctx := exec.NewContext(e.pool)
-		ctx.Parallelism = opts.parallelDegree()
-		ctx.Vectorized = true
-		if ex, err := exec.Build(ctx, node, nil); err == nil {
-			if labels := ex.VectorizedLabels(); len(labels) > 0 {
-				fmt.Fprintf(&b, "vectorized: %s\n", strings.Join(labels, ", "))
-			}
 		}
 	}
 

@@ -61,16 +61,14 @@ type Schedule struct {
 	Parallelism int
 	// WarmCache skips the cold-cache reset before the run.
 	WarmCache bool
-	// RowPath forces the row-at-a-time executor (batch execution off).
-	RowPath bool
 }
 
 // String renders a compact identity for error messages.
 func (s Schedule) String() string {
-	return fmt.Sprintf("%s{q%d read=%d trans=%d@%d cancel=%d to=%v mem=%d shed=%d ob=%v par=%d warm=%v row=%v}",
+	return fmt.Sprintf("%s{q%d read=%d trans=%d@%d cancel=%d to=%v mem=%d shed=%d ob=%v par=%d warm=%v}",
 		s.Name, s.Query, s.FailReadAfter, s.TransientLen, s.TransientAfter,
 		s.CancelAtRead, s.Timeout, s.MemBudget, s.ShedLevel, s.OverheadBudget,
-		s.Parallelism, s.WarmCache, s.RowPath)
+		s.Parallelism, s.WarmCache)
 }
 
 // Outcome is the observed result of running one schedule.
@@ -218,7 +216,7 @@ func (e *Env) runQuery(parent context.Context, sql string, s Schedule) Outcome {
 		disk.SetReadHook(nil)
 		e.Eng.Pool().DrainPrefetch()
 	}()
-	opts := &pagefeedback.RunOptions{
+	res, err := e.Eng.QueryContext(ctx, sql, &pagefeedback.RunOptions{
 		MonitorAll:            true,
 		SampleFraction:        1.0,
 		Timeout:               s.Timeout,
@@ -227,11 +225,7 @@ func (e *Env) runQuery(parent context.Context, sql string, s Schedule) Outcome {
 		MonitorOverheadBudget: s.OverheadBudget,
 		Parallelism:           s.Parallelism,
 		WarmCache:             s.WarmCache,
-	}
-	if s.RowPath {
-		opts.Vectorized = pagefeedback.VecOff
-	}
-	res, err := e.Eng.QueryContext(ctx, sql, opts)
+	})
 	if err != nil {
 		return Outcome{Err: err}
 	}

@@ -309,13 +309,94 @@ func TestChaosBackoffDeterminism(t *testing.T) {
 	}
 }
 
-// TestChaosPlanCacheParity runs one fault-schedule sweep against two engines
-// over identical data — plan cache enabled vs disabled — with feedback
-// application interleaved so cached entries go stale mid-sweep. Every
-// schedule must produce the same outcome on both: same rows on success, an
-// error of the same rendering on failure. A divergence means the cache
-// changed semantics under faults (served a stale plan, leaked a fault into
-// the template, or altered the read sequence a schedule pins faults to).
+// paritySweep runs one fault-schedule sweep against two engines over
+// identical data, named x and y in messages, with feedback application
+// interleaved. Every schedule must produce the same error-ness and error
+// rendering on both, and on success the same rows, the same deterministic
+// runtime stats (rows touched, reads, simulated cost, memory peak), and
+// byte-identical DPC feedback; after every refeed round the exported
+// feedback state is byte-identical too. Both outcomes must also pass the
+// invariant Check. ok, when not nil, sees x's outcome of every parity
+// schedule that succeeded.
+func paritySweep(t *testing.T, xe, ye *Env, x, y string, ok func(Schedule, Outcome)) {
+	t.Helper()
+	reads := make([]int64, len(xe.Queries))
+	for q := range xe.Queries {
+		reads[q] = xe.CountReads(q)
+	}
+	for i, s := range GenerateSchedules(reads) {
+		a, b := xe.Run(s), ye.Run(s)
+		// Wall-clock-bounded schedules are exempt from outcome parity: one
+		// engine may legitimately be faster (a plan-cache hit skips the
+		// optimizer) and beat a deadline the other misses. The invariant
+		// Check below still applies to both outcomes.
+		parity := s.Timeout == 0
+		switch {
+		case !parity:
+		case (a.Err == nil) != (b.Err == nil):
+			t.Fatalf("%s: %s err=%v, %s err=%v", s, x, a.Err, y, b.Err)
+		case a.Err != nil:
+			if a.Err.Error() != b.Err.Error() {
+				t.Errorf("%s: error diverges: %q vs %q", s, a.Err, b.Err)
+			}
+		default:
+			if ok != nil {
+				ok(s, a)
+			}
+			if !equalStrings(a.Rows, b.Rows) {
+				t.Errorf("%s: rows diverge", s)
+			}
+			if got, want := renderDPC(a.Res), renderDPC(b.Res); got != want {
+				t.Errorf("%s: DPC feedback diverges:\n %s: %s\n %s: %s", s, x, got, y, want)
+			}
+			if d := diffRuntime(a.Res.Stats.Runtime, b.Res.Stats.Runtime); d != "" {
+				t.Errorf("%s: runtime stats diverge: %s", s, d)
+			}
+		}
+		if err := xe.Check(s, a); err != nil {
+			t.Errorf("%s: %v", x, err)
+		}
+		if err := ye.Check(s, b); err != nil {
+			t.Errorf("%s: %v", y, err)
+		}
+		// A wall-clock race can let one engine finish inside a timeout the
+		// other misses; Check has then landed that run's feedback (and its
+		// histogram observations) on one engine only. Mirror the surviving
+		// result to the other engine, so the export comparison below sees
+		// content divergence, never speed divergence. Parity schedules
+		// cannot get here asymmetric — differing error-ness is fatal above.
+		if a.Err == nil && b.Err != nil {
+			ye.Eng.ApplyFeedback(a.Res)
+		} else if b.Err == nil && a.Err != nil {
+			xe.Eng.ApplyFeedback(b.Res)
+		}
+		// Every 40 schedules, land fresh feedback on both engines: every
+		// cached plan goes stale and must be re-optimized while the sweep
+		// keeps injecting faults. Then the exported feedback state must
+		// match byte for byte.
+		if i%40 == 39 {
+			for q := range xe.Queries {
+				oa := xe.Run(Schedule{Name: "refeed", Query: q})
+				ob := ye.Run(Schedule{Name: "refeed", Query: q})
+				if oa.Err != nil || ob.Err != nil {
+					t.Fatalf("refeed failed: %v / %v", oa.Err, ob.Err)
+				}
+				xe.Eng.ApplyFeedback(oa.Res)
+				ye.Eng.ApplyFeedback(ob.Res)
+			}
+			if !bytes.Equal(exportFeedback(t, xe.Eng), exportFeedback(t, ye.Eng)) {
+				t.Fatalf("exported feedback diverges after refeed round at schedule %d", i)
+			}
+		}
+	}
+}
+
+// TestChaosPlanCacheParity runs the parity sweep against two engines over
+// identical data — plan cache enabled vs disabled — so cached entries go
+// stale mid-sweep. Skipping the optimizer must be observationally
+// invisible. A divergence means the cache changed semantics under faults
+// (served a stale plan, leaked a fault into the template, or altered the
+// read sequence a schedule pins faults to).
 func TestChaosPlanCacheParity(t *testing.T) {
 	const n = 1500
 	offCfg := pagefeedback.DefaultConfig()
@@ -323,47 +404,7 @@ func TestChaosPlanCacheParity(t *testing.T) {
 	cached := chaosEnv(t, pagefeedback.DefaultConfig(), n)
 	uncached := chaosEnv(t, offCfg, n)
 
-	reads := make([]int64, len(cached.Queries))
-	for q := range cached.Queries {
-		reads[q] = cached.CountReads(q)
-	}
-	schedules := GenerateSchedules(reads)
-	for i, s := range schedules {
-		a, b := cached.Run(s), uncached.Run(s)
-		// Wall-clock-bounded schedules are exempt from outcome parity: the
-		// cache legitimately makes the cached engine faster, so it can beat
-		// a deadline the uncached engine misses. The invariant Check below
-		// still applies to both outcomes.
-		parity := s.Timeout == 0
-		switch {
-		case !parity:
-		case (a.Err == nil) != (b.Err == nil):
-			t.Fatalf("%s: cached err=%v, uncached err=%v", s, a.Err, b.Err)
-		case a.Err != nil:
-			if a.Err.Error() != b.Err.Error() {
-				t.Errorf("%s: error diverges: %q vs %q", s, a.Err, b.Err)
-			}
-		case !equalStrings(a.Rows, b.Rows):
-			t.Errorf("%s: rows diverge", s)
-		}
-		if err := cached.Check(s, a); err != nil {
-			t.Errorf("cached: %v", err)
-		}
-		// Every 40 schedules, land fresh feedback on both engines: the
-		// cached engine's entries all go stale and must be re-optimized
-		// while the sweep keeps injecting faults.
-		if i%40 == 39 {
-			for q := range cached.Queries {
-				oa := cached.Run(Schedule{Name: "refeed", Query: q})
-				ob := uncached.Run(Schedule{Name: "refeed", Query: q})
-				if oa.Err != nil || ob.Err != nil {
-					t.Fatalf("refeed failed: %v / %v", oa.Err, ob.Err)
-				}
-				cached.Eng.ApplyFeedback(oa.Res)
-				uncached.Eng.ApplyFeedback(ob.Res)
-			}
-		}
-	}
+	paritySweep(t, cached, uncached, "cached", "uncached", nil)
 	st := cached.Eng.PlanCacheStats()
 	if st.Hits == 0 || st.Stale == 0 {
 		t.Errorf("sweep did not exercise the cache (hits and staleness both required): %+v", st)
@@ -373,10 +414,43 @@ func TestChaosPlanCacheParity(t *testing.T) {
 	}
 }
 
+// TestChaosVectorizedParity runs the parity sweep against two engines on the
+// batch executor over identical data: under faults, batch execution must be
+// deterministic down to the DPC feedback and exported feedback state, and
+// every successful run must have moved its rows in batches. A fault-free
+// spot-check at degree 4 then requires the partitioned batch executor to
+// return the serial run's rows and DPC feedback (its stats carry
+// timing-dependent prefetch and pool counters, so they are out of scope).
+func TestChaosVectorizedParity(t *testing.T) {
+	const n = 1500
+	first := chaosEnv(t, pagefeedback.DefaultConfig(), n)
+	second := chaosEnv(t, pagefeedback.DefaultConfig(), n)
+
+	paritySweep(t, first, second, "first", "second", func(s Schedule, out Outcome) {
+		if out.Res.Stats.Runtime.BatchesProcessed == 0 {
+			t.Errorf("%s: successful run processed no batch", s)
+		}
+	})
+	for q := range first.Queries {
+		s := Schedule{Name: "par-spot", Query: q}
+		p := s
+		p.Parallelism = 4
+		a, b := first.Run(s), second.Run(p)
+		if a.Err != nil || b.Err != nil {
+			t.Fatalf("%s: parallel spot-check failed: %v / %v", p, a.Err, b.Err)
+		}
+		if !equalStrings(a.Rows, b.Rows) {
+			t.Errorf("%s: parallel rows diverge from serial", p)
+		}
+		if got, want := renderDPC(b.Res), renderDPC(a.Res); got != want {
+			t.Errorf("%s: parallel DPC feedback diverges:\n parallel: %s\n serial: %s", p, got, want)
+		}
+	}
+}
+
 // diffRuntime compares the deterministic slice of two runs' runtime stats —
 // everything except wall-clock, queueing, pool-contention, prefetch, and the
-// execution-shape diagnostics (BatchesProcessed, VectorizedOps, PlanCacheHit)
-// that legitimately differ between the row and batch executors — and returns
+// execution-shape diagnostics (BatchesProcessed, PlanCacheHit) — and returns
 // a description of the first divergence, or "" when they match.
 func diffRuntime(a, b exec.RuntimeStats) string {
 	type field struct {
@@ -412,114 +486,4 @@ func exportFeedback(t *testing.T, eng *pagefeedback.Engine) []byte {
 		t.Fatalf("ExportFeedback: %v", err)
 	}
 	return buf.Bytes()
-}
-
-// TestChaosVectorizedParity runs the fault-schedule sweep against two engines
-// over identical data — one on the default batch-at-a-time executor, one
-// forced onto the row-at-a-time path — with feedback application interleaved.
-// The two executors must be observationally indistinguishable: same error-ness
-// and error rendering, same rows, the same deterministic runtime stats
-// (rows touched, reads, simulated cost, memory peak), byte-identical DPC
-// feedback per run, and byte-identical exported feedback state after every
-// refeed round. A divergence means batching changed semantics, not just shape.
-func TestChaosVectorizedParity(t *testing.T) {
-	const n = 1500
-	vec := chaosEnv(t, pagefeedback.DefaultConfig(), n)
-	row := chaosEnv(t, pagefeedback.DefaultConfig(), n)
-
-	reads := make([]int64, len(vec.Queries))
-	for q := range vec.Queries {
-		reads[q] = vec.CountReads(q)
-	}
-	schedules := GenerateSchedules(reads)
-	sawBatches := false
-	for i, s := range schedules {
-		sr := s
-		sr.RowPath = true
-		a, b := vec.Run(s), row.Run(sr)
-		// Wall-clock-bounded schedules are exempt from outcome parity (the
-		// paths are allowed to differ in speed); the invariant Check below
-		// still applies to both outcomes.
-		parity := s.Timeout == 0
-		switch {
-		case !parity:
-		case (a.Err == nil) != (b.Err == nil):
-			t.Fatalf("%s: vectorized err=%v, row err=%v", s, a.Err, b.Err)
-		case a.Err != nil:
-			if a.Err.Error() != b.Err.Error() {
-				t.Errorf("%s: error diverges: %q vs %q", s, a.Err, b.Err)
-			}
-		default:
-			if !equalStrings(a.Rows, b.Rows) {
-				t.Errorf("%s: rows diverge", s)
-			}
-			if got, want := renderDPC(a.Res), renderDPC(b.Res); got != want {
-				t.Errorf("%s: DPC feedback diverges:\n vec: %s\n row: %s", s, got, want)
-			}
-			if d := diffRuntime(a.Res.Stats.Runtime, b.Res.Stats.Runtime); d != "" {
-				t.Errorf("%s: runtime stats diverge: %s", s, d)
-			}
-			if a.Res.Stats.Runtime.BatchesProcessed > 0 {
-				sawBatches = true
-			}
-			if rt := b.Res.Stats.Runtime; rt.BatchesProcessed != 0 || rt.VectorizedOps != 0 {
-				t.Errorf("%s: row path reported batch stats: %d batches, %d vectorized ops",
-					s, rt.BatchesProcessed, rt.VectorizedOps)
-			}
-		}
-		if err := vec.Check(s, a); err != nil {
-			t.Errorf("vectorized: %v", err)
-		}
-		if err := row.Check(sr, b); err != nil {
-			t.Errorf("row: %v", err)
-		}
-		// A wall-clock race can let one path finish inside a timeout the
-		// other misses; Check has then landed that run's feedback (and its
-		// histogram observations) on one engine only. Mirror the surviving
-		// result to the other engine, so the export comparison below sees
-		// content divergence, never speed divergence. Parity schedules
-		// cannot get here asymmetric — differing error-ness is fatal above.
-		if a.Err == nil && b.Err != nil {
-			row.Eng.ApplyFeedback(a.Res)
-		} else if b.Err == nil && a.Err != nil {
-			vec.Eng.ApplyFeedback(b.Res)
-		}
-		// Every 40 schedules, land fresh feedback on both engines and compare
-		// the exported feedback state byte for byte.
-		if i%40 == 39 {
-			for q := range vec.Queries {
-				oa := vec.Run(Schedule{Name: "refeed", Query: q})
-				ob := row.Run(Schedule{Name: "refeed", Query: q, RowPath: true})
-				if oa.Err != nil || ob.Err != nil {
-					t.Fatalf("refeed failed: %v / %v", oa.Err, ob.Err)
-				}
-				vec.Eng.ApplyFeedback(oa.Res)
-				row.Eng.ApplyFeedback(ob.Res)
-			}
-			if !bytes.Equal(exportFeedback(t, vec.Eng), exportFeedback(t, row.Eng)) {
-				t.Fatalf("exported feedback diverges after refeed round at schedule %d", i)
-			}
-		}
-	}
-	if !sawBatches {
-		t.Error("no successful vectorized run processed a batch")
-	}
-	// Parallel spot-check: fault-free schedules must agree across paths at
-	// degree 4 too (rows and feedback; stats carry timing-dependent prefetch
-	// and pool counters, so they are out of scope here).
-	for q := range vec.Queries {
-		s := Schedule{Name: "par-spot", Query: q, Parallelism: 4}
-		sr := s
-		sr.RowPath = true
-		a, b := vec.Run(s), row.Run(sr)
-		if a.Err != nil || b.Err != nil {
-			t.Fatalf("%s: parallel spot-check failed: %v / %v", s, a.Err, b.Err)
-		}
-		if !equalStrings(a.Rows, b.Rows) {
-			t.Errorf("%s: parallel rows diverge", s)
-		}
-		if got, want := renderDPC(a.Res), renderDPC(b.Res); got != want {
-			t.Errorf("%s: parallel DPC feedback diverges:\n vec: %s\n row: %s", s, got, want)
-		}
-	}
 }

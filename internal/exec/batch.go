@@ -2,72 +2,41 @@ package exec
 
 import "pagefeedback/internal/tuple"
 
-// BatchSize caps how many rows a batch-native operator accumulates before
-// handing a batch to its parent. Scans ignore it — their natural batch is
-// the data page (§III-B's grouped page access) — but seek paths and
-// re-batching operators (group aggregates) cut batches at this size.
+// BatchSize caps how many rows an operator hands its parent per NextBatch
+// call. Scans ignore it — their natural batch is the data page (§III-B's
+// grouped page access) — but seek paths, sorts and aggregates cut batches at
+// this size.
 const BatchSize = 1024
 
-// Batch is the unit of the vectorized execution path: a slice of rows plus a
-// selection vector of the indices that are live. Operators filter by
+// Batch is the unit in which rows move between operators: a slice of rows
+// plus a selection vector of the indices that are live. Operators filter by
 // compacting Sel instead of materializing survivors, so a selective filter
 // over a page batch touches no row memory at all.
 //
-// The contract mirrors the row path's view semantics: a filled batch —
-// Rows, Sel, and the rows themselves — is valid only until the next
-// NextBatch call on the same operator. Consumers that keep rows (sorts,
-// joins, the result sink) clone them, exactly as they do for rows returned
-// by Next.
+// A filled batch — Rows, Sel, and the rows themselves — is valid only until
+// the next NextBatch call on the same operator. Consumers that keep rows
+// (sorts, joins, the result sink) clone them.
 type Batch struct {
 	Rows []tuple.Row
 	Sel  []int
+	// Max is the consumer's row cap for the call: the most rows it will
+	// take, 0 meaning BatchSize. LIMIT sets it. Operators that produce row by
+	// row — sorts, group aggregates, merge and index nested-loops joins,
+	// covering scans, index intersections — stop at it, so a LIMIT over them
+	// does no work past its last row. Scans and the hash-join probe deliver
+	// their page, the index seek its BatchSize, and the consumer truncates.
+	Max int
 }
 
 // Len returns the number of live rows in the batch.
 func (b *Batch) Len() int { return len(b.Sel) }
 
-// BatchOperator is an operator that can deliver rows a batch at a time.
-// NextBatch fills b and returns the number of live rows; n == 0 with a nil
-// error is end of stream (operators never deliver empty batches). An
-// operator instance must be drained through exactly one protocol — Next or
-// NextBatch — never a mix: both consume the same underlying cursor.
-type BatchOperator interface {
-	Operator
-	NextBatch(b *Batch) (n int, err error)
-}
-
-// asBatch lifts any operator into the batch protocol: batch-native operators
-// (including the panic guard, which forwards to its inner operator's batch
-// view) are returned as-is, row-only operators are wrapped in a batchAdapter.
-func asBatch(op Operator) BatchOperator {
-	if bo, ok := op.(BatchOperator); ok {
-		return bo
+// limit returns how many rows a row-by-row producer may put in b.
+func (b *Batch) limit() int {
+	if b.Max > 0 && b.Max < BatchSize {
+		return b.Max
 	}
-	return &batchAdapter{Operator: op}
-}
-
-// batchAdapter lifts a row-only operator (Sort, MergeJoin, INLJoin, the
-// covering and intersecting access paths) into the batch protocol with
-// single-row batches. Rows produced by row-only operators may be views into
-// buffers reused on the next Next call, so accumulating more than one per
-// batch would force a clone per row; one-row batches keep the subtree at
-// row-path cost — no better, no worse — while everything above it still
-// speaks batches.
-type batchAdapter struct {
-	Operator
-	row [1]tuple.Row
-}
-
-// NextBatch implements BatchOperator.
-func (a *batchAdapter) NextBatch(b *Batch) (int, error) {
-	row, ok, err := a.Operator.Next()
-	if err != nil || !ok {
-		return 0, err
-	}
-	a.row[0] = row
-	b.Rows = a.row[:]
-	b.Sel = append(b.Sel[:0], 0)
-	return 1, nil
+	return BatchSize
 }
 
 // identSel resets sel to the identity selection [0..n) and returns it.
@@ -81,43 +50,90 @@ func identSel(sel []int, n int) []int {
 	return sel
 }
 
-// VectorizedLabels returns the labels of the operators in the execution's
-// plan that run batch-native when the context is vectorized, in top-down
-// plan order. The walk follows only batch-pulled edges: a row-only operator
-// ends the batch spine of its subtree (below it rows move one at a time
-// through the adapter), and a hash join keeps batching on its probe side
-// only — the build side is drained row at a time during Open.
-func (e *Execution) VectorizedLabels() []string {
-	var out []string
-	var walk func(op Operator)
-	walk = func(op Operator) {
-		switch o := unwrapOp(op).(type) {
-		case *SEScan:
-			out = append(out, o.stats.Label)
-		case *ParallelScan:
-			out = append(out, o.stats.Label)
-		case *IndexSeek:
-			out = append(out, o.stats.Label)
-		case *FilterOp:
-			out = append(out, o.stats.Label)
-			walk(o.input)
-		case *ProjectOp:
-			out = append(out, o.stats.Label)
-			walk(o.input)
-		case *LimitOp:
-			out = append(out, o.stats.Label)
-			walk(o.input)
-		case *AggOp:
-			out = append(out, o.stats.Label)
-			walk(o.input)
-		case *GroupAggOp:
-			out = append(out, o.stats.Label)
-			walk(o.input)
-		case *HashJoinOp:
-			out = append(out, o.stats.Label)
-			walk(o.probe)
+// sliceRows rebuilds rows as views of vals cut at bounds (prefix lengths,
+// one per row). Operators that accumulate a batch's output in a reused value
+// arena call it once the arena has stopped growing, since appends may move
+// it. The arena is transient, batch-bounded memory recycled from length zero
+// on every call, so it is not charged to the memory budget.
+func sliceRows(rows []tuple.Row, vals []tuple.Value, bounds []int) []tuple.Row {
+	rows = rows[:0]
+	lo := 0
+	for _, hi := range bounds {
+		rows = append(rows, tuple.Row(vals[lo:hi:hi]))
+		lo = hi
+	}
+	return rows
+}
+
+// emitRows hands b the next rows of a materialized buffer, starting at *pos
+// and stopping at b's cap; it returns how many it handed over.
+func emitRows(b *Batch, rows []tuple.Row, pos *int) int {
+	n := min(len(rows)-*pos, b.limit())
+	if n <= 0 {
+		return 0
+	}
+	b.Rows = rows[*pos : *pos+n]
+	b.Sel = identSel(b.Sel, n)
+	*pos += n
+	return n
+}
+
+// drain pulls every batch from op, charging CPU for the live rows, and calls
+// f on each live row in order — the input loop of the blocking operators. It
+// stops at the first error from op or f.
+func drain(ctx *Context, op Operator, f func(tuple.Row) error) error {
+	var b Batch
+	for {
+		n, err := op.NextBatch(&b)
+		if err != nil || n == 0 {
+			return err
+		}
+		ctx.touch(int64(n))
+		for _, i := range b.Sel {
+			if err := f(b.Rows[i]); err != nil {
+				return err
+			}
 		}
 	}
-	walk(e.Root)
-	return out
+}
+
+// rowCursor steps through a child's batches one row at a time, for the
+// operators that consume an input row by row: both inputs of the merge join
+// and the outer of the index nested-loops join. It pulls the next batch only
+// once the current one is used up, so the child's current page is always the
+// current row's page — the invariant the merge join's late match relies on —
+// and the current row stays valid until the next call to next.
+type rowCursor struct {
+	in   Operator
+	b    Batch
+	pos  int
+	done bool
+}
+
+// open opens the child and rewinds the cursor.
+func (c *rowCursor) open() error {
+	c.b.Sel = c.b.Sel[:0]
+	c.pos, c.done = 0, false
+	return c.in.Open()
+}
+
+// next advances to the following row; it returns nil at end of input, and
+// never pulls the child again after that.
+func (c *rowCursor) next() (tuple.Row, error) {
+	c.pos++
+	for c.pos >= len(c.b.Sel) {
+		if c.done {
+			return nil, nil
+		}
+		n, err := c.in.NextBatch(&c.b)
+		if err != nil {
+			return nil, err
+		}
+		if n == 0 {
+			c.done = true
+			c.b.Sel = c.b.Sel[:0]
+		}
+		c.pos = 0
+	}
+	return c.b.Rows[c.b.Sel[c.pos]], nil
 }

@@ -1,48 +1,53 @@
 package exec
 
 import (
+	"reflect"
 	"testing"
 
 	"pagefeedback/internal/tuple"
 )
 
-// countingSource is a batch-native stub child that emits rows forever and
-// counts exactly how it is driven, so tests can assert an operator stopped
-// pulling — not just that it stopped emitting.
+// countingSource is a stub child that emits rows forever and records exactly
+// how it is driven, so tests can assert an operator stopped pulling — not
+// just that it stopped emitting. Each batch holds batchRows rows, capped at
+// the consumer's Max when honorMax is set (a row-by-row producer) and whole
+// otherwise (a page-granular one).
 type countingSource struct {
-	schema     *tuple.Schema
-	batchRows  int
-	nextCalls  int
-	batchCalls int
-	closes     int
-	rows       []tuple.Row
-	stats      OpStats
+	schema    *tuple.Schema
+	honorMax  bool
+	rows      []tuple.Row
+	next      int64
+	maxSeen   []int
+	closes    int
+	stats     OpStats
+	batchRows int
 }
 
-func newCountingSource(batchRows int) *countingSource {
-	s := &countingSource{
+func newCountingSource(batchRows int, honorMax bool) *countingSource {
+	return &countingSource{
 		schema:    tuple.NewSchema(tuple.Column{Name: "v", Kind: tuple.KindInt}),
+		honorMax:  honorMax,
 		batchRows: batchRows,
 		stats:     OpStats{Label: "CountingSource"},
 	}
-	for i := 0; i < batchRows; i++ {
-		s.rows = append(s.rows, tuple.Row{tuple.Int64(int64(i))})
-	}
-	return s
 }
 
 func (s *countingSource) Open() error { return nil }
 
-func (s *countingSource) Next() (tuple.Row, bool, error) {
-	s.nextCalls++
-	return s.rows[0], true, nil
-}
-
 func (s *countingSource) NextBatch(b *Batch) (int, error) {
-	s.batchCalls++
+	s.maxSeen = append(s.maxSeen, b.Max)
+	n := s.batchRows
+	if s.honorMax {
+		n = min(n, b.limit())
+	}
+	s.rows = s.rows[:0]
+	for i := 0; i < n; i++ {
+		s.rows = append(s.rows, tuple.Row{tuple.Int64(s.next)})
+		s.next++
+	}
 	b.Rows = s.rows
-	b.Sel = identSel(b.Sel, len(s.rows))
-	return len(s.rows), nil
+	b.Sel = identSel(b.Sel, n)
+	return n, nil
 }
 
 func (s *countingSource) Close() error { s.closes++; return nil }
@@ -51,25 +56,22 @@ func (s *countingSource) Schema() *tuple.Schema { return s.schema }
 
 func (s *countingSource) Stats() *OpStats { return &s.stats }
 
-// TestLimitBatchEarlyExit pins the batch path's limit contract: a batch that
-// crosses the limit is truncated by shrinking its selection vector, and once
-// the limit is hit the child is never pulled again — over an unbounded child,
-// anything else would hang or over-read.
-func TestLimitBatchEarlyExit(t *testing.T) {
-	ctx := NewContext(nil)
-	ctx.Vectorized = true
-	src := newCountingSource(10)
-	lim, err := NewLimit(ctx, src, 25)
+// drainLimit pulls a limit of 25 over src through a panic guard until end of
+// stream and returns the batch sizes it delivered.
+func drainLimit(t *testing.T, ctx *Context, src *countingSource) []int {
+	t.Helper()
+	lim, err := NewLimit(src, 25)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := lim.Open(); err != nil {
+	op := &guardOp{inner: lim, ctx: ctx}
+	if err := op.Open(); err != nil {
 		t.Fatal(err)
 	}
 	var b Batch
 	var sizes []int
 	for {
-		n, err := lim.NextBatch(&b)
+		n, err := op.NextBatch(&b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,100 +83,80 @@ func TestLimitBatchEarlyExit(t *testing.T) {
 		}
 		sizes = append(sizes, n)
 	}
-	if len(sizes) != 3 || sizes[0] != 10 || sizes[1] != 10 || sizes[2] != 5 {
+	if err := op.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if src.closes != 1 {
+		t.Fatalf("child closed %d times, want 1", src.closes)
+	}
+	return sizes
+}
+
+// TestLimitBatchEarlyExit pins the limit contract over a page-granular
+// child, which ignores the row cap: a batch that crosses the limit is
+// truncated by shrinking its selection vector, and once the limit is hit the
+// child is never pulled again — over an unbounded child, anything else would
+// hang or over-read.
+func TestLimitBatchEarlyExit(t *testing.T) {
+	ctx := NewContext(nil)
+	src := newCountingSource(10, false)
+	if sizes := drainLimit(t, ctx, src); !reflect.DeepEqual(sizes, []int{10, 10, 5}) {
 		t.Fatalf("batch sizes = %v, want [10 10 5]", sizes)
 	}
-	if src.batchCalls != 3 {
-		t.Fatalf("child pulled %d times, want exactly 3 (no pull after the limit is hit)", src.batchCalls)
-	}
-	if err := lim.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if src.closes != 1 {
-		t.Fatalf("child closed %d times, want 1", src.closes)
+	if !reflect.DeepEqual(src.maxSeen, []int{25, 15, 5}) {
+		t.Fatalf("child saw row caps %v, want [25 15 5] (no pull after the limit is hit)", src.maxSeen)
 	}
 	if got := ctx.BatchesProcessed(); got != 3 {
-		t.Errorf("BatchesProcessed = %d, want 3", got)
-	}
-	if got := ctx.VectorizedOps(); got != 1 {
-		t.Errorf("VectorizedOps = %d, want 1 (noted once per operator, not per batch)", got)
+		t.Errorf("BatchesProcessed = %d, want 3 (the guard counts every non-empty batch)", got)
 	}
 }
 
-// TestLimitRowEarlyExit is the same contract on the row path: exactly n pulls
-// from an unbounded child, then EOS without touching it again.
+// TestLimitRowEarlyExit is the same contract over a row-by-row child, which
+// honors the row cap: it produces exactly the 25 rows the limit returns, so
+// the limit never truncates and does no work past its last row.
 func TestLimitRowEarlyExit(t *testing.T) {
 	ctx := NewContext(nil)
-	src := newCountingSource(1)
-	lim, err := NewLimit(ctx, src, 25)
-	if err != nil {
-		t.Fatal(err)
+	src := newCountingSource(BatchSize, true)
+	if sizes := drainLimit(t, ctx, src); !reflect.DeepEqual(sizes, []int{25}) {
+		t.Fatalf("batch sizes = %v, want [25]", sizes)
 	}
-	if err := lim.Open(); err != nil {
-		t.Fatal(err)
-	}
-	got := 0
-	for {
-		_, ok, err := lim.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		got++
-	}
-	if got != 25 {
-		t.Fatalf("row path yielded %d rows, want 25", got)
-	}
-	if src.nextCalls != 25 {
-		t.Fatalf("child pulled %d times, want exactly 25", src.nextCalls)
-	}
-	if err := lim.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if src.closes != 1 {
-		t.Fatalf("child closed %d times, want 1", src.closes)
-	}
-	if ctx.BatchesProcessed() != 0 || ctx.VectorizedOps() != 0 {
-		t.Errorf("row path recorded batch stats: %d/%d", ctx.BatchesProcessed(), ctx.VectorizedOps())
+	if src.next != 25 {
+		t.Fatalf("child produced %d rows, want exactly 25", src.next)
 	}
 }
 
-// TestBatchAdapterBridgesRowOperators checks that a row-only operator pulled
-// through asBatch yields the same rows one per batch, preserving order.
-func TestBatchAdapterBridgesRowOperators(t *testing.T) {
-	ctx := NewContext(nil)
-	src := newCountingSource(1)
-	lim, err := NewLimit(ctx, src, 7)
+// TestRowCursorSteps checks the cursor the row-by-row joins read their
+// inputs through: rows arrive in order across batch boundaries, a batch is
+// pulled only once the previous one is used up, and the child is never
+// pulled again after end of stream.
+func TestRowCursorSteps(t *testing.T) {
+	src := newCountingSource(4, false)
+	lim, err := NewLimit(src, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Wrap the row-facing side explicitly: adapter over the limit.
-	ad := asBatch(Operator(&rowOnly{lim}))
-	if err := lim.Open(); err != nil {
+	c := rowCursor{in: lim}
+	if err := c.open(); err != nil {
 		t.Fatal(err)
 	}
-	var b Batch
-	total := 0
-	for {
-		n, err := ad.NextBatch(&b)
-		if err != nil {
-			t.Fatal(err)
+	for want := int64(0); want < 10; want++ {
+		row, err := c.next()
+		if err != nil || row == nil {
+			t.Fatalf("row %d: got %v, %v", want, row, err)
 		}
-		if n == 0 {
-			break
+		if row[0].Int != want {
+			t.Fatalf("row %d has value %d", want, row[0].Int)
 		}
-		if n != 1 || len(b.Sel) != 1 {
-			t.Fatalf("adapter emitted a batch of %d rows, want 1", n)
+		if pulls := len(src.maxSeen); pulls != int(want/4)+1 {
+			t.Fatalf("after row %d the child was pulled %d times, want %d", want, pulls, want/4+1)
 		}
-		total++
 	}
-	if total != 7 {
-		t.Fatalf("adapter yielded %d rows, want 7", total)
+	for i := 0; i < 3; i++ {
+		if row, err := c.next(); row != nil || err != nil {
+			t.Fatalf("past the end: got %v, %v", row, err)
+		}
+	}
+	if pulls := len(src.maxSeen); pulls != 3 {
+		t.Fatalf("child pulled %d times, want 3", pulls)
 	}
 }
-
-// rowOnly hides an operator's batch capability so asBatch must fall back to
-// the adapter.
-type rowOnly struct{ Operator }

@@ -105,7 +105,7 @@ func (e *Execution) guard(op Operator) Operator {
 	st := op.Stats()
 	st.OpID = e.opCtr
 	e.opCtr++
-	return &guardOp{inner: op, tr: e.Ctx.Trace, st: st}
+	return &guardOp{inner: op, ctx: e.Ctx, tr: e.Ctx.Trace, st: st}
 }
 
 // OperatorCount reports how many operators the built tree contains —
@@ -171,7 +171,7 @@ func (e *Execution) buildInner(n plan.Node) (Operator, error) {
 		if err != nil {
 			return nil, err
 		}
-		op, err := NewLimit(e.Ctx, in, node.N)
+		op, err := NewLimit(in, node.N)
 		if err != nil {
 			return nil, err
 		}
@@ -721,22 +721,12 @@ func resolveAll(s *tuple.Schema, cols []string) ([]int, error) {
 func sameTable(a, b string) bool { return strings.EqualFold(a, b) }
 
 // Run opens the root, drains all rows, closes, and finalizes monitors.
-// It returns the produced rows. When the context is vectorized the sink
-// pulls whole batches through the root (every built operator is wrapped in
-// a guard, which speaks the batch protocol natively or via the adapter);
-// otherwise it pulls one row per call. Row order, memory charges, and CPU
-// accounting are identical either way.
+// It returns the produced rows.
 func (e *Execution) Run() ([]tuple.Row, error) {
 	if err := e.Root.Open(); err != nil {
 		return nil, err
 	}
-	var rows []tuple.Row
-	var err error
-	if e.Ctx.Vectorized {
-		rows, err = e.drainBatches()
-	} else {
-		rows, err = e.drainRows()
-	}
+	rows, err := e.collect()
 	if err != nil {
 		e.Root.Close()
 		return nil, err
@@ -747,47 +737,22 @@ func (e *Execution) Run() ([]tuple.Row, error) {
 	return rows, nil
 }
 
-func (e *Execution) drainRows() ([]tuple.Row, error) {
-	var rows []tuple.Row
-	for {
-		if err := e.Ctx.interrupted(); err != nil {
-			return nil, err
-		}
-		row, ok, err := e.Root.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return rows, nil
-		}
-		// Cloning moves the row out of page-buffer memory into query-owned
-		// memory that lives until the caller drops the result set.
-		if err := e.Ctx.Mem.Grow(rowMemSize(row)); err != nil {
-			return nil, err
-		}
-		rows = append(rows, row.Clone())
-	}
-}
-
-func (e *Execution) drainBatches() ([]tuple.Row, error) {
-	root := asBatch(e.Root)
+// collect is the result sink: it pulls the root's batches and clones each
+// live row out of operator-owned buffers, which die on the next pull, into
+// query-owned memory that lives until the caller drops the result set.
+func (e *Execution) collect() ([]tuple.Row, error) {
 	var rows []tuple.Row
 	var b Batch
 	for {
 		if err := e.Ctx.interrupted(); err != nil {
 			return nil, err
 		}
-		n, err := root.NextBatch(&b)
-		if err != nil {
-			return nil, err
-		}
-		if n == 0 {
-			return rows, nil
+		n, err := e.Root.NextBatch(&b)
+		if err != nil || n == 0 {
+			return rows, err
 		}
 		for _, i := range b.Sel {
 			row := b.Rows[i]
-			// Same per-row clone-and-charge as the row sink: batch views
-			// point into operator-owned buffers that die on the next pull.
 			if err := e.Ctx.Mem.Grow(rowMemSize(row)); err != nil {
 				return nil, err
 			}

@@ -33,13 +33,13 @@ type refScan struct {
 
 // refScan is a monitoredScan so the builder's own attachScanMonitors plants
 // its monitors; it is drained by run, not through the operator protocol.
-func (r *refScan) attach(m *scanMonitor)          { r.monitors = append(r.monitors, m) }
-func (r *refScan) Table() *catalog.Table          { return r.tab }
-func (r *refScan) Stats() *OpStats                { return &r.stats }
-func (r *refScan) Schema() *tuple.Schema          { return r.tab.Schema }
-func (r *refScan) Open() error                    { return nil }
-func (r *refScan) Close() error                   { return nil }
-func (r *refScan) Next() (tuple.Row, bool, error) { panic("refScan is drained by run") }
+func (r *refScan) attach(m *scanMonitor)         { r.monitors = append(r.monitors, m) }
+func (r *refScan) Table() *catalog.Table         { return r.tab }
+func (r *refScan) Stats() *OpStats               { return &r.stats }
+func (r *refScan) Schema() *tuple.Schema         { return r.tab.Schema }
+func (r *refScan) Open() error                   { return nil }
+func (r *refScan) Close() error                  { return nil }
+func (r *refScan) NextBatch(*Batch) (int, error) { panic("refScan is drained by run") }
 
 // run drains the scan and returns the rows that pass, cloned.
 func (r *refScan) run(t *testing.T) []tuple.Row {
@@ -185,8 +185,8 @@ func feedbackBytes(results []DPCResult) string {
 
 // TestEncodedScanParity holds every scan shape that runs through pageVisit
 // to the full-decode reference: {heap, clustered full scan, clustered range}
-// × {serial, degree 2, 4} × {row, batch protocol} × shed level {0, 1, 2} ×
-// sample fraction {0.01, 0.5, 1.0} × {INT-only, VARCHAR-last, VARCHAR-middle}.
+// × {serial, degree 2, 4} × shed level {0, 1, 2} × sample fraction
+// {0.01, 0.5, 1.0} × {INT-only, VARCHAR-last, VARCHAR-middle}.
 // Rows, every DPCResult (exact prefix, DPSample, linear-counting rung, and a
 // hand-attached join bit-vector monitor), RowsTouched and the feedback bytes
 // must be identical; RowsDecoded must show that rejected rows were decoded
@@ -265,51 +265,48 @@ func TestEncodedScanParity(t *testing.T) {
 					}
 
 					for _, deg := range []int{0, 2, 4} {
-						for _, vec := range []bool{false, true} {
-							name := fmt.Sprintf("%s/%s/shed%d/f%g/deg%d/vec%v", shape, sc.name, shed, f, deg, vec)
-							ctx := NewContext(pool)
-							ctx.Parallelism = deg
-							ctx.Vectorized = vec
-							ex, err := Build(ctx, node, cfg())
-							if err != nil {
-								t.Fatalf("%s: %v", name, err)
+						name := fmt.Sprintf("%s/%s/shed%d/f%g/deg%d", shape, sc.name, shed, f, deg)
+						ctx := NewContext(pool)
+						ctx.Parallelism = deg
+						ex, err := Build(ctx, node, cfg())
+						if err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						scan := findScan(ex.Root)
+						jm := joinMon()
+						jm.host = scan.Stats()
+						scan.attach(jm)
+						rows, err := ex.Run()
+						if err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						if got := sortedRowStrings(rows); !reflect.DeepEqual(got, wantRows) {
+							t.Errorf("%s: rows differ: got %d, reference %d", name, len(got), len(wantRows))
+						}
+						var gotDPC []DPCResult
+						for _, r := range ex.DPCResults() {
+							if r.Mechanism != MechUnsatisfiable {
+								gotDPC = append(gotDPC, r)
 							}
-							scan := findScan(ex.Root)
-							jm := joinMon()
-							jm.host = scan.Stats()
-							scan.attach(jm)
-							rows, err := ex.Run()
-							if err != nil {
-								t.Fatalf("%s: %v", name, err)
-							}
-							if got := sortedRowStrings(rows); !reflect.DeepEqual(got, wantRows) {
-								t.Errorf("%s: rows differ: got %d, reference %d", name, len(got), len(wantRows))
-							}
-							var gotDPC []DPCResult
-							for _, r := range ex.DPCResults() {
-								if r.Mechanism != MechUnsatisfiable {
-									gotDPC = append(gotDPC, r)
-								}
-							}
-							gotDPC = append(gotDPC, jm.result())
-							if !reflect.DeepEqual(gotDPC, wantDPC) {
-								t.Errorf("%s: DPC results differ:\n got %+v\nwant %+v", name, gotDPC, wantDPC)
-							}
-							if got := feedbackBytes(gotDPC); got != wantBytes {
-								t.Errorf("%s: feedback bytes differ:\n got %s\nwant %s", name, got, wantBytes)
-							}
-							if got, want := ctx.RowsTouched(), refCtx.RowsTouched(); got != want {
-								t.Errorf("%s: RowsTouched = %d, reference %d", name, got, want)
-							}
-							dec := ctx.RowsDecoded()
-							switch {
-							case dec < int64(len(rows)) || dec > ctx.RowsTouched():
-								t.Errorf("%s: RowsDecoded = %d outside [%d rows, %d touched]", name, dec, len(rows), ctx.RowsTouched())
-							case sampledLive && f == 1 && shed == 0 && dec != ctx.RowsTouched():
-								t.Errorf("%s: every page is sampled, yet RowsDecoded = %d of %d touched", name, dec, ctx.RowsTouched())
-							case !sampledLive && dec != int64(len(rows)):
-								t.Errorf("%s: no sampled monitor is live, yet RowsDecoded = %d for %d result rows", name, dec, len(rows))
-							}
+						}
+						gotDPC = append(gotDPC, jm.result())
+						if !reflect.DeepEqual(gotDPC, wantDPC) {
+							t.Errorf("%s: DPC results differ:\n got %+v\nwant %+v", name, gotDPC, wantDPC)
+						}
+						if got := feedbackBytes(gotDPC); got != wantBytes {
+							t.Errorf("%s: feedback bytes differ:\n got %s\nwant %s", name, got, wantBytes)
+						}
+						if got, want := ctx.RowsTouched(), refCtx.RowsTouched(); got != want {
+							t.Errorf("%s: RowsTouched = %d, reference %d", name, got, want)
+						}
+						dec := ctx.RowsDecoded()
+						switch {
+						case dec < int64(len(rows)) || dec > ctx.RowsTouched():
+							t.Errorf("%s: RowsDecoded = %d outside [%d rows, %d touched]", name, dec, len(rows), ctx.RowsTouched())
+						case sampledLive && f == 1 && shed == 0 && dec != ctx.RowsTouched():
+							t.Errorf("%s: every page is sampled, yet RowsDecoded = %d of %d touched", name, dec, ctx.RowsTouched())
+						case !sampledLive && dec != int64(len(rows)):
+							t.Errorf("%s: no sampled monitor is live, yet RowsDecoded = %d for %d result rows", name, dec, len(rows))
 						}
 					}
 				}

@@ -7,12 +7,18 @@
 // the same way the paper's prototype does — through an explicit callback
 // object handed to the SE-side scan.
 //
+// Operators speak one protocol, Open → NextBatch* → Close: rows move between
+// them in batches with selection vectors (see Batch), and the consumer may
+// cap a batch's size so a LIMIT does no work past its last row. Operators
+// that must step row by row — the merge and index nested-loops joins — do so
+// inside themselves, over a cursor on their input's batches.
+//
 // Two robustness mechanisms live at this layer. Every operator is wrapped in
 // a panic boundary that converts internal panics (decode failures on corrupt
 // cells, comparator kind mismatches) into *OperatorPanic errors carrying the
 // failing operator's label, so one bad page fails one query, not the
 // process. And the shared execution Context carries a context.Context whose
-// cancellation the row loops of all storage-side operators observe, giving
+// cancellation the loops of all storage-side operators observe, giving
 // queries deadline and Ctrl-C semantics.
 package exec
 
@@ -44,11 +50,8 @@ type Context struct {
 	// against a per-query budget; exceeding it aborts the query with an
 	// error wrapping ErrMemBudget.
 	Mem *MemTracker
-	// Vectorized selects the batch-at-a-time execution path: blocking
-	// operators drain their inputs through NextBatch and the result sink
-	// pulls whole batches from the root. Off, every operator moves one row
-	// per Next call. The two paths produce identical results, feedback, and
-	// deterministic runtime stats; only the batch counters below differ.
+	// Vectorized is ignored: rows always move between operators in batches.
+	// It is kept only so callers that still set it compile.
 	Vectorized bool
 	// Trace, when non-nil, receives per-operator spans from every panic
 	// guard and partition spans from parallel workers. Nil is the tracing-
@@ -66,12 +69,10 @@ type Context struct {
 	// threaded), so no synchronization is needed.
 	compiledPreds int64
 
-	// batches counts batch deliveries by batch-native operators; vecOps
-	// counts the operator instances that ran batch-native at least once.
-	// Both stay zero on the row path and on adapter-wrapped subtrees, so
-	// they are diagnostics, not part of the row/batch parity surface.
+	// batches counts the non-empty batches operators handed their parents
+	// (and the root its sink) — an execution-shape diagnostic that no
+	// simulated cost depends on.
 	batches int64
-	vecOps  int64
 
 	// goCtx is the query's cancellation scope; nil means uncancellable.
 	goCtx     context.Context
@@ -140,25 +141,9 @@ func (c *Context) noteDecoded(n int64) { c.rowsDecoded += n }
 // noteCompiled records that one operator compiled its predicate.
 func (c *Context) noteCompiled() { c.compiledPreds++ }
 
-// noteBatch records one batch delivered by a batch-native operator.
-func (c *Context) noteBatch() { c.batches++ }
-
-// noteVectorized records — once per operator, keyed by the operator's own
-// noted flag — that an operator ran its batch-native path.
-func (c *Context) noteVectorized(noted *bool) {
-	if !*noted {
-		*noted = true
-		c.vecOps++
-	}
-}
-
-// BatchesProcessed returns the number of batches delivered by batch-native
-// operators so far.
+// BatchesProcessed returns the number of non-empty batches operators have
+// delivered so far.
 func (c *Context) BatchesProcessed() int64 { return c.batches }
-
-// VectorizedOps returns the number of operator instances that ran
-// batch-native.
-func (c *Context) VectorizedOps() int64 { return c.vecOps }
 
 // CompiledPredicates returns the number of operators in this execution that
 // run a compiled (type-specialized) predicate evaluator.
@@ -178,10 +163,12 @@ func (c *Context) SimCPU() time.Duration {
 }
 
 // Operator is one physical operator instance. The protocol is
-// Open → Next* → Close; Next returns ok=false at end of stream.
+// Open → NextBatch* → Close. NextBatch fills b and returns the number of live
+// rows; 0 with a nil error is end of stream (operators never deliver empty
+// batches).
 type Operator interface {
 	Open() error
-	Next() (row tuple.Row, ok bool, err error)
+	NextBatch(b *Batch) (n int, err error)
 	Close() error
 	Schema() *tuple.Schema
 	Stats() *OpStats
@@ -204,8 +191,8 @@ type OpStats struct {
 	// per-operator actuals without runtime tree pointers.
 	OpID int32
 	// Wall and Calls are filled by the panic guard on traced runs only:
-	// inclusive wall time inside the operator (Open + all Next + Close)
-	// and the number of Next/NextBatch invocations.
+	// inclusive wall time inside the operator (Open + all NextBatch +
+	// Close) and the number of NextBatch invocations.
 	Wall  time.Duration
 	Calls int64
 }
@@ -232,17 +219,14 @@ func (p *OperatorPanic) Error() string {
 // their resources exactly as they do for storage faults.
 type guardOp struct {
 	inner Operator
-	// batch is the inner operator's batch view, resolved on first use: the
-	// operator itself when batch-native, an adapter otherwise. Because Build
-	// wraps every operator in a guard, every built operator is a
-	// BatchOperator, and batch-native parents reach their children's
-	// NextBatch without losing the panic boundary.
-	batch BatchOperator
+	// ctx receives the batch count: every delivery between operators passes
+	// through exactly one guard.
+	ctx *Context
 
 	// Tracing state. The guard is also the tracing hook: because every
 	// operator is wrapped in exactly one guard, instrumenting the guard
 	// instruments the whole tree without touching any operator. tr is nil
-	// when tracing is off. Per-call Next spans would make trace size
+	// when tracing is off. Per-call NextBatch spans would make trace size
 	// proportional to the data, so the guard accumulates and emits one
 	// summary span (plus open/close/lifetime spans) at first Close.
 	tr        *trace.Recorder
@@ -289,51 +273,31 @@ func (g *guardOp) Open() (err error) {
 	return err
 }
 
-// Next implements Operator.
-func (g *guardOp) Next() (row tuple.Row, ok bool, err error) {
-	defer g.recovered(&err)
-	if g.tr == nil {
-		return g.inner.Next()
-	}
-	t0 := g.tr.Now()
-	if g.calls == 0 {
-		g.firstNext = t0
-	}
-	row, ok, err = g.inner.Next()
-	t1 := g.tr.Now()
-	g.calls++
-	g.nextTotal += t1 - t0
-	g.lastNext = t1
-	if ok {
-		g.rows++
-	}
-	return row, ok, err
-}
-
-// NextBatch implements BatchOperator with the same panic boundary as Next.
+// NextBatch implements Operator.
 func (g *guardOp) NextBatch(b *Batch) (n int, err error) {
 	defer g.recovered(&err)
-	if g.batch == nil {
-		g.batch = asBatch(g.inner)
-	}
 	if g.tr == nil {
-		return g.batch.NextBatch(b)
+		n, err = g.inner.NextBatch(b)
+	} else {
+		t0 := g.tr.Now()
+		if g.calls == 0 {
+			g.firstNext = t0
+		}
+		n, err = g.inner.NextBatch(b)
+		t1 := g.tr.Now()
+		g.calls++
+		g.nextTotal += t1 - t0
+		g.lastNext = t1
+		g.rows += int64(n)
 	}
-	t0 := g.tr.Now()
-	if g.calls == 0 {
-		g.firstNext = t0
+	if n > 0 {
+		g.ctx.batches++
 	}
-	n, err = g.batch.NextBatch(b)
-	t1 := g.tr.Now()
-	g.calls++
-	g.nextTotal += t1 - t0
-	g.lastNext = t1
-	g.rows += int64(n)
 	return n, err
 }
 
 // Close implements Operator. On traced runs the first Close ends the
-// operator: it emits the close span, the Next summary span, and the
+// operator: it emits the close span, the NextBatch summary span, and the
 // lifetime span (each exactly once, whatever the teardown order of the
 // error paths), and publishes the accumulated wall time into the
 // operator's stats — a field the XML marshaling excludes, so the

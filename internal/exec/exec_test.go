@@ -575,15 +575,21 @@ func TestFilterOperator(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := 0
+	var b Batch
 	for {
-		_, ok, err := f.Next()
+		k, err := f.NextBatch(&b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !ok {
+		if k == 0 {
 			break
 		}
-		n++
+		for _, i := range b.Sel {
+			if id := b.Rows[i][0].Int; id >= 10 {
+				t.Errorf("filter passed id %d", id)
+			}
+		}
+		n += k
 	}
 	f.Close()
 	if n != 10 {

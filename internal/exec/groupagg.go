@@ -21,7 +21,6 @@ type GroupAggOp struct {
 	out        []tuple.Row
 	pos        int
 	outCharged int // result rows already charged to the memory tracker
-	vecNoted   bool
 }
 
 type groupState struct {
@@ -62,51 +61,15 @@ func NewGroupAgg(ctx *Context, input Operator, groupOrd int, fn string, aggOrd i
 	}, nil
 }
 
-// Open implements Operator: drains the input and aggregates per group. The
-// drain pulls whole batches when the context is vectorized and single rows
-// otherwise; rows reach accumulate in the same order either way, so group
-// state, memory charges, and their sequence are identical across the paths.
+// Open implements Operator: drains the input and aggregates per group.
 func (g *GroupAggOp) Open() error {
 	if err := g.input.Open(); err != nil {
 		return err
 	}
 	groups := map[string]*groupState{}
-	if g.ctx.Vectorized {
-		in := asBatch(g.input)
-		var b Batch
-		for {
-			n, err := in.NextBatch(&b)
-			if err != nil {
-				g.input.Close() // release pins even on a failed drain
-				return err
-			}
-			if n == 0 {
-				break
-			}
-			g.ctx.touch(int64(n))
-			for _, i := range b.Sel {
-				if err := g.accumulate(groups, b.Rows[i]); err != nil {
-					g.input.Close()
-					return err
-				}
-			}
-		}
-	} else {
-		for {
-			row, ok, err := g.input.Next()
-			if err != nil {
-				g.input.Close() // release pins even on a failed drain
-				return err
-			}
-			if !ok {
-				break
-			}
-			g.ctx.touch(1)
-			if err := g.accumulate(groups, row); err != nil {
-				g.input.Close()
-				return err
-			}
-		}
+	if err := drain(g.ctx, g.input, func(row tuple.Row) error { return g.accumulate(groups, row) }); err != nil {
+		g.input.Close() // release pins even on a failed drain
+		return err
 	}
 	if err := g.input.Close(); err != nil {
 		return err
@@ -185,34 +148,11 @@ func (g *GroupAggOp) chargeOutRow(row tuple.Row) error {
 	return nil
 }
 
-// Next implements Operator.
-func (g *GroupAggOp) Next() (tuple.Row, bool, error) {
-	if g.pos >= len(g.out) {
-		return nil, false, nil
-	}
-	row := g.out[g.pos]
-	g.pos++
-	g.stats.ActRows++
-	return row, true, nil
-}
-
-// NextBatch implements BatchOperator: the materialized result rows are
-// emitted as dense BatchSize slices of the output buffer.
+// NextBatch implements Operator: the materialized result rows are handed up
+// in slices of the output buffer, at most the consumer's row cap at a time.
 func (g *GroupAggOp) NextBatch(b *Batch) (int, error) {
-	g.ctx.noteVectorized(&g.vecNoted)
-	if g.pos >= len(g.out) {
-		return 0, nil
-	}
-	end := g.pos + BatchSize
-	if end > len(g.out) {
-		end = len(g.out)
-	}
-	n := end - g.pos
-	b.Rows = g.out[g.pos:end]
-	b.Sel = identSel(b.Sel, n)
-	g.pos = end
+	n := emitRows(b, g.out, &g.pos)
 	g.stats.ActRows += int64(n)
-	g.ctx.noteBatch()
 	return n, nil
 }
 

@@ -5,7 +5,6 @@ import (
 
 	"pagefeedback/internal/catalog"
 	"pagefeedback/internal/expr"
-	"pagefeedback/internal/storage"
 	"pagefeedback/internal/tuple"
 )
 
@@ -24,22 +23,17 @@ type HashJoinOp struct {
 	filter   *filterSink // optional; filled during build
 	stats    OpStats
 
-	table   map[string][]tuple.Row
-	matches []tuple.Row // pending build matches for current probe row
-	curRow  tuple.Row   // current probe row
-	built   bool
+	table map[string][]tuple.Row
 
-	// Batch-probe state: the probe input's batch view, the pulled probe
-	// batch, the per-batch key column, and the joined-output arena. All are
-	// transient high-water-reuse buffers bounded by one batch — rebuilt from
-	// length zero every NextBatch — so none are charged to the memory budget.
-	inBatch   BatchOperator
+	// Probe state: the pulled probe batch, the per-batch key column, and the
+	// joined-output arena. All are transient high-water-reuse buffers bounded
+	// by one batch — rebuilt from length zero every NextBatch — so none are
+	// charged to the memory budget.
 	pb        Batch
 	keys      []string
 	outVals   []tuple.Value
 	outBounds []int // prefix lengths into outVals, one per joined row
 	outRows   []tuple.Row
-	vecNoted  bool
 
 	// parProbe is set when the probe input is a parallel scan: after the
 	// build phase the probe is pushed down into the scan workers, which
@@ -74,31 +68,25 @@ func (j *HashJoinOp) Open() error {
 		return err
 	}
 	j.table = make(map[string][]tuple.Row)
-	for {
-		row, ok, err := j.build.Next()
-		if err != nil {
-			j.build.Close() // release any pins held mid-row (e.g. decode errors)
-			return err
-		}
-		if !ok {
-			break
-		}
-		j.ctx.touch(1)
+	err := drain(j.ctx, j.build, func(row tuple.Row) error {
 		v := row[j.buildOrd]
 		key := string(tuple.EncodeKey(v))
 		if err := j.ctx.Mem.Grow(rowMemSize(row) + mapEntryOverhead); err != nil {
-			j.build.Close()
 			return err
 		}
 		j.table[key] = append(j.table[key], row.Clone())
 		if j.filter != nil {
 			j.filter.Add(v)
 		}
+		return nil
+	})
+	if err != nil {
+		j.build.Close() // release any pins held mid-batch (e.g. decode errors)
+		return err
 	}
 	if err := j.build.Close(); err != nil {
 		return err
 	}
-	j.built = true
 	if j.parProbe != nil {
 		// Partitioned probe: each scan worker looks up the now-immutable
 		// hash table and emits the joined rows itself. Per-row CPU is
@@ -114,56 +102,21 @@ func (j *HashJoinOp) Open() error {
 	return j.probe.Open()
 }
 
-// Next implements Operator.
-func (j *HashJoinOp) Next() (tuple.Row, bool, error) {
-	if j.parProbe != nil {
-		// Rows arrive pre-joined from the partitioned probe.
-		row, ok, err := j.probe.Next()
-		if ok {
-			j.stats.ActRows++
-		}
-		return row, ok, err
-	}
-	for {
-		if len(j.matches) > 0 {
-			b := j.matches[0]
-			j.matches = j.matches[1:]
-			out := joinRows(b, j.curRow)
-			j.stats.ActRows++
-			return out, true, nil
-		}
-		row, ok, err := j.probe.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		j.ctx.touch(1)
-		key := string(tuple.EncodeKey(row[j.probeOrd]))
-		if ms := j.table[key]; len(ms) > 0 {
-			j.curRow = row.Clone()
-			j.matches = ms
-		}
-	}
-}
-
-// NextBatch implements BatchOperator for the probe phase. With a partitioned
+// NextBatch implements Operator for the probe phase. With a partitioned
 // probe the exchange's arena-backed batches are forwarded whole — already
 // joined by the workers. Serially, the whole probe batch is hashed first
 // (one tight EncodeKey loop over the key column), then probed; matches are
 // copied into a reused output arena, and the joined row views are built only
-// after the arena has stopped growing. The build phase is unchanged: it
-// drains row at a time during Open on both paths.
+// after the arena has stopped growing. Every match of a probe batch is
+// delivered, whatever the consumer's row cap.
 func (j *HashJoinOp) NextBatch(b *Batch) (int, error) {
-	j.ctx.noteVectorized(&j.vecNoted)
-	if j.inBatch == nil {
-		j.inBatch = asBatch(j.probe)
-	}
 	if j.parProbe != nil {
-		n, err := j.inBatch.NextBatch(b)
+		n, err := j.probe.NextBatch(b)
 		j.stats.ActRows += int64(n)
 		return n, err
 	}
 	for {
-		n, err := j.inBatch.NextBatch(&j.pb)
+		n, err := j.probe.NextBatch(&j.pb)
 		if err != nil || n == 0 {
 			return 0, err
 		}
@@ -189,16 +142,10 @@ func (j *HashJoinOp) NextBatch(b *Batch) (int, error) {
 		if len(j.outBounds) == 0 {
 			continue
 		}
-		j.outRows = j.outRows[:0]
-		lo := 0
-		for _, hi := range j.outBounds {
-			j.outRows = append(j.outRows, tuple.Row(j.outVals[lo:hi:hi]))
-			lo = hi
-		}
+		j.outRows = sliceRows(j.outRows, j.outVals, j.outBounds)
 		b.Rows = j.outRows
 		b.Sel = identSel(b.Sel, len(j.outRows))
 		j.stats.ActRows += int64(len(j.outRows))
-		j.ctx.noteBatch()
 		return len(j.outRows), nil
 	}
 }
@@ -228,20 +175,19 @@ func joinRows(outer, inner tuple.Row) tuple.Row {
 // so the boundary lookahead row is counted correctly.
 type MergeJoinOp struct {
 	ctx      *Context
-	outer    Operator
-	inner    Operator
+	outer    rowCursor
+	inner    rowCursor
 	outerOrd int
 	innerOrd int
 	schema   *tuple.Schema
 	filter   *filterSink
-	innerSE  *SEScan // non-nil when the inner input is directly an SE scan
+	innerSE  *SEScan // non-nil when the inner input bottoms out in an SE scan
 	stats    OpStats
 
-	outerRow  tuple.Row
-	innerRow  tuple.Row
-	innerRID  storage.RID
-	outerDone bool
-	innerDone bool
+	// The current row of each input, cloned because the group buffers keep
+	// it past its batch; nil once that input is exhausted.
+	outerRow tuple.Row
+	innerRow tuple.Row
 
 	// Cross-product state for duplicate join values.
 	outGroup   []tuple.Row
@@ -250,13 +196,18 @@ type MergeJoinOp struct {
 	inCharged  int
 	gi, gj     int
 	emitting   bool
+
+	// Output arena, as in the hash-join probe.
+	vals   []tuple.Value
+	bounds []int
+	rows   []tuple.Row
 }
 
 // NewMergeJoin constructs the operator; inputs must be sorted ascending on
 // their join columns.
 func NewMergeJoin(ctx *Context, outer, inner Operator, outerOrd, innerOrd int, schema *tuple.Schema) *MergeJoinOp {
 	return &MergeJoinOp{
-		ctx: ctx, outer: outer, inner: inner,
+		ctx: ctx, outer: rowCursor{in: outer}, inner: rowCursor{in: inner},
 		outerOrd: outerOrd, innerOrd: innerOrd, schema: schema,
 		stats: OpStats{Label: "MergeJoin"},
 	}
@@ -271,10 +222,10 @@ func (j *MergeJoinOp) SetFilter(f *filterSink, innerSE *SEScan) {
 
 // Open implements Operator.
 func (j *MergeJoinOp) Open() error {
-	if err := j.outer.Open(); err != nil {
+	if err := j.outer.open(); err != nil {
 		return err
 	}
-	if err := j.inner.Open(); err != nil {
+	if err := j.inner.open(); err != nil {
 		return err
 	}
 	if err := j.advanceOuter(); err != nil {
@@ -283,75 +234,71 @@ func (j *MergeJoinOp) Open() error {
 	return j.advanceInner()
 }
 
-func (j *MergeJoinOp) advanceOuter() error {
-	row, ok, err := j.outer.Next()
-	if err != nil {
-		return err
-	}
-	if !ok {
-		j.outerDone = true
-		return nil
+// step consumes one row of an input, charging its CPU.
+func (j *MergeJoinOp) step(c *rowCursor) (tuple.Row, error) {
+	row, err := c.next()
+	if row == nil {
+		return nil, err
 	}
 	j.ctx.touch(1)
-	j.outerRow = row.Clone()
-	if j.filter != nil {
-		j.filter.Add(row[j.outerOrd])
-	}
-	return nil
+	return row.Clone(), nil
 }
 
-func (j *MergeJoinOp) advanceInner() error {
-	row, ok, err := j.inner.Next()
-	if err != nil {
-		return err
+func (j *MergeJoinOp) advanceOuter() (err error) {
+	j.outerRow, err = j.step(&j.outer)
+	if j.outerRow != nil && j.filter != nil {
+		j.filter.Add(j.outerRow[j.outerOrd])
 	}
-	if !ok {
-		j.innerDone = true
-		return nil
-	}
-	j.ctx.touch(1)
-	j.innerRow = row.Clone()
-	if j.innerSE != nil {
-		j.innerRID = j.innerSE.LastRID()
-	}
-	return nil
+	return err
 }
 
-// Next implements Operator.
-func (j *MergeJoinOp) Next() (tuple.Row, bool, error) {
-	for {
+func (j *MergeJoinOp) advanceInner() (err error) {
+	j.innerRow, err = j.step(&j.inner)
+	return err
+}
+
+// NextBatch implements Operator: the merge runs row by row and stops at the
+// consumer's row cap, so a LIMIT pulls no input past its last joined row.
+func (j *MergeJoinOp) NextBatch(b *Batch) (int, error) {
+	j.vals = j.vals[:0]
+	j.bounds = j.bounds[:0]
+	for len(j.bounds) < b.limit() {
 		if j.emitting {
 			if j.gi < len(j.outGroup) {
-				out := joinRows(j.outGroup[j.gi], j.inGroup[j.gj])
+				j.vals = append(j.vals, j.outGroup[j.gi]...)
+				j.vals = append(j.vals, j.inGroup[j.gj]...)
+				j.bounds = append(j.bounds, len(j.vals))
 				j.gj++
 				if j.gj == len(j.inGroup) {
 					j.gj = 0
 					j.gi++
 				}
-				j.stats.ActRows++
-				return out, true, nil
+				continue
 			}
 			j.emitting = false
 		}
-		if j.outerDone || j.innerDone {
-			return nil, false, nil
+		if j.outerRow == nil || j.innerRow == nil {
+			break
 		}
 		cmp := j.outerRow[j.outerOrd].Compare(j.innerRow[j.innerOrd])
+		var err error
 		switch {
 		case cmp < 0:
-			if err := j.advanceOuter(); err != nil {
-				return nil, false, err
-			}
+			err = j.advanceOuter()
 		case cmp > 0:
-			if err := j.advanceInner(); err != nil {
-				return nil, false, err
-			}
+			err = j.advanceInner()
 		default:
-			if err := j.collectGroups(); err != nil {
-				return nil, false, err
-			}
+			err = j.collectGroups()
+		}
+		if err != nil {
+			return 0, err
 		}
 	}
+	j.rows = sliceRows(j.rows, j.vals, j.bounds)
+	b.Rows = j.rows
+	b.Sel = identSel(b.Sel, len(j.rows))
+	j.stats.ActRows += int64(len(j.rows))
+	return len(j.rows), nil
 }
 
 // collectGroups gathers all outer and inner rows sharing the current join
@@ -360,10 +307,12 @@ func (j *MergeJoinOp) collectGroups() error {
 	v := j.outerRow[j.outerOrd]
 	// The inner lookahead row matched: report it late (it streamed through
 	// the scan before v necessarily entered the partial filter).
-	j.notifyMatch()
+	if j.innerSE != nil {
+		j.innerSE.lateMatch()
+	}
 	j.outGroup = j.outGroup[:0]
 	j.inGroup = j.inGroup[:0]
-	for !j.outerDone && j.outerRow[j.outerOrd].Compare(v) == 0 {
+	for j.outerRow != nil && j.outerRow[j.outerOrd].Compare(v) == 0 {
 		if err := j.chargeGroupRow(len(j.outGroup), &j.outCharged, j.outerRow); err != nil {
 			return err
 		}
@@ -372,7 +321,7 @@ func (j *MergeJoinOp) collectGroups() error {
 			return err
 		}
 	}
-	for !j.innerDone && j.innerRow[j.innerOrd].Compare(v) == 0 {
+	for j.innerRow != nil && j.innerRow[j.innerOrd].Compare(v) == 0 {
 		if err := j.chargeGroupRow(len(j.inGroup), &j.inCharged, j.innerRow); err != nil {
 			return err
 		}
@@ -401,16 +350,10 @@ func (j *MergeJoinOp) chargeGroupRow(cur int, charged *int, row tuple.Row) error
 	return nil
 }
 
-func (j *MergeJoinOp) notifyMatch() {
-	if j.innerSE != nil {
-		j.innerSE.lateMatch(j.innerRID)
-	}
-}
-
 // Close implements Operator.
 func (j *MergeJoinOp) Close() error {
-	err1 := j.outer.Close()
-	err2 := j.inner.Close()
+	err1 := j.outer.in.Close()
+	err2 := j.inner.in.Close()
 	if err1 != nil {
 		return err1
 	}
@@ -430,7 +373,7 @@ func (j *MergeJoinOp) Stats() *OpStats { return &j.stats }
 // read — which is why DPC(inner, join-pred) dominates this operator's cost.
 type INLJoinOp struct {
 	ctx       *Context
-	outer     Operator
+	outer     rowCursor
 	outerOrd  int
 	innerTab  *catalog.Table
 	innerIx   *catalog.Index
@@ -440,16 +383,23 @@ type INLJoinOp struct {
 	monitors  []*seekMonitor
 	stats     OpStats
 
+	// outerRow is the cursor's current row, valid while it is being probed:
+	// the cursor does not move until the inner range is exhausted.
 	outerRow tuple.Row
 	it       *catalog.EntryIter
-	rowBuf   tuple.Row // reused inner-fetch destination
+
+	// Output arena: each joined row is the outer row's values followed by
+	// the inner fetch, decoded in place.
+	vals   []tuple.Value
+	bounds []int
+	rows   []tuple.Row
 }
 
 // NewINLJoin constructs the operator.
 func NewINLJoin(ctx *Context, outer Operator, outerOrd int, innerTab *catalog.Table,
 	innerIx *catalog.Index, innerPred expr.Conjunction, schema *tuple.Schema) *INLJoinOp {
 	return &INLJoinOp{
-		ctx: ctx, outer: outer, outerOrd: outerOrd,
+		ctx: ctx, outer: rowCursor{in: outer}, outerOrd: outerOrd,
 		innerTab: innerTab, innerIx: innerIx, innerPred: innerPred,
 		innerCC: compilePred(ctx, innerPred), schema: schema,
 		stats: OpStats{Label: "INLJoin(" + innerTab.Name + "." + innerIx.Name + ")"},
@@ -460,63 +410,80 @@ func NewINLJoin(ctx *Context, outer Operator, outerOrd int, innerTab *catalog.Ta
 func (j *INLJoinOp) attach(m *seekMonitor) { j.monitors = append(j.monitors, m) }
 
 // Open implements Operator.
-func (j *INLJoinOp) Open() error { return j.outer.Open() }
+func (j *INLJoinOp) Open() error { return j.outer.open() }
 
-// Next implements Operator.
-func (j *INLJoinOp) Next() (tuple.Row, bool, error) {
-	for {
-		if j.it != nil {
-			for j.it.Next() {
-				if err := j.ctx.interrupted(); err != nil {
-					return nil, false, err
-				}
-				j.ctx.touch(1)
-				rid := j.it.RID()
-				row, err := j.innerTab.FetchRowInto(j.rowBuf, rid)
-				if err != nil {
-					return nil, false, err
-				}
-				j.rowBuf = row
-				// Every fetched row satisfies the join predicate: monitors
-				// count its page toward DPC(inner, join-pred) (§IV).
-				for _, m := range j.monitors {
-					m.observe(rid.Page)
-				}
-				var sat bool
-				if j.innerCC.OK() {
-					sat = j.innerCC.Eval(row)
-				} else {
-					sat = j.innerPred.Eval(row)
-				}
-				if sat {
-					j.stats.ActRows++
-					return joinRows(j.outerRow, row), true, nil
-				}
+// NextBatch implements Operator: outer rows are probed one at a time and
+// the join stops at the consumer's row cap, so a LIMIT fetches no inner row
+// and pulls no outer row past its last joined row.
+func (j *INLJoinOp) NextBatch(b *Batch) (int, error) {
+	j.vals = j.vals[:0]
+	j.bounds = j.bounds[:0]
+	for len(j.bounds) < b.limit() {
+		if j.it == nil {
+			if err := j.probeNext(); err != nil {
+				return 0, err
 			}
+			if j.it == nil {
+				break
+			}
+		}
+		if !j.it.Next() {
 			if err := j.it.Err(); err != nil {
-				return nil, false, err
+				return 0, err
 			}
 			j.it.Close()
 			j.it = nil
+			continue
 		}
-		row, ok, err := j.outer.Next()
-		if err != nil || !ok {
-			return nil, false, err
+		if err := j.ctx.interrupted(); err != nil {
+			return 0, err
 		}
 		j.ctx.touch(1)
-		j.outerRow = row.Clone()
-		v := row[j.outerOrd]
-		s, sok := expr.SuccValue(v)
-		if !sok {
-			return nil, false, fmt.Errorf("exec: INL join value %v has no successor", v)
-		}
-		r := expr.KeyRange{Lo: tuple.EncodeKey(v), Hi: tuple.EncodeKey(s)}
-		it, err := j.innerIx.SeekRange(r)
+		rid := j.it.RID()
+		lo := len(j.vals)
+		vals, err := j.innerTab.FetchRowAppend(append(j.vals, j.outerRow...), rid)
 		if err != nil {
-			return nil, false, err
+			return 0, err
 		}
-		j.it = it
+		// Every fetched row satisfies the join predicate: monitors count
+		// its page toward DPC(inner, join-pred) (§IV).
+		for _, m := range j.monitors {
+			m.observe(rid.Page)
+		}
+		if !satisfies(j.innerCC, j.innerPred, vals[lo+len(j.outerRow):]) {
+			j.vals = vals[:lo]
+			continue
+		}
+		j.vals = vals
+		j.bounds = append(j.bounds, len(vals))
 	}
+	j.rows = sliceRows(j.rows, j.vals, j.bounds)
+	b.Rows = j.rows
+	b.Sel = identSel(b.Sel, len(j.rows))
+	j.stats.ActRows += int64(len(j.rows))
+	return len(j.rows), nil
+}
+
+// probeNext takes the next outer row and opens the inner index range for its
+// join value; j.it stays nil once the outer input is exhausted.
+func (j *INLJoinOp) probeNext() error {
+	row, err := j.outer.next()
+	if row == nil {
+		return err
+	}
+	j.ctx.touch(1)
+	j.outerRow = row
+	v := row[j.outerOrd]
+	s, ok := expr.SuccValue(v)
+	if !ok {
+		return fmt.Errorf("exec: INL join value %v has no successor", v)
+	}
+	it, err := j.innerIx.SeekRange(expr.KeyRange{Lo: tuple.EncodeKey(v), Hi: tuple.EncodeKey(s)})
+	if err != nil {
+		return err
+	}
+	j.it = it
+	return nil
 }
 
 // Close implements Operator.
@@ -525,7 +492,7 @@ func (j *INLJoinOp) Close() error {
 		j.it.Close()
 		j.it = nil
 	}
-	return j.outer.Close()
+	return j.outer.in.Close()
 }
 
 // Schema implements Operator.

@@ -1,10 +1,13 @@
 package exec
 
 import (
+	"strings"
 	"testing"
 
+	"pagefeedback/internal/catalog"
 	"pagefeedback/internal/expr"
 	"pagefeedback/internal/plan"
+	"pagefeedback/internal/storage"
 	"pagefeedback/internal/tuple"
 )
 
@@ -43,6 +46,66 @@ func TestMergeJoinSortInnerOnlyUnmonitorable(t *testing.T) {
 	res := ex.DPCResults()
 	if len(res) != 1 || res[0].Mechanism != MechUnsatisfiable {
 		t.Fatalf("results = %+v, want unsatisfiable", res)
+	}
+}
+
+// TestMergeJoinLateMatch covers the partial bit-vector filter's RE→SE
+// callback. The outer holds the even ids and the inner (clustered, padded to
+// span many pages) the multiples of 3, so they match on multiples of 6. The
+// merge moves the inner onto a new page when its last row falls below the
+// current outer id — an even id the inner usually lacks — so the page's
+// first match is not yet in the filter when the scan observes the page. Only
+// the late match, made while that page is still the scan's current one,
+// counts it; without it the page count falls short.
+func TestMergeJoinLateMatch(t *testing.T) {
+	e := newEnv(t)
+	mk := func(name string, step, n int) *catalog.Table {
+		tab, err := e.cat.CreateClusteredTable(name, tuple.NewSchema(
+			tuple.Column{Name: "id", Kind: tuple.KindInt},
+			tuple.Column{Name: "pad", Kind: tuple.KindString},
+		), []string{"id"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := make([]tuple.Row, n)
+		for i := range rows {
+			rows[i] = tuple.Row{tuple.Int64(int64(i * step)), tuple.Str(strings.Repeat("p", 100))}
+		}
+		if _, err := tab.BulkLoad(rows); err != nil {
+			t.Fatal(err)
+		}
+		return tab
+	}
+	outer, inner := mk("evens", 2, 3000), mk("threes", 3, 2000)
+	node := &plan.Join{
+		Method:   plan.MergeJoin,
+		Outer:    &plan.Scan{Tab: outer, Pred: expr.Conjunction{}},
+		Inner:    &plan.Scan{Tab: inner, Pred: expr.Conjunction{}},
+		OuterCol: "id", InnerCol: "id",
+		Schem: plan.JoinSchema("evens", outer.Schema, "threes", inner.Schema),
+	}
+	cfg := &MonitorConfig{
+		Requests:       []DPCRequest{{Table: "threes", Join: true}},
+		SampleFraction: 1.0,
+		BitVectorBits:  1 << 14, // wider than the id domain: no false positives
+	}
+	rows, ex := runPlan(t, e, node, cfg)
+	if len(rows) != 1000 {
+		t.Fatalf("merge join returned %d rows, want 1000", len(rows))
+	}
+	it, err := inner.ScanAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pages := map[storage.PageID]bool{}
+	for it.Next() {
+		if it.Row()[0].Int%6 == 0 {
+			pages[it.RID().Page] = true
+		}
+	}
+	it.Close()
+	if res := ex.DPCResults(); len(res) != 1 || res[0].Mechanism != MechBitVector || res[0].DPC != int64(len(pages)) {
+		t.Fatalf("join DPC = %+v, want exactly the %d pages holding a match", res, len(pages))
 	}
 }
 

@@ -320,7 +320,7 @@ func (m *scanMonitor) safeObservePage(b *catalog.RowBatch, failIdx []int) {
 }
 
 // safeLateMatch is lateMatch behind the quarantine guard.
-func (m *scanMonitor) safeLateMatch(rid storage.RID) {
+func (m *scanMonitor) safeLateMatch(pid storage.PageID) {
 	if m.disabled {
 		return
 	}
@@ -329,7 +329,7 @@ func (m *scanMonitor) safeLateMatch(rid storage.RID) {
 			m.quarantine(r)
 		}
 	}()
-	m.lateMatch(rid)
+	m.lateMatch(pid)
 }
 
 // safeFinish closes the monitor's last page at end of scan, behind the
@@ -438,17 +438,17 @@ func (fs *filterSink) Add(v tuple.Value) {
 	fs.f.Add(v)
 }
 
-// lateMatch marks the page of rid as satisfying after the fact — the
-// RE-side merge join calls this through the boundary callback when an inner
-// row matches an outer value that entered the partial bit vector after the
-// row was scanned (§IV, partial bit-vector filters). Only the scan's
-// current page can be amended; the merge join's lookahead discipline
-// guarantees that is always the page in question.
-func (m *scanMonitor) lateMatch(rid storage.RID) {
+// lateMatch marks page pid as satisfying after the fact — the RE-side
+// merge join calls this through the boundary callback when an inner row
+// matches an outer value that entered the partial bit vector after the row
+// was scanned (§IV, partial bit-vector filters). Only the scan's current
+// page can be amended; the merge join's lookahead discipline guarantees
+// that is always the page in question.
+func (m *scanMonitor) lateMatch(pid storage.PageID) {
 	if m.kind != monJoinFilter {
 		return
 	}
-	m.dps.ObserveAtPage(rid.Page)
+	m.dps.ObserveAtPage(pid)
 }
 
 // result finalizes the monitor into a DPCResult. A quarantined monitor

@@ -7,11 +7,11 @@ import (
 	"pagefeedback/internal/tuple"
 )
 
-// pageVisit is the one page step every table scan shares: SEScan's row and
-// batch paths and each ParallelScan worker. It works on encoded cells — the
-// scan predicate's first failing atom is computed from the page bytes, prefix
-// monitors consume that vector and the page id, and only the rows the
-// predicate keeps are decoded. Rejected rows are materialized on exactly the
+// pageVisit is the one page step every table scan shares: SEScan and each
+// ParallelScan worker. It works on encoded cells — the scan predicate's first
+// failing atom is computed from the page bytes, prefix monitors consume that
+// vector and the page id, and only the rows the predicate keeps are decoded.
+// Rejected rows are materialized on exactly the
 // pages a live sampled monitor (DPSample, join bit-vector) has in its sample,
 // which the monitors can say before the page is visited because membership is
 // a pure function of (seed, pid): the paper's "short-circuiting off on

@@ -64,11 +64,8 @@ type ParallelScan struct {
 	wctxs     []*Context
 	shards    [][]*scanMonitor // shards[worker][monitor]
 	actRows   []int64          // per-worker rows passing the scan predicate
-	cur       parBatch
-	pos       int
 	stopped   bool
 	finalized bool
-	vecNoted  bool
 }
 
 // NewParallelScan builds a parallel scan of tab filtered by pred (bound to
@@ -270,35 +267,13 @@ func (p *ParallelScan) send(b parBatch) bool {
 	}
 }
 
-// Next implements Operator. The first error shipped by any worker surfaces
-// here; Close then tears the remaining workers down.
-func (p *ParallelScan) Next() (tuple.Row, bool, error) {
-	for {
-		if p.pos < len(p.cur.rows) {
-			row := p.cur.rows[p.pos]
-			p.pos++
-			return row, true, nil
-		}
-		msg, ok := <-p.out
-		if !ok {
-			p.finalize()
-			return nil, false, nil
-		}
-		if msg.err != nil {
-			return nil, false, msg.err
-		}
-		p.cur = msg
-		p.pos = 0
-	}
-}
-
-// NextBatch implements BatchOperator: each worker flush — an arena-backed
-// row slice the workers already ship whole through the exchange channel — is
-// forwarded to the consumer as one dense batch instead of being streamed row
-// by row. The arenas are private and never reused, so unlike page-batched
-// scans these batches stay valid after the next call.
+// NextBatch implements Operator: each worker flush — an arena-backed row
+// slice the workers ship whole through the exchange channel — is forwarded
+// to the consumer as one dense batch. The arenas are private and never
+// reused, so unlike page-batched scans these batches stay valid after the
+// next call. The first error shipped by any worker surfaces here; Close then
+// tears the remaining workers down.
 func (p *ParallelScan) NextBatch(b *Batch) (int, error) {
-	p.ctx.noteVectorized(&p.vecNoted)
 	for {
 		msg, ok := <-p.out
 		if !ok {
@@ -313,7 +288,6 @@ func (p *ParallelScan) NextBatch(b *Batch) (int, error) {
 		}
 		b.Rows = msg.rows
 		b.Sel = identSel(b.Sel, len(msg.rows))
-		p.ctx.noteBatch()
 		return len(msg.rows), nil
 	}
 }

@@ -264,13 +264,14 @@ func TestParallelWorkerPanicSurfacesAsOperatorPanic(t *testing.T) {
 		t.Fatal(err)
 	}
 	var err error
+	var b Batch
 	for {
-		_, ok, e := ps.Next()
+		n, e := ps.NextBatch(&b)
 		if e != nil {
 			err = e
 			break
 		}
-		if !ok {
+		if n == 0 {
 			break
 		}
 	}

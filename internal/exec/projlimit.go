@@ -14,11 +14,9 @@ type ProjectOp struct {
 	schema *tuple.Schema
 	stats  OpStats
 
-	inBatch  BatchOperator
-	in       Batch
-	vals     []tuple.Value // flat arena backing the batch output rows
-	rows     []tuple.Row
-	vecNoted bool
+	in   Batch
+	vals []tuple.Value // flat arena backing the batch output rows
+	rows []tuple.Row
 }
 
 // NewProject builds the operator; ords index the input schema.
@@ -30,33 +28,15 @@ func NewProject(ctx *Context, input Operator, ords []int, schema *tuple.Schema) 
 // Open implements Operator.
 func (p *ProjectOp) Open() error { return p.input.Open() }
 
-// Next implements Operator.
-func (p *ProjectOp) Next() (tuple.Row, bool, error) {
-	row, ok, err := p.input.Next()
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	p.ctx.touch(1)
-	out := make(tuple.Row, len(p.ords))
-	for i, o := range p.ords {
-		out[i] = row[o]
-	}
-	p.stats.ActRows++
-	return out, true, nil
-}
-
-// NextBatch implements BatchOperator: the live rows of each input batch are
+// NextBatch implements Operator: the live rows of each input batch are
 // projected into one reused value arena, and the output row views are built
 // only after the arena has stopped growing (appends may move it). The arena
 // is high-water reuse of transient, batch-bounded memory — rebuilt from
-// length zero every call — so it is not charged against the memory budget,
-// keeping the two paths' accounting identical.
+// length zero every call — so it is not charged against the memory budget.
+// The consumer's row cap passes through to the input.
 func (p *ProjectOp) NextBatch(b *Batch) (int, error) {
-	p.ctx.noteVectorized(&p.vecNoted)
-	if p.inBatch == nil {
-		p.inBatch = asBatch(p.input)
-	}
-	n, err := p.inBatch.NextBatch(&p.in)
+	p.in.Max = b.Max
+	n, err := p.input.NextBatch(&p.in)
 	if err != nil || n == 0 {
 		return 0, err
 	}
@@ -76,7 +56,6 @@ func (p *ProjectOp) NextBatch(b *Batch) (int, error) {
 	b.Rows = p.rows
 	b.Sel = identSel(b.Sel, n)
 	p.stats.ActRows += int64(n)
-	p.ctx.noteBatch()
 	return n, nil
 }
 
@@ -92,22 +71,18 @@ func (p *ProjectOp) Stats() *OpStats { return &p.stats }
 // LimitOp passes through at most n rows, then stops pulling from its input
 // (so a LIMIT over a scan does not read the rest of the table).
 type LimitOp struct {
-	ctx   *Context
 	input Operator
 	n     int
 	seen  int
 	stats OpStats
-
-	inBatch  BatchOperator
-	vecNoted bool
 }
 
 // NewLimit builds the operator.
-func NewLimit(ctx *Context, input Operator, n int) (*LimitOp, error) {
+func NewLimit(input Operator, n int) (*LimitOp, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("exec: negative limit %d", n)
 	}
-	return &LimitOp{ctx: ctx, input: input, n: n, stats: OpStats{Label: fmt.Sprintf("Limit(%d)", n)}}, nil
+	return &LimitOp{input: input, n: n, stats: OpStats{Label: fmt.Sprintf("Limit(%d)", n)}}, nil
 }
 
 // Open implements Operator.
@@ -116,44 +91,28 @@ func (l *LimitOp) Open() error {
 	return l.input.Open()
 }
 
-// Next implements Operator.
-func (l *LimitOp) Next() (tuple.Row, bool, error) {
-	if l.seen >= l.n {
-		return nil, false, nil
-	}
-	row, ok, err := l.input.Next()
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	l.seen++
-	l.stats.ActRows++
-	return row, true, nil
-}
-
-// NextBatch implements BatchOperator. A batch that crosses the limit is
-// truncated by shrinking its selection vector, and from then on the child is
-// never pulled again — mirroring the row path's guarantee that a LIMIT over
-// a scan does not read the rest of the table. The limit charges no CPU of
-// its own on either path.
+// NextBatch implements Operator. The limit caps each batch it asks for at
+// the rows it still needs, so a row-by-row input stops exactly at the limit;
+// a batch that still crosses it (a scan's page) is truncated by shrinking its
+// selection vector. From then on the input is never pulled again, so a LIMIT
+// over a scan does not read the rest of the table. The limit charges no CPU
+// of its own.
 func (l *LimitOp) NextBatch(b *Batch) (int, error) {
-	l.ctx.noteVectorized(&l.vecNoted)
-	if l.seen >= l.n {
+	rem := l.n - l.seen
+	if rem <= 0 {
 		return 0, nil
 	}
-	if l.inBatch == nil {
-		l.inBatch = asBatch(l.input)
-	}
-	n, err := l.inBatch.NextBatch(b)
+	b.Max = rem
+	n, err := l.input.NextBatch(b)
 	if err != nil || n == 0 {
 		return 0, err
 	}
-	if rem := l.n - l.seen; n > rem {
+	if n > rem {
 		b.Sel = b.Sel[:rem]
 		n = rem
 	}
 	l.seen += n
 	l.stats.ActRows += int64(n)
-	l.ctx.noteBatch()
 	return n, nil
 }
 

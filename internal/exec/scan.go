@@ -17,12 +17,6 @@ type SEScan struct {
 	krange *expr.KeyRange // clustered range seek, nil = full scan
 	visit  pageVisit
 	stats  OpStats
-
-	sel      []int // row path: the current page's survivors, as batch indices
-	pos      int   // next sel entry to deliver
-	lastRID  storage.RID
-	open     bool
-	vecNoted bool
 }
 
 // NewSEScan builds a scan of tab filtered by pred (already bound to the
@@ -53,6 +47,15 @@ func compilePred(ctx *Context, pred expr.Conjunction) expr.Compiled {
 	return cc
 }
 
+// satisfies judges a decoded row with the compiled form of pred when it has
+// one, the generic evaluator otherwise.
+func satisfies(cc expr.Compiled, pred expr.Conjunction, row tuple.Row) bool {
+	if cc.OK() {
+		return cc.Eval(row)
+	}
+	return pred.Eval(row)
+}
+
 // attach adds a monitor (called by the builder).
 func (s *SEScan) attach(m *scanMonitor) { s.visit.monitors = append(s.visit.monitors, m) }
 
@@ -72,40 +75,14 @@ func (s *SEScan) Open() error {
 		return err
 	}
 	s.visit.it = it
-	s.sel = s.sel[:0]
-	s.pos = 0
-	s.open = true
 	return nil
 }
 
-// Next implements Operator. The scan is page-batched: each underlying data
-// page is pinned once and judged by the shared page visit, and the rows that
-// pass stream to the parent from the page batch; a returned row is valid
-// until the scan advances past its page.
-func (s *SEScan) Next() (tuple.Row, bool, error) {
-	for s.pos == len(s.sel) {
-		ok, err := s.visit.next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		s.sel = s.visit.survivors(s.sel)
-		s.pos = 0
-	}
-	i := s.sel[s.pos]
-	s.pos++
-	s.lastRID = s.visit.batch.RIDs[i]
-	s.stats.ActRows++
-	return s.visit.batch.Rows[i], true, nil
-}
-
-// NextBatch implements BatchOperator: the scan already works page at a time,
-// so the batch path simply stops flattening — the page batch's rows are
-// handed up directly with a selection vector of the predicate survivors.
-// Everything else runs in the page visit, shared verbatim with the row path,
-// so the feedback and accounting of the two paths are identical by
-// construction.
+// NextBatch implements Operator. The scan works page at a time: each data
+// page is pinned once and judged by the shared page visit, and its rows are
+// handed up directly with a selection vector of the predicate survivors,
+// whatever the consumer's row cap. Pages with no survivor are skipped.
 func (s *SEScan) NextBatch(b *Batch) (int, error) {
-	s.visit.ctx.noteVectorized(&s.vecNoted)
 	for {
 		ok, err := s.visit.next()
 		if err != nil || !ok {
@@ -117,19 +94,17 @@ func (s *SEScan) NextBatch(b *Batch) (int, error) {
 			continue
 		}
 		s.stats.ActRows += int64(len(b.Sel))
-		s.visit.ctx.noteBatch()
 		return len(b.Sel), nil
 	}
 }
 
-// LastRID returns the RID of the row most recently returned by Next (used by
-// the RE→SE callback for partial bit-vector filters).
-func (s *SEScan) LastRID() storage.RID { return s.lastRID }
-
-// lateMatch forwards a late join-match notification to join-filter monitors.
-func (s *SEScan) lateMatch(rid storage.RID) {
+// lateMatch is the RE→SE callback of partial bit-vector filters: it tells
+// the join-filter monitors that a row on the scan's current page matched
+// after it streamed by. The merge join calls it for its inner lookahead row,
+// which always comes from the batch the scan delivered last.
+func (s *SEScan) lateMatch() {
 	for _, m := range s.visit.monitors {
-		m.safeLateMatch(rid)
+		m.safeLateMatch(s.visit.batch.PID)
 	}
 }
 
@@ -138,7 +113,6 @@ func (s *SEScan) Close() error {
 	if s.visit.it != nil {
 		s.visit.it.Close()
 	}
-	s.open = false
 	return nil
 }
 
@@ -160,9 +134,13 @@ type CoveringScan struct {
 	stats  OpStats
 
 	it       *catalog.EntryIter
-	rowBuf   tuple.Row      // reused output row; valid until the next Next
 	lastLeaf storage.PageID // leaf of the previous entry, for page-granular polling
 	started  bool
+
+	// Batch arena: qualifying entries' values, cut into rows at bounds.
+	vals   []tuple.Value
+	bounds []int
+	rows   []tuple.Row
 }
 
 // NewCoveringScan builds a covering scan of ix. pred must be bound to the
@@ -184,32 +162,38 @@ func (s *CoveringScan) Open() error {
 	return nil
 }
 
-// Next implements Operator. Cancellation is polled once per index leaf, and
-// the emitted row reuses one buffer: it is valid only until the next Next
-// (consumers that keep rows — sorts, joins, the result sink — clone them).
-func (s *CoveringScan) Next() (tuple.Row, bool, error) {
-	for s.it.Next() {
+// NextBatch implements Operator. Entries are judged one at a time and the
+// scan stops at the consumer's row cap, so a LIMIT reads no entry past its
+// last row. Cancellation is polled once per index leaf.
+func (s *CoveringScan) NextBatch(b *Batch) (int, error) {
+	s.vals = s.vals[:0]
+	s.bounds = s.bounds[:0]
+	for len(s.bounds) < b.limit() && s.it.Next() {
 		if leaf := s.it.LeafPage(); !s.started || leaf != s.lastLeaf {
 			if err := s.ctx.interrupted(); err != nil {
-				return nil, false, err
+				return 0, err
 			}
 			s.started = true
 			s.lastLeaf = leaf
 		}
 		s.ctx.touch(1)
-		s.rowBuf = append(s.rowBuf[:0], s.it.Values()...)
-		sat := false
-		if s.cc.OK() {
-			sat = s.cc.Eval(s.rowBuf)
-		} else {
-			sat = s.pred.Eval(s.rowBuf)
+		lo := len(s.vals)
+		vals := append(s.vals, s.it.Values()...)
+		if !satisfies(s.cc, s.pred, vals[lo:]) {
+			s.vals = vals[:lo] // discard the entry, keep the grown capacity
+			continue
 		}
-		if sat {
-			s.stats.ActRows++
-			return s.rowBuf, true, nil
-		}
+		s.vals = vals
+		s.bounds = append(s.bounds, len(vals))
 	}
-	return nil, false, s.it.Err()
+	if err := s.it.Err(); err != nil {
+		return 0, err
+	}
+	s.rows = sliceRows(s.rows, s.vals, s.bounds)
+	b.Rows = s.rows
+	b.Sel = identSel(b.Sel, len(s.rows))
+	s.stats.ActRows += int64(len(s.rows))
+	return len(s.rows), nil
 }
 
 // Close implements Operator.

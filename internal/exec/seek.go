@@ -105,43 +105,92 @@ func (m *seekMonitor) result() DPCResult {
 	return r
 }
 
-// IndexSeek is the Index Seek + Fetch access method: look up the index over
-// the plan's key ranges, fetch each qualifying row from the table, apply the
-// full predicate, and emit survivors. Fetches are where table PIDs surface.
-type IndexSeek struct {
+// seekPath is the fetch step both index access methods share: charge CPU
+// for one candidate RID, fetch its row (the random-I/O Fetch, decoded under
+// the page pin straight into the batch arena), judge it with the full
+// predicate, and let the monitors observe its page when it qualifies.
+// Fetches are where table PIDs surface.
+type seekPath struct {
 	ctx      *Context
 	tab      *catalog.Table
-	ix       *catalog.Index
-	ranges   []expr.KeyRange
 	pred     expr.Conjunction // full predicate, bound
 	cc       expr.Compiled    // type-specialized pred, when compilable
 	monitors []*seekMonitor
 	stats    OpStats
 
+	// Batch arena: qualifying rows' values, cut into rows at bounds.
+	vals   []tuple.Value
+	bounds []int
+	rows   []tuple.Row
+}
+
+func newSeekPath(ctx *Context, tab *catalog.Table, pred expr.Conjunction, label string) seekPath {
+	return seekPath{ctx: ctx, tab: tab, pred: pred, cc: compilePred(ctx, pred), stats: OpStats{Label: label}}
+}
+
+// attach adds a monitor (builder only).
+func (s *seekPath) attach(m *seekMonitor) { s.monitors = append(s.monitors, m) }
+
+// fetch runs the step for rid, keeping the row in the arena when it
+// qualifies.
+func (s *seekPath) fetch(rid storage.RID) error {
+	if err := s.ctx.interrupted(); err != nil {
+		return err
+	}
+	s.ctx.touch(1)
+	lo := len(s.vals)
+	vals, err := s.tab.FetchRowAppend(s.vals, rid)
+	if err != nil {
+		return err
+	}
+	if !satisfies(s.cc, s.pred, vals[lo:]) {
+		s.vals = vals[:lo] // discard the fetch, keep the grown capacity
+		return nil
+	}
+	for _, m := range s.monitors {
+		m.observe(rid.Page)
+	}
+	s.vals = vals
+	s.bounds = append(s.bounds, len(vals))
+	return nil
+}
+
+// emit hands b the rows kept since the last emit and empties the arena.
+func (s *seekPath) emit(b *Batch) int {
+	s.rows = sliceRows(s.rows, s.vals, s.bounds)
+	s.vals = s.vals[:0]
+	s.bounds = s.bounds[:0]
+	b.Rows = s.rows
+	b.Sel = identSel(b.Sel, len(s.rows))
+	s.stats.ActRows += int64(len(s.rows))
+	return len(s.rows)
+}
+
+// Schema implements Operator.
+func (s *seekPath) Schema() *tuple.Schema { return s.tab.Schema }
+
+// Stats implements Operator.
+func (s *seekPath) Stats() *OpStats { return &s.stats }
+
+// IndexSeek is the Index Seek + Fetch access method: look up the index over
+// the plan's key ranges, fetch each qualifying row from the table, apply the
+// full predicate, and emit survivors.
+type IndexSeek struct {
+	seekPath
+	ix     *catalog.Index
+	ranges []expr.KeyRange
+
 	rangeIdx int
 	it       *catalog.EntryIter
-	rowBuf   tuple.Row // reused fetch destination; valid until the next Next
-
-	// Batch state: satisfying fetches accumulate in a reused value arena
-	// (decoded in place under the page pin via FetchRowAppend); row views
-	// are built from bounds only after the arena settles. Transient and
-	// bounded by one batch, so not charged to the memory budget.
-	vals     []tuple.Value
-	bounds   []int // prefix lengths into vals, one per accumulated row
-	rows     []tuple.Row
-	vecNoted bool
 }
 
 // NewIndexSeek builds the operator. pred must be bound to tab.Schema.
 func NewIndexSeek(ctx *Context, tab *catalog.Table, ix *catalog.Index, ranges []expr.KeyRange, pred expr.Conjunction) *IndexSeek {
 	return &IndexSeek{
-		ctx: ctx, tab: tab, ix: ix, ranges: ranges, pred: pred, cc: compilePred(ctx, pred),
-		stats: OpStats{Label: "IndexSeek(" + tab.Name + "." + ix.Name + ")"},
+		seekPath: newSeekPath(ctx, tab, pred, "IndexSeek("+tab.Name+"."+ix.Name+")"),
+		ix:       ix, ranges: ranges,
 	}
 }
-
-// attach adds a monitor (builder only).
-func (s *IndexSeek) attach(m *seekMonitor) { s.monitors = append(s.monitors, m) }
 
 // Open implements Operator.
 func (s *IndexSeek) Open() error {
@@ -162,57 +211,11 @@ func (s *IndexSeek) openRange() error {
 	return nil
 }
 
-// Next implements Operator.
-func (s *IndexSeek) Next() (tuple.Row, bool, error) {
-	for s.it != nil {
-		for s.it.Next() {
-			if err := s.ctx.interrupted(); err != nil {
-				return nil, false, err
-			}
-			s.ctx.touch(1)
-			rid := s.it.RID()
-			row, err := s.tab.FetchRowInto(s.rowBuf, rid) // the random-I/O Fetch
-			if err != nil {
-				return nil, false, err
-			}
-			s.rowBuf = row
-			var sat bool
-			if s.cc.OK() {
-				sat = s.cc.Eval(row)
-			} else {
-				sat = s.pred.Eval(row)
-			}
-			for _, m := range s.monitors {
-				if sat {
-					m.observe(rid.Page)
-				}
-			}
-			if sat {
-				s.stats.ActRows++
-				return row, true, nil
-			}
-		}
-		if err := s.it.Err(); err != nil {
-			return nil, false, err
-		}
-		s.it.Close()
-		s.rangeIdx++
-		if err := s.openRange(); err != nil {
-			return nil, false, err
-		}
-	}
-	return nil, false, nil
-}
-
-// NextBatch implements BatchOperator: up to BatchSize satisfying fetches
-// accumulate in the arena before the batch is handed up. The per-entry
-// sequence — poll, charge CPU, fetch, evaluate, observe on satisfaction — is
-// the row path's exactly, so monitors see the same page stream and the
-// accounting matches; only the hand-off granularity changes.
+// NextBatch implements Operator: up to BatchSize qualifying fetches
+// accumulate before the batch is handed up. The seek fills whole batches
+// whatever the consumer's row cap, so a LIMIT over it may fetch up to a
+// batch of rows it does not return.
 func (s *IndexSeek) NextBatch(b *Batch) (int, error) {
-	s.ctx.noteVectorized(&s.vecNoted)
-	s.vals = s.vals[:0]
-	s.bounds = s.bounds[:0]
 	for s.it != nil && len(s.bounds) < BatchSize {
 		if !s.it.Next() {
 			if err := s.it.Err(); err != nil {
@@ -225,47 +228,11 @@ func (s *IndexSeek) NextBatch(b *Batch) (int, error) {
 			}
 			continue
 		}
-		if err := s.ctx.interrupted(); err != nil {
+		if err := s.fetch(s.it.RID()); err != nil {
 			return 0, err
 		}
-		s.ctx.touch(1)
-		rid := s.it.RID()
-		lo := len(s.vals)
-		vals, err := s.tab.FetchRowAppend(s.vals, rid) // the random-I/O Fetch
-		if err != nil {
-			return 0, err
-		}
-		row := tuple.Row(vals[lo:])
-		var sat bool
-		if s.cc.OK() {
-			sat = s.cc.Eval(row)
-		} else {
-			sat = s.pred.Eval(row)
-		}
-		if !sat {
-			s.vals = vals[:lo] // discard the fetch, keep the grown capacity
-			continue
-		}
-		for _, m := range s.monitors {
-			m.observe(rid.Page)
-		}
-		s.vals = vals
-		s.bounds = append(s.bounds, len(vals))
 	}
-	if len(s.bounds) == 0 {
-		return 0, nil
-	}
-	s.rows = s.rows[:0]
-	lo := 0
-	for _, hi := range s.bounds {
-		s.rows = append(s.rows, tuple.Row(s.vals[lo:hi:hi]))
-		lo = hi
-	}
-	b.Rows = s.rows
-	b.Sel = identSel(b.Sel, len(s.rows))
-	s.stats.ActRows += int64(len(s.rows))
-	s.ctx.noteBatch()
-	return len(s.rows), nil
+	return s.emit(b), nil
 }
 
 // Close implements Operator.
@@ -277,43 +244,27 @@ func (s *IndexSeek) Close() error {
 	return nil
 }
 
-// Schema implements Operator.
-func (s *IndexSeek) Schema() *tuple.Schema { return s.tab.Schema }
-
-// Stats implements Operator.
-func (s *IndexSeek) Stats() *OpStats { return &s.stats }
-
 // IndexIntersect is the Index Intersection access method: collect the RID
 // sets from two index lookups, intersect them, fetch the surviving rows in
 // RID order, and apply the full predicate.
 type IndexIntersect struct {
-	ctx      *Context
-	tab      *catalog.Table
+	seekPath
 	ixA, ixB *catalog.Index
 	rngA     []expr.KeyRange
 	rngB     []expr.KeyRange
-	pred     expr.Conjunction
-	cc       expr.Compiled // type-specialized pred, when compilable
-	monitors []*seekMonitor
-	stats    OpStats
 
-	rids   []storage.RID
-	pos    int
-	rowBuf tuple.Row // reused fetch destination; valid until the next Next
+	rids []storage.RID
+	pos  int
 }
 
 // NewIndexIntersect builds the operator.
 func NewIndexIntersect(ctx *Context, tab *catalog.Table, ixA *catalog.Index, rngA []expr.KeyRange,
 	ixB *catalog.Index, rngB []expr.KeyRange, pred expr.Conjunction) *IndexIntersect {
 	return &IndexIntersect{
-		ctx: ctx, tab: tab, ixA: ixA, ixB: ixB, rngA: rngA, rngB: rngB,
-		pred: pred, cc: compilePred(ctx, pred),
-		stats: OpStats{Label: "IndexIntersect(" + tab.Name + ")"},
+		seekPath: newSeekPath(ctx, tab, pred, "IndexIntersect("+tab.Name+")"),
+		ixA:      ixA, ixB: ixB, rngA: rngA, rngB: rngB,
 	}
 }
-
-// attach adds a monitor (builder only).
-func (s *IndexIntersect) attach(m *seekMonitor) { s.monitors = append(s.monitors, m) }
 
 func (s *IndexIntersect) collect(ix *catalog.Index, ranges []expr.KeyRange) (map[int64]struct{}, error) {
 	set := make(map[int64]struct{})
@@ -379,44 +330,18 @@ func (s *IndexIntersect) Open() error {
 	return nil
 }
 
-// Next implements Operator.
-func (s *IndexIntersect) Next() (tuple.Row, bool, error) {
-	for s.pos < len(s.rids) {
-		if err := s.ctx.interrupted(); err != nil {
-			return nil, false, err
-		}
-		rid := s.rids[s.pos]
+// NextBatch implements Operator: the intersected RIDs are fetched in order
+// until the consumer's row cap is met, so a LIMIT fetches no row past its
+// last.
+func (s *IndexIntersect) NextBatch(b *Batch) (int, error) {
+	for s.pos < len(s.rids) && len(s.bounds) < b.limit() {
 		s.pos++
-		s.ctx.touch(1)
-		row, err := s.tab.FetchRowInto(s.rowBuf, rid)
-		if err != nil {
-			return nil, false, err
-		}
-		s.rowBuf = row
-		var sat bool
-		if s.cc.OK() {
-			sat = s.cc.Eval(row)
-		} else {
-			sat = s.pred.Eval(row)
-		}
-		for _, m := range s.monitors {
-			if sat {
-				m.observe(rid.Page)
-			}
-		}
-		if sat {
-			s.stats.ActRows++
-			return row, true, nil
+		if err := s.fetch(s.rids[s.pos-1]); err != nil {
+			return 0, err
 		}
 	}
-	return nil, false, nil
+	return s.emit(b), nil
 }
 
 // Close implements Operator.
 func (s *IndexIntersect) Close() error { return nil }
-
-// Schema implements Operator.
-func (s *IndexIntersect) Schema() *tuple.Schema { return s.tab.Schema }
-
-// Stats implements Operator.
-func (s *IndexIntersect) Stats() *OpStats { return &s.stats }

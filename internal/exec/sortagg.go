@@ -10,9 +10,9 @@ import (
 
 // SortOp materializes and orders its input ascending by the given columns.
 // When a bit-vector filter is wired in, each drained row's join value is
-// added — since the first Next of a Sort blocks until the child is fully
-// consumed, the filter is complete before anything downstream (in
-// particular a Merge Join's inner scan) runs, the property §IV relies on.
+// added — since a Sort drains its child completely in Open, the filter is
+// complete before anything downstream (in particular a Merge Join's inner
+// scan) runs, the property §IV relies on.
 type SortOp struct {
 	ctx    *Context
 	input  Operator
@@ -51,24 +51,19 @@ func (s *SortOp) Open() error {
 		return err
 	}
 	s.rows = s.rows[:0]
-	for {
-		row, ok, err := s.input.Next()
-		if err != nil {
-			s.input.Close() // release pins held mid-row (e.g. decode errors)
-			return err
-		}
-		if !ok {
-			break
-		}
-		s.ctx.touch(1)
+	err := drain(s.ctx, s.input, func(row tuple.Row) error {
 		if s.filter != nil {
 			s.filter.Add(row[s.filterOrd])
 		}
 		if err := s.ctx.Mem.Grow(rowMemSize(row)); err != nil {
-			s.input.Close()
 			return err
 		}
 		s.rows = append(s.rows, row.Clone())
+		return nil
+	})
+	if err != nil {
+		s.input.Close() // release pins held mid-batch (e.g. decode errors)
+		return err
 	}
 	if err := s.input.Close(); err != nil {
 		return err
@@ -88,15 +83,12 @@ func (s *SortOp) Open() error {
 	return nil
 }
 
-// Next implements Operator.
-func (s *SortOp) Next() (tuple.Row, bool, error) {
-	if s.pos >= len(s.rows) {
-		return nil, false, nil
-	}
-	row := s.rows[s.pos]
-	s.pos++
-	s.stats.ActRows++
-	return row, true, nil
+// NextBatch implements Operator: the sorted rows are handed up in slices of
+// the buffer, at most the consumer's row cap at a time.
+func (s *SortOp) NextBatch(b *Batch) (int, error) {
+	n := emitRows(b, s.rows, &s.pos)
+	s.stats.ActRows += int64(n)
+	return n, nil
 }
 
 // Close implements Operator.
@@ -118,9 +110,6 @@ type FilterOp struct {
 	pred  expr.Conjunction // bound to input schema
 	cc    expr.Compiled    // type-specialized pred, when compilable
 	stats OpStats
-
-	inBatch  BatchOperator
-	vecNoted bool
 }
 
 // NewFilter constructs the operator.
@@ -132,38 +121,14 @@ func NewFilter(ctx *Context, input Operator, pred expr.Conjunction) *FilterOp {
 // Open implements Operator.
 func (f *FilterOp) Open() error { return f.input.Open() }
 
-// Next implements Operator.
-func (f *FilterOp) Next() (tuple.Row, bool, error) {
-	for {
-		row, ok, err := f.input.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		f.ctx.touch(1)
-		sat := false
-		if f.cc.OK() {
-			sat = f.cc.Eval(row)
-		} else {
-			sat = f.pred.Eval(row)
-		}
-		if sat {
-			f.stats.ActRows++
-			return row, true, nil
-		}
-	}
-}
-
-// NextBatch implements BatchOperator: the filter never materializes rows, it
+// NextBatch implements Operator: the filter never materializes rows, it
 // only compacts the batch's selection vector — column-at-a-time through the
 // compiled evaluator when the predicate compiled, per-row through the
-// generic one otherwise.
+// generic one otherwise. The consumer's row cap passes through to the input
+// with the batch.
 func (f *FilterOp) NextBatch(b *Batch) (int, error) {
-	f.ctx.noteVectorized(&f.vecNoted)
-	if f.inBatch == nil {
-		f.inBatch = asBatch(f.input)
-	}
 	for {
-		n, err := f.inBatch.NextBatch(b)
+		n, err := f.input.NextBatch(b)
 		if err != nil || n == 0 {
 			return 0, err
 		}
@@ -183,7 +148,6 @@ func (f *FilterOp) NextBatch(b *Batch) (int, error) {
 			continue
 		}
 		f.stats.ActRows += int64(len(b.Sel))
-		f.ctx.noteBatch()
 		return len(b.Sel), nil
 	}
 }
@@ -207,9 +171,9 @@ type AggOp struct {
 	schema *tuple.Schema
 	stats  OpStats
 
-	done     bool
-	out      [1]tuple.Row
-	vecNoted bool
+	done bool
+	in   Batch
+	out  [1]tuple.Row
 }
 
 // NewAgg constructs the operator. fn is one of "count", "sum", "min", "max";
@@ -244,114 +208,63 @@ func (a *AggOp) Open() error {
 	return a.input.Open()
 }
 
-// Next implements Operator. The drain pulls whole batches from the input
-// when the context is vectorized (CPU charged per batch of live rows) and
-// single rows otherwise; the accumulation is shared, so the two paths fold
-// identically.
-func (a *AggOp) Next() (tuple.Row, bool, error) {
+// NextBatch implements Operator: it drains the input a batch at a time
+// (CPU charged per batch of live rows) and delivers the aggregate as a
+// one-row batch. The fold is kind-specialized, with the switch hoisted out
+// of the per-row loop.
+func (a *AggOp) NextBatch(b *Batch) (int, error) {
 	if a.done {
-		return nil, false, nil
+		return 0, nil
 	}
 	var count, sum int64
 	var minV, maxV tuple.Value
-	first := true
-	acc := func(row tuple.Row) {
-		count++
-		if a.ord >= 0 {
-			v := row[a.ord]
-			if v.Kind != tuple.KindString {
-				sum += v.Int
-			}
-			if first || v.Compare(minV) < 0 {
-				minV = v
-			}
-			if first || v.Compare(maxV) > 0 {
-				maxV = v
-			}
-			first = false
+	for {
+		n, err := a.input.NextBatch(&a.in)
+		if err != nil {
+			return 0, err
 		}
-	}
-	if a.ctx.Vectorized {
-		// The batch drain folds with kind-specialized loops — the switch
-		// hoisted out of the per-row path, which the batch layout makes
-		// possible. Each loop computes exactly what the acc closure would
-		// have left in its accumulator, so the output below cannot tell the
-		// paths apart.
-		in := asBatch(a.input)
-		var b Batch
-		for {
-			n, err := in.NextBatch(&b)
-			if err != nil {
-				return nil, false, err
-			}
-			if n == 0 {
-				break
-			}
-			a.ctx.touch(int64(n))
-			switch a.fn {
-			case 'c':
-				// COUNT(col) counts rows like COUNT(*) does (the engine has
-				// no NULLs), so the whole selection folds at once.
-				count += int64(len(b.Sel))
-			case 's':
-				for _, i := range b.Sel {
-					v := b.Rows[i][a.ord]
-					if v.Kind != tuple.KindString {
-						sum += v.Int
-					}
-				}
-				count += int64(len(b.Sel))
-			default:
-				for _, i := range b.Sel {
-					acc(b.Rows[i])
+		if n == 0 {
+			break
+		}
+		a.ctx.touch(int64(n))
+		switch a.fn {
+		case 's':
+			for _, i := range a.in.Sel {
+				if v := a.in.Rows[i][a.ord]; v.Kind != tuple.KindString {
+					sum += v.Int
 				}
 			}
-		}
-	} else {
-		for {
-			row, ok, err := a.input.Next()
-			if err != nil {
-				return nil, false, err
+		case 'm', 'M':
+			for _, i := range a.in.Sel {
+				v := a.in.Rows[i][a.ord]
+				if count == 0 || v.Compare(minV) < 0 {
+					minV = v
+				}
+				if count == 0 || v.Compare(maxV) > 0 {
+					maxV = v
+				}
+				count++
 			}
-			if !ok {
-				break
-			}
-			a.ctx.touch(1)
-			acc(row)
+			continue
 		}
+		// COUNT(col) counts rows like COUNT(*) does (the engine has no
+		// NULLs), so the whole selection folds at once.
+		count += int64(n)
 	}
 	a.done = true
 	a.stats.ActRows = 1
+	agg := count
 	switch a.fn {
-	case 'c':
-		return tuple.Row{tuple.Int64(count)}, true, nil
 	case 's':
-		return tuple.Row{tuple.Int64(sum)}, true, nil
+		agg = sum
 	case 'm':
-		if first {
-			return tuple.Row{tuple.Int64(0)}, true, nil
-		}
-		return tuple.Row{tuple.Int64(minV.Int)}, true, nil
-	default:
-		if first {
-			return tuple.Row{tuple.Int64(0)}, true, nil
-		}
-		return tuple.Row{tuple.Int64(maxV.Int)}, true, nil
+		agg = minV.Int
+	case 'M':
+		agg = maxV.Int
 	}
-}
-
-// NextBatch implements BatchOperator: the aggregate's output is a single
-// row, delivered as a one-row batch after the (batch-at-a-time) drain.
-func (a *AggOp) NextBatch(b *Batch) (int, error) {
-	a.ctx.noteVectorized(&a.vecNoted)
-	row, ok, err := a.Next()
-	if err != nil || !ok {
-		return 0, err
-	}
-	a.out[0] = row
+	a.out[0] = tuple.Row{tuple.Int64(agg)}
 	b.Rows = a.out[:]
 	b.Sel = append(b.Sel[:0], 0)
-	a.ctx.noteBatch()
 	return 1, nil
 }
 

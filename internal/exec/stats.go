@@ -31,7 +31,7 @@ type OperatorStats struct {
 
 	OpID  int32         `xml:"-"`
 	Wall  time.Duration `xml:"-"` // inclusive wall time (traced runs only)
-	Calls int64         `xml:"-"` // Next/NextBatch invocations (traced runs only)
+	Calls int64         `xml:"-"` // NextBatch invocations (traced runs only)
 }
 
 // PageCountXML is one monitored distinct page count.
@@ -97,13 +97,10 @@ type RuntimeStats struct {
 	// PlanCacheHit reports whether the plan was instantiated from the
 	// engine's feedback-epoch plan cache instead of being optimized anew.
 	PlanCacheHit bool `xml:"planCacheHit,attr,omitempty"`
-	// BatchesProcessed counts the batches delivered by batch-native
-	// operators and VectorizedOps the operator instances that ran
-	// batch-native; both are zero on the row-at-a-time path. They are
-	// execution-shape diagnostics, deliberately outside the row/batch
-	// parity surface (everything above this comment matches across paths).
+	// BatchesProcessed counts the non-empty batches operators handed their
+	// parents and the result sink. It is an execution-shape diagnostic: no
+	// simulated cost depends on it.
 	BatchesProcessed int64 `xml:"batchesProcessed,attr,omitempty"`
-	VectorizedOps    int64 `xml:"vectorizedOps,attr,omitempty"`
 }
 
 // snapshotOpStats converts the live OpStats tree into the XML form.

@@ -541,10 +541,9 @@ func (o *Optimizer) finish(q *Query, body plan.Node) (plan.Node, error) {
 		node = s
 	}
 	// The limit goes below the projection (they commute): the projection then
-	// materializes only the rows that survive it, which matters to the batch
-	// executor — a projection under the limit processes whole batches, so
-	// putting it above keeps the work (and the CPU accounting) identical to
-	// the row-at-a-time path.
+	// materializes, and is charged CPU for, only the rows that survive it.
+	// Under the limit it would project the whole page a scan hands up, since
+	// scans deliver pages whatever the limit's row cap.
 	if q.Limit > 0 {
 		l := &plan.Limit{Input: node, N: q.Limit}
 		l.Estm = plan.Estimates{Rows: math.Min(float64(q.Limit), node.Est().Rows), Cost: node.Est().Cost}

@@ -41,10 +41,10 @@ const (
 	// intervals, nested within its KindOperator span.
 	KindOpen
 	KindClose
-	// KindNext summarizes the operator's row- or batch-production phase:
-	// the interval from its first Next (or NextBatch) call to its last,
-	// with N the rows produced, Total the time spent inside the operator's
-	// Next across all calls, and Calls the call count. One summary span —
+	// KindNext summarizes the operator's batch-production phase: the
+	// interval from its first NextBatch call to its last, with N the rows
+	// produced, Total the time spent inside the operator's NextBatch across
+	// all calls, and Calls the call count. One summary span —
 	// not one span per call — keeps trace size proportional to the plan,
 	// not the data.
 	KindNext
@@ -108,7 +108,7 @@ type Span struct {
 	Start time.Duration // offset from trace epoch
 	End   time.Duration // offset from trace epoch; == Start for point events
 	N     int64         // rows, calls, or event count, per Kind
-	Calls int64         // Next/NextBatch invocations (KindNext only)
+	Calls int64         // NextBatch invocations (KindNext only)
 	Total time.Duration // aggregate time for summary/point spans
 }
 

@@ -52,44 +52,38 @@ func parityRows(res *Result, parallel bool) []string {
 }
 
 // TestTraceParityMatrix is the central observability guarantee: across the
-// execution matrix (serial/parallel × vectorized/row × shed levels),
-// running a query with tracing on changes NOTHING observable except
-// Result.Trace itself — rows, monitored DPC feedback, deterministic
-// runtime stats, and the exported feedback state are byte-identical with
-// an untraced engine that ran the same sequence. Two engines rather than
-// interleaved runs on one, for the same reason as the vectorized parity
-// test: the IO model classifies reads by where the previous query left
-// the disk head.
+// execution matrix (serial/parallel × shed levels), running a query with
+// tracing on changes NOTHING observable except Result.Trace itself — rows,
+// monitored DPC feedback, deterministic runtime stats, and the exported
+// feedback state are byte-identical with an untraced engine that ran the
+// same sequence. Two engines rather than interleaved runs on one: the IO
+// model classifies reads by where the previous query left the disk head.
 //
 // Along the way every produced trace must be structurally well-formed:
 // spans ended exactly once, phases nested in operator lifetimes, and the
 // operator span count equal to both the plan the executor reports and the
 // EXPLAIN stats tree.
 func TestTraceParityMatrix(t *testing.T) {
-	traced := buildVecDB(t, 8000)
-	plain := buildVecDB(t, 8000)
+	traced := buildJoinDB(t, 8000)
+	plain := buildJoinDB(t, 8000)
 	matrix := []struct {
 		name string
 		par  int
-		vec  VecMode
 		shed int
 	}{
-		{"serial-vec-shed0", 0, VecOn, 0},
-		{"serial-row-shed0", 0, VecOff, 0},
-		{"parallel-vec-shed0", 4, VecOn, 0},
-		{"parallel-row-shed0", 4, VecOff, 0},
-		{"serial-vec-shed1", 0, VecOn, 1},
-		{"serial-row-shed2", 0, VecOff, 2},
-		{"parallel-vec-shed2", 4, VecOn, 2},
-		{"serial-vec-shed3", 0, VecOn, 3},
+		{"serial-shed0", 0, 0},
+		{"parallel-shed0", 4, 0},
+		{"serial-shed1", 0, 1},
+		{"serial-shed2", 0, 2},
+		{"parallel-shed2", 4, 2},
+		{"serial-shed3", 0, 3},
 	}
 	for _, m := range matrix {
-		for _, q := range vecParityQueries {
+		for _, q := range parityQueries {
 			opts := func(traceOn bool) *RunOptions {
 				return &RunOptions{
 					MonitorAll:  true,
 					Parallelism: m.par,
-					Vectorized:  m.vec,
 					ShedLevel:   m.shed,
 					Trace:       traceOn,
 				}
