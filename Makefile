@@ -93,8 +93,8 @@ profile:
 	$(GO) tool pprof -top -nodecount 15 cpu.prof
 
 # Brief fuzzing pass over the row/key codecs, the SQL parser, the batch
-# predicate evaluator, and the lint CFG builder: a smoke check suitable for
-# CI, not a soak. Corpus finds
+# predicate evaluator, the hash-join probe's in-place key read, and the lint
+# CFG builder: a smoke check suitable for CI, not a soak. Corpus finds
 # accumulate in the build cache and testdata/fuzz.
 fuzz-smoke:
 	$(GO) test ./internal/tuple -run xxx -fuzz FuzzTupleDecode -fuzztime 10s
@@ -102,4 +102,5 @@ fuzz-smoke:
 	$(GO) test ./internal/sql -run xxx -fuzz FuzzParse -fuzztime 10s
 	$(GO) test ./internal/expr -run xxx -fuzz FuzzEvalBatch -fuzztime 10s
 	$(GO) test ./internal/expr -run xxx -fuzz FuzzEvalRaw -fuzztime 10s
+	$(GO) test ./internal/exec -run xxx -fuzz FuzzProbeKey -fuzztime 10s
 	$(GO) test ./internal/lint -run xxx -fuzz FuzzCFGBuild -fuzztime 10s

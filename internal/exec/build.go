@@ -604,10 +604,11 @@ func (e *Execution) buildJoin(node *plan.Join) (Operator, error) {
 		if sink != nil {
 			hj.SetFilter(sink) // build phase fills it (Fig 5)
 		}
-		if ps, ok := unwrapOp(inner).(*ParallelScan); ok {
-			// The probe input is a bare parallel scan: push the probe
-			// phase into its workers after the build completes.
-			hj.SetParallelProbe(ps)
+		if host, ok := unwrapOp(inner).(probeHost); ok {
+			// The probe input is a bare table scan, serial or parallel:
+			// after the build completes, the table becomes its semi-join
+			// predicate, judged on page bytes.
+			hj.pushProbe(host)
 		}
 		op = hj
 	case plan.MergeJoin:

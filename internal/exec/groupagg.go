@@ -2,7 +2,7 @@ package exec
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"pagefeedback/internal/tuple"
 )
@@ -17,6 +17,9 @@ type GroupAggOp struct {
 	aggOrd   int  // -1 for COUNT(*)
 	schema   *tuple.Schema
 	stats    OpStats
+
+	groups valueMap[*groupState]
+	keyBuf []byte // scratch for sizing a new group's encoded key
 
 	out        []tuple.Row
 	pos        int
@@ -66,22 +69,26 @@ func (g *GroupAggOp) Open() error {
 	if err := g.input.Open(); err != nil {
 		return err
 	}
-	groups := map[string]*groupState{}
-	if err := drain(g.ctx, g.input, func(row tuple.Row) error { return g.accumulate(groups, row) }); err != nil {
+	g.groups = valueMap[*groupState]{}
+	if err := drain(g.ctx, g.input, g.accumulate); err != nil {
 		g.input.Close() // release pins even on a failed drain
 		return err
 	}
 	if err := g.input.Close(); err != nil {
 		return err
 	}
-	keys := make([]string, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
+	// Ascending group order. The group column is one column, so its keys
+	// are all numbers or all strings.
+	states := make([]*groupState, 0, len(g.groups.ints)+len(g.groups.strs))
+	for _, st := range g.groups.ints {
+		states = append(states, st)
 	}
-	sort.Strings(keys) // encoded keys are order-preserving
+	for _, st := range g.groups.strs {
+		states = append(states, st)
+	}
+	slices.SortFunc(states, func(a, b *groupState) int { return a.key.Compare(b.key) })
 	g.out = g.out[:0]
-	for _, k := range keys {
-		st := groups[k]
+	for _, st := range states {
 		var agg int64
 		switch g.fn {
 		case 'c':
@@ -103,18 +110,19 @@ func (g *GroupAggOp) Open() error {
 	return nil
 }
 
-// accumulate folds one input row into its group's state, charging the
-// memory tracker when the row starts a new group.
-func (g *GroupAggOp) accumulate(groups map[string]*groupState, row tuple.Row) error {
+// accumulate folds one input row into its group's state. A row that starts a
+// new group is charged to the memory tracker for the state, the map entry,
+// and the group value's tuple.EncodeKey length, so the budget a query needs
+// does not depend on how the table is keyed.
+func (g *GroupAggOp) accumulate(row tuple.Row) error {
 	gv := row[g.groupOrd]
-	key := string(tuple.EncodeKey(gv))
-	st := groups[key]
+	st := g.groups.lookup(gv)
 	if st == nil {
-		if err := g.ctx.Mem.Grow(groupStateMemSize + int64(len(key)) + mapEntryOverhead); err != nil {
+		g.keyBuf = tuple.AppendKey(g.keyBuf[:0], gv)
+		st = &groupState{key: gv}
+		if err := g.groups.store(g.ctx.Mem, groupStateMemSize+int64(len(g.keyBuf))+mapEntryOverhead, gv, st); err != nil {
 			return err
 		}
-		st = &groupState{key: gv}
-		groups[key] = st
 	}
 	st.count++
 	if g.aggOrd >= 0 {

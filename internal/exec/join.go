@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"pagefeedback/internal/catalog"
@@ -8,11 +9,59 @@ import (
 	"pagefeedback/internal/tuple"
 )
 
+// valueMap is a hash map keyed by one column value, without encoding it:
+// INT and DATE values share the int64 key space (they compare by their
+// numeric payload, as under tuple.EncodeKey, whose tag they share) and
+// strings have their own. Values of different key spaces never match.
+type valueMap[V any] struct {
+	ints map[int64]V
+	strs map[string]V
+}
+
+// lookup returns v's entry, or the zero V when there is none.
+func (m *valueMap[V]) lookup(v tuple.Value) V {
+	switch v.Kind {
+	case tuple.KindInt, tuple.KindDate:
+		return m.ints[v.Int]
+	case tuple.KindString:
+		return m.strs[v.Str]
+	}
+	panic(fmt.Sprintf("exec: cannot key a hash table by kind %s", v.Kind))
+}
+
+// store charges n bytes to mem, then sets v's entry to e. It is the one
+// place a value map grows, so every insert is charged before it happens.
+func (m *valueMap[V]) store(mem *MemTracker, n int64, v tuple.Value, e V) error {
+	if err := mem.Grow(n); err != nil {
+		return err
+	}
+	switch v.Kind {
+	case tuple.KindInt, tuple.KindDate:
+		if m.ints == nil {
+			m.ints = make(map[int64]V)
+		}
+		m.ints[v.Int] = e
+	case tuple.KindString:
+		if m.strs == nil {
+			m.strs = make(map[string]V)
+		}
+		m.strs[v.Str] = e
+	default:
+		panic(fmt.Sprintf("exec: cannot key a hash table by kind %s", v.Kind))
+	}
+	return nil
+}
+
 // HashJoinOp joins build (outer) and probe (inner) on equality of one column
 // each. It runs in the relational engine: it never sees page ids. When a
 // bit-vector filter is wired in, the build phase fills it (Fig 5), so that
 // by the time the probe side's SE scan streams rows, the filter acts as the
 // derived semi-join predicate for DPC monitoring.
+//
+// When the probe input is a bare table scan, the completed hash table itself
+// becomes a semi-join predicate of that scan (§IV's derived predicate, exact
+// rather than a bit vector): the scan reads each surviving cell's join key
+// from the page bytes and decodes only the rows with a match.
 type HashJoinOp struct {
 	ctx      *Context
 	build    Operator
@@ -23,22 +72,71 @@ type HashJoinOp struct {
 	filter   *filterSink // optional; filled during build
 	stats    OpStats
 
-	table map[string][]tuple.Row
+	table valueMap[[]tuple.Row]
 
-	// Probe state: the pulled probe batch, the per-batch key column, and the
-	// joined-output arena. All are transient high-water-reuse buffers bounded
-	// by one batch — rebuilt from length zero every NextBatch — so none are
-	// charged to the memory budget.
+	// Probe state: the pulled probe batch and the joined-output arena. Both
+	// are transient high-water-reuse buffers bounded by one batch — rebuilt
+	// from length zero every NextBatch — so neither is charged to the memory
+	// budget.
 	pb        Batch
-	keys      []string
 	outVals   []tuple.Value
 	outBounds []int // prefix lengths into outVals, one per joined row
 	outRows   []tuple.Row
 
-	// parProbe is set when the probe input is a parallel scan: after the
-	// build phase the probe is pushed down into the scan workers, which
-	// look up the completed (read-only) hash table and emit joined rows.
-	parProbe *ParallelScan
+	// scan is the probe input when it is a bare table scan (builder only).
+	// Open pushes the completed table into it: the scan charges the probe's
+	// per-row CPU and hands up only rows with a match. A parallel scan also
+	// joins them in its workers (joined), so its batches are forwarded whole.
+	scan   probeHost
+	joined bool
+}
+
+// probeHost is a table scan that takes a hash join's probe push-down. It
+// must be called before the scan opens.
+type probeHost interface {
+	setProbe(p *joinProbe)
+}
+
+// joinProbe is a hash join's completed build table seen from its probe-side
+// scan: a semi-join predicate judged on the encoded cell before any decode.
+// It is read-only once built, so parallel scan workers share it.
+type joinProbe struct {
+	table  *valueMap[[]tuple.Row]
+	ord    int // probe column ordinal in the scan's schema
+	schema *tuple.Schema
+}
+
+// matchesCell reports whether the encoded row's join key has a build match,
+// looked up without allocating. A cell that is not one well-formed row is
+// kept unexamined, so the decoder still rejects it and fails the scan.
+func (p *joinProbe) matchesCell(cell []byte) bool {
+	if !p.schema.WellFormed(cell) {
+		return true
+	}
+	n, str := cellKey(p.schema, cell, p.ord)
+	if p.schema.Column(p.ord).Kind == tuple.KindString {
+		_, ok := p.table.strs[string(str)]
+		return ok
+	}
+	_, ok := p.table.ints[n]
+	return ok
+}
+
+// builds returns the build rows a decoded probe row joins with.
+func (p *joinProbe) builds(row tuple.Row) []tuple.Row {
+	return p.table.lookup(row[p.ord])
+}
+
+// cellKey reads column ord of a well-formed encoded row in place — at 8·ord
+// in the fixed prefix, behind the length prefixes otherwise: the numeric
+// payload of an INT or DATE column, or the bytes of a VARCHAR, aliasing cell.
+func cellKey(s *tuple.Schema, cell []byte, ord int) (int64, []byte) {
+	off := s.ColumnOffset(cell, ord)
+	if s.Column(ord).Kind == tuple.KindString {
+		n := int(binary.LittleEndian.Uint32(cell[off:]))
+		return 0, cell[off+4 : off+4+n]
+	}
+	return int64(binary.LittleEndian.Uint64(cell[off:])), nil
 }
 
 // NewHashJoin constructs the operator. buildOrd/probeOrd are the join column
@@ -54,11 +152,15 @@ func NewHashJoin(ctx *Context, build, probe Operator, buildOrd, probeOrd int, sc
 // SetFilter wires a bit-vector filter to fill during the build phase.
 func (j *HashJoinOp) SetFilter(f *filterSink) { j.filter = f }
 
-// SetParallelProbe marks the probe input as a parallel scan to push the probe
-// phase into (builder only). The push-down happens in Open, after the build
-// phase: the hash table is complete and read-only by the time any worker
-// probes it, so no synchronization is needed beyond the scan's own barrier.
-func (j *HashJoinOp) SetParallelProbe(ps *ParallelScan) { j.parProbe = ps }
+// pushProbe marks the probe input as a bare table scan to push the probe
+// into (builder only). The push-down happens in Open, after the build phase:
+// the hash table is complete and read-only by the time the scan, or any of
+// its workers, reads it, so no synchronization is needed beyond the scan's
+// own barrier.
+func (j *HashJoinOp) pushProbe(s probeHost) {
+	j.scan = s
+	_, j.joined = s.(*ParallelScan)
+}
 
 // Open implements Operator: drains the build input into the hash table.
 // The build input is always closed before Open returns — even on error —
@@ -67,14 +169,13 @@ func (j *HashJoinOp) Open() error {
 	if err := j.build.Open(); err != nil {
 		return err
 	}
-	j.table = make(map[string][]tuple.Row)
+	j.table = valueMap[[]tuple.Row]{}
 	err := drain(j.ctx, j.build, func(row tuple.Row) error {
 		v := row[j.buildOrd]
-		key := string(tuple.EncodeKey(v))
-		if err := j.ctx.Mem.Grow(rowMemSize(row) + mapEntryOverhead); err != nil {
+		if err := j.table.store(j.ctx.Mem, rowMemSize(row)+mapEntryOverhead, v,
+			append(j.table.lookup(v), row.Clone())); err != nil {
 			return err
 		}
-		j.table[key] = append(j.table[key], row.Clone())
 		if j.filter != nil {
 			j.filter.Add(v)
 		}
@@ -87,30 +188,20 @@ func (j *HashJoinOp) Open() error {
 	if err := j.build.Close(); err != nil {
 		return err
 	}
-	if j.parProbe != nil {
-		// Partitioned probe: each scan worker looks up the now-immutable
-		// hash table and emits the joined rows itself. Per-row CPU is
-		// charged on the worker's context, mirroring the serial probe loop.
-		j.parProbe.SetRowMap(func(wctx *Context, row tuple.Row, emit func(tuple.Row)) {
-			wctx.touch(1)
-			key := string(tuple.EncodeKey(row[j.probeOrd]))
-			for _, b := range j.table[key] {
-				emit(joinRows(b, row))
-			}
-		})
+	if j.scan != nil {
+		j.scan.setProbe(&joinProbe{table: &j.table, ord: j.probeOrd, schema: j.probe.Schema()})
 	}
 	return j.probe.Open()
 }
 
 // NextBatch implements Operator for the probe phase. With a partitioned
 // probe the exchange's arena-backed batches are forwarded whole — already
-// joined by the workers. Serially, the whole probe batch is hashed first
-// (one tight EncodeKey loop over the key column), then probed; matches are
-// copied into a reused output arena, and the joined row views are built only
-// after the arena has stopped growing. Every match of a probe batch is
-// delivered, whatever the consumer's row cap.
+// joined by the workers. Otherwise each probe row is looked up by value;
+// matches are copied into a reused output arena, and the joined row views
+// are built only after the arena has stopped growing. Every match of a probe
+// batch is delivered, whatever the consumer's row cap.
 func (j *HashJoinOp) NextBatch(b *Batch) (int, error) {
-	if j.parProbe != nil {
+	if j.joined {
 		n, err := j.probe.NextBatch(b)
 		j.stats.ActRows += int64(n)
 		return n, err
@@ -120,20 +211,16 @@ func (j *HashJoinOp) NextBatch(b *Batch) (int, error) {
 		if err != nil || n == 0 {
 			return 0, err
 		}
-		j.ctx.touch(int64(n))
-		j.keys = j.keys[:0]
-		for _, i := range j.pb.Sel {
-			j.keys = append(j.keys, string(tuple.EncodeKey(j.pb.Rows[i][j.probeOrd])))
+		if j.scan == nil {
+			// A pushed-down scan charged one row per predicate survivor
+			// already, matched or not; any other input is charged here.
+			j.ctx.touch(int64(n))
 		}
 		j.outVals = j.outVals[:0]
 		j.outBounds = j.outBounds[:0]
-		for ki, i := range j.pb.Sel {
-			ms := j.table[j.keys[ki]]
-			if len(ms) == 0 {
-				continue
-			}
+		for _, i := range j.pb.Sel {
 			probe := j.pb.Rows[i]
-			for _, build := range ms {
+			for _, build := range j.table.lookup(probe[j.probeOrd]) {
 				j.outVals = append(j.outVals, build...)
 				j.outVals = append(j.outVals, probe...)
 				j.outBounds = append(j.outBounds, len(j.outVals))
@@ -158,15 +245,6 @@ func (j *HashJoinOp) Schema() *tuple.Schema { return j.schema }
 
 // Stats implements Operator.
 func (j *HashJoinOp) Stats() *OpStats { return &j.stats }
-
-// joinRows concatenates an outer and inner row (outer columns first,
-// matching plan.JoinSchema).
-func joinRows(outer, inner tuple.Row) tuple.Row {
-	out := make(tuple.Row, 0, len(outer)+len(inner))
-	out = append(out, outer...)
-	out = append(out, inner...)
-	return out
-}
 
 // MergeJoinOp joins two inputs already ordered by their join columns. If a
 // bit-vector filter is wired in, every consumed outer value is added to it

@@ -17,6 +17,11 @@ import (
 // a pure function of (seed, pid): the paper's "short-circuiting off on
 // sampled pages only" (§III-B), applied to decoding as well as evaluation.
 //
+// A hash join over the scan may push its completed table down as one more
+// filter (probe): a row that passes the predicate but has no build match is
+// not decoded either. It is a semi-join, not part of the predicate: monitors
+// and the scan's ActRows see predicate survivors only.
+//
 // Whole pages are still charged to the CPU clock, cancellation is polled once
 // per page, and every monitor observes every page, so feedback and simulated
 // time do not depend on how few rows were decoded.
@@ -26,15 +31,19 @@ type pageVisit struct {
 	pred     expr.Conjunction // bound
 	raw      expr.RawCompiled // pred over encoded cells; !OK selects the decoded fallback
 	monitors []*scanMonitor
+	probe    *joinProbe // pushed-down hash-join table, nil when none
 
-	// batch holds the decoded rows of the current page: the predicate's
-	// survivors, or every row when keepAll.
+	// batch holds the decoded rows of the current page: the survivors of
+	// the predicate and the probe, or every row when keepAll.
 	batch catalog.RowBatch
 	// failIdx is each cell's first failing atom (-1 = the row passes), in
 	// slot order. It is recorded only when something reads it: a monitor, or
 	// survivor selection on a keepAll page.
 	failIdx []int
 	keepAll bool
+	// passed counts the current page's rows that pass the predicate,
+	// whether or not the probe matches them.
+	passed int
 }
 
 // compileScanPred compiles a scan predicate to its encoded form at
@@ -50,11 +59,13 @@ func compileScanPred(ctx *Context, pred expr.Conjunction, s *tuple.Schema) expr.
 }
 
 // next pins and judges the next data page: poll cancellation, charge CPU for
-// all of the page's rows, and let every monitor observe the page in one
-// callback. Returns false at end of scan, after closing the monitors' last
-// page.
+// all of the page's rows — and, with a probe pushed down, one more per
+// predicate survivor, the join's per-row charge — and let every monitor
+// observe the page in one callback. Returns false at end of scan, after
+// closing the monitors' last page.
 func (v *pageVisit) next() (bool, error) {
 	v.failIdx = v.failIdx[:0]
+	v.passed = 0
 	total, ok := v.it.NextPageJudged(&v.batch, v)
 	if !ok {
 		if err := v.it.Err(); err != nil {
@@ -75,8 +86,15 @@ func (v *pageVisit) next() (bool, error) {
 		// comparing across kinds): every row was kept, and the generic
 		// evaluator judges — and reports the planner bug by panicking.
 		for _, row := range v.batch.Rows {
-			v.failIdx = append(v.failIdx, v.pred.FirstFail(row))
+			fi := v.pred.FirstFail(row)
+			if fi == -1 {
+				v.passed++
+			}
+			v.failIdx = append(v.failIdx, fi)
 		}
+	}
+	if v.probe != nil {
+		v.ctx.touch(int64(v.passed))
 	}
 	for _, m := range v.monitors {
 		m.safeObservePage(&v.batch, v.failIdx)
@@ -93,9 +111,9 @@ func (v *pageVisit) EnterPage(pid storage.PageID) {
 	}
 }
 
-// Keep implements catalog.CellJudge: judge one encoded cell. A malformed
-// cell passes (RawCompiled accepts it unexamined), so it reaches the decoder
-// and fails the scan there.
+// Keep implements catalog.CellJudge: judge one encoded cell, by the
+// predicate and then the probe. A malformed cell passes both (each accepts
+// it unexamined), so it reaches the decoder and fails the scan there.
 func (v *pageVisit) Keep(cell []byte) bool {
 	if !v.raw.OK() {
 		return true
@@ -104,19 +122,23 @@ func (v *pageVisit) Keep(cell []byte) bool {
 	if len(v.monitors) > 0 {
 		v.failIdx = append(v.failIdx, fi)
 	}
-	return fi == -1 || v.keepAll
+	if fi != -1 {
+		return v.keepAll
+	}
+	v.passed++
+	return v.keepAll || v.probe == nil || v.probe.matchesCell(cell)
 }
 
 // survivors rebuilds sel as the indices into batch.Rows of the rows that
-// pass the predicate: everything decoded on an ordinary page, the failIdx
-// passes on a keepAll page.
+// pass the predicate and the probe: everything decoded on an ordinary page,
+// the failIdx passes with a build match on a keepAll page.
 func (v *pageVisit) survivors(sel []int) []int {
 	if !v.keepAll {
 		return identSel(sel, v.batch.Len())
 	}
 	sel = sel[:0]
 	for i, fi := range v.failIdx {
-		if fi == -1 {
+		if fi == -1 && (v.probe == nil || len(v.probe.builds(v.batch.Rows[i])) > 0) {
 			sel = append(sel, i)
 		}
 	}

@@ -28,12 +28,6 @@ type parBatch struct {
 	err  error
 }
 
-// rowMapFn is a per-row transform pushed down into parallel scan workers — the
-// partitioned probe phase of a parallel hash join. It runs on worker
-// goroutines against read-only shared state and emits zero or more output
-// rows per input row.
-type rowMapFn func(wctx *Context, row tuple.Row, emit func(tuple.Row))
-
 // ParallelScan executes a full table scan as a partition-parallel exchange:
 // the table is split into contiguous page-disjoint partitions (heap PID
 // ranges or clustered leaf-chain ranges), one worker drains each partition
@@ -55,7 +49,7 @@ type ParallelScan struct {
 	raw      expr.RawCompiled // pred over encoded cells; workers share it read-only
 	degree   int
 	monitors []*scanMonitor // templates; receive merged shard state
-	rowMap   rowMapFn       // optional probe push-down, set before Open
+	probe    *joinProbe     // optional hash-join probe push-down, set before Open
 	stats    OpStats
 
 	out       chan parBatch
@@ -88,10 +82,12 @@ func (p *ParallelScan) Table() *catalog.Table { return p.tab }
 // Degree returns the number of partitions the scan was asked to run with.
 func (p *ParallelScan) Degree() int { return p.degree }
 
-// SetRowMap pushes a per-row transform into the workers (parallel hash-join
-// probe). Must be called before Open; the transform's shared state must be
-// read-only by then.
-func (p *ParallelScan) SetRowMap(fn rowMapFn) { p.rowMap = fn }
+// setProbe implements probeHost: the partitioned probe phase of a parallel
+// hash join. Every worker's page visit judges the shared, read-only table on
+// page bytes and charges the probe's per-row CPU, and the worker emits the
+// joined rows (build columns first, as in plan.JoinSchema) in place of the
+// matching probe rows.
+func (p *ParallelScan) setProbe(jp *joinProbe) { p.probe = jp }
 
 // Open implements Operator: it partitions the table and starts one worker
 // per partition. A closer goroutine shuts the output channel once every
@@ -157,7 +153,7 @@ func (p *ParallelScan) worker(idx int, wctx *Context, part catalog.ScanPart, mon
 	}
 
 	var (
-		visit  = pageVisit{ctx: wctx, it: part.Iter, pred: p.pred, raw: p.raw, monitors: mons}
+		visit  = pageVisit{ctx: wctx, it: part.Iter, pred: p.pred, raw: p.raw, monitors: mons, probe: p.probe}
 		sel    []int
 		arena  []tuple.Value
 		bounds []int // prefix lengths into arena, one per pending row
@@ -170,13 +166,15 @@ func (p *ParallelScan) worker(idx int, wctx *Context, part catalog.ScanPart, mon
 	// last page's overshoot past parFlushRows.
 	arenaCap := 0
 	var memErr error
-	emit := func(row tuple.Row) {
+	// emit appends one output row, the concatenation of head and tail (tail
+	// is nil unless the worker joins).
+	emit := func(head, tail tuple.Row) {
 		if memErr != nil {
 			return
 		}
 		if arena == nil {
 			if arenaCap == 0 {
-				arenaCap = (parFlushRows + parFlushRows/2) * len(row)
+				arenaCap = (parFlushRows + parFlushRows/2) * (len(head) + len(tail))
 			}
 			// Arenas are retained by the consumer, so each one is charged
 			// against the query's memory budget when allocated.
@@ -185,7 +183,8 @@ func (p *ParallelScan) worker(idx int, wctx *Context, part catalog.ScanPart, mon
 			}
 			arena = make([]tuple.Value, 0, arenaCap)
 		}
-		arena = append(arena, row...)
+		arena = append(arena, head...)
+		arena = append(arena, tail...)
 		bounds = append(bounds, len(arena))
 	}
 	flush := func() bool {
@@ -221,12 +220,15 @@ func (p *ParallelScan) worker(idx int, wctx *Context, part catalog.ScanPart, mon
 			p.prefetch(part, pages)
 		}
 		sel = visit.survivors(sel)
-		p.actRows[idx] += int64(len(sel))
+		p.actRows[idx] += int64(visit.passed)
 		for _, i := range sel {
-			if row := visit.batch.Rows[i]; p.rowMap != nil {
-				p.rowMap(wctx, row, emit)
-			} else {
-				emit(row)
+			row := visit.batch.Rows[i]
+			if p.probe == nil {
+				emit(row, nil)
+				continue
+			}
+			for _, b := range p.probe.builds(row) {
+				emit(b, row)
 			}
 		}
 		if memErr != nil {
@@ -331,9 +333,8 @@ func (p *ParallelScan) finalize() {
 	}
 }
 
-// Schema implements Operator. With a row map installed the emitted rows are
-// the map's output shape (the parent that installed it reports that schema);
-// without one, the table's.
+// Schema implements Operator: the table's. With a probe pushed down the
+// emitted rows are joined rows, whose schema the hash join reports.
 func (p *ParallelScan) Schema() *tuple.Schema { return p.tab.Schema }
 
 // Stats implements Operator. ActRows counts rows passing the scan predicate,

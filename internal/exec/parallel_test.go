@@ -257,9 +257,9 @@ func TestParallelWorkerPanicSurfacesAsOperatorPanic(t *testing.T) {
 	ctx := NewContext(e.pool)
 	ctx.Parallelism = 4
 	ps := NewParallelScan(ctx, e.sales, expr.Conjunction{}, 4)
-	ps.SetRowMap(func(wctx *Context, row tuple.Row, emit func(tuple.Row)) {
-		panic("boom in worker")
-	})
+	// A probe ordinal past the schema's last column makes every worker's
+	// page visit panic on its first cell, with the page pinned.
+	ps.setProbe(&joinProbe{table: &valueMap[[]tuple.Row]{}, ord: 99, schema: e.sales.Schema})
 	if err := ps.Open(); err != nil {
 		t.Fatal(err)
 	}
@@ -282,8 +282,8 @@ func TestParallelWorkerPanicSurfacesAsOperatorPanic(t *testing.T) {
 	if !errors.As(err, &op) {
 		t.Fatalf("worker panic surfaced as %v (%T), want *OperatorPanic", err, err)
 	}
-	if op.Value != "boom in worker" {
-		t.Errorf("panic value = %v", op.Value)
+	if op.Op != ps.Stats().Label || op.Value == nil {
+		t.Errorf("panic = %q in %s, want the out-of-range ordinal in %s", op.Value, op.Op, ps.Stats().Label)
 	}
 	// The pool must be fully unpinned after teardown.
 	if err := e.pool.Reset(); err != nil {

@@ -59,6 +59,10 @@ func satisfies(cc expr.Compiled, pred expr.Conjunction, row tuple.Row) bool {
 // attach adds a monitor (called by the builder).
 func (s *SEScan) attach(m *scanMonitor) { s.visit.monitors = append(s.visit.monitors, m) }
 
+// setProbe implements probeHost: the scan hands up only the predicate
+// survivors with a build match, and charges the join's per-row CPU.
+func (s *SEScan) setProbe(p *joinProbe) { s.visit.probe = p }
+
 // Table returns the scanned table.
 func (s *SEScan) Table() *catalog.Table { return s.tab }
 
@@ -80,20 +84,21 @@ func (s *SEScan) Open() error {
 
 // NextBatch implements Operator. The scan works page at a time: each data
 // page is pinned once and judged by the shared page visit, and its rows are
-// handed up directly with a selection vector of the predicate survivors,
-// whatever the consumer's row cap. Pages with no survivor are skipped.
+// handed up directly with a selection vector of the survivors, whatever the
+// consumer's row cap. Pages with no survivor are skipped. ActRows counts the
+// rows that pass the scan predicate, with or without a pushed-down probe.
 func (s *SEScan) NextBatch(b *Batch) (int, error) {
 	for {
 		ok, err := s.visit.next()
 		if err != nil || !ok {
 			return 0, err
 		}
+		s.stats.ActRows += int64(s.visit.passed)
 		b.Rows = s.visit.batch.Rows
 		b.Sel = s.visit.survivors(b.Sel)
 		if len(b.Sel) == 0 {
 			continue
 		}
-		s.stats.ActRows += int64(len(b.Sel))
 		return len(b.Sel), nil
 	}
 }

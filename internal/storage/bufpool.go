@@ -92,6 +92,7 @@ type poolShard struct {
 	ring      []*frame // CLOCK ring; grows up to capacity, slots reused
 	hand      int
 	free      []*frame // frames whose read failed; reused before growing
+	spare     []*frame // frames Reset dropped, page buffers kept; the ring regrows from them
 	evictions int64
 
 	// cond wakes fetchers blocked on an exhausted shard; it is signalled
@@ -432,7 +433,14 @@ func (s *poolShard) allocFrameLocked(disk *DiskManager, key frameKey) (*frame, e
 		fr = s.free[len(s.free)-1]
 		s.free = s.free[:len(s.free)-1]
 	case len(s.ring) < s.capacity:
-		fr = &frame{shard: s, buf: make([]byte, PageSize)}
+		// Every caller overwrites the whole buffer (a disk read or
+		// InitPage), so a spare one needs no clearing.
+		if n := len(s.spare); n > 0 {
+			fr = s.spare[n-1]
+			s.spare = s.spare[:n-1]
+		} else {
+			fr = &frame{shard: s, buf: make([]byte, PageSize)}
+		}
 		s.ring = append(s.ring, fr)
 	default:
 		victim, err := s.evictLocked(disk)
@@ -527,7 +535,10 @@ func (bp *BufferPool) Flush() error {
 // Reset flushes dirty pages and drops every cached page, simulating a cold
 // cache (the paper measures all executions cold). It returns an error if any
 // page is still pinned. All shard locks are held for the duration, so the
-// reset is atomic with respect to concurrent fetches.
+// reset is atomic with respect to concurrent fetches. The dropped frames keep
+// their page buffers on the shard's spare list, so refilling the pool after a
+// reset allocates none; the ring regrows in the same order as in a new pool,
+// so what is read and evicted afterwards does not change.
 func (bp *BufferPool) Reset() error {
 	// Settle any in-flight prefetches first, so a read-ahead issued by the
 	// previous query cannot land after the reset and silently warm the
@@ -557,6 +568,7 @@ func (bp *BufferPool) Reset() error {
 			}
 		}
 		s.frames = make(map[frameKey]*frame, s.capacity)
+		s.spare = append(s.spare, s.ring...)
 		s.ring = s.ring[:0]
 		s.free = s.free[:0]
 		s.hand = 0

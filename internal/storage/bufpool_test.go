@@ -169,6 +169,90 @@ func TestBufferPoolResetColdCache(t *testing.T) {
 	}
 }
 
+// TestBufferPoolResetKeepsBuffers: refilling a pool after Reset reuses the
+// page buffers Reset dropped, so a cold re-read allocates no page buffer, and
+// it reads, hits, evicts and charges simulated I/O exactly as a new pool fed
+// the same requests.
+func TestBufferPoolResetKeepsBuffers(t *testing.T) {
+	const pages, capacity = 96, 64
+	d := NewDiskManager(testModel())
+	f := d.CreateFile()
+	load := NewBufferPool(d, capacity)
+	for i := 0; i < pages; i++ {
+		pp, err := load.NewPage(f, PageTypeHeap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pp.Page.InsertCell([]byte(fmt.Sprintf("page-%d", i)))
+		pp.Unpin(true)
+	}
+	if err := load.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	// buffers returns the page buffers of the pool's resident frames.
+	buffers := func(bp *BufferPool) map[*byte]bool {
+		out := map[*byte]bool{}
+		for _, s := range bp.shards {
+			for _, fr := range s.ring {
+				out[&fr.buf[0]] = true
+			}
+		}
+		return out
+	}
+	// sweep reads every page twice in a scattered order, through more pages
+	// than the pool holds, and returns the pool and disk counters. The disk
+	// head starts at the same page every time.
+	raw := make([]byte, PageSize)
+	sweep := func(bp *BufferPool) (PoolStats, IOStats) {
+		if err := d.ReadPage(f, 0, raw); err != nil {
+			t.Fatal(err)
+		}
+		bp.ResetStats()
+		d.ResetStats()
+		for pass := 0; pass < 2; pass++ {
+			for i := 0; i < pages; i++ {
+				pid := PageID(i * 37 % pages)
+				pp, err := bp.FetchPage(f, pid)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := fmt.Sprintf("page-%d", pid); string(pp.Page.Cell(0)) != want {
+					t.Fatalf("page %d cell = %q, want %q", pid, pp.Page.Cell(0), want)
+				}
+				pp.Unpin(false)
+			}
+		}
+		return bp.Stats(), d.Stats()
+	}
+
+	bp := NewBufferPool(d, capacity)
+	wantPool, wantIO := sweep(bp)
+	owned := buffers(bp)
+	if wantPool.Evictions == 0 {
+		t.Fatal("the sweep evicted nothing; it must fill and churn the pool")
+	}
+	for round := 0; round < 2; round++ {
+		if err := bp.Reset(); err != nil {
+			t.Fatal(err)
+		}
+		gotPool, gotIO := sweep(bp)
+		if gotPool != wantPool || gotIO != wantIO {
+			t.Errorf("round %d: after Reset pool %+v io %+v, new pool %+v io %+v", round, gotPool, gotIO, wantPool, wantIO)
+		}
+		got := buffers(bp)
+		for b := range got {
+			if !owned[b] {
+				t.Errorf("round %d: re-reading after Reset allocated a page buffer", round)
+				break
+			}
+		}
+		if len(got) != len(owned) {
+			t.Errorf("round %d: %d frames resident, a new pool had %d", round, len(got), len(owned))
+		}
+	}
+}
+
 func TestBufferPoolResetWithPinnedFails(t *testing.T) {
 	bp, f := newPoolForTest(8)
 	pp, _ := bp.NewPage(f, PageTypeHeap)

@@ -51,10 +51,11 @@ func overloadTestDBWith(t *testing.T, cfg Config, n int) *Engine {
 }
 
 // TestOverloadStressBoundedConcurrency floods a MaxConcurrent=8 engine with
-// 64 simultaneous monitored queries. With no queue bound and no deadlines
-// there must be zero spurious failures: every query eventually runs, its
-// rows and its DPC feedback byte-identical to a serial run, with its queue
-// wait recorded and the gate's books balanced afterward.
+// 64 simultaneous monitored queries, all queued behind held slots. With no
+// queue bound and no deadlines there must be zero spurious failures: every
+// query eventually runs, its rows and its DPC feedback byte-identical to a
+// serial run, with its queue wait recorded and the gate's books balanced
+// afterward.
 func TestOverloadStressBoundedConcurrency(t *testing.T) {
 	raiseProcs(t, 8)
 	const limit = 8
@@ -72,6 +73,15 @@ func TestOverloadStressBoundedConcurrency(t *testing.T) {
 	if serial.Rows[0][0].Int != 3000 {
 		t.Fatalf("serial count = %d", serial.Rows[0][0].Int)
 	}
+
+	// Hold every slot until all the queries have queued behind them: a query
+	// takes well under a scheduler slice, so left to themselves the
+	// goroutines could run one after another and never fill the gate.
+	for i := 0; i < limit; i++ {
+		if _, _, err := eng.gate.acquire(context.Background(), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
 	base := eng.AdmissionStats()
 
 	const queries = 64
@@ -84,6 +94,16 @@ func TestOverloadStressBoundedConcurrency(t *testing.T) {
 			defer wg.Done()
 			results[i], errs[i] = eng.Query(sql, opts())
 		}(i)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for eng.AdmissionStats().Queued < queries {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d queries queued behind the held slots", eng.AdmissionStats().Queued, queries)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for i := 0; i < limit; i++ {
+		eng.gate.release()
 	}
 	wg.Wait()
 
@@ -106,8 +126,8 @@ func TestOverloadStressBoundedConcurrency(t *testing.T) {
 			t.Errorf("query %d: unbounded queue wait %v", i, res.Stats.Runtime.QueueWait)
 		}
 	}
-	if queued == 0 {
-		t.Error("no query ever queued — the gate did not engage")
+	if queued != queries {
+		t.Errorf("%d of %d queries recorded a queue wait; every one queued", queued, queries)
 	}
 
 	st := eng.AdmissionStats()
@@ -123,8 +143,8 @@ func TestOverloadStressBoundedConcurrency(t *testing.T) {
 	if st.Rejected != base.Rejected || st.TimedOut != base.TimedOut {
 		t.Errorf("spurious rejections/timeouts: %+v", st)
 	}
-	if st.PeakQueued > queries-limit {
-		t.Errorf("PeakQueued = %d exceeds the possible maximum %d", st.PeakQueued, queries-limit)
+	if st.PeakQueued != queries {
+		t.Errorf("PeakQueued = %d, want all %d queries", st.PeakQueued, queries)
 	}
 	if st.WaitTime <= 0 {
 		t.Error("no cumulative queue wait recorded")
