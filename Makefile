@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet vet-force build test race bench bench-check profile fuzz-smoke chaos cover
+.PHONY: all vet vet-force build test race bench bench-check fig7 profile fuzz-smoke chaos cover
 
 all: vet build test
 
@@ -60,6 +60,19 @@ bench-check:
 	$(GO) vet -C bench ./...
 	$(GO) test -C bench ./...
 
+# The paper's Fig 7 claim as the docs quote it: one traced repo-benchmark run
+# of scan_monitored (seed 1, 10 s), reduced to the monitoring overhead of the
+# interleaved on/off pairs, the optimizer's DPC-estimate cost and the
+# operator run time. Quote the numbers with the commit this prints.
+FIG7_METRICS := core.monitor_overhead_pct opt.estimate_dpc_us exec.run_us
+
+fig7:
+	@echo "commit $$(git rev-parse --short HEAD 2>/dev/null), scan_monitored, seed 1, 10 s, traced"
+	@out=$$($(GO) run -C bench . --workload scan_monitored --seed 1 --seconds 10 --trace 1 | tail -1); \
+	for m in $(FIG7_METRICS); do \
+		printf '%-28s %s\n' $$m "$$(echo "$$out" | grep -o "\"$$m\":{\"value\":[^,]*" | sed 's/.*://')"; \
+	done
+
 # Repo-wide coverage with a floor. The merged profile (-coverpkg=./...)
 # credits cross-package coverage — engine tests exercising internal/exec
 # count for internal/exec — which is the honest number for a codebase whose
@@ -93,9 +106,9 @@ profile:
 	$(GO) tool pprof -top -nodecount 15 cpu.prof
 
 # Brief fuzzing pass over the row/key codecs, the SQL parser, the batch
-# predicate evaluator, the hash-join probe's in-place key read, and the lint
-# CFG builder: a smoke check suitable for CI, not a soak. Corpus finds
-# accumulate in the build cache and testdata/fuzz.
+# predicate evaluator, the hash-join probe's and the sampled monitors' in-place
+# cell reads, and the lint CFG builder: a smoke check suitable for CI, not a
+# soak. Corpus finds accumulate in the build cache and testdata/fuzz.
 fuzz-smoke:
 	$(GO) test ./internal/tuple -run xxx -fuzz FuzzTupleDecode -fuzztime 10s
 	$(GO) test ./internal/tuple -run xxx -fuzz FuzzKeyCodec -fuzztime 10s
@@ -103,4 +116,5 @@ fuzz-smoke:
 	$(GO) test ./internal/expr -run xxx -fuzz FuzzEvalBatch -fuzztime 10s
 	$(GO) test ./internal/expr -run xxx -fuzz FuzzEvalRaw -fuzztime 10s
 	$(GO) test ./internal/exec -run xxx -fuzz FuzzProbeKey -fuzztime 10s
+	$(GO) test ./internal/exec -run xxx -fuzz FuzzMonitorCell -fuzztime 10s
 	$(GO) test ./internal/lint -run xxx -fuzz FuzzCFGBuild -fuzztime 10s

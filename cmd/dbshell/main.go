@@ -280,8 +280,8 @@ func (s *shell) stats() {
 	fmt.Fprintf(s.out, "            plan cache hit: %v, %d compiled predicates\n",
 		rt.PlanCacheHit, rt.CompiledPredicates)
 	fmt.Fprintf(s.out, "            %d batches processed\n", rt.BatchesProcessed)
-	fmt.Fprintf(s.out, "            %d rows touched, %d decoded by table scans\n",
-		rt.RowsTouched, rt.RowsDecoded)
+	fmt.Fprintf(s.out, "            %d rows touched, %d decoded by table scans (%d values)\n",
+		rt.RowsTouched, rt.RowsDecoded, rt.ValuesDecoded)
 }
 
 // prepare handles \prepare NAME SELECT ... — the SQL is everything after the

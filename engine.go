@@ -588,6 +588,7 @@ func (e *Engine) ExecuteContext(goCtx context.Context, node plan.Node, mcfg *exe
 			LogicalReads:       poolStats.LogicalReads,
 			RowsTouched:        ctx.RowsTouched(),
 			RowsDecoded:        ctx.RowsDecoded(),
+			ValuesDecoded:      ctx.ValuesDecoded(),
 			Parallelism:        ctx.Parallelism,
 			PrefetchedPages:    poolStats.Prefetched,
 			QueueWait:          queueWait,

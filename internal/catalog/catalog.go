@@ -301,6 +301,10 @@ type RowBatch struct {
 	PID  storage.PageID
 	RIDs []storage.RID
 	Rows []tuple.Row
+	// Skip selects, by bit (column i = bit i), the columns left undecoded:
+	// they hold the zero Value of their kind (see tuple.DecodeAppendCols).
+	// The zero mask decodes whole rows.
+	Skip uint64
 	vals []tuple.Value // flat arena backing Rows
 
 	// finish memo: a row view depends only on the arena's backing array,
@@ -323,7 +327,7 @@ func (b *RowBatch) reset() {
 // add decodes one encoded row into the arena. Row views are built in finish,
 // after the arena has stopped growing (appends may move it).
 func (b *RowBatch) add(s *tuple.Schema, rid storage.RID, enc []byte) error {
-	vals, err := tuple.DecodeAppend(b.vals, s, enc)
+	vals, err := tuple.DecodeAppendCols(b.vals, s, enc, ^b.Skip)
 	if err != nil {
 		return err
 	}

@@ -79,9 +79,23 @@ func (bv *BitVectorFilter) Merge(o *BitVectorFilter) {
 // MayContain reports whether v's bit is set: false means no outer row can
 // join with v (no false negatives; possible false positives).
 func (bv *BitVectorFilter) MayContain(v tuple.Value) bool {
-	h := bv.bucket(v)
-	return bv.words[h/64]&(1<<(h%64)) != 0
+	return bv.isSet(bv.bucket(v))
 }
+
+// MayContainInt is MayContain for the numeric payload of an INT or DATE
+// value read in place from an encoded row.
+func (bv *BitVectorFilter) MayContainInt(n int64) bool {
+	return bv.isSet(uint64(n) % bv.numBits)
+}
+
+// MayContainBytes is MayContain for the bytes of a VARCHAR value read in
+// place from an encoded row: it hashes exactly as HashValue does and
+// allocates nothing.
+func (bv *BitVectorFilter) MayContainBytes(b []byte) bool {
+	return bv.isSet(hashBytes(b) % bv.numBits)
+}
+
+func (bv *BitVectorFilter) isSet(h uint64) bool { return bv.words[h/64]&(1<<(h%64)) != 0 }
 
 // Bits returns the filter width in bits.
 func (bv *BitVectorFilter) Bits() uint64 { return bv.numBits }

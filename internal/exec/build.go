@@ -37,7 +37,7 @@ type Execution struct {
 // executes. cfg may be nil (no monitoring).
 func Build(ctx *Context, root plan.Node, cfg *MonitorConfig) (*Execution, error) {
 	e := &Execution{Ctx: ctx, cfg: cfg, satisfied: map[int]bool{}}
-	op, err := e.build(root)
+	op, err := e.build(root, tuple.AllColumns)
 	if err != nil {
 		return nil, err
 	}
@@ -87,8 +87,13 @@ func (e *Execution) nextSeed() int64 {
 // build constructs the operator for n and wraps it in the panic boundary;
 // since children are built through the same path, a panic anywhere in the
 // tree is recovered at the deepest operator it escaped from.
-func (e *Execution) build(n plan.Node) (Operator, error) {
-	op, err := e.buildInner(n)
+//
+// need is the column-demand mask of n's output: bit i set when something
+// above reads column i (see tuple.DecodeAppendCols). Each operator passes
+// its inputs what it and its parent read, so a table scan decodes only
+// those columns. The root's output is the result set: every column.
+func (e *Execution) build(n plan.Node, need uint64) (Operator, error) {
+	op, err := e.buildInner(n, need)
 	if err != nil {
 		return nil, err
 	}
@@ -114,18 +119,18 @@ func (e *Execution) OperatorCount() int { return int(e.opCtr) }
 
 // buildWith builds a child subtree under the given order sensitivity,
 // restoring the surrounding value afterwards.
-func (e *Execution) buildWith(n plan.Node, ordered bool) (Operator, error) {
+func (e *Execution) buildWith(n plan.Node, ordered bool, need uint64) (Operator, error) {
 	prev := e.orderSensitive
 	e.orderSensitive = ordered
-	op, err := e.build(n)
+	op, err := e.build(n, need)
 	e.orderSensitive = prev
 	return op, err
 }
 
-func (e *Execution) buildInner(n plan.Node) (Operator, error) {
+func (e *Execution) buildInner(n plan.Node, need uint64) (Operator, error) {
 	switch node := n.(type) {
 	case *plan.Scan:
-		return e.buildScan(node)
+		return e.buildScan(node, need)
 	case *plan.CoveringScan:
 		op := NewCoveringScan(e.Ctx, node.Index, node.Pred, node.Schem)
 		e.setEst(op, n)
@@ -135,14 +140,14 @@ func (e *Execution) buildInner(n plan.Node) (Operator, error) {
 	case *plan.Intersect:
 		return e.buildIntersect(node)
 	case *plan.Join:
-		return e.buildJoin(node)
+		return e.buildJoin(node, need)
 	case *plan.Sort:
 		// The sort re-establishes order, so its input may run in any order.
-		in, err := e.buildWith(node.Input, false)
+		ords, err := resolveAll(node.Input.OutSchema(), node.Cols)
 		if err != nil {
 			return nil, err
 		}
-		ords, err := resolveAll(in.Schema(), node.Cols)
+		in, err := e.buildWith(node.Input, false, need|ordsMask(ords))
 		if err != nil {
 			return nil, err
 		}
@@ -152,11 +157,11 @@ func (e *Execution) buildInner(n plan.Node) (Operator, error) {
 		op.Stats().Children = []*OpStats{in.Stats()}
 		return op, nil
 	case *plan.Project:
-		in, err := e.build(node.Input)
+		ords, err := resolveAll(node.Input.OutSchema(), node.Cols)
 		if err != nil {
 			return nil, err
 		}
-		ords, err := resolveAll(in.Schema(), node.Cols)
+		in, err := e.build(node.Input, ordsMask(ords))
 		if err != nil {
 			return nil, err
 		}
@@ -167,7 +172,7 @@ func (e *Execution) buildInner(n plan.Node) (Operator, error) {
 	case *plan.Limit:
 		// Which rows survive a limit depends on input order: keep the
 		// subtree serial so results stay deterministic.
-		in, err := e.buildWith(node.Input, true)
+		in, err := e.buildWith(node.Input, true, need)
 		if err != nil {
 			return nil, err
 		}
@@ -181,20 +186,20 @@ func (e *Execution) buildInner(n plan.Node) (Operator, error) {
 	case *plan.GroupAgg:
 		// Hash grouping with commutative aggregates: input order is
 		// irrelevant to the (sorted) output.
-		in, err := e.buildWith(node.Input, false)
-		if err != nil {
-			return nil, err
-		}
-		gord, err := plan.ResolveColumn(in.Schema(), node.GroupCol)
+		gord, err := plan.ResolveColumn(node.Input.OutSchema(), node.GroupCol)
 		if err != nil {
 			return nil, err
 		}
 		aord := -1
 		if node.AggCol != "" {
-			aord, err = plan.ResolveColumn(in.Schema(), node.AggCol)
+			aord, err = plan.ResolveColumn(node.Input.OutSchema(), node.AggCol)
 			if err != nil {
 				return nil, err
 			}
+		}
+		in, err := e.buildWith(node.Input, false, ordMask(gord)|aggMask(node.Func, aord))
+		if err != nil {
+			return nil, err
 		}
 		var fn string
 		switch node.Func {
@@ -215,17 +220,17 @@ func (e *Execution) buildInner(n plan.Node) (Operator, error) {
 		op.Stats().Children = []*OpStats{in.Stats()}
 		return op, nil
 	case *plan.Agg:
-		in, err := e.buildWith(node.Input, false)
-		if err != nil {
-			return nil, err
-		}
 		ord := -1
 		if node.Col != "" {
-			o, err := plan.ResolveColumn(in.Schema(), node.Col)
+			o, err := plan.ResolveColumn(node.Input.OutSchema(), node.Col)
 			if err != nil {
 				return nil, err
 			}
 			ord = o
+		}
+		in, err := e.buildWith(node.Input, false, aggMask(node.Func, ord))
+		if err != nil {
+			return nil, err
 		}
 		var fn string
 		switch node.Func {
@@ -250,6 +255,36 @@ func (e *Execution) buildInner(n plan.Node) (Operator, error) {
 	}
 }
 
+// aggMask is what an aggregate reads of column ord: nothing for COUNT, which
+// counts rows (the engine has no NULLs), the column for the others.
+func aggMask(f plan.AggFunc, ord int) uint64 {
+	if f == plan.CountAgg {
+		return 0
+	}
+	return ordMask(ord)
+}
+
+// ordsMask is the mask selecting every column in ords.
+func ordsMask(ords []int) uint64 {
+	var m uint64
+	for _, o := range ords {
+		m |= ordMask(o)
+	}
+	return m
+}
+
+// splitJoinDemand splits a join's output demand into its inputs' — the
+// output is the outer's columns then the inner's — each plus its join key.
+// A join output wider than 64 columns has no mask bits for its inner
+// columns, so both sides then decode whole.
+func splitJoinDemand(need uint64, outer, inner *tuple.Schema, outerOrd, innerOrd int) (uint64, uint64) {
+	n := outer.NumColumns()
+	if n+inner.NumColumns() > 64 {
+		return tuple.AllColumns, tuple.AllColumns
+	}
+	return need&(1<<uint(n)-1) | ordMask(outerOrd), need>>uint(n) | ordMask(innerOrd)
+}
+
 func (e *Execution) setEst(op Operator, n plan.Node) {
 	st := op.Stats()
 	est := n.Est()
@@ -264,6 +299,10 @@ type monitoredScan interface {
 	Operator
 	Table() *catalog.Table
 	attach(*scanMonitor)
+	// setDemand sets the columns the plan above reads: the rows handed up
+	// carry only those (plus the predicate's and the monitors'), the rest
+	// zero-valued.
+	setDemand(need uint64)
 }
 
 // parallelDegree returns the worker count for a full scan built at this
@@ -276,7 +315,7 @@ func (e *Execution) parallelDegree() int {
 	return 0
 }
 
-func (e *Execution) buildScan(node *plan.Scan) (Operator, error) {
+func (e *Execution) buildScan(node *plan.Scan, need uint64) (Operator, error) {
 	var op Operator
 	var target monitoredScan
 	if node.ClusterRange != nil {
@@ -291,6 +330,7 @@ func (e *Execution) buildScan(node *plan.Scan) (Operator, error) {
 		ss := NewSEScan(e.Ctx, node.Tab, node.Pred)
 		op, target = ss, ss
 	}
+	target.setDemand(need)
 	e.setEst(op, node)
 	e.attachScanMonitors(target, node)
 	return op, nil
@@ -494,9 +534,9 @@ func (e *Execution) buildIntersect(node *plan.Intersect) (Operator, error) {
 	return op, nil
 }
 
-func (e *Execution) buildJoin(node *plan.Join) (Operator, error) {
+func (e *Execution) buildJoin(node *plan.Join, need uint64) (Operator, error) {
 	if node.Method == plan.INLJoin {
-		return e.buildINL(node)
+		return e.buildINL(node, need)
 	}
 	// Merge-join inputs must arrive sorted: a child without an explicit
 	// sort below the join delivers in scan order, which partitioned
@@ -508,19 +548,20 @@ func (e *Execution) buildJoin(node *plan.Join) (Operator, error) {
 		outerOrdered = !node.SortOuter
 		innerOrdered = !node.SortInner
 	}
-	outer, err := e.buildWith(node.Outer, outerOrdered)
+	outerOrd, err := plan.ResolveColumn(node.Outer.OutSchema(), node.OuterCol)
 	if err != nil {
 		return nil, err
 	}
-	inner, err := e.buildWith(node.Inner, innerOrdered)
+	innerOrd, err := plan.ResolveColumn(node.Inner.OutSchema(), node.InnerCol)
 	if err != nil {
 		return nil, err
 	}
-	outerOrd, err := plan.ResolveColumn(outer.Schema(), node.OuterCol)
+	outerNeed, innerNeed := splitJoinDemand(need, node.Outer.OutSchema(), node.Inner.OutSchema(), outerOrd, innerOrd)
+	outer, err := e.buildWith(node.Outer, outerOrdered, outerNeed)
 	if err != nil {
 		return nil, err
 	}
-	innerOrd, err := plan.ResolveColumn(inner.Schema(), node.InnerCol)
+	inner, err := e.buildWith(node.Inner, innerOrdered, innerNeed)
 	if err != nil {
 		return nil, err
 	}
@@ -651,12 +692,15 @@ func (e *Execution) bitvectorBits(innerScan monitoredScan) uint64 {
 	return n
 }
 
-func (e *Execution) buildINL(node *plan.Join) (Operator, error) {
-	outer, err := e.build(node.Outer)
+func (e *Execution) buildINL(node *plan.Join, need uint64) (Operator, error) {
+	// The inner side is fetched whole by index seek; the outer side's demand
+	// is split off the join's like a hash join's.
+	outerOrd, err := plan.ResolveColumn(node.Outer.OutSchema(), node.OuterCol)
 	if err != nil {
 		return nil, err
 	}
-	outerOrd, err := plan.ResolveColumn(outer.Schema(), node.OuterCol)
+	outerNeed, _ := splitJoinDemand(need, node.Outer.OutSchema(), node.InnerTab.Schema, outerOrd, -1)
+	outer, err := e.build(node.Outer, outerNeed)
 	if err != nil {
 		return nil, err
 	}

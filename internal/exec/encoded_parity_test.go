@@ -34,6 +34,7 @@ type refScan struct {
 // refScan is a monitoredScan so the builder's own attachScanMonitors plants
 // its monitors; it is drained by run, not through the operator protocol.
 func (r *refScan) attach(m *scanMonitor)         { r.monitors = append(r.monitors, m) }
+func (r *refScan) setDemand(uint64)              {}
 func (r *refScan) Table() *catalog.Table         { return r.tab }
 func (r *refScan) Stats() *OpStats               { return &r.stats }
 func (r *refScan) Schema() *tuple.Schema         { return r.tab.Schema }
@@ -56,22 +57,29 @@ func (r *refScan) run(t *testing.T) []tuple.Row {
 	}
 	defer it.Close()
 	var (
-		batch   catalog.RowBatch
-		failIdx []int
-		out     []tuple.Row
+		batch  catalog.RowBatch
+		hist   = make([]int, len(r.pred.Atoms))
+		passed int
+		out    []tuple.Row
 	)
 	for it.NextPage(&batch) {
 		r.ctx.touch(int64(batch.Len()))
-		failIdx = failIdx[:0]
+		clear(hist)
+		passed = 0
 		for _, row := range batch.Rows {
-			fi := r.pred.FirstFail(row)
-			failIdx = append(failIdx, fi)
-			if fi == -1 {
-				out = append(out, row.Clone())
+			if fi := r.pred.FirstFail(row); fi != -1 {
+				hist[fi]++
+				continue
 			}
+			passed++
+			out = append(out, row.Clone())
 		}
 		for _, m := range r.monitors {
-			m.safeObservePage(&batch, failIdx)
+			// Sampled monitors judge the decoded rows here, never the cells.
+			if m.enterPage(batch.PID); m.in {
+				m.safeObserveRows(batch.Rows)
+			}
+			m.safeEndPage(batch.PID, passed, hist)
 		}
 	}
 	if err := it.Err(); err != nil {
@@ -189,8 +197,10 @@ func feedbackBytes(results []DPCResult) string {
 // {0.01, 0.5, 1.0} × {INT-only, VARCHAR-last, VARCHAR-middle}.
 // Rows, every DPCResult (exact prefix, DPSample, linear-counting rung, and a
 // hand-attached join bit-vector monitor), RowsTouched and the feedback bytes
-// must be identical; RowsDecoded must show that rejected rows were decoded
-// only where a sampled monitor asked.
+// must be identical. The reference shows sampled monitors decoded rows; the
+// scans under test judge cells. Rows are decoded for the predicate's
+// survivors, plus every row of the pages in the sample of the one monitored
+// predicate with no encoded form — exactly, and at the table's full width.
 func TestEncodedScanParity(t *testing.T) {
 	d := storage.NewDiskManager(storage.DefaultIOModel())
 	pool := storage.NewBufferPool(d, 4096)
@@ -227,6 +237,9 @@ func TestEncodedScanParity(t *testing.T) {
 				{Table: tab.Name, Pred: expr.And(sc.atoms[0])},                                                  // proper prefix
 				{Table: tab.Name, Pred: expr.And(last)},                                                         // non-prefix: DPSample
 				{Table: tab.Name, Pred: expr.And(expr.NewAtom("id", expr.Ge, tuple.Int64(parityRows/2)), last)}, // non-prefix, two atoms
+				// No encoded form (INT column, string constant): judged on
+				// decoded rows, and never reached past the first atom.
+				{Table: tab.Name, Pred: expr.And(expr.NewAtom("id", expr.Lt, tuple.Int64(0)), expr.NewAtom("k", expr.Eq, tuple.Str("x")))},
 			}
 			for _, shed := range []int{0, 1, 2} {
 				for _, f := range []float64{0.01, 0.5, 1.0} {
@@ -257,12 +270,6 @@ func TestEncodedScanParity(t *testing.T) {
 					wantRows := sortedRowStrings(ref.run(t))
 					wantDPC := append(refEx.DPCResults(), refJoin.result())
 					wantBytes := feedbackBytes(wantDPC)
-					sampledLive := false
-					for _, r := range wantDPC {
-						if r.Mechanism == MechDPSample || r.Mechanism == MechBitVector {
-							sampledLive = true
-						}
-					}
 
 					for _, deg := range []int{0, 2, 4} {
 						name := fmt.Sprintf("%s/%s/shed%d/f%g/deg%d", shape, sc.name, shed, f, deg)
@@ -276,6 +283,12 @@ func TestEncodedScanParity(t *testing.T) {
 						jm := joinMon()
 						jm.host = scan.Stats()
 						scan.attach(jm)
+						var decodedPages []*scanMonitor
+						for _, m := range ex.scanMons {
+							if m.kind == monSampled && !m.raw.OK() {
+								decodedPages = append(decodedPages, m)
+							}
+						}
 						rows, err := ex.Run()
 						if err != nil {
 							t.Fatalf("%s: %v", name, err)
@@ -299,20 +312,59 @@ func TestEncodedScanParity(t *testing.T) {
 						if got, want := ctx.RowsTouched(), refCtx.RowsTouched(); got != want {
 							t.Errorf("%s: RowsTouched = %d, reference %d", name, got, want)
 						}
-						dec := ctx.RowsDecoded()
-						switch {
-						case dec < int64(len(rows)) || dec > ctx.RowsTouched():
-							t.Errorf("%s: RowsDecoded = %d outside [%d rows, %d touched]", name, dec, len(rows), ctx.RowsTouched())
-						case sampledLive && f == 1 && shed == 0 && dec != ctx.RowsTouched():
-							t.Errorf("%s: every page is sampled, yet RowsDecoded = %d of %d touched", name, dec, ctx.RowsTouched())
-						case !sampledLive && dec != int64(len(rows)):
-							t.Errorf("%s: no sampled monitor is live, yet RowsDecoded = %d for %d result rows", name, dec, len(rows))
+						want := 1
+						if sc.rng {
+							want = 0 // a range scan plants only its own predicate's monitor
+						}
+						if len(decodedPages) != want {
+							t.Fatalf("%s: %d monitors without an encoded form, want %d", name, len(decodedPages), want)
+						}
+						if dec, want := ctx.RowsDecoded(), decodedRows(t, tab, node, decodedPages); dec != want {
+							t.Errorf("%s: RowsDecoded = %d, want %d (%d survivors; %d touched)", name, dec, want, len(rows), ctx.RowsTouched())
+						}
+						if vals, want := ctx.ValuesDecoded(), ctx.RowsDecoded()*int64(tab.Schema.NumColumns()); vals != want {
+							t.Errorf("%s: ValuesDecoded = %d, want %d (every column of %d rows)", name, vals, want, ctx.RowsDecoded())
 						}
 					}
 				}
 			}
 		}
 	}
+}
+
+// decodedRows is how many rows a scan of node decodes when the monitors in
+// decoded judge only decoded rows: the predicate's survivors, and every row
+// of a page in one of their samples.
+func decodedRows(t *testing.T, tab *catalog.Table, node *plan.Scan, decoded []*scanMonitor) int64 {
+	t.Helper()
+	var it *catalog.RowIter
+	var err error
+	if node.ClusterRange != nil {
+		it, err = tab.ScanRange(*node.ClusterRange)
+	} else {
+		it, err = tab.ScanAll()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer it.Close()
+	var batch catalog.RowBatch
+	var n int64
+	for it.NextPage(&batch) {
+		whole := false
+		for _, m := range decoded {
+			whole = whole || m.dps.InSample(batch.PID)
+		}
+		for _, row := range batch.Rows {
+			if whole || node.Pred.Eval(row) {
+				n++
+			}
+		}
+	}
+	if err := it.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return n
 }
 
 // TestScanPredicateWithoutEncodedForm reaches the one fallback pageVisit

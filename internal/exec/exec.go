@@ -63,6 +63,9 @@ type Context struct {
 	// rowsDecoded counts the rows table scans materialized as values (see
 	// RuntimeStats.RowsDecoded).
 	rowsDecoded int64
+	// valuesDecoded counts the values those rows materialized (see
+	// RuntimeStats.ValuesDecoded).
+	valuesDecoded int64
 	// compiledPreds counts operators that evaluate their predicate through
 	// a type-specialized evaluator (expr.Compiled, or expr.RawCompiled on
 	// table scans) instead of the generic per-atom dispatch. Operators increment it at construction time (single-
@@ -130,13 +133,17 @@ func (c *Context) child() *Context {
 func (c *Context) absorb(w *Context) {
 	c.rowsTouched += w.rowsTouched
 	c.rowsDecoded += w.rowsDecoded
+	c.valuesDecoded += w.valuesDecoded
 }
 
 // touch charges CPU for n rows.
 func (c *Context) touch(n int64) { c.rowsTouched += n }
 
-// noteDecoded records n rows materialized by a table scan.
-func (c *Context) noteDecoded(n int64) { c.rowsDecoded += n }
+// noteDecoded records rows materialized by a table scan, values in all.
+func (c *Context) noteDecoded(rows, values int64) {
+	c.rowsDecoded += rows
+	c.valuesDecoded += values
+}
 
 // noteCompiled records that one operator compiled its predicate.
 func (c *Context) noteCompiled() { c.compiledPreds++ }
@@ -156,6 +163,12 @@ func (c *Context) RowsTouched() int64 { return c.rowsTouched }
 // deterministic — a function of the data, the predicate, and the monitors'
 // page samples — and never exceeds the scans' share of RowsTouched.
 func (c *Context) RowsDecoded() int64 { return c.rowsDecoded }
+
+// ValuesDecoded returns how many column values those rows materialized: a
+// scan decodes only the columns the plan above it, its predicate and its
+// monitors read, so this is RowsDecoded times that column count, not times
+// the table's width.
+func (c *Context) ValuesDecoded() int64 { return c.valuesDecoded }
 
 // SimCPU returns the simulated CPU time accumulated so far.
 func (c *Context) SimCPU() time.Duration {

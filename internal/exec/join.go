@@ -110,16 +110,16 @@ type joinProbe struct {
 // looked up without allocating. A cell that is not one well-formed row is
 // kept unexamined, so the decoder still rejects it and fails the scan.
 func (p *joinProbe) matchesCell(cell []byte) bool {
-	if !p.schema.WellFormed(cell) {
+	n, str, ok := cellKey(p.schema, cell, p.ord)
+	if !ok {
 		return true
 	}
-	n, str := cellKey(p.schema, cell, p.ord)
 	if p.schema.Column(p.ord).Kind == tuple.KindString {
-		_, ok := p.table.strs[string(str)]
-		return ok
+		_, found := p.table.strs[string(str)]
+		return found
 	}
-	_, ok := p.table.ints[n]
-	return ok
+	_, found := p.table.ints[n]
+	return found
 }
 
 // builds returns the build rows a decoded probe row joins with.
@@ -127,16 +127,21 @@ func (p *joinProbe) builds(row tuple.Row) []tuple.Row {
 	return p.table.lookup(row[p.ord])
 }
 
-// cellKey reads column ord of a well-formed encoded row in place — at 8·ord
-// in the fixed prefix, behind the length prefixes otherwise: the numeric
-// payload of an INT or DATE column, or the bytes of a VARCHAR, aliasing cell.
-func cellKey(s *tuple.Schema, cell []byte, ord int) (int64, []byte) {
+// cellKey reads column ord of an encoded row in place — at 8·ord in the fixed
+// prefix, behind the length prefixes otherwise: the numeric payload of an INT
+// or DATE column, or the bytes of a VARCHAR, aliasing cell. ok is false, and
+// nothing is read, when cell is not one well-formed row; the hash-join probe
+// and the join bit-vector monitor both read their keys through it.
+func cellKey(s *tuple.Schema, cell []byte, ord int) (n int64, str []byte, ok bool) {
+	if !s.WellFormed(cell) {
+		return 0, nil, false
+	}
 	off := s.ColumnOffset(cell, ord)
 	if s.Column(ord).Kind == tuple.KindString {
-		n := int(binary.LittleEndian.Uint32(cell[off:]))
-		return 0, cell[off+4 : off+4+n]
+		l := int(binary.LittleEndian.Uint32(cell[off:]))
+		return 0, cell[off+4 : off+4+l], true
 	}
-	return int64(binary.LittleEndian.Uint64(cell[off:])), nil
+	return int64(binary.LittleEndian.Uint64(cell[off:])), nil, true
 }
 
 // NewHashJoin constructs the operator. buildOrd/probeOrd are the join column

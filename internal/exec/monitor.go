@@ -5,7 +5,6 @@ import (
 	"math"
 	"time"
 
-	"pagefeedback/internal/catalog"
 	"pagefeedback/internal/core"
 	"pagefeedback/internal/expr"
 	"pagefeedback/internal/storage"
@@ -163,13 +162,33 @@ type scanMonitor struct {
 	gc        *core.GroupedCounter
 	rows      int64 // qualifying rows (cardinality feedback)
 
-	// monSampled: independent evaluation of pred on sampled pages.
+	// monSampled: independent evaluation of pred on sampled pages — on the
+	// encoded cells through raw when pred has an encoded form (compiled at
+	// attach time), on decoded rows otherwise.
 	pred expr.Conjunction // bound
+	raw  expr.RawCompiled
 	dps  *core.DPSample
 
-	// monJoinFilter: bitvector membership of the join column.
+	// monJoinFilter: bitvector membership of the join column, read from the
+	// encoded cell in place.
 	filter     *core.BitVectorFilter
 	joinColOrd int
+
+	// schema is the scanned table's, set at attach time.
+	schema *tuple.Schema
+
+	// Page state of the sampled kinds: in is set when the current page is in
+	// the monitor's sample (decided before its cells are judged), hit once
+	// one of its rows satisfies the monitored predicate.
+	in, hit bool
+	// A sampled monitor copies the cells of a page in its sample here (cell i
+	// ends at pendingEnds[i]) and judges them when it closes the page, inside
+	// safeEndPage: one quarantine guard per page rather than one per cell,
+	// and, with an overhead budget armed, one pair of clock reads timing the
+	// whole page's observation — a pair per cell would cost more than the
+	// judging.
+	pending     []byte
+	pendingEnds []int
 
 	// monLinear: probabilistic counting of prefix-satisfying pages — the
 	// third rung of the shed lattice; prefix hits still come free from the
@@ -203,8 +222,8 @@ type scanMonitor struct {
 // partition barrier.
 func (m *scanMonitor) shard() *scanMonitor {
 	s := &scanMonitor{
-		req: m.req, kind: m.kind, prefixLen: m.prefixLen, pred: m.pred,
-		filter: m.filter, joinColOrd: m.joinColOrd,
+		req: m.req, kind: m.kind, prefixLen: m.prefixLen, pred: m.pred, raw: m.raw,
+		filter: m.filter, joinColOrd: m.joinColOrd, schema: m.schema,
 		disabled: m.disabled, failure: m.failure, injectFail: m.injectFail,
 		shed: m.shed, shedReason: m.shedReason, overheadBudget: m.overheadBudget,
 		lcBits: m.lcBits,
@@ -281,20 +300,107 @@ func (m *scanMonitor) shedOff(reason string) {
 	m.shedReason = reason
 }
 
-// wantsRows reports whether the monitor will read the decoded rows of page
-// pid: only a live sampled monitor does, and only on the pages of its sample.
-// The scan asks before it visits the page and materializes rejected rows for
-// no other reason. A monitor is only ever disabled from inside an
-// observation, so the answer still holds when the page is observed.
-func (m *scanMonitor) wantsRows(pid storage.PageID) bool {
-	return !m.disabled && (m.kind == monSampled || m.kind == monJoinFilter) && m.dps.InSample(pid)
+// setSchema tells the monitor the scanned table's schema (attach time,
+// single-threaded) and compiles a sampled monitor's predicate to its encoded
+// form, so the scan judges it on page bytes.
+func (m *scanMonitor) setSchema(s *tuple.Schema) {
+	m.schema = s
+	if m.kind == monSampled {
+		m.raw = expr.CompileRaw(m.pred, s)
+	}
 }
 
-// safeObservePage is observePage behind the quarantine guard: a panic inside
-// the monitor machinery (including the core counters) disables this monitor
-// and returns control to the scan, which continues as if the monitor were
-// never attached — monitoring failures must never fail the host query.
-func (m *scanMonitor) safeObservePage(b *catalog.RowBatch, failIdx []int) {
+// columns is the mask of the scanned table's columns the monitor reads.
+func (m *scanMonitor) columns() uint64 {
+	switch m.kind {
+	case monSampled:
+		return predMask(m.pred)
+	case monJoinFilter:
+		return ordMask(m.joinColOrd)
+	}
+	return 0 // prefix monitors read the scan predicate's first-fail histogram
+}
+
+// enterPage is called before page pid's cells are judged. A live sampled
+// monitor learns whether the page is in its sample — a pure function of
+// (seed, pid), so nothing is observed yet — and reports whether it needs the
+// page's rows decoded, which only a predicate with no encoded form does. A
+// monitor is only ever disabled from inside an observation, so the answer
+// still holds when the page is observed.
+func (m *scanMonitor) enterPage(pid storage.PageID) (decode bool) {
+	m.in = !m.disabled && (m.kind == monSampled || m.kind == monJoinFilter) && m.dps.InSample(pid)
+	m.hit = false
+	return m.in && m.kind == monSampled && !m.raw.OK()
+}
+
+// judgesCells reports whether the monitor judges the current page's encoded
+// cells one by one.
+func (m *scanMonitor) judgesCells() bool {
+	return m.in && (m.kind == monJoinFilter || m.raw.OK())
+}
+
+// addCell copies one encoded cell of a page in the monitor's sample, to be
+// judged when the monitor closes the page (see pending).
+func (m *scanMonitor) addCell(cell []byte) {
+	m.pending = append(m.pending, cell...)
+	m.pendingEnds = append(m.pendingEnds, len(m.pending))
+}
+
+// judgeCell evaluates the monitored predicate — with short-circuiting off,
+// independently of the scan predicate — on one encoded row of a sampled page.
+// A malformed cell is never read out of bounds; the decoder rejects it and
+// fails the scan, so how the monitor counted it does not matter.
+func (m *scanMonitor) judgeCell(cell []byte) {
+	if m.kind == monSampled {
+		m.note(m.raw.Eval(cell))
+		return
+	}
+	n, str, ok := cellKey(m.schema, cell, m.joinColOrd)
+	switch {
+	case !ok:
+		m.note(false)
+	case m.schema.Column(m.joinColOrd).Kind == tuple.KindString:
+		m.note(m.filter.MayContainBytes(str))
+	default:
+		m.note(m.filter.MayContainInt(n))
+	}
+}
+
+// note records one judged row of a sampled page.
+func (m *scanMonitor) note(satisfies bool) {
+	if satisfies {
+		m.rows++
+		m.hit = true
+	}
+}
+
+// safeObserveRows is the decoded form of judgeCell, behind the quarantine
+// guard, for every row of a sampled page: the scan calls it when enterPage
+// asked for decoding, and the full-decode reference tests use it for all
+// sampled monitors.
+func (m *scanMonitor) safeObserveRows(rows []tuple.Row) {
+	if m.disabled {
+		return
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			m.quarantine(r)
+		}
+	}()
+	for _, row := range rows {
+		if m.kind == monSampled {
+			m.note(m.pred.Eval(row))
+		} else {
+			m.note(m.filter.MayContain(row[m.joinColOrd]))
+		}
+	}
+}
+
+// safeEndPage is endPage behind the quarantine guard: a panic inside the
+// monitor machinery (including the core counters) disables this monitor and
+// returns control to the scan, which continues as if the monitor were never
+// attached — monitoring failures must never fail the host query.
+func (m *scanMonitor) safeEndPage(pid storage.PageID, passed int, hist []int) {
 	if m.disabled {
 		return
 	}
@@ -306,17 +412,17 @@ func (m *scanMonitor) safeObservePage(b *catalog.RowBatch, failIdx []int) {
 	if m.injectFail {
 		panic("exec: injected monitor fault (" + m.mechanism() + ")")
 	}
-	if m.overheadBudget > 0 {
-		start := time.Now()
-		m.observePage(b, failIdx)
-		m.obsTime += time.Since(start)
-		if m.obsTime > m.overheadBudget {
-			m.shedOff(fmt.Sprintf("load-shed: observation overhead %v exceeded budget %v",
-				m.obsTime, m.overheadBudget))
-		}
+	if m.overheadBudget <= 0 {
+		m.endPage(pid, passed, hist)
 		return
 	}
-	m.observePage(b, failIdx)
+	start := time.Now()
+	m.endPage(pid, passed, hist)
+	m.obsTime += time.Since(start)
+	if m.obsTime > m.overheadBudget {
+		m.shedOff(fmt.Sprintf("load-shed: observation overhead %v exceeded budget %v",
+			m.obsTime, m.overheadBudget))
+	}
 }
 
 // safeLateMatch is lateMatch behind the quarantine guard.
@@ -353,63 +459,46 @@ func (m *scanMonitor) safeFinish() {
 	}
 }
 
-// observePage processes one page's worth of scanned rows in a single call —
-// the page-batched form of the paper's per-row SE instrumentation. failIdx[i]
-// is the index of the first scan-predicate atom that evaluated false for the
-// page's i-th row under short-circuiting, or -1 if the row passed; prefix
-// monitors derive their result from it and the page id for free, with no row
-// decoded. b.Rows holds every row of the page exactly when some live sampled
-// monitor said wantsRows — so whenever a sampled monitor's StartRow reports
-// the page in its sample — and only the predicate's survivors otherwise.
-// Page-granular mechanisms (grouped counting, DPSample) make exactly one
-// counter transition per page, so batching removes per-row monitor overhead
-// rather than hiding it.
-func (m *scanMonitor) observePage(b *catalog.RowBatch, failIdx []int) {
+// endPage closes one page in a single call — the page-batched form of the
+// paper's per-row SE instrumentation. passed counts the page's rows that pass
+// the scan predicate, and hist[j] those whose first failing atom under
+// short-circuiting is atom j (nil when every prefix monitor is as long as the
+// predicate). Prefix monitors derive their result from them and the page id
+// for free — O(atoms) per page, however many rows and monitors — with no row
+// decoded. Sampled monitors judge the cells they copied from a page in their
+// sample (or have noted its decoded rows already). Page-granular mechanisms (grouped
+// counting, DPSample) make exactly one counter transition per page, so
+// batching removes per-row monitor overhead rather than hiding it.
+func (m *scanMonitor) endPage(pid storage.PageID, passed int, hist []int) {
 	switch m.kind {
-	case monExactPrefix:
-		hit := false
-		for _, fi := range failIdx {
-			if fi == -1 || fi >= m.prefixLen {
-				m.rows++
-				hit = true
+	case monExactPrefix, monLinear:
+		// Rows passing the first prefixLen atoms: those that pass them all,
+		// plus those that first fail at a later atom.
+		n := passed
+		if m.prefixLen < len(hist) {
+			for _, c := range hist[m.prefixLen:] {
+				n += c
 			}
 		}
-		m.gc.Observe(b.PID, hit)
-	case monLinear:
-		hit := false
-		for _, fi := range failIdx {
-			if fi == -1 || fi >= m.prefixLen {
-				m.rows++
-				hit = true
-			}
+		m.rows += int64(n)
+		if m.kind == monExactPrefix {
+			m.gc.Observe(pid, n > 0)
+		} else if n > 0 {
+			m.lc.AddPID(pid)
 		}
-		if hit {
-			m.lc.AddPID(b.PID)
-		}
-	case monSampled:
-		// One sampling decision per page; rows are evaluated (with
+	default:
+		// One sampling decision per page; rows were evaluated (with
 		// short-circuiting off) only when the page is in the sample.
-		if m.dps.StartRow(b.PID) {
-			hit := false
-			for _, row := range b.Rows {
-				if m.pred.Eval(row) {
-					m.rows++
-					hit = true
-				}
-			}
-			m.dps.Observe(hit)
+		lo := 0
+		for _, hi := range m.pendingEnds {
+			m.judgeCell(m.pending[lo:hi])
+			lo = hi
 		}
-	case monJoinFilter:
-		if m.dps.StartRow(b.PID) {
-			hit := false
-			for _, row := range b.Rows {
-				if m.filter.MayContain(row[m.joinColOrd]) {
-					m.rows++
-					hit = true
-				}
-			}
-			m.dps.Observe(hit)
+		m.pending, m.pendingEnds = m.pending[:0], m.pendingEnds[:0]
+		if m.dps.StartRow(pid) {
+			m.dps.Observe(m.hit)
 		}
+		m.hit = false
 	}
 }
 

@@ -48,6 +48,7 @@ type ParallelScan struct {
 	pred     expr.Conjunction // bound
 	raw      expr.RawCompiled // pred over encoded cells; workers share it read-only
 	degree   int
+	demand   uint64         // columns the plan above reads (builder only)
 	monitors []*scanMonitor // templates; receive merged shard state
 	probe    *joinProbe     // optional hash-join probe push-down, set before Open
 	stats    OpStats
@@ -67,14 +68,21 @@ type ParallelScan struct {
 func NewParallelScan(ctx *Context, tab *catalog.Table, pred expr.Conjunction, degree int) *ParallelScan {
 	return &ParallelScan{
 		ctx: ctx, tab: tab, pred: pred, raw: compileScanPred(ctx, pred, tab.Schema), degree: degree,
-		stats: OpStats{Label: fmt.Sprintf("ParallelScan(%s) x%d", tab.Name, degree)},
+		demand: tuple.AllColumns,
+		stats:  OpStats{Label: fmt.Sprintf("ParallelScan(%s) x%d", tab.Name, degree)},
 	}
 }
 
 // attach adds a monitor template (called by the builder). Each worker
 // observes through a private shard of it; the template only ever sees merged
 // state.
-func (p *ParallelScan) attach(m *scanMonitor) { p.monitors = append(p.monitors, m) }
+func (p *ParallelScan) attach(m *scanMonitor) {
+	m.setSchema(p.tab.Schema)
+	p.monitors = append(p.monitors, m)
+}
+
+// setDemand implements monitoredScan.
+func (p *ParallelScan) setDemand(need uint64) { p.demand = need }
 
 // Table returns the scanned table.
 func (p *ParallelScan) Table() *catalog.Table { return p.tab }
@@ -104,6 +112,7 @@ func (p *ParallelScan) Open() error {
 	p.wctxs = p.wctxs[:0]
 	p.shards = p.shards[:0]
 	p.actRows = make([]int64, len(parts))
+	dec := planDecode(p.tab.Schema, p.demand, p.pred, p.monitors)
 	for i, part := range parts {
 		wctx := p.ctx.child()
 		shard := make([]*scanMonitor, len(p.monitors))
@@ -113,7 +122,7 @@ func (p *ParallelScan) Open() error {
 		p.wctxs = append(p.wctxs, wctx)
 		p.shards = append(p.shards, shard)
 		p.wg.Add(1)
-		go p.worker(i, wctx, part, shard)
+		go p.worker(i, wctx, part, shard, dec)
 	}
 	go func() {
 		p.wg.Wait()
@@ -128,7 +137,7 @@ func (p *ParallelScan) Open() error {
 // inside — decode failures, monitor bugs escaping the quarantine guard — is
 // converted to an *OperatorPanic and shipped to the consumer like any other
 // error, so the process-wide panic boundary holds across goroutines.
-func (p *ParallelScan) worker(idx int, wctx *Context, part catalog.ScanPart, mons []*scanMonitor) {
+func (p *ParallelScan) worker(idx int, wctx *Context, part catalog.ScanPart, mons []*scanMonitor, dec scanDecode) {
 	defer p.wg.Done()
 	defer part.Iter.Close()
 	defer func() {
@@ -153,7 +162,7 @@ func (p *ParallelScan) worker(idx int, wctx *Context, part catalog.ScanPart, mon
 	}
 
 	var (
-		visit  = pageVisit{ctx: wctx, it: part.Iter, pred: p.pred, raw: p.raw, monitors: mons, probe: p.probe}
+		visit  = pageVisit{ctx: wctx, pred: p.pred, raw: p.raw, monitors: mons, probe: p.probe}
 		sel    []int
 		arena  []tuple.Value
 		bounds []int // prefix lengths into arena, one per pending row
@@ -205,6 +214,7 @@ func (p *ParallelScan) worker(idx int, wctx *Context, part catalog.ScanPart, mon
 		return true
 	}
 
+	visit.open(part.Iter, dec)
 	p.prefetch(part, 0)
 	for {
 		ok, err := visit.next()

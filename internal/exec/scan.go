@@ -15,6 +15,7 @@ import (
 type SEScan struct {
 	tab    *catalog.Table
 	krange *expr.KeyRange // clustered range seek, nil = full scan
+	demand uint64         // columns the plan above reads (builder only)
 	visit  pageVisit
 	stats  OpStats
 }
@@ -32,7 +33,7 @@ func NewSEClusterRangeScan(ctx *Context, tab *catalog.Table, pred expr.Conjuncti
 }
 
 func newSEScan(ctx *Context, tab *catalog.Table, pred expr.Conjunction, krange *expr.KeyRange, label string) *SEScan {
-	return &SEScan{tab: tab, krange: krange,
+	return &SEScan{tab: tab, krange: krange, demand: tuple.AllColumns,
 		visit: pageVisit{ctx: ctx, pred: pred, raw: compileScanPred(ctx, pred, tab.Schema)},
 		stats: OpStats{Label: label + tab.Name + ")"}}
 }
@@ -57,7 +58,13 @@ func satisfies(cc expr.Compiled, pred expr.Conjunction, row tuple.Row) bool {
 }
 
 // attach adds a monitor (called by the builder).
-func (s *SEScan) attach(m *scanMonitor) { s.visit.monitors = append(s.visit.monitors, m) }
+func (s *SEScan) attach(m *scanMonitor) {
+	m.setSchema(s.tab.Schema)
+	s.visit.monitors = append(s.visit.monitors, m)
+}
+
+// setDemand implements monitoredScan.
+func (s *SEScan) setDemand(need uint64) { s.demand = need }
 
 // setProbe implements probeHost: the scan hands up only the predicate
 // survivors with a build match, and charges the join's per-row CPU.
@@ -78,7 +85,7 @@ func (s *SEScan) Open() error {
 	if err != nil {
 		return err
 	}
-	s.visit.it = it
+	s.visit.open(it, planDecode(s.tab.Schema, s.demand, s.visit.pred, s.visit.monitors))
 	return nil
 }
 

@@ -409,7 +409,7 @@ func FuzzProbeKey(f *testing.F) {
 			return
 		}
 		v := row[ord]
-		n, str := cellKey(s, cell, ord)
+		n, str, _ := cellKey(s, cell, ord)
 		if v.Kind == tuple.KindString && string(str) != v.Str || v.Kind != tuple.KindString && n != v.Int {
 			t.Fatalf("key read in place = (%d, %q), decoded %s (schema %s, ord %d, cell %x)", n, str, v, s, ord, cell)
 		}

@@ -57,11 +57,17 @@ type RuntimeStats struct {
 	LogicalReads   int64         `xml:"logicalReads,attr"`
 	RowsTouched    int64         `xml:"rowsTouched,attr"`
 	// RowsDecoded counts the rows table scans materialized as values: the
-	// scan predicate's survivors plus every row of a page some sampled
-	// monitor (DPSample, join bit-vector) had in its sample. Scans charge
-	// RowsTouched for every cell they judge on the page bytes, so the gap
-	// between the two is the decoding late materialization avoided.
+	// scan predicate's survivors (those a pushed-down hash-join probe
+	// matches, when there is one), plus every row on the sampled pages of a
+	// monitor whose predicate has no encoded form — or every row, when the
+	// scan predicate itself has none. Scans charge RowsTouched for every
+	// cell they judge on the page bytes, so the gap between the two is the
+	// decoding late materialization avoided.
 	RowsDecoded int64 `xml:"rowsDecoded,attr"`
+	// ValuesDecoded counts the column values those rows materialized: scans
+	// decode only the columns something above them reads, and leave the
+	// rest zero-valued.
+	ValuesDecoded int64 `xml:"valuesDecoded,attr"`
 	// QuarantinedMonitors counts DPC monitors disabled mid-query by the
 	// quarantine guard; their results carry no observation.
 	QuarantinedMonitors int `xml:"quarantinedMonitors,attr,omitempty"`

@@ -2,6 +2,7 @@ package opt
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"pagefeedback/internal/expr"
@@ -148,5 +149,68 @@ func TestMackertLohmanINL(t *testing.T) {
 	small := MackertLohmanINL(10, 100000, 1000)
 	if small > 10 || small <= 0 {
 		t.Errorf("ML(10 rows) = %v, want <= 10 pages", small)
+	}
+}
+
+// yaoProduct is YaoPages as the plain product loop: Σ log((r−m−i)/(r−i))
+// term by term, the reference the closed form is held to.
+func yaoProduct(n, r, p float64) float64 {
+	if p <= 0 || n <= 0 || r <= 0 {
+		return 0
+	}
+	if n >= r {
+		return p
+	}
+	m := r / p
+	logFrac := 0.0
+	for i := 0.0; i < n; i++ {
+		num := r - m - i
+		if num <= 0 {
+			return p
+		}
+		logFrac += math.Log(num / (r - i))
+		if logFrac < -40 {
+			return p
+		}
+	}
+	return p * (1 - math.Exp(logFrac))
+}
+
+// TestYaoClosedFormMatchesProduct: past yaoLoopTerms rows YaoPages takes the
+// product in closed form. Over random tables up to 10⁷ rows with at least two
+// rows per page, and n up to 3·10⁶, fractional n included, it stays within
+// 1e-9 relative of the product loop and never changes a rounded estimate.
+// (Below two rows per page the loop itself drifts by about 1e-9: every term
+// reuses r−m, rounded once, so its error is relative to m.)
+func TestYaoClosedFormMatchesProduct(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	logUniform := func(lo, hi float64) float64 {
+		return math.Exp(math.Log(lo) + rng.Float64()*(math.Log(hi)-math.Log(lo)))
+	}
+	cases := 0
+	for cases < 400 {
+		r := math.Round(logUniform(100, 1e7))
+		p := math.Round(logUniform(1, r/2))
+		n := logUniform(yaoLoopTerms+1, math.Min(r, 3e6))
+		if rng.Intn(2) == 0 {
+			n = math.Round(n)
+		}
+		if n <= yaoLoopTerms || n >= r {
+			continue
+		}
+		cases++
+		got, want := YaoPages(n, r, p), yaoProduct(n, r, p)
+		if math.Abs(got-want) > 1e-9*want {
+			t.Errorf("Yao(n=%v, r=%v, p=%v) = %.12g, product %.12g (rel %.2g)", n, r, p, got, want, math.Abs(got-want)/want)
+		}
+		if int64(got+0.5) != int64(want+0.5) {
+			t.Errorf("Yao(n=%v, r=%v, p=%v) rounds to %d, product to %d", n, r, p, int64(got+0.5), int64(want+0.5))
+		}
+	}
+	// The boundary: yaoLoopTerms+1 rows, on the paper's table shapes.
+	for _, c := range [][3]float64{{65, 120000, 1200}, {65.5, 1e7, 1e5}, {3e6, 1e7, 1e5}, {99999, 100000, 1000}} {
+		if got, want := YaoPages(c[0], c[1], c[2]), yaoProduct(c[0], c[1], c[2]); math.Abs(got-want) > 1e-9*want {
+			t.Errorf("Yao%v = %.12g, product %.12g", c, got, want)
+		}
 	}
 }

@@ -73,6 +73,10 @@ func (k frameKey) hash() uint64 {
 // frame is one resident page. ref is the CLOCK reference bit: set on every
 // pin, cleared as the hand sweeps past; a frame is evicted only when the
 // hand finds it unpinned with ref already cleared (second chance).
+//
+// The frame owns the handle every pin of its page returns: page and pp are
+// rebuilt when the frame takes a key and stay fixed while it is pinned, so
+// pinning allocates nothing and every holder of a pin shares one handle.
 type frame struct {
 	shard *poolShard
 	key   frameKey
@@ -80,6 +84,8 @@ type frame struct {
 	dirty bool
 	pins  int
 	ref   bool
+	page  Page
+	pp    PinnedPage
 }
 
 // poolShard is one independently locked slice of the pool: a frame map, a
@@ -225,7 +231,9 @@ func (bp *BufferPool) Capacity() int { return bp.capacity }
 // Shards returns the number of independently locked pool shards.
 func (bp *BufferPool) Shards() int { return len(bp.shards) }
 
-// PinnedPage is a pinned page handle. Callers must Unpin exactly once.
+// PinnedPage is a pinned page handle. Callers must Unpin exactly once, and
+// must not use the handle after: it belongs to the pool's frame, which
+// reuses it for the next page it holds.
 type PinnedPage struct {
 	fr   *frame
 	Page *Page
@@ -258,7 +266,7 @@ func (bp *BufferPool) FetchPage(file FileID, pid PageID) (*PinnedPage, error) {
 		fr.ref = true
 		s.mu.Unlock()
 		bp.hits.Add(1)
-		return &PinnedPage{fr: fr, Page: pageFromBuf(fr.buf), File: file, ID: pid}, nil
+		return &fr.pp, nil
 	}
 	if err := bp.disk.ReadPage(file, pid, fr.buf); err != nil {
 		s.releaseFrameLocked(fr)
@@ -268,7 +276,7 @@ func (bp *BufferPool) FetchPage(file FileID, pid PageID) (*PinnedPage, error) {
 	fr.pins++
 	fr.ref = true
 	s.mu.Unlock()
-	return &PinnedPage{fr: fr, Page: pageFromBuf(fr.buf), File: file, ID: pid}, nil
+	return &fr.pp, nil
 }
 
 // acquireFrameLocked returns the resident frame for key (resident=true) or a
@@ -419,7 +427,7 @@ func (bp *BufferPool) NewPage(file FileID, typ byte) (*PinnedPage, error) {
 	fr.dirty = true
 	fr.pins++
 	fr.ref = true
-	return &PinnedPage{fr: fr, Page: pageFromBuf(fr.buf), File: file, ID: pid}, nil
+	return &fr.pp, nil
 }
 
 // allocFrameLocked finds a frame for key: a previously released frame, a new
@@ -452,6 +460,8 @@ func (s *poolShard) allocFrameLocked(disk *DiskManager, key frameKey) (*frame, e
 	fr.key = key
 	fr.dirty = false
 	fr.ref = false
+	fr.page = Page{buf: fr.buf}
+	fr.pp = PinnedPage{fr: fr, Page: &fr.page, File: key.file, ID: key.page}
 	s.frames[key] = fr
 	return fr, nil
 }

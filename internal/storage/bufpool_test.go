@@ -35,6 +35,47 @@ func TestBufferPoolNewPageAndFetch(t *testing.T) {
 	}
 }
 
+// TestPinAllocatesNothing: a frame owns the handle its pins return, so a warm
+// FetchPage/Unpin allocates nothing, and a miss that evicts reuses the
+// victim's handle for the new page.
+func TestPinAllocatesNothing(t *testing.T) {
+	bp, f := newPoolForTest(8)
+	var pids []PageID
+	for i := 0; i < 16; i++ {
+		pp, err := bp.NewPage(f, PageTypeHeap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pids = append(pids, pp.ID)
+		pp.Unpin(true)
+	}
+	warm := func() {
+		pp, err := bp.FetchPage(f, pids[15])
+		if err != nil {
+			t.Fatal(err)
+		}
+		pp.Unpin(false)
+	}
+	if n := testing.AllocsPerRun(100, warm); n != 0 {
+		t.Errorf("warm FetchPage/Unpin allocates %v times", n)
+	}
+	i := 0
+	miss := func() {
+		i++
+		pp, err := bp.FetchPage(f, pids[i%len(pids)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pp.ID != pids[i%len(pids)] || pp.File != f {
+			t.Fatalf("handle names page %d of file %d, want %d of %d", pp.ID, pp.File, pids[i%len(pids)], f)
+		}
+		pp.Unpin(false)
+	}
+	if n := testing.AllocsPerRun(100, miss); n != 0 {
+		t.Errorf("FetchPage/Unpin cycling through evictions allocates %v times", n)
+	}
+}
+
 func TestBufferPoolTooSmallPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -276,7 +317,7 @@ func TestBufferPoolFlush(t *testing.T) {
 	if err := bp.Disk().ReadPage(f, pid, raw); err != nil {
 		t.Fatal(err)
 	}
-	if string(pageFromBuf(raw).Cell(0)) != "flushed" {
+	if string((&Page{buf: raw}).Cell(0)) != "flushed" {
 		t.Error("Flush did not write page to disk")
 	}
 }

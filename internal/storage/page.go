@@ -91,9 +91,6 @@ func InitPage(buf []byte, typ byte) *Page {
 	return p
 }
 
-// pageFromBuf wraps an existing formatted buffer.
-func pageFromBuf(buf []byte) *Page { return &Page{buf: buf} }
-
 // Type returns the page type byte.
 func (p *Page) Type() byte { return p.buf[0] }
 

@@ -44,19 +44,33 @@ func Decode(s *Schema, data []byte) (Row, error) {
 }
 
 // DecodeAppend parses one row (under schema s) from data, appending its
-// values to dst and returning the extended slice.
+// values to dst and returning the extended slice. It is DecodeAppendCols
+// with every column wanted.
+func DecodeAppend(dst []Value, s *Schema, data []byte) ([]Value, error) {
+	return DecodeAppendCols(dst, s, data, AllColumns)
+}
+
+// AllColumns is the column mask that selects every column.
+const AllColumns = ^uint64(0)
+
+// DecodeAppendCols parses one row (under schema s) from data, appending one
+// value per column to dst and returning the extended slice. Bit i of want
+// selects column i; columns from the 64th on are always decoded.
 //
 // Contract: the whole of data must be one well-formed row — exactly the
 // cells WellFormed accepts; anything else is an error, never a partial row.
+// The whole row is walked and length-checked whatever want is, and a column
+// outside want is written as the zero Value of its kind instead of being read.
 // Invariants: fixed-width columns decode into dst's spare capacity with no
-// allocation, each string column costs one allocation for its payload. That
-// per-string cost is why scans judge their predicate on the encoded cell
-// first and call DecodeAppend only for the rows they keep (see
-// internal/exec/pagevisit.go). How it is measured: the repo benchmark's
-// scan_plain and scan_monitored allocs_per_query, and the RowsDecoded
-// runtime counter, which counts the rows a query's scans passed to this
-// function.
-func DecodeAppend(dst []Value, s *Schema, data []byte) ([]Value, error) {
+// allocation; each wanted string column costs one allocation for its payload
+// and a pruned one costs none. That per-string cost is why scans judge their
+// predicate on the encoded cell first and decode only the rows they keep, and
+// of those only the columns the plan reads (see internal/exec/pagevisit.go).
+// How it is measured: the repo benchmark's scan_plain and scan_monitored
+// allocs_per_query, and the RowsDecoded and ValuesDecoded runtime counters,
+// which count the rows a query's scans passed to this function and the values
+// they materialized.
+func DecodeAppendCols(dst []Value, s *Schema, data []byte, want uint64) ([]Value, error) {
 	// All-fixed-width schemas (the common case for scan-heavy workloads)
 	// decode without the per-column kind dispatch or length bookkeeping:
 	// one size check for the whole row, then straight-line 8-byte reads.
@@ -74,26 +88,27 @@ func DecodeAppend(dst []Value, s *Schema, data []byte) ([]Value, error) {
 			dst = append(dst, make([]Value, n)...)
 		}
 		for i := range s.cols {
-			dst[base+i] = Value{
-				Kind: s.cols[i].Kind,
-				Int:  int64(binary.LittleEndian.Uint64(data[i*8:])),
+			v := Value{Kind: s.cols[i].Kind}
+			if wanted(want, i) {
+				v.Int = int64(binary.LittleEndian.Uint64(data[i*8:]))
 			}
+			dst[base+i] = v
 		}
 		return dst, nil
 	}
 	row := dst
 	rest := data
-	for i := 0; i < s.NumColumns(); i++ {
-		col := s.Column(i)
+	for i, col := range s.cols {
+		v := Value{Kind: col.Kind}
 		switch col.Kind {
 		case KindInt, KindDate:
 			if len(rest) < 8 {
 				return nil, fmt.Errorf("tuple: truncated %s column %s", col.Kind, col.Name)
 			}
-			u := binary.LittleEndian.Uint64(rest)
+			if wanted(want, i) {
+				v.Int = int64(binary.LittleEndian.Uint64(rest))
+			}
 			rest = rest[8:]
-			v := Value{Kind: col.Kind, Int: int64(u)}
-			row = append(row, v)
 		case KindString:
 			if len(rest) < 4 {
 				return nil, fmt.Errorf("tuple: truncated length of column %s", col.Name)
@@ -103,16 +118,33 @@ func DecodeAppend(dst []Value, s *Schema, data []byte) ([]Value, error) {
 			if len(rest) < n {
 				return nil, fmt.Errorf("tuple: truncated string column %s: want %d bytes, have %d", col.Name, n, len(rest))
 			}
-			row = append(row, Str(string(rest[:n])))
+			if wanted(want, i) {
+				v.Str = string(rest[:n])
+			}
 			rest = rest[n:]
 		default:
 			return nil, fmt.Errorf("tuple: cannot decode kind %s", col.Kind)
 		}
+		row = append(row, v)
 	}
 	if len(rest) != 0 {
 		return nil, fmt.Errorf("tuple: %d trailing bytes after row", len(rest))
 	}
 	return row, nil
+}
+
+// wanted reports whether column i is selected by the mask want.
+func wanted(want uint64, i int) bool { return i >= 64 || want&(1<<uint(i)) != 0 }
+
+// CountColumns returns how many of s's columns the mask want selects.
+func (s *Schema) CountColumns(want uint64) int {
+	n := 0
+	for i := range s.cols {
+		if wanted(want, i) {
+			n++
+		}
+	}
+	return n
 }
 
 // WellFormed reports whether data is exactly one encoded row under s: the

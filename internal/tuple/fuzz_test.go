@@ -57,8 +57,23 @@ func FuzzTupleDecode(f *testing.F) {
 		if wf := s.WellFormed(data); wf != (err == nil) {
 			t.Fatalf("WellFormed = %v but decode error = %v (schema %s, data %x)", wf, err, s, data)
 		}
+		// The pruned decode accepts exactly what the full one does; the
+		// descriptor's spare high bits pick the columns it reads.
+		want := uint64(desc >> 19)
+		pruned, perr := DecodeAppendCols(nil, s, data, want)
+		if (perr == nil) != (err == nil) {
+			t.Fatalf("DecodeAppendCols error %v, DecodeAppend error %v (schema %s, data %x)", perr, err, s, data)
+		}
 		if err != nil {
 			return
+		}
+		for i, v := range got[len(sentinel):] {
+			if want&(1<<uint(i)) == 0 {
+				v = Value{Kind: v.Kind}
+			}
+			if pruned[i] != v {
+				t.Fatalf("DecodeAppendCols(want %b) column %d = %#v, want %#v", want, i, pruned[i], v)
+			}
 		}
 		if len(got) != len(sentinel)+s.NumColumns() {
 			t.Fatalf("decoded %d values for %d columns", len(got)-len(sentinel), s.NumColumns())

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -290,5 +291,31 @@ func TestRowClone(t *testing.T) {
 	}
 	if got := r.String(); got != `(1, "x")` {
 		t.Errorf("Row.String = %q", got)
+	}
+}
+
+// TestDecodeAppendColsPrunedStringsDoNotAllocate: a row whose wanted columns
+// are all fixed-width decodes into spare capacity with no allocation, the
+// pruned VARCHAR written as an empty string.
+func TestDecodeAppendColsPrunedStringsDoNotAllocate(t *testing.T) {
+	s := NewSchema(Column{"a", KindInt}, Column{"pad", KindString}, Column{"d", KindDate})
+	enc, err := Encode(nil, s, Row{Int64(5), Str("padding-padding"), Date(9)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := make([]Value, 0, 3)
+	var got []Value
+	if n := testing.AllocsPerRun(100, func() {
+		if got, err = DecodeAppendCols(dst[:0], s, enc, 1|1<<2); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("DecodeAppendCols allocates %v times with the string pruned", n)
+	}
+	if want := []Value{Int64(5), {Kind: KindString}, Date(9)}; !reflect.DeepEqual(got, want) {
+		t.Errorf("decoded %v, want %v", got, want)
+	}
+	if s.CountColumns(1|1<<2) != 2 || s.CountColumns(AllColumns) != 3 {
+		t.Errorf("CountColumns = %d, %d; want 2, 3", s.CountColumns(1|1<<2), s.CountColumns(AllColumns))
 	}
 }
