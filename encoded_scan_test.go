@@ -1,12 +1,16 @@
 package pagefeedback_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"pagefeedback"
+	"pagefeedback/internal/catalog"
 	"pagefeedback/internal/datagen"
 	"pagefeedback/internal/exec"
+	"pagefeedback/internal/expr"
+	"pagefeedback/internal/plan"
 )
 
 // rangeScanAllocBudget is what exec.Build plus Run of the oltp_point range
@@ -140,6 +144,81 @@ func TestScanDecodesOnlyDemandedColumns(t *testing.T) {
 			t.Errorf("monitored=%v: decoded %d rows, %d values; want the 2000 survivors, 3 values each",
 				opts != nil, rt.RowsDecoded, rt.ValuesDecoded)
 		}
+	}
+}
+
+// TestSeekDecodesOnlyDemandedColumns: an index seek's fetches decode only the
+// columns the plan reads. COUNT(padding) reads none, so a fetch decodes its
+// predicate column and no padding string, and re-running the seek over a
+// range sixteen times wider costs no more allocations. The count equals the
+// one a scan of the same predicate returns.
+func TestSeekDecodesOnlyDemandedColumns(t *testing.T) {
+	eng := pagefeedback.New(pagefeedback.DefaultConfig())
+	if _, err := datagen.BuildSynthetic(eng, 20000, 1); err != nil {
+		t.Fatal(err)
+	}
+	count := func(root plan.Node) int64 {
+		ex, err := exec.Build(exec.NewContext(eng.Pool()), root, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := ex.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rows[0][0].Int
+	}
+	allocs := func(width int) float64 {
+		q, err := eng.ParseQuery(fmt.Sprintf("SELECT COUNT(padding) FROM t WHERE c2 BETWEEN 5000 AND %d", 5000+width-1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		node, err := eng.Optimizer().Optimize(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Seek through ix_t_c2 and scan, whichever the optimizer chose.
+		var tab *catalog.Table
+		var pred expr.Conjunction
+		switch leaf := node.(*plan.Agg).Input.(type) {
+		case *plan.Seek:
+			tab, pred = leaf.Tab, leaf.Pred
+		case *plan.Scan:
+			tab, pred = leaf.Tab, leaf.Pred
+		default:
+			t.Fatalf("width %d: plan %s", width, plan.Format(node))
+		}
+		ix, ok := tab.IndexByName("ix_t_c2")
+		if !ok {
+			t.Fatal("no index ix_t_c2")
+		}
+		ranges, _, ok := expr.IndexRanges(pred, ix.Cols)
+		if !ok {
+			t.Fatalf("width %d: ix_t_c2 cannot seek %s", width, pred)
+		}
+		seek := plan.NewAgg(&plan.Seek{Tab: tab, Index: ix, Ranges: ranges, Pred: pred}, plan.CountAgg, "padding")
+		scan := plan.NewAgg(&plan.Scan{Tab: tab, Pred: pred}, plan.CountAgg, "padding")
+		if got, want := count(seek), count(scan); got != want || got != int64(width) {
+			t.Fatalf("width %d: the seek counts %d rows, the scan %d", width, got, want)
+		}
+		// One execution, re-run: its fetch arena has grown to the range, so
+		// what is left per run is what the fetches themselves allocate.
+		ex, err := exec.Build(exec.NewContext(eng.Pool()), seek, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func() {
+			if rows, err := ex.Run(); err != nil || rows[0][0].Int != int64(width) {
+				t.Fatalf("width %d: rows %v, err %v", width, rows, err)
+			}
+		}
+		run()
+		return testing.AllocsPerRun(50, run)
+	}
+	narrow, wide := allocs(8), allocs(128)
+	t.Logf("allocations per seek run: %.0f over 8 rows, %.0f over 128 rows", narrow, wide)
+	if wide > narrow {
+		t.Errorf("a 16x wider seek allocates %.0f times per run, the narrow one %.0f: fetches decode columns nothing reads", wide, narrow)
 	}
 }
 

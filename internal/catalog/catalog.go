@@ -256,15 +256,24 @@ func (t *Table) FetchRowInto(dst tuple.Row, rid storage.RID) (tuple.Row, error) 
 	return out, nil
 }
 
-// FetchRowAppend reads the row at rid and appends its decoded values to
-// arena, returning the grown arena. Unlike FetchRowInto, the destination is
-// shared by many rows: batch operators accumulate a batch's worth of fetches
-// into one reused arena with no copy per row, building row views over it
-// once it stops growing. The decode still happens under the data page's pin.
-func (t *Table) FetchRowAppend(arena []tuple.Value, rid storage.RID) ([]tuple.Value, error) {
-	out := tuple.Row(arena)
+// FetchRowAppend reads the row at rid and, unless keep rejects its encoded
+// cell, appends its decoded values to arena: the columns in want, the others
+// as zero Values (see tuple.DecodeAppendCols). It returns the grown arena and
+// whether the row was kept; a nil keep keeps every row. Unlike FetchRowInto,
+// the destination is shared by many rows: batch operators accumulate a
+// batch's worth of fetches into one reused arena with no copy per row,
+// building row views over it once it stops growing. The judgment and the
+// decode both happen under the data page's pin, so a rejected row costs no
+// decode and no copy.
+func (t *Table) FetchRowAppend(arena []tuple.Value, rid storage.RID, want uint64, keep CellFilter) ([]tuple.Value, bool, error) {
+	out := arena
+	kept := false
 	decode := func(enc []byte) error {
-		vals, err := tuple.DecodeAppend(out, t.Schema, enc)
+		if keep != nil && !keep.Keep(enc) {
+			return nil
+		}
+		kept = true
+		vals, err := tuple.DecodeAppendCols(out, t.Schema, enc, want)
 		out = vals
 		return err
 	}
@@ -275,9 +284,9 @@ func (t *Table) FetchRowAppend(arena []tuple.Value, rid storage.RID) ([]tuple.Va
 		err = t.clustered.View(rid, decode)
 	}
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	return out, nil
+	return out, kept, nil
 }
 
 // Indexes returns the table's secondary indexes.
@@ -503,17 +512,21 @@ func (it *RowIter) Next() bool {
 	return it.err == nil
 }
 
-// CellJudge decides, page by page and cell by cell, which rows of a scan are
-// decoded — the catalog's side of late materialization. The scan operators'
-// shared page visit implements it to judge the predicate on encoded bytes.
+// CellFilter decides which encoded rows are decoded — the catalog's side of
+// late materialization. Keep must keep cells it cannot interpret, so
+// corruption still surfaces as a decode error.
+type CellFilter interface {
+	Keep(cell []byte) bool
+}
+
+// CellJudge is a scan's CellFilter, told page by page which page's cells it
+// is judging. The scan operators' shared page visit implements it to judge
+// the predicate on encoded bytes.
 type CellJudge interface {
 	// EnterPage announces the page whose cells follow, before the first of
 	// them is judged.
 	EnterPage(pid storage.PageID)
-	// Keep reports whether the encoded cell is decoded into the batch. It
-	// must keep cells it cannot interpret, so corruption still surfaces as
-	// a decode error.
-	Keep(cell []byte) bool
+	CellFilter
 }
 
 // keepFunc adapts a bare cell filter to CellJudge.

@@ -417,8 +417,9 @@ func TestIndexOnHeapTable(t *testing.T) {
 // TestFilteredScanSurfacesCorruptCell: a cell whose string length prefix
 // lies is corrupt whatever its other columns say. Even when the scan
 // predicate would have rejected the row on its intact bytes, a
-// late-materializing scan must hand the cell to the decoder and fail with
-// its error — never skip the row and finish clean.
+// late-materializing scan — or a fetch judged by the same predicate — must
+// hand the cell to the decoder and fail with its error, never skip the row
+// and finish clean.
 func TestFilteredScanSurfacesCorruptCell(t *testing.T) {
 	for _, clustered := range []bool{false, true} {
 		c := newTestCatalog()
@@ -461,6 +462,15 @@ func TestFilteredScanSurfacesCorruptCell(t *testing.T) {
 		if kept, err := scan(); err != nil || kept != 0 {
 			t.Fatalf("clustered=%v: clean scan kept %d rows, err %v; the predicate rejects every row", clustered, kept, err)
 		}
+		// A fetch judged by the same predicate decodes nothing of a row it
+		// rejects, but a corrupt cell reaches the decoder and fails.
+		fetch := func() (int, bool, error) {
+			vals, kept, err := tab.FetchRowAppend(nil, rids[500], 0, keepFunc(raw.Eval))
+			return len(vals), kept, err
+		}
+		if n, kept, err := fetch(); err != nil || kept || n != 0 {
+			t.Fatalf("clustered=%v: clean fetch kept=%v with %d values, err %v; the predicate rejects it", clustered, kept, n, err)
+		}
 
 		// The state column is last and two bytes long, so its length prefix
 		// is the four bytes before those — in a heap cell and in a clustered
@@ -482,6 +492,9 @@ func TestFilteredScanSurfacesCorruptCell(t *testing.T) {
 
 		if kept, err := scan(); err == nil {
 			t.Errorf("clustered=%v: scan over a corrupt cell finished clean (kept %d rows)", clustered, kept)
+		}
+		if n, kept, err := fetch(); err == nil {
+			t.Errorf("clustered=%v: fetch of a corrupt cell finished clean (kept=%v, %d values)", clustered, kept, n)
 		}
 	}
 }

@@ -15,7 +15,8 @@ const BatchSize = 1024
 //
 // A filled batch — Rows, Sel, and the rows themselves — is valid only until
 // the next NextBatch call on the same operator. Consumers that keep rows
-// (sorts, joins, the result sink) clone them.
+// (sorts, hash builds, the result sink) copy them out a batch at a time with
+// retainRows.
 type Batch struct {
 	Rows []tuple.Row
 	Sel  []int
@@ -78,10 +79,10 @@ func emitRows(b *Batch, rows []tuple.Row, pos *int) int {
 	return n
 }
 
-// drain pulls every batch from op, charging CPU for the live rows, and calls
-// f on each live row in order — the input loop of the blocking operators. It
+// drain pulls every batch from op, charging CPU for its live rows, and calls
+// f on each batch in order — the input loop of the blocking operators. It
 // stops at the first error from op or f.
-func drain(ctx *Context, op Operator, f func(tuple.Row) error) error {
+func drain(ctx *Context, op Operator, f func(b *Batch) error) error {
 	var b Batch
 	for {
 		n, err := op.NextBatch(&b)
@@ -89,12 +90,36 @@ func drain(ctx *Context, op Operator, f func(tuple.Row) error) error {
 			return err
 		}
 		ctx.touch(int64(n))
-		for _, i := range b.Sel {
-			if err := f(b.Rows[i]); err != nil {
-				return err
-			}
+		if err := f(&b); err != nil {
+			return err
 		}
 	}
+}
+
+// retainRows copies b's live rows out of the operator-owned batch into
+// memory that outlives it, and appends a view of each copy to dst in
+// selection order. It charges mem the rows' rowMemSize before it allocates,
+// then makes one value slab of exactly the rows' total width, so retaining a
+// batch costs one allocation however many rows it holds. Each view has
+// cap == len: appending to a retained row can never write into its neighbour.
+func retainRows(mem *MemTracker, dst []tuple.Row, b *Batch) ([]tuple.Row, error) {
+	width := 0
+	var bytes int64
+	for _, i := range b.Sel {
+		width += len(b.Rows[i])
+		bytes += rowMemSize(b.Rows[i])
+	}
+	if err := mem.Grow(bytes); err != nil {
+		return dst, err
+	}
+	vals := make([]tuple.Value, width)
+	lo := 0
+	for _, i := range b.Sel {
+		hi := lo + copy(vals[lo:], b.Rows[i])
+		dst = append(dst, tuple.Row(vals[lo:hi:hi]))
+		lo = hi
+	}
+	return dst, nil
 }
 
 // rowCursor steps through a child's batches one row at a time, for the

@@ -160,3 +160,131 @@ func TestRowCursorSteps(t *testing.T) {
 		t.Fatalf("child pulled %d times, want 3", pulls)
 	}
 }
+
+// replaySource hands up prebuilt rows in batches of pageRows, the way a scan
+// hands up pages, without allocating once its selection vector has grown: a
+// consumer's allocations are then the only ones measured.
+type replaySource struct {
+	schema   *tuple.Schema
+	rows     []tuple.Row
+	pageRows int
+	pos      int
+	stats    OpStats
+}
+
+// newReplaySource builds n rows (key, i, a short string), with key = i/dup.
+func newReplaySource(n, dup, pageRows int) *replaySource {
+	s := &replaySource{
+		schema: tuple.NewSchema(
+			tuple.Column{Name: "k", Kind: tuple.KindInt},
+			tuple.Column{Name: "i", Kind: tuple.KindInt},
+			tuple.Column{Name: "s", Kind: tuple.KindString},
+		),
+		pageRows: pageRows,
+		stats:    OpStats{Label: "ReplaySource"},
+	}
+	for i := 0; i < n; i++ {
+		s.rows = append(s.rows, tuple.Row{tuple.Int64(int64(i / dup)), tuple.Int64(int64(n - i)), tuple.Str("x")})
+	}
+	return s
+}
+
+func (s *replaySource) Open() error { s.pos = 0; return nil }
+
+func (s *replaySource) NextBatch(b *Batch) (int, error) {
+	n := min(s.pageRows, len(s.rows)-s.pos)
+	b.Rows = s.rows[s.pos : s.pos+n]
+	b.Sel = identSel(b.Sel, n)
+	s.pos += n
+	return n, nil
+}
+
+func (s *replaySource) Close() error          { return nil }
+func (s *replaySource) Schema() *tuple.Schema { return s.schema }
+func (s *replaySource) Stats() *OpStats       { return &s.stats }
+
+// requireExactCap fails when a retained row's capacity exceeds its length:
+// an append to it would then write into the memory of the row after it.
+func requireExactCap(t *testing.T, what string, rows []tuple.Row) {
+	t.Helper()
+	for i, row := range rows {
+		if cap(row) != len(row) {
+			t.Fatalf("%s: row %d has len %d, cap %d", what, i, len(row), cap(row))
+		}
+	}
+}
+
+// TestRetainedRowsAllocPerBatch: the operators that keep rows past one
+// NextBatch — the hash build, the sort, the GROUP BY output and the result
+// sink — copy each batch's rows with one allocation, so their allocations
+// grow with the number of batches (pages), not rows. Measured at two input
+// sizes, the extra allocations of the larger stay within a few per extra
+// batch, where one per row would be 12,288. Every retained and result row
+// has cap == len.
+func TestRetainedRowsAllocPerBatch(t *testing.T) {
+	const pageRows, small, large = 64, 4096, 16384
+	const extraPages = (large - small) / pageRows
+	measure := func(n, dup int, run func(ctx *Context, src *replaySource)) float64 {
+		ctx := NewContext(nil)
+		ctx.Mem = NewMemTracker(0)
+		src := newReplaySource(n, dup, pageRows)
+		run(ctx, src) // warm: grow the source's selection vector
+		return testing.AllocsPerRun(5, func() { run(ctx, src) })
+	}
+	check := func(name string, dup int, perPage float64, run func(ctx *Context, src *replaySource)) {
+		a, b := measure(small, dup, run), measure(large, dup, run)
+		t.Logf("%s: %.0f allocations over %d rows, %.0f over %d", name, a, small, b, large)
+		if b-a > perPage*extraPages {
+			t.Errorf("%s: %d more rows in %d more batches cost %.0f more allocations, want at most %.0f",
+				name, large-small, extraPages, b-a, perPage*extraPages)
+		}
+	}
+
+	check("hash build", 1, 3, func(ctx *Context, src *replaySource) {
+		j := NewHashJoin(ctx, src, newReplaySource(0, 1, pageRows), 0, 0, src.schema)
+		if err := j.Open(); err != nil {
+			t.Fatal(err)
+		}
+		for _, rows := range j.table.ints {
+			requireExactCap(t, "hash build", rows)
+		}
+		j.Close()
+	})
+	check("sort", 1, 2, func(ctx *Context, src *replaySource) {
+		s := NewSort(ctx, src, []int{1})
+		if err := s.Open(); err != nil {
+			t.Fatal(err)
+		}
+		requireExactCap(t, "sort", s.rows)
+		if s.rows[0][1].Int != 1 {
+			t.Fatalf("sort: first row %v, want i = 1", s.rows[0])
+		}
+		s.Close()
+	})
+	// Every group costs its state; its output row must cost nothing more.
+	const dup = 4
+	check("group output", dup, pageRows/dup+2, func(ctx *Context, src *replaySource) {
+		g, err := NewGroupAgg(ctx, src, 0, "count", -1, src.schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := g.Open(); err != nil {
+			t.Fatal(err)
+		}
+		requireExactCap(t, "group output", g.out)
+		if len(g.out) != len(src.rows)/dup || g.out[0][1].Int != dup {
+			t.Fatalf("group output: %d groups, first %v", len(g.out), g.out[0])
+		}
+		g.Close()
+	})
+	check("result sink", 1, 2, func(ctx *Context, src *replaySource) {
+		rows, err := (&Execution{Ctx: ctx, Root: src}).Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireExactCap(t, "result sink", rows)
+		if len(rows) != len(src.rows) {
+			t.Fatalf("result sink: %d rows, want %d", len(rows), len(src.rows))
+		}
+	})
+}

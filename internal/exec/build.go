@@ -136,9 +136,9 @@ func (e *Execution) buildInner(n plan.Node, need uint64) (Operator, error) {
 		e.setEst(op, n)
 		return op, nil
 	case *plan.Seek:
-		return e.buildSeek(node)
+		return e.buildSeek(node, need)
 	case *plan.Intersect:
-		return e.buildIntersect(node)
+		return e.buildIntersect(node, need)
 	case *plan.Join:
 		return e.buildJoin(node, need)
 	case *plan.Sort:
@@ -479,8 +479,9 @@ func (e *Execution) newSeekMonitor(req DPCRequest, tab *catalog.Table, mech stri
 	return m
 }
 
-func (e *Execution) buildSeek(node *plan.Seek) (Operator, error) {
+func (e *Execution) buildSeek(node *plan.Seek, need uint64) (Operator, error) {
 	op := NewIndexSeek(e.Ctx, node.Tab, node.Index, node.Ranges, node.Pred)
+	op.setDemand(need)
 	e.setEst(op, node)
 	if e.cfg == nil {
 		return op, nil
@@ -508,8 +509,9 @@ func (e *Execution) buildSeek(node *plan.Seek) (Operator, error) {
 	return op, nil
 }
 
-func (e *Execution) buildIntersect(node *plan.Intersect) (Operator, error) {
+func (e *Execution) buildIntersect(node *plan.Intersect, need uint64) (Operator, error) {
 	op := NewIndexIntersect(e.Ctx, node.Tab, node.IndexA, node.RangesA, node.IndexB, node.RangesB, node.Pred)
+	op.setDemand(need)
 	e.setEst(op, node)
 	if e.cfg == nil {
 		return op, nil
@@ -693,18 +695,19 @@ func (e *Execution) bitvectorBits(innerScan monitoredScan) uint64 {
 }
 
 func (e *Execution) buildINL(node *plan.Join, need uint64) (Operator, error) {
-	// The inner side is fetched whole by index seek; the outer side's demand
-	// is split off the join's like a hash join's.
+	// The join's demand is split between its sides like a hash join's. The
+	// inner fetch needs no join key of its own: the index seek matched it.
 	outerOrd, err := plan.ResolveColumn(node.Outer.OutSchema(), node.OuterCol)
 	if err != nil {
 		return nil, err
 	}
-	outerNeed, _ := splitJoinDemand(need, node.Outer.OutSchema(), node.InnerTab.Schema, outerOrd, -1)
+	outerNeed, innerNeed := splitJoinDemand(need, node.Outer.OutSchema(), node.InnerTab.Schema, outerOrd, -1)
 	outer, err := e.build(node.Outer, outerNeed)
 	if err != nil {
 		return nil, err
 	}
 	op := NewINLJoin(e.Ctx, outer, outerOrd, node.InnerTab, node.InnerIndex, node.InnerPred, node.Schem)
+	op.setDemand(innerNeed)
 	e.setEst(op, node)
 	op.Stats().Children = []*OpStats{outer.Stats()}
 	if e.cfg != nil {
@@ -782,9 +785,10 @@ func (e *Execution) Run() ([]tuple.Row, error) {
 	return rows, nil
 }
 
-// collect is the result sink: it pulls the root's batches and clones each
-// live row out of operator-owned buffers, which die on the next pull, into
-// query-owned memory that lives until the caller drops the result set.
+// collect is the result sink: it pulls the root's batches and copies each
+// one's live rows out of operator-owned buffers, which die on the next pull,
+// into query-owned memory that lives until the caller drops the result set —
+// one value allocation per batch, the row headers going straight into rows.
 func (e *Execution) collect() ([]tuple.Row, error) {
 	var rows []tuple.Row
 	var b Batch
@@ -796,12 +800,8 @@ func (e *Execution) collect() ([]tuple.Row, error) {
 		if err != nil || n == 0 {
 			return rows, err
 		}
-		for _, i := range b.Sel {
-			row := b.Rows[i]
-			if err := e.Ctx.Mem.Grow(rowMemSize(row)); err != nil {
-				return nil, err
-			}
-			rows = append(rows, row.Clone())
+		if rows, err = retainRows(e.Ctx.Mem, rows, &b); err != nil {
+			return nil, err
 		}
 	}
 }

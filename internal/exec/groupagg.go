@@ -70,7 +70,15 @@ func (g *GroupAggOp) Open() error {
 		return err
 	}
 	g.groups = valueMap[*groupState]{}
-	if err := drain(g.ctx, g.input, g.accumulate); err != nil {
+	err := drain(g.ctx, g.input, func(b *Batch) error {
+		for _, i := range b.Sel {
+			if err := g.accumulate(b.Rows[i]); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
 		g.input.Close() // release pins even on a failed drain
 		return err
 	}
@@ -87,8 +95,14 @@ func (g *GroupAggOp) Open() error {
 		states = append(states, st)
 	}
 	slices.SortFunc(states, func(a, b *groupState) int { return a.key.Compare(b.key) })
+	// The result rows are (group value, aggregate) pairs cut from one slab,
+	// charged before it is allocated.
+	if err := g.chargeOut(states); err != nil {
+		return err
+	}
+	vals := make([]tuple.Value, 2*len(states))
 	g.out = g.out[:0]
-	for _, st := range states {
+	for i, st := range states {
 		var agg int64
 		switch g.fn {
 		case 'c':
@@ -100,10 +114,8 @@ func (g *GroupAggOp) Open() error {
 		case 'M':
 			agg = st.maxV.Int
 		}
-		row := tuple.Row{st.key, tuple.Int64(agg)}
-		if err := g.chargeOutRow(row); err != nil {
-			return err
-		}
+		row := tuple.Row(vals[2*i : 2*i+2 : 2*i+2])
+		row[0], row[1] = st.key, tuple.Int64(agg)
 		g.out = append(g.out, row)
 	}
 	g.pos = 0
@@ -141,18 +153,20 @@ func (g *GroupAggOp) accumulate(row tuple.Row) error {
 	return nil
 }
 
-// chargeOutRow charges the memory tracker when the result buffer grows past
-// its previously charged length. The buffer is rebuilt (out[:0]) on re-open,
-// so charging every append would bill each rebuild again; the budgetable
+// chargeOut charges the memory tracker for the result rows of states past
+// the buffer's previously charged length. The buffer is rebuilt on re-open,
+// so charging every row would bill each rebuild again; the budgetable
 // quantity is the buffer's high-water footprint.
-func (g *GroupAggOp) chargeOutRow(row tuple.Row) error {
-	if len(g.out) < g.outCharged {
-		return nil
+func (g *GroupAggOp) chargeOut(states []*groupState) error {
+	var bytes int64
+	for _, st := range states[min(g.outCharged, len(states)):] {
+		// rowMemSize of the row: two values, the group value's string.
+		bytes += 2*valueMemSize + int64(len(st.key.Str))
 	}
-	if err := g.ctx.Mem.Grow(rowMemSize(row)); err != nil {
+	if err := g.ctx.Mem.Grow(bytes); err != nil {
 		return err
 	}
-	g.outCharged = len(g.out) + 1
+	g.outCharged = max(g.outCharged, len(states))
 	return nil
 }
 

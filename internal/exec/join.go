@@ -6,6 +6,7 @@ import (
 
 	"pagefeedback/internal/catalog"
 	"pagefeedback/internal/expr"
+	"pagefeedback/internal/storage"
 	"pagefeedback/internal/tuple"
 )
 
@@ -168,21 +169,35 @@ func (j *HashJoinOp) pushProbe(s probeHost) {
 }
 
 // Open implements Operator: drains the build input into the hash table.
-// The build input is always closed before Open returns — even on error —
-// so no page pins outlive the operator.
+// Each build batch is retained with one copy, and a join value's first row
+// is a one-row window onto that batch's row headers, so only a duplicate
+// join value allocates a row list of its own. The build input is always
+// closed before Open returns — even on error — so no page pins outlive the
+// operator.
 func (j *HashJoinOp) Open() error {
 	if err := j.build.Open(); err != nil {
 		return err
 	}
 	j.table = valueMap[[]tuple.Row]{}
-	err := drain(j.ctx, j.build, func(row tuple.Row) error {
-		v := row[j.buildOrd]
-		if err := j.table.store(j.ctx.Mem, rowMemSize(row)+mapEntryOverhead, v,
-			append(j.table.lookup(v), row.Clone())); err != nil {
+	err := drain(j.ctx, j.build, func(b *Batch) error {
+		rows, err := retainRows(j.ctx.Mem, make([]tuple.Row, 0, len(b.Sel)), b)
+		if err != nil {
 			return err
 		}
-		if j.filter != nil {
-			j.filter.Add(v)
+		for k, row := range rows {
+			v := row[j.buildOrd]
+			list := j.table.lookup(v)
+			if list == nil {
+				list = rows[k : k+1 : k+1]
+			} else {
+				list = append(list, row)
+			}
+			if err := j.table.store(j.ctx.Mem, mapEntryOverhead, v, list); err != nil {
+				return err
+			}
+			if j.filter != nil {
+				j.filter.Add(v)
+			}
 		}
 		return nil
 	})
@@ -451,7 +466,9 @@ func (j *MergeJoinOp) Stats() *OpStats { return &j.stats }
 
 // INLJoinOp is the Index Nested Loops join: for each outer row it seeks the
 // inner table's index on the join column and fetches the matching rows. The
-// residual selection on the inner table is applied after the join, per §IV.
+// residual selection on the inner table is applied after the join, per §IV:
+// every fetched row's page counts toward DPC(inner, join-pred), and the
+// residual is then judged on the fetched cell before any of it is decoded.
 // Each fetched page is a logical I/O; on a cold cache, a physical random
 // read — which is why DPC(inner, join-pred) dominates this operator's cost.
 type INLJoinOp struct {
@@ -460,8 +477,7 @@ type INLJoinOp struct {
 	outerOrd  int
 	innerTab  *catalog.Table
 	innerIx   *catalog.Index
-	innerPred expr.Conjunction // residual, bound to inner schema
-	innerCC   expr.Compiled    // type-specialized residual, when compilable
+	innerPred fetchPred // residual, bound to inner schema
 	schema    *tuple.Schema
 	monitors  []*seekMonitor
 	stats     OpStats
@@ -472,10 +488,12 @@ type INLJoinOp struct {
 	it       *catalog.EntryIter
 
 	// Output arena: each joined row is the outer row's values followed by
-	// the inner fetch, decoded in place.
+	// the inner fetch, decoded in place. pids buffers the fetched pages the
+	// monitors observe when the batch is emitted.
 	vals   []tuple.Value
 	bounds []int
 	rows   []tuple.Row
+	pids   []storage.PageID
 }
 
 // NewINLJoin constructs the operator.
@@ -483,14 +501,18 @@ func NewINLJoin(ctx *Context, outer Operator, outerOrd int, innerTab *catalog.Ta
 	innerIx *catalog.Index, innerPred expr.Conjunction, schema *tuple.Schema) *INLJoinOp {
 	return &INLJoinOp{
 		ctx: ctx, outer: rowCursor{in: outer}, outerOrd: outerOrd,
-		innerTab: innerTab, innerIx: innerIx, innerPred: innerPred,
-		innerCC: compilePred(ctx, innerPred), schema: schema,
+		innerTab: innerTab, innerIx: innerIx,
+		innerPred: newFetchPred(ctx, innerPred, innerTab.Schema), schema: schema,
 		stats: OpStats{Label: "INLJoin(" + innerTab.Name + "." + innerIx.Name + ")"},
 	}
 }
 
 // attach adds a monitor (builder only).
 func (j *INLJoinOp) attach(m *seekMonitor) { j.monitors = append(j.monitors, m) }
+
+// setDemand sets the columns the plan above reads of the inner rows; Build
+// calls it.
+func (j *INLJoinOp) setDemand(need uint64) { j.innerPred.setDemand(need) }
 
 // Open implements Operator.
 func (j *INLJoinOp) Open() error { return j.outer.open() }
@@ -524,22 +546,24 @@ func (j *INLJoinOp) NextBatch(b *Batch) (int, error) {
 		j.ctx.touch(1)
 		rid := j.it.RID()
 		lo := len(j.vals)
-		vals, err := j.innerTab.FetchRowAppend(append(j.vals, j.outerRow...), rid)
+		vals, kept, err := j.innerPred.fetch(j.innerTab, append(j.vals, j.outerRow...), rid)
 		if err != nil {
 			return 0, err
 		}
 		// Every fetched row satisfies the join predicate: monitors count
-		// its page toward DPC(inner, join-pred) (§IV).
-		for _, m := range j.monitors {
-			m.observe(rid.Page)
+		// its page toward DPC(inner, join-pred) (§IV), whether or not the
+		// residual keeps the row.
+		if len(j.monitors) > 0 {
+			j.pids = append(j.pids, rid.Page)
 		}
-		if !satisfies(j.innerCC, j.innerPred, vals[lo+len(j.outerRow):]) {
+		if !kept {
 			j.vals = vals[:lo]
 			continue
 		}
 		j.vals = vals
 		j.bounds = append(j.bounds, len(vals))
 	}
+	j.pids = observePages(j.monitors, j.pids)
 	j.rows = sliceRows(j.rows, j.vals, j.bounds)
 	b.Rows = j.rows
 	b.Sel = identSel(b.Sel, len(j.rows))

@@ -63,10 +63,11 @@ type pageVisit struct {
 	passed int
 }
 
-// compileScanPred compiles a scan predicate to its encoded form at
+// compileScanPred compiles a scan or fetch predicate to its encoded form at
 // operator-construction time (single-threaded) and records the use in the
-// execution context's statistics. A scan compiles this one evaluator; the
-// decoded expr.Compiled is for operators that only ever see rows.
+// execution context's statistics. A scan or fetch path compiles this one
+// evaluator; the decoded expr.Compiled is for operators that only ever see
+// rows.
 func compileScanPred(ctx *Context, pred expr.Conjunction, s *tuple.Schema) expr.RawCompiled {
 	raw := expr.CompileRaw(pred, s)
 	if raw.OK() && raw.Len() > 0 && ctx != nil {

@@ -38,8 +38,14 @@ type seekMonitor struct {
 	obsTime        time.Duration
 }
 
-func (m *seekMonitor) observe(pid storage.PageID) {
-	if m.disabled {
+// observe counts the pages of the rows fetched since the last call, behind
+// the quarantine guard: a panic inside the monitor machinery disables this
+// monitor and returns control to the fetch path, which continues as if it
+// were never attached. The host calls it once per NextBatch, so the guard
+// and, with an overhead budget, the two clock reads are paid per batch, not
+// per fetched row.
+func (m *seekMonitor) observe(pids []storage.PageID) {
+	if m.disabled || len(pids) == 0 {
 		return
 	}
 	defer func() {
@@ -55,10 +61,12 @@ func (m *seekMonitor) observe(pid storage.PageID) {
 	if m.overheadBudget > 0 {
 		start = time.Now()
 	}
-	m.rows++
-	m.lc.AddPID(pid)
-	if m.sd != nil {
-		m.sd.AddPID(pid)
+	m.rows += int64(len(pids))
+	for _, pid := range pids {
+		m.lc.AddPID(pid)
+		if m.sd != nil {
+			m.sd.AddPID(pid)
+		}
 	}
 	if m.overheadBudget > 0 {
 		m.obsTime += time.Since(start)
@@ -69,6 +77,15 @@ func (m *seekMonitor) observe(pid storage.PageID) {
 				m.obsTime, m.overheadBudget)
 		}
 	}
+}
+
+// observePages hands every monitor the pages buffered since the last call
+// and returns the emptied buffer.
+func observePages(monitors []*seekMonitor, pids []storage.PageID) []storage.PageID {
+	for _, m := range monitors {
+		m.observe(pids)
+	}
+	return pids[:0]
 }
 
 func (m *seekMonitor) hostID() int32 {
@@ -105,31 +122,79 @@ func (m *seekMonitor) result() DPCResult {
 	return r
 }
 
+// fetchPred is a fetch path's predicate and the columns it decodes. A
+// predicate with an encoded form is judged on the fetched cell, under the
+// page pin and before any decode, so a rejected fetch decodes nothing; one
+// without is judged on the decoded row by the generic evaluator, which
+// reports the planner bug by panicking. A kept row decodes only the columns
+// the plan above demands plus the predicate's; the rest are zero-valued.
+type fetchPred struct {
+	pred expr.Conjunction // bound
+	raw  expr.RawCompiled // pred over encoded cells; !OK selects the decoded fallback
+	want uint64
+}
+
+func newFetchPred(ctx *Context, pred expr.Conjunction, s *tuple.Schema) fetchPred {
+	return fetchPred{pred: pred, raw: compileScanPred(ctx, pred, s), want: tuple.AllColumns}
+}
+
+// setDemand sets the columns the plan above reads of the fetched rows.
+func (p *fetchPred) setDemand(need uint64) { p.want = need | predMask(p.pred) }
+
+// Keep implements catalog.CellFilter. Like the scans' judge, it accepts a
+// malformed cell unexamined, so the decoder rejects it and fails the query.
+func (p *fetchPred) Keep(cell []byte) bool { return p.raw.Eval(cell) }
+
+// fetch appends the row at rid to vals when it satisfies the predicate, and
+// reports whether it did. A rejected row leaves vals' length as it was.
+func (p *fetchPred) fetch(tab *catalog.Table, vals []tuple.Value, rid storage.RID) ([]tuple.Value, bool, error) {
+	if p.raw.OK() {
+		var keep catalog.CellFilter
+		if p.raw.Len() > 0 {
+			keep = p
+		}
+		return tab.FetchRowAppend(vals, rid, p.want, keep)
+	}
+	lo := len(vals)
+	vals, _, err := tab.FetchRowAppend(vals, rid, p.want, nil)
+	if err != nil {
+		return nil, false, err
+	}
+	if !p.pred.Eval(vals[lo:]) {
+		return vals[:lo], false, nil
+	}
+	return vals, true, nil
+}
+
 // seekPath is the fetch step both index access methods share: charge CPU
-// for one candidate RID, fetch its row (the random-I/O Fetch, decoded under
-// the page pin straight into the batch arena), judge it with the full
-// predicate, and let the monitors observe its page when it qualifies.
-// Fetches are where table PIDs surface.
+// for one candidate RID, fetch its row (the random-I/O Fetch, judged and
+// decoded under the page pin straight into the batch arena), and buffer its
+// page for the monitors when it qualifies. Fetches are where table PIDs
+// surface.
 type seekPath struct {
 	ctx      *Context
 	tab      *catalog.Table
-	pred     expr.Conjunction // full predicate, bound
-	cc       expr.Compiled    // type-specialized pred, when compilable
+	pred     fetchPred
 	monitors []*seekMonitor
 	stats    OpStats
 
-	// Batch arena: qualifying rows' values, cut into rows at bounds.
+	// Batch arena: qualifying rows' values, cut into rows at bounds, and
+	// their pages, which the monitors observe when the batch is emitted.
 	vals   []tuple.Value
 	bounds []int
 	rows   []tuple.Row
+	pids   []storage.PageID
 }
 
 func newSeekPath(ctx *Context, tab *catalog.Table, pred expr.Conjunction, label string) seekPath {
-	return seekPath{ctx: ctx, tab: tab, pred: pred, cc: compilePred(ctx, pred), stats: OpStats{Label: label}}
+	return seekPath{ctx: ctx, tab: tab, pred: newFetchPred(ctx, pred, tab.Schema), stats: OpStats{Label: label}}
 }
 
 // attach adds a monitor (builder only).
 func (s *seekPath) attach(m *seekMonitor) { s.monitors = append(s.monitors, m) }
+
+// setDemand sets the columns the plan above reads; Build calls it.
+func (s *seekPath) setDemand(need uint64) { s.pred.setDemand(need) }
 
 // fetch runs the step for rid, keeping the row in the arena when it
 // qualifies.
@@ -138,25 +203,24 @@ func (s *seekPath) fetch(rid storage.RID) error {
 		return err
 	}
 	s.ctx.touch(1)
-	lo := len(s.vals)
-	vals, err := s.tab.FetchRowAppend(s.vals, rid)
+	vals, kept, err := s.pred.fetch(s.tab, s.vals, rid)
 	if err != nil {
 		return err
 	}
-	if !satisfies(s.cc, s.pred, vals[lo:]) {
-		s.vals = vals[:lo] // discard the fetch, keep the grown capacity
-		return nil
+	s.vals = vals // a rejected fetch leaves the length, keeps any grown capacity
+	if kept {
+		s.bounds = append(s.bounds, len(vals))
+		if len(s.monitors) > 0 {
+			s.pids = append(s.pids, rid.Page)
+		}
 	}
-	for _, m := range s.monitors {
-		m.observe(rid.Page)
-	}
-	s.vals = vals
-	s.bounds = append(s.bounds, len(vals))
 	return nil
 }
 
-// emit hands b the rows kept since the last emit and empties the arena.
+// emit lets the monitors observe the kept rows' pages, hands b the rows kept
+// since the last emit and empties the arena.
 func (s *seekPath) emit(b *Batch) int {
+	s.pids = observePages(s.monitors, s.pids)
 	s.rows = sliceRows(s.rows, s.vals, s.bounds)
 	s.vals = s.vals[:0]
 	s.bounds = s.bounds[:0]

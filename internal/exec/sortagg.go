@@ -2,7 +2,7 @@ package exec
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"pagefeedback/internal/expr"
 	"pagefeedback/internal/tuple"
@@ -51,15 +51,15 @@ func (s *SortOp) Open() error {
 		return err
 	}
 	s.rows = s.rows[:0]
-	err := drain(s.ctx, s.input, func(row tuple.Row) error {
+	err := drain(s.ctx, s.input, func(b *Batch) error {
 		if s.filter != nil {
-			s.filter.Add(row[s.filterOrd])
+			for _, i := range b.Sel {
+				s.filter.Add(b.Rows[i][s.filterOrd])
+			}
 		}
-		if err := s.ctx.Mem.Grow(rowMemSize(row)); err != nil {
-			return err
-		}
-		s.rows = append(s.rows, row.Clone())
-		return nil
+		var err error
+		s.rows, err = retainRows(s.ctx.Mem, s.rows, b)
+		return err
 	})
 	if err != nil {
 		s.input.Close() // release pins held mid-batch (e.g. decode errors)
@@ -68,16 +68,16 @@ func (s *SortOp) Open() error {
 	if err := s.input.Close(); err != nil {
 		return err
 	}
-	sort.SliceStable(s.rows, func(i, j int) bool {
+	slices.SortStableFunc(s.rows, func(a, b tuple.Row) int {
 		for _, o := range s.ords {
-			if c := s.rows[i][o].Compare(s.rows[j][o]); c != 0 {
+			if c := a[o].Compare(b[o]); c != 0 {
 				if s.desc {
-					return c > 0
+					return -c
 				}
-				return c < 0
+				return c
 			}
 		}
-		return false
+		return 0
 	})
 	s.pos = 0
 	return nil

@@ -18,7 +18,11 @@ import (
 //     pointers, structs — bounded bookkeeping maps with scalar values, like
 //     `satisfied map[int]bool`, are exempt),
 //   - any append of a Clone()d row (cloning copies the row out of the page
-//     buffer into operator-owned memory).
+//     buffer into operator-owned memory),
+//   - allocating a value slab, `make([]Value, n)` with a non-constant size:
+//     the fresh memory a batch copy (exec's retainRows) fills with retained
+//     rows. Seeing the make itself, not only appends, is what holds a copy
+//     helper to charging before it allocates rather than after it copies.
 //
 // A site is satisfied when a charge — MemTracker.Grow called directly or
 // through a module helper (per the one-level summaries) — precedes it on
@@ -31,7 +35,8 @@ import (
 // (`append(x.f[:0], ...)`) or anywhere that dominates the append;
 // reassigning the field to anything else invalidates it. Cloned-row and
 // map inserts never get this exemption — a clone is new memory wherever
-// it lands, and map growth has no reset idiom.
+// it lands, a value slab is fresh by construction, and map growth has no
+// reset idiom.
 //
 // The analyzer only runs over packages named exec; other packages do not
 // own tracked operator state.
@@ -301,6 +306,9 @@ func growthSite(info *types.Info, as *ast.AssignStmt) (memSite, bool) {
 	if !ok {
 		return memSite{}, false
 	}
+	if valueSlab(info, call) {
+		return memSite{what: "value slab"}, true
+	}
 	id, ok := call.Fun.(*ast.Ident)
 	if !ok || id.Name != "append" || len(call.Args) < 2 {
 		return memSite{}, false
@@ -340,4 +348,30 @@ func growthSite(info *types.Info, as *ast.AssignStmt) (memSite, bool) {
 		return memSite{what: "batch field " + sel.Sel.Name, key: key, resettable: true}, true
 	}
 	return memSite{}, false
+}
+
+// valueSlab reports whether call is make([]Value, n[, c]) with a size that is
+// not a compile-time constant: a slab sized by the rows it will hold.
+func valueSlab(info *types.Info, call *ast.CallExpr) bool {
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+	if !ok || id.Name != "make" || len(call.Args) < 2 {
+		return false
+	}
+	if _, isBuiltin := info.Uses[id].(*types.Builtin); !isBuiltin {
+		return false
+	}
+	tv, ok := info.Types[call.Args[0]]
+	if !ok {
+		return false
+	}
+	sl, ok := tv.Type.Underlying().(*types.Slice)
+	if !ok || !typeNameIs(sl.Elem(), "Value") {
+		return false
+	}
+	for _, size := range call.Args[1:] {
+		if tv, ok := info.Types[size]; ok && tv.Value == nil {
+			return true
+		}
+	}
+	return false
 }

@@ -136,3 +136,50 @@ func (o *buildOp) cloneAfterReset(r Row) {
 	o.buf = o.buf[:0]
 	o.buf = append(o.buf, r.Clone()) // want `cloned-row buffer grows without charging`
 }
+
+// Value is the stub column value; a make of []Value sized at run time is a
+// value slab, fresh memory that must be charged first.
+type Value struct{ n int64 }
+
+// copyChargedFirst is the sanctioned batch copy: charge the rows, then
+// allocate the one slab they are copied into.
+func copyChargedFirst(mem *MemTracker, dst [][]Value, rows [][]Value) ([][]Value, error) {
+	width := 0
+	for _, r := range rows {
+		width += len(r)
+	}
+	if err := mem.Grow(int64(width)); err != nil {
+		return dst, err
+	}
+	vals := make([]Value, width)
+	lo := 0
+	for _, r := range rows {
+		hi := lo + copy(vals[lo:], r)
+		dst = append(dst, vals[lo:hi:hi])
+		lo = hi
+	}
+	return dst, nil
+}
+
+// copyChargedAfter copies before it charges: the slab is allocated on a path
+// no charge precedes, so it is flagged even though Grow runs later.
+func copyChargedAfter(mem *MemTracker, dst [][]Value, rows [][]Value) ([][]Value, error) {
+	width := 0
+	for _, r := range rows {
+		width += len(r)
+	}
+	vals := make([]Value, width) // want `value slab grows without charging`
+	lo := 0
+	for _, r := range rows {
+		hi := lo + copy(vals[lo:], r)
+		dst = append(dst, vals[lo:hi:hi])
+		lo = hi
+	}
+	return dst, mem.Grow(int64(width))
+}
+
+// fixedScratch is sized by a constant: bounded scratch, not row memory.
+func fixedScratch() []Value {
+	buf := make([]Value, 8)
+	return buf
+}

@@ -546,9 +546,10 @@ func (bp *BufferPool) Flush() error {
 // cache (the paper measures all executions cold). It returns an error if any
 // page is still pinned. All shard locks are held for the duration, so the
 // reset is atomic with respect to concurrent fetches. The dropped frames keep
-// their page buffers on the shard's spare list, so refilling the pool after a
-// reset allocates none; the ring regrows in the same order as in a new pool,
-// so what is read and evicted afterwards does not change.
+// their page buffers on the shard's spare list and the frame map keeps its
+// buckets, so neither the reset nor refilling the pool after it allocates; the
+// ring regrows in the same order as in a new pool, so what is read and evicted
+// afterwards does not change.
 func (bp *BufferPool) Reset() error {
 	// Settle any in-flight prefetches first, so a read-ahead issued by the
 	// previous query cannot land after the reset and silently warm the
@@ -577,7 +578,7 @@ func (bp *BufferPool) Reset() error {
 				}
 			}
 		}
-		s.frames = make(map[frameKey]*frame, s.capacity)
+		clear(s.frames)
 		s.spare = append(s.spare, s.ring...)
 		s.ring = s.ring[:0]
 		s.free = s.free[:0]

@@ -294,6 +294,40 @@ func TestBufferPoolResetKeepsBuffers(t *testing.T) {
 	}
 }
 
+// TestBufferPoolResetAllocatesNothing: once a pool has been filled and reset,
+// resetting it again — after refilling it, with evictions — allocates
+// nothing: the frame maps are cleared in place and the frames' buffers go to
+// the spare lists.
+func TestBufferPoolResetAllocatesNothing(t *testing.T) {
+	const pages, capacity = 48, 32
+	bp, f := newPoolForTest(capacity)
+	var pids []PageID
+	for i := 0; i < pages; i++ {
+		pp, err := bp.NewPage(f, PageTypeHeap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pids = append(pids, pp.ID)
+		pp.Unpin(true)
+	}
+	cycle := func() {
+		for _, pid := range pids {
+			pp, err := bp.FetchPage(f, pid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pp.Unpin(false)
+		}
+		if err := bp.Reset(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle() // warm: the first reset flushes the new pages and fills the spare lists
+	if n := testing.AllocsPerRun(20, cycle); n != 0 {
+		t.Errorf("refill + Reset allocates %v times, want 0", n)
+	}
+}
+
 func TestBufferPoolResetWithPinnedFails(t *testing.T) {
 	bp, f := newPoolForTest(8)
 	pp, _ := bp.NewPage(f, PageTypeHeap)

@@ -66,10 +66,15 @@ const AllColumns = ^uint64(0)
 // and a pruned one costs none. That per-string cost is why scans judge their
 // predicate on the encoded cell first and decode only the rows they keep, and
 // of those only the columns the plan reads (see internal/exec/pagevisit.go).
-// How it is measured: the repo benchmark's scan_plain and scan_monitored
-// allocs_per_query, and the RowsDecoded and ValuesDecoded runtime counters,
-// which count the rows a query's scans passed to this function and the values
-// they materialized.
+// Fetches — index seeks, intersections, the inner side of index nested loops
+// — follow the same rule through catalog.Table.FetchRowAppend: the predicate
+// is judged on the fetched cell under the page pin, and a kept row decodes
+// only its demanded and predicate columns (see internal/exec/seek.go).
+// How it is measured: the repo benchmark's scan_plain, scan_monitored and
+// oltp_point allocs_per_query, the RowsDecoded and ValuesDecoded runtime
+// counters, which count the rows a query's scans passed to this function and
+// the values they materialized, and TestSeekDecodesOnlyDemandedColumns for
+// fetches.
 func DecodeAppendCols(dst []Value, s *Schema, data []byte, want uint64) ([]Value, error) {
 	// All-fixed-width schemas (the common case for scan-heavy workloads)
 	// decode without the per-column kind dispatch or length bookkeeping:
