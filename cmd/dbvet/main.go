@@ -1,32 +1,26 @@
 // Command dbvet is the repository's invariant checker: a multichecker in
 // the spirit of golang.org/x/tools/go/analysis/multichecker, built on the
 // standard library's go/ast + go/types so the module stays dependency-free
-// and hermetic. It machine-checks the pin/lock/context/error invariants the
-// buffer pool, executor, and engine boundary rely on, plus the determinism,
-// goroutine-join, memory-budget, and shed-lattice invariants layered on the
-// CFG/dataflow core in internal/lint.
+// and hermetic. It runs the six analyzers of internal/lint: the pin,
+// context, error-kind, monitor-merge, plan-sharing and memory-budget
+// invariants that the buffer pool, executor and engine boundary rely on.
 //
 // Usage:
 //
-//	go run ./cmd/dbvet ./...                  # run all analyzers
-//	go run ./cmd/dbvet -only pinleak .        # a subset
-//	go run ./cmd/dbvet -list                  # describe the analyzers
-//	go run ./cmd/dbvet -format=sarif ./...    # SARIF 2.1.0 for CI upload
+//	go run ./cmd/dbvet ./...    # run every analyzer
+//	go run ./cmd/dbvet -list    # describe the analyzers
 //
-// With the default -format=text, findings print as file:line:col: message
-// (analyzer). -format=json emits a JSON array of findings; -format=sarif
-// emits a SARIF 2.1.0 log with repo-relative paths for CI annotation. The
-// exit status is 1 when findings exist, 2 on usage or load errors.
+// Findings print as file:line:col: message (analyzer). The exit status is 1
+// when findings exist, 2 on usage or load errors.
 //
-// A finding can be suppressed by a trailing `//dbvet:ignore` comment
-// (optionally naming analyzers: `//dbvet:ignore pinleak,ctxflow`) on the
-// offending line or the line above — use sparingly and say why in the same
-// comment. Full-suite runs (no -only) also report suppressions that no
-// longer match any finding, so stale ignores cannot linger.
+// A finding can be suppressed by a `//dbvet:ignore` comment on the offending
+// line or the line above, optionally naming analyzers and giving the reason
+// after ` -- `: `//dbvet:ignore pinleak -- handed to the caller below`. Use
+// it sparingly. dbvet also reports suppressions that no longer match any
+// finding, so stale ignores cannot linger.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -36,10 +30,8 @@ import (
 
 func main() {
 	list := flag.Bool("list", false, "describe the analyzers and exit")
-	only := flag.String("only", "", "comma-separated subset of analyzers to run")
-	format := flag.String("format", "text", "output format: text, json, or sarif")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: dbvet [-only analyzers] [-format text|json|sarif] [packages]\n")
+		fmt.Fprintf(os.Stderr, "usage: dbvet [-list] [packages]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -50,84 +42,33 @@ func main() {
 		}
 		return
 	}
-	if *format != "text" && *format != "json" && *format != "sarif" {
-		fmt.Fprintf(os.Stderr, "dbvet: unknown -format %q (want text, json, or sarif)\n", *format)
-		os.Exit(2)
-	}
-
-	analyzers := lint.All()
-	if *only != "" {
-		var err error
-		analyzers, err = lint.ByName(*only)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-	}
 
 	wd, err := os.Getwd()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fail(err)
 	}
 	loader, root, err := lint.NewModuleLoader(wd)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fail(err)
 	}
 	units, err := loader.LoadPatterns(root, flag.Args())
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fail(err)
 	}
-	// Unused-suppression reporting only makes sense when every analyzer a
-	// directive could name has actually run.
-	cfg := lint.RunConfig{ReportUnusedIgnores: *only == ""}
-	diags, err := lint.RunWithConfig(units, analyzers, cfg)
+	diags, err := lint.RunWithConfig(units, lint.All(), lint.RunConfig{ReportUnusedIgnores: true})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fail(err)
 	}
-
-	switch *format {
-	case "json":
-		type finding struct {
-			File     string `json:"file"`
-			Line     int    `json:"line"`
-			Column   int    `json:"column"`
-			Analyzer string `json:"analyzer"`
-			Message  string `json:"message"`
-		}
-		out := make([]finding, 0, len(diags))
-		for _, d := range diags {
-			out = append(out, finding{
-				File:     d.Pos.Filename,
-				Line:     d.Pos.Line,
-				Column:   d.Pos.Column,
-				Analyzer: d.Analyzer,
-				Message:  d.Message,
-			})
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-	case "sarif":
-		b, err := lint.ToSARIF(diags, analyzers, root)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		os.Stdout.Write(b)
-		fmt.Println()
-	default:
-		for _, d := range diags {
-			fmt.Println(d)
-		}
+	for _, d := range diags {
+		fmt.Println(d)
 	}
 	if len(diags) > 0 {
 		os.Exit(1)
 	}
+}
+
+// fail reports a usage or load error and exits with status 2.
+func fail(err error) {
+	fmt.Fprintln(os.Stderr, err)
+	os.Exit(2)
 }

@@ -283,10 +283,13 @@ type RunOptions struct {
 	// ShedLevel degrades DPC monitoring along the mechanism lattice to cut
 	// observation overhead under load: 0 full monitoring; 1 exact grouped
 	// counting degrades to page sampling and sampling fractions thin 4x;
-	// 2 degrades further to linear counting, thins 16x, and skips join
-	// bit-vector filters; 3 plants nothing. Shed results are marked Degraded
-	// and never reach the feedback cache. Applies to MonitorAll; explicit
-	// Monitor configs carry their own ShedLevel.
+	// 2 degrades further to linear counting, thins sampling 16x and the
+	// seek/INL linear-counting bitmaps 8x, and skips join bit-vector
+	// filters; 3 plants nothing. Seek and INL monitors are unchanged at
+	// level 1, and range-scan counting at levels 1-2. Shed results are
+	// marked Degraded and never reach the feedback cache; unchanged monitors
+	// report as at level 0. Applies to MonitorAll; explicit Monitor configs
+	// carry their own ShedLevel.
 	ShedLevel int
 	// ShedUnderPressure derives the shed level from the admission queue at
 	// submission time (deeper queue, higher level), taking the maximum of it

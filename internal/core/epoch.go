@@ -15,9 +15,9 @@ import (
 // the statistics the plan was costed with are gone, so the entry is
 // re-optimized rather than served.
 //
-// Counters are atomic.Int64 wrappers (safe by construction for dbvet's
-// atomicfield invariant); the map itself is guarded by an RWMutex that is
-// only write-locked the first time a table is seen.
+// Counters are atomic.Int64 wrappers (a plain access does not compile);
+// the map itself is guarded by an RWMutex that is only write-locked the
+// first time a table is seen.
 type EpochTracker struct {
 	global atomic.Int64
 	mu     sync.RWMutex

@@ -41,9 +41,10 @@ type MonitorConfig struct {
 	// disabled), trading observation quality for overhead under load:
 	//   0  full fidelity (default);
 	//   1  exact prefix counters become DPSample, sampled monitors thin
-	//      their fraction;
+	//      their fraction (seek and INL monitors, and range-scan counting
+	//      through level 2, are unchanged);
 	//   2  prefix monitors fall to linear counting, sampling thins further,
-	//      join filters are not planted;
+	//      seek and INL bitmaps thin, join filters are not planted;
 	//   3  no monitors are planted at all.
 	// Every monitor degraded relative to level 0 reports Degraded (with
 	// Shed set), so its observation never reaches the feedback cache —

@@ -9,8 +9,7 @@ import (
 	"strings"
 )
 
-// exprString renders an expression compactly for diagnostics and for
-// matching Lock/Unlock pairs by syntactic identity.
+// exprString renders an expression compactly for diagnostics.
 func exprString(fset *token.FileSet, e ast.Expr) string {
 	var buf bytes.Buffer
 	_ = printer.Fprint(&buf, fset, e)
@@ -40,13 +39,6 @@ func typeNameIs(t types.Type, name string) bool {
 	return n != nil && n.Obj().Name() == name
 }
 
-// typeNameContains reports whether t's named-type name contains sub
-// (case-insensitive), behind pointers.
-func typeNameContains(t types.Type, sub string) bool {
-	n := namedType(t)
-	return n != nil && strings.Contains(strings.ToLower(n.Obj().Name()), strings.ToLower(sub))
-}
-
 // calleeFunc resolves the called function or method of a call expression.
 func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	switch fun := ast.Unparen(call.Fun).(type) {
@@ -60,6 +52,26 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 		}
 	}
 	return nil
+}
+
+// recvTypeNameIs reports whether f is a method on a named type (or pointer
+// to one) called name.
+func recvTypeNameIs(f *types.Func, name string) bool {
+	sig, ok := f.Type().(*types.Signature)
+	return ok && sig.Recv() != nil && typeNameIs(sig.Recv().Type(), name)
+}
+
+// selectedField resolves a selector to the struct field it reads, or nil.
+func selectedField(info *types.Info, sel *ast.SelectorExpr) types.Object {
+	s, ok := info.Selections[sel]
+	if !ok || s.Kind() != types.FieldVal {
+		return nil
+	}
+	v, ok := s.Obj().(*types.Var)
+	if !ok || !v.IsField() {
+		return nil
+	}
+	return v
 }
 
 // firstResult returns the type of a call's first result (the call's type

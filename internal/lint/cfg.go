@@ -7,11 +7,10 @@ import (
 
 // This file is the control-flow half of dbvet's analysis core: a basic-block
 // CFG built over go/ast function bodies, mirroring golang.org/x/tools/go/cfg
-// the same way lint.go mirrors go/analysis. Analyzers that used to hand-roll
-// path sensitivity (pinleak's abstract interpreter, lockorder's syntactic
-// walker) now run as dataflow problems over this graph (dataflow.go), which
-// makes branch joins, loops, labeled break/continue, and goto accurate by
-// construction instead of by special case.
+// the same way lint.go mirrors go/analysis. The path-sensitive analyzers
+// (pinleak, membudget) run as dataflow problems over this graph
+// (dataflow.go), which makes branch joins, loops, labeled break/continue,
+// and goto accurate by construction instead of by special case.
 //
 // Shape of the graph:
 //
@@ -23,9 +22,9 @@ import (
 //   - An Edge carries branch context: Cond (with Negate) for the two arms of
 //     an if or for condition, Kind for return/panic terminations, BackLoop
 //     for loop back edges, and ExitLoops for edges that leave one or more
-//     enclosing loops (loop-exit falls and breaks). Analyzers use these for
-//     branch refinement (pinleak's err-pairing) and loop accumulation
-//     (lockorder's sweep rule).
+//     enclosing loops (loop-exit falls and breaks). pinleak uses Cond for
+//     its err-pairing; the loop metadata serves analyses that accumulate
+//     facts per iteration.
 //   - Exit is a synthetic empty block. Explicit returns and panics edge into
 //     it with EdgeReturn/EdgePanic; falling off the end of the body edges
 //     into it with EdgeImplicitReturn.

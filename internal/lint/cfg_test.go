@@ -129,8 +129,8 @@ func TestCFGBranchEdges(t *testing.T) {
 	}
 }
 
-// TestCFGLoopEdges pins loop metadata lockorder's sweep rule relies on: a
-// back edge marked BackLoop and an exit edge marked ExitLoops.
+// TestCFGLoopEdges pins the loop metadata: a back edge marked BackLoop and
+// an exit edge marked ExitLoops.
 func TestCFGLoopEdges(t *testing.T) {
 	g := BuildCFG(parseBody(t, `for _, v := range xs { use(v) }`))
 	var back, exit int

@@ -1,11 +1,9 @@
 package lint
 
-// Worklist dataflow solvers over the CFG (cfg.go). Analyzers describe a
+// Worklist dataflow solver over the CFG (cfg.go). Analyzers describe a
 // problem as a Flow — transfer function, optional per-edge refinement, join,
 // and equality — and get per-block fixpoint facts back. Forward solves
-// entry→exit (pinleak's held-pin paths, lockorder's held-lock sets,
-// goroutinejoin's Add-before-go, membudget's charged-before-growth);
-// Backward solves exit→entry over reversed blocks (liveness-style problems).
+// entry→exit (pinleak's held-pin paths, membudget's charged-before-growth).
 //
 // Facts are opaque to the solver. A Flow's functions must treat incoming
 // facts as immutable and return fresh values when they change something:
@@ -20,21 +18,18 @@ type Fact = any
 // Flow describes one dataflow problem.
 type Flow struct {
 	// Transfer computes the fact after executing block b given the fact
-	// before it. For backward problems, "before"/"after" are in reverse
-	// execution order and b.Nodes should be processed last-to-first.
+	// before it.
 	Transfer func(b *Block, in Fact) Fact
 	// EdgeTransfer, when non-nil, refines a fact crossing edge e (branch
 	// conditions, loop back edges). It runs on the source block's out-fact
-	// for forward problems and on the target block's in-fact for backward
-	// ones. It must not mutate its input.
+	// and must not mutate its input.
 	EdgeTransfer func(e *Edge, f Fact) Fact
 	// Join merges facts arriving over multiple edges. Either argument may
 	// be nil (unreached); Join(nil, x) = x.
 	Join func(a, b Fact) Fact
 	// Equal bounds the fixpoint iteration.
 	Equal func(a, b Fact) bool
-	// Boundary is the fact at the boundary block: Entry for Forward,
-	// Exit for Backward.
+	// Boundary is the fact at Entry.
 	Boundary Fact
 }
 
@@ -85,49 +80,4 @@ func (g *CFG) Forward(f Flow) map[*Block]Fact {
 		}
 	}
 	return in
-}
-
-// Backward solves a backward dataflow problem and returns the fact at the
-// END of each live block (the join over outgoing edges, before the reverse
-// Transfer). The Transfer function receives the block's end-fact and must
-// walk b.Nodes in reverse.
-func (g *CFG) Backward(f Flow) map[*Block]Fact {
-	end := make(map[*Block]Fact)  // fact after the block, in execution order
-	head := make(map[*Block]Fact) // fact before the block
-	end[g.Exit] = f.Boundary
-
-	work := []*Block{g.Exit}
-	queued := map[*Block]bool{g.Exit: true}
-	steps := 0
-	limit := maxFlowIterations * (len(g.Blocks) + 1)
-	for len(work) > 0 {
-		if steps++; steps > limit {
-			break
-		}
-		b := work[0]
-		work = work[1:]
-		queued[b] = false
-
-		h := f.Transfer(b, end[b])
-		if prev, done := head[b]; done && f.Equal(prev, h) {
-			continue
-		}
-		head[b] = h
-		for _, e := range b.Preds {
-			fh := h
-			if f.EdgeTransfer != nil {
-				fh = f.EdgeTransfer(e, fh)
-			}
-			merged := f.Join(end[e.From], fh)
-			if _, seen := end[e.From]; seen && f.Equal(end[e.From], merged) {
-				continue
-			}
-			end[e.From] = merged
-			if !queued[e.From] {
-				queued[e.From] = true
-				work = append(work, e.From)
-			}
-		}
-	}
-	return end
 }

@@ -145,70 +145,6 @@ func TestForwardReachingDefs(t *testing.T) {
 	}
 }
 
-// TestBackwardLiveness: the classic backward problem. A variable read after
-// a loop is live throughout the loop; one only read before it is not live
-// at the loop head.
-func TestBackwardLiveness(t *testing.T) {
-	body := parseBody(t, `
-		early := f()
-		use(early)
-		late := g()
-		for i := 0; i < n; i++ {
-			work(i)
-		}
-		return late
-	`)
-	g := BuildCFG(body)
-	flow := unionFlow()
-	flow.Transfer = func(b *Block, end Fact) Fact {
-		cur := asFactSet(end)
-		if cur == nil {
-			cur = factSet{}
-		}
-		// Walk nodes in reverse: kill assignments, then gen uses.
-		for i := len(b.Nodes) - 1; i >= 0; i-- {
-			n := b.Nodes[i]
-			if len(assignedNames(n)) > 0 {
-				next := make(factSet, len(cur))
-				for k := range cur {
-					next[k] = true
-				}
-				for _, name := range assignedNames(n) {
-					delete(next, name)
-				}
-				cur = next
-			}
-			for _, name := range usedNames(n) {
-				cur = cur.with(name)
-			}
-		}
-		return cur
-	}
-	end := g.Backward(flow)
-
-	// Find the loop body block (contains the work(i) call).
-	var loopBlock *Block
-	for _, b := range g.Blocks {
-		for _, n := range b.Nodes {
-			for _, name := range usedNames(n) {
-				if name == "work" {
-					loopBlock = b
-				}
-			}
-		}
-	}
-	if loopBlock == nil {
-		t.Fatal("loop body block not found")
-	}
-	live := asFactSet(end[loopBlock])
-	if !live["late"] {
-		t.Errorf("late is read after the loop and must be live in the loop body: %v", live.sig())
-	}
-	if live["early"] {
-		t.Errorf("early is dead after its use yet live in the loop body: %v", live.sig())
-	}
-}
-
 // TestForwardTerminatesOnIrreducible: goto-built loops (irreducible control
 // flow) must still reach a fixpoint under the iteration cap.
 func TestForwardTerminatesOnIrreducible(t *testing.T) {

@@ -19,7 +19,7 @@ func TestUnusedIgnoreReporting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, err := RunWithConfig([]*Unit{u}, []*Analyzer{GoroutineJoinAnalyzer}, RunConfig{ReportUnusedIgnores: true})
+	diags, err := RunWithConfig([]*Unit{u}, []*Analyzer{CtxFlowAnalyzer}, RunConfig{ReportUnusedIgnores: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,15 +34,15 @@ func TestUnusedIgnoreReporting(t *testing.T) {
 	if len(got) != 2 {
 		t.Fatalf("want 2 deadignore diagnostics, got %d: %v", len(got), got)
 	}
-	if !strings.Contains(got[0], "unused //dbvet:ignore directive") || !strings.Contains(got[0], "goroutinejoin") {
-		t.Errorf("first diagnostic should flag the unused goroutinejoin directive, got %q", got[0])
+	if !strings.Contains(got[0], "unused //dbvet:ignore directive: no finding from ctxflow is suppressed") {
+		t.Errorf("first diagnostic should flag the unused ctxflow directive, got %q", got[0])
 	}
-	if !strings.Contains(got[1], `unknown analyzer "gorutinejoin"`) {
+	if !strings.Contains(got[1], `unknown analyzer "ctxflw"`) {
 		t.Errorf("second diagnostic should flag the typo, got %q", got[1])
 	}
 
 	// The same fixture under Run (no config) must stay silent about ignores.
-	plain, err := Run([]*Unit{u}, []*Analyzer{GoroutineJoinAnalyzer})
+	plain, err := Run([]*Unit{u}, []*Analyzer{CtxFlowAnalyzer})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,31 +2,23 @@
 // re-implementation of the golang.org/x/tools go/analysis surface, just wide
 // enough for this repository's invariant checkers.
 //
-// The analyzers (one per file) machine-check the hand-maintained
-// invariants the query-lifecycle, hot-path, parallel-execution, overload,
-// and plan-cache PRs rely on:
+// The analyzers (one per file) machine-check invariants that no runtime test
+// pins down deterministically:
 //
-//   - pinleak:       every pinned page reaches Unpin on all control-flow paths
-//   - lockorder:     buffer-pool shard mutexes are acquired in ascending order
-//   - ctxflow:       context.Context flows from the engine entry points
-//   - errkind:       errors crossing the engine boundary are typed *QueryError
-//   - atomicfield:   fields touched via sync/atomic are never accessed plainly
-//   - monitormerge:  monitor counting types are mergeable and their Merge
+//   - pinleak:      every pinned page reaches Unpin on all control-flow paths
+//   - ctxflow:      context.Context flows from the engine entry points
+//   - errkind:      errors crossing the engine boundary are typed *QueryError
+//   - monitormerge: monitor counting types are mergeable and their Merge
 //     methods carry a reviewed `dbvet:commutative` claim
-//   - planshare:     plan-node fields are written only by the plan and opt
+//   - planshare:    plan-node fields are written only by the plan and opt
 //     packages, keeping cached plan templates immutable
-//   - detexport:     no time.Now, math/rand, or order-sensitive map iteration
-//     reachable from feedback export, stats rendering, or plan-cache keys
-//   - goroutinejoin: every go statement is joined (WaitGroup pairing or a
-//     result channel) and receives a derived context
-//   - membudget:     exec operators charge exec.MemTracker before growing
+//   - membudget:    exec operators charge exec.MemTracker before growing
 //     build-side slices or maps
-//   - shedlattice:   monitor degradation only moves down the
-//     exact→DPSample→linear→off lattice
 //
-// Path-sensitive analyzers run on a shared CFG + dataflow core (cfg.go,
-// dataflow.go, summary.go) mirroring golang.org/x/tools/go/cfg the same way
-// this file mirrors go/analysis.
+// pinleak and membudget are path-sensitive: they run on a shared CFG +
+// dataflow core (cfg.go, dataflow.go) mirroring golang.org/x/tools/go/cfg,
+// and membudget sees charges through helpers via per-function summaries
+// (summary.go).
 //
 // The framework intentionally mirrors go/analysis (Analyzer, Pass, Reportf,
 // analysistest-style fixtures under testdata/src) so the checkers could move
@@ -53,10 +45,6 @@ type Analyzer struct {
 	Doc string
 	// Run analyzes one package, reporting findings through pass.Reportf.
 	Run func(pass *Pass) error
-	// RunGlobal, when set, replaces per-package Run: the analyzer sees every
-	// loaded package at once. atomicfield needs this — a field written
-	// atomically in one package must not be read plainly in another.
-	RunGlobal func(units []*Unit, report func(u *Unit, pos token.Pos, format string, args ...any)) error
 }
 
 // Pass carries one package's ASTs and type information to an analyzer,
@@ -91,11 +79,10 @@ func (d Diagnostic) String() string {
 // RunConfig tunes a Run.
 type RunConfig struct {
 	// ReportUnusedIgnores adds a diagnostic (analyzer "deadignore") for
-	// every //dbvet:ignore directive that suppressed nothing. Only dbvet's
-	// full-suite runs set it: under a partial analyzer set, a directive
-	// aimed at an analyzer that did not run is not evidence of staleness,
-	// and a blanket directive cannot be judged at all. A named directive is
-	// only reported when at least one of its named analyzers ran.
+	// every //dbvet:ignore directive that suppressed nothing. dbvet always
+	// sets it; single-analyzer fixture runs leave it off. A directive aimed
+	// only at analyzers that did not run is not evidence of staleness, so a
+	// named directive is only reported when one of its analyzers ran.
 	ReportUnusedIgnores bool
 }
 
@@ -103,7 +90,9 @@ type RunConfig struct {
 // diagnostics, sorted by position. Findings on lines carrying a
 // //dbvet:ignore comment (or whose preceding line is such a comment) are
 // suppressed; `//dbvet:ignore` mutes every analyzer on that line,
-// `//dbvet:ignore pinleak,ctxflow` only the named ones.
+// `//dbvet:ignore pinleak,ctxflow` only the named ones. The names end at a
+// ` -- ` separator; the rest of the comment is the reason:
+// `//dbvet:ignore pinleak -- handed to the caller below`.
 func Run(units []*Unit, analyzers []*Analyzer) ([]Diagnostic, error) {
 	return RunWithConfig(units, analyzers, RunConfig{})
 }
@@ -112,19 +101,12 @@ func Run(units []*Unit, analyzers []*Analyzer) ([]Diagnostic, error) {
 func RunWithConfig(units []*Unit, analyzers []*Analyzer, cfg RunConfig) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	for _, a := range analyzers {
-		a := a
 		report := func(u *Unit, pos token.Pos, format string, args ...any) {
 			diags = append(diags, Diagnostic{
 				Pos:      u.Fset.Position(pos),
 				Analyzer: a.Name,
 				Message:  fmt.Sprintf(format, args...),
 			})
-		}
-		if a.RunGlobal != nil {
-			if err := a.RunGlobal(units, report); err != nil {
-				return nil, fmt.Errorf("%s: %w", a.Name, err)
-			}
-			continue
 		}
 		for _, u := range units {
 			pass := &Pass{
@@ -189,6 +171,9 @@ func collectIgnores(units []*Unit) []*ignoreEntry {
 					rest := strings.TrimPrefix(c.Text, ignoreDirective)
 					var names []string
 					for _, n := range strings.FieldsFunc(rest, func(r rune) bool { return r == ',' || r == ' ' || r == '\t' }) {
+						if n == "--" { // the reason follows
+							break
+						}
 						names = append(names, n)
 					}
 					entries = append(entries, &ignoreEntry{
@@ -289,38 +274,10 @@ func unusedIgnores(ignores []*ignoreEntry, ran map[string]bool) []Diagnostic {
 func All() []*Analyzer {
 	return []*Analyzer{
 		PinLeakAnalyzer,
-		LockOrderAnalyzer,
 		CtxFlowAnalyzer,
 		ErrKindAnalyzer,
-		AtomicFieldAnalyzer,
 		MonitorMergeAnalyzer,
 		PlanShareAnalyzer,
-		DetExportAnalyzer,
-		GoroutineJoinAnalyzer,
 		MemBudgetAnalyzer,
-		ShedLatticeAnalyzer,
 	}
-}
-
-// ByName resolves a comma-separated analyzer list; unknown names error.
-func ByName(names string) ([]*Analyzer, error) {
-	var out []*Analyzer
-	for _, n := range strings.Split(names, ",") {
-		n = strings.TrimSpace(n)
-		if n == "" {
-			continue
-		}
-		found := false
-		for _, a := range All() {
-			if a.Name == n {
-				out = append(out, a)
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("lint: unknown analyzer %q", n)
-		}
-	}
-	return out, nil
 }

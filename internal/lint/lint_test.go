@@ -32,19 +32,6 @@ func TestRepoIsClean(t *testing.T) {
 	}
 }
 
-func TestByName(t *testing.T) {
-	as, err := ByName("pinleak, errkind")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(as) != 2 || as[0].Name != "pinleak" || as[1].Name != "errkind" {
-		t.Fatalf("ByName returned %v", as)
-	}
-	if _, err := ByName("nosuch"); err == nil {
-		t.Fatal("ByName accepted an unknown analyzer")
-	}
-}
-
 func TestAnalyzerMetadata(t *testing.T) {
 	seen := make(map[string]bool)
 	for _, a := range All() {
@@ -58,8 +45,8 @@ func TestAnalyzerMetadata(t *testing.T) {
 			t.Errorf("duplicate analyzer name %q", a.Name)
 		}
 		seen[a.Name] = true
-		if (a.Run == nil) == (a.RunGlobal == nil) {
-			t.Errorf("analyzer %s must set exactly one of Run and RunGlobal", a.Name)
+		if a.Run == nil {
+			t.Errorf("analyzer %s has no Run function", a.Name)
 		}
 	}
 }

@@ -7,44 +7,17 @@ import (
 
 // Per-function summaries: the one-level interprocedural layer of the
 // dataflow core. BuildSummaries walks every function in the loaded units
-// once, recording its direct callees and a handful of flat facts that
-// analyzers consume without re-walking callee bodies:
-//
-//   - CallsGrow: the function (or something it calls) charges an
-//     exec.MemTracker via Grow — membudget accepts a charge routed through
-//     a helper because the flag propagates over the call graph.
-//   - CallsWGDone / TouchesChannel: the function calls sync.WaitGroup.Done,
-//     or sends on / closes a channel — goroutinejoin's evidence that a
-//     spawned callee participates in a join protocol.
-//   - Det: local nondeterminism (time.Now calls, math/rand uses, unsorted
-//     map ranges) — detexport reports these when a determinism root can
-//     reach the function.
+// once, recording its direct callees and whether it charges an
+// exec.MemTracker via Grow. The CallsGrow flag propagates over the call
+// graph, so membudget accepts a charge routed through a helper.
 //
 // Function literals are folded into their enclosing declared function:
-// their callees and facts count as the parent's. That is deliberately
-// conservative for reachability (a closure's time.Now taints the encloser)
-// and deliberately generous for join evidence (a helper's channel send
-// counts for the goroutine that calls it).
-
-// DetViolation is one locally-nondeterministic construct.
-type DetViolation struct {
-	Node ast.Node
-	What string // human-readable, e.g. "call to time.Now"
-}
+// their callees and charges count as the parent's.
 
 // FuncInfo is the summary of one declared function or method.
 type FuncInfo struct {
-	Obj  *types.Func
-	Decl *ast.FuncDecl
-	Unit *Unit
-
-	Callees map[*types.Func]bool
-
-	CallsGrow      bool
-	CallsWGDone    bool
-	TouchesChannel bool
-
-	Det []DetViolation
+	Callees   map[*types.Func]bool
+	CallsGrow bool
 }
 
 // Summaries indexes FuncInfo by the function's type object.
@@ -53,8 +26,8 @@ type Summaries struct {
 }
 
 // BuildSummaries computes summaries for every function declared in units,
-// then propagates the boolean flags over the call graph to a fixpoint so
-// "calls Grow" etc. see through module-local helpers.
+// then propagates CallsGrow over the call graph to a fixpoint so it sees
+// through module-local helpers.
 func BuildSummaries(units []*Unit) *Summaries {
 	s := &Summaries{Funcs: make(map[*types.Func]*FuncInfo)}
 	for _, u := range units {
@@ -68,12 +41,7 @@ func BuildSummaries(units []*Unit) *Summaries {
 				if !ok {
 					continue
 				}
-				fi := &FuncInfo{
-					Obj:     obj,
-					Decl:    fd,
-					Unit:    u,
-					Callees: make(map[*types.Func]bool),
-				}
+				fi := &FuncInfo{Callees: make(map[*types.Func]bool)}
 				summarizeBody(u, fd.Body, fi)
 				s.Funcs[obj] = fi
 			}
@@ -83,45 +51,15 @@ func BuildSummaries(units []*Unit) *Summaries {
 	return s
 }
 
-// summarizeBody records callees and flat facts from one body, descending
+// summarizeBody records callees and Grow charges from one body, descending
 // into function literals.
 func summarizeBody(u *Unit, body *ast.BlockStmt, fi *FuncInfo) {
 	ast.Inspect(body, func(n ast.Node) bool {
-		switch nd := n.(type) {
-		case *ast.CallExpr:
-			callee := calleeFunc(u.Info, nd)
-			if callee == nil {
-				return true
-			}
-			fi.Callees[callee] = true
-			switch {
-			case isPkgFunc(callee, "time", "Now"):
-				fi.Det = append(fi.Det, DetViolation{Node: nd, What: "call to time.Now"})
-			case calleePkgPath(callee) == "math/rand" || calleePkgPath(callee) == "math/rand/v2":
-				fi.Det = append(fi.Det, DetViolation{Node: nd, What: "use of " + calleePkgPath(callee)})
-			case callee.Name() == "Grow" && recvTypeNameIs(callee, "MemTracker"):
-				fi.CallsGrow = true
-			case callee.Name() == "Done" && recvTypeNameIs(callee, "WaitGroup"):
-				fi.CallsWGDone = true
-			}
-			return true
-		case *ast.Ident:
-			if nd.Name == "close" {
-				if _, isBuiltin := u.Info.Uses[nd].(*types.Builtin); isBuiltin {
-					fi.TouchesChannel = true
-				}
-			}
-		case *ast.SendStmt:
-			fi.TouchesChannel = true
-		case *ast.RangeStmt:
-			if tv, ok := u.Info.Types[nd.X]; ok {
-				if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
-					if !orderInsensitiveRangeBody(nd) {
-						fi.Det = append(fi.Det, DetViolation{
-							Node: nd,
-							What: "range over map " + exprString(u.Fset, nd.X) + " with an order-sensitive body",
-						})
-					}
+		if call, ok := n.(*ast.CallExpr); ok {
+			if callee := calleeFunc(u.Info, call); callee != nil {
+				fi.Callees[callee] = true
+				if callee.Name() == "Grow" && recvTypeNameIs(callee, "MemTracker") {
+					fi.CallsGrow = true
 				}
 			}
 		}
@@ -129,140 +67,18 @@ func summarizeBody(u *Unit, body *ast.BlockStmt, fi *FuncInfo) {
 	})
 }
 
-// propagate spreads CallsGrow / CallsWGDone / TouchesChannel over the
-// module-local call graph until nothing changes, so analyzers see charges
-// and join participation through helpers.
+// propagate spreads CallsGrow over the module-local call graph until nothing
+// changes, so analyzers see charges through helpers.
 func (s *Summaries) propagate() {
 	for changed := true; changed; {
 		changed = false
 		for _, fi := range s.Funcs {
 			for callee := range fi.Callees {
-				ci, ok := s.Funcs[callee]
-				if !ok {
-					continue
-				}
-				if ci.CallsGrow && !fi.CallsGrow {
+				if ci, ok := s.Funcs[callee]; ok && ci.CallsGrow && !fi.CallsGrow {
 					fi.CallsGrow = true
 					changed = true
 				}
-				if ci.CallsWGDone && !fi.CallsWGDone {
-					fi.CallsWGDone = true
-					changed = true
-				}
-				if ci.TouchesChannel && !fi.TouchesChannel {
-					fi.TouchesChannel = true
-					changed = true
-				}
 			}
 		}
-	}
-}
-
-// Reachable returns every function reachable from root over recorded call
-// edges, including root itself.
-func (s *Summaries) Reachable(root *types.Func) map[*types.Func]bool {
-	seen := map[*types.Func]bool{root: true}
-	stack := []*types.Func{root}
-	for len(stack) > 0 {
-		f := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		fi, ok := s.Funcs[f]
-		if !ok {
-			continue
-		}
-		for callee := range fi.Callees {
-			if !seen[callee] {
-				seen[callee] = true
-				stack = append(stack, callee)
-			}
-		}
-	}
-	return seen
-}
-
-// isPkgFunc reports whether f is package-level function pkg.name.
-func isPkgFunc(f *types.Func, pkgPath, name string) bool {
-	return f.Name() == name && calleePkgPath(f) == pkgPath && recvOf(f) == nil
-}
-
-func calleePkgPath(f *types.Func) string {
-	if f.Pkg() == nil {
-		return ""
-	}
-	return f.Pkg().Path()
-}
-
-func recvOf(f *types.Func) *types.Var {
-	sig, ok := f.Type().(*types.Signature)
-	if !ok {
-		return nil
-	}
-	return sig.Recv()
-}
-
-// recvTypeNameIs reports whether f is a method on a named type (or pointer
-// to one) called name.
-func recvTypeNameIs(f *types.Func, name string) bool {
-	recv := recvOf(f)
-	if recv == nil {
-		return false
-	}
-	t := recv.Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	return ok && named.Obj().Name() == name
-}
-
-// orderInsensitiveRangeBody reports whether a range-over-map body only
-// performs operations whose combined effect does not depend on iteration
-// order: accumulating into sets/maps/counters, appending keys for a later
-// sort, and local bookkeeping. Anything that can observe order — calls for
-// effect, returns, channel sends, nested loops, writes to an order-carrying
-// sink — disqualifies the body.
-func orderInsensitiveRangeBody(rng *ast.RangeStmt) bool {
-	for _, s := range rng.Body.List {
-		if !orderInsensitiveStmt(s) {
-			return false
-		}
-	}
-	return true
-}
-
-func orderInsensitiveStmt(s ast.Stmt) bool {
-	switch st := s.(type) {
-	case *ast.AssignStmt:
-		return true // defines, map/element writes, append accumulation
-	case *ast.IncDecStmt:
-		return true
-	case *ast.DeclStmt:
-		return true
-	case *ast.EmptyStmt:
-		return true
-	case *ast.BranchStmt:
-		return st.Tok.String() == "continue"
-	case *ast.BlockStmt:
-		for _, inner := range st.List {
-			if !orderInsensitiveStmt(inner) {
-				return false
-			}
-		}
-		return true
-	case *ast.IfStmt:
-		if st.Init != nil && !orderInsensitiveStmt(st.Init) {
-			return false
-		}
-		if !orderInsensitiveStmt(st.Body) {
-			return false
-		}
-		if st.Else != nil {
-			return orderInsensitiveStmt(st.Else)
-		}
-		return true
-	default:
-		// Calls for effect, returns, sends, defers, go, nested ranges:
-		// all potentially order-observing.
-		return false
 	}
 }

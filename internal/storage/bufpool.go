@@ -357,7 +357,6 @@ func (bp *BufferPool) Prefetch(file FileID, pids []PageID) {
 	// join or cancel. The per-shard inflight window (released in
 	// prefetchOne) bounds how many goroutines run, and a prefetch racing
 	// pool shutdown only populates frames that Reset then discards.
-	//dbvet:ignore goroutinejoin
 	go func() {
 		for _, pid := range admitted {
 			bp.prefetchOne(file, pid)

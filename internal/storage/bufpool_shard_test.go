@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestBufferPoolShardSplit(t *testing.T) {
@@ -104,6 +105,89 @@ func TestBufferPoolConcurrentStress(t *testing.T) {
 	}
 	if err := bp.Flush(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBufferPoolSweepsDuringFetches runs the pool's all-shard sweeps —
+// Reset, Stats, Pinned, Flush and ResetStats — beside fetch/unpin workers.
+// Reset holds every shard lock at once, so a sweep that takes shard locks
+// in any other order than ascending deadlocks against it; the race
+// detector cannot see that, so a watchdog turns a hang into a failure.
+func TestBufferPoolSweepsDuringFetches(t *testing.T) {
+	d := NewDiskManager(testModel())
+	bp := NewBufferPool(d, 64)
+	f := d.CreateFile()
+	const npages = 256
+	for i := 0; i < npages; i++ {
+		pp, err := bp.NewPage(f, PageTypeHeap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pp.Unpin(true)
+	}
+
+	const workers, sweepers, opsPerWorker = 8, 2, 2000
+	errCh := make(chan error, workers+sweepers)
+	stop := make(chan struct{})
+	var fetchers, sweeps sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		fetchers.Add(1)
+		go func(seed int64) {
+			defer fetchers.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < opsPerWorker; i++ {
+				pp, err := bp.FetchPage(f, PageID(rng.Intn(npages)))
+				if err != nil {
+					if errors.Is(err, ErrPoolExhausted) {
+						continue
+					}
+					errCh <- err
+					return
+				}
+				pp.Unpin(rng.Intn(4) == 0)
+			}
+		}(int64(w))
+	}
+	for s := 0; s < sweepers; s++ {
+		sweeps.Add(1)
+		go func() {
+			defer sweeps.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				_ = bp.Reset() // fails while a worker holds a pin; that is expected
+				_ = bp.Stats()
+				_ = bp.Pinned()
+				if err := bp.Flush(); err != nil {
+					errCh <- err
+					return
+				}
+				bp.ResetStats()
+			}
+		}()
+	}
+
+	done := make(chan struct{})
+	go func() {
+		fetchers.Wait()
+		close(stop)
+		sweeps.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(20 * time.Second):
+		t.Fatal("deadlock: fetches and shard sweeps did not finish within 20s")
+	}
+	close(errCh)
+	for err := range errCh {
+		t.Fatal(err)
+	}
+	if n := bp.Pinned(); n != 0 {
+		t.Errorf("Pinned() = %d after all workers released", n)
 	}
 }
 

@@ -339,6 +339,85 @@ func TestMonitorQuarantinePerMechanism(t *testing.T) {
 	}
 }
 
+// TestShedResultsNeverReachFeedback runs a scan (prefix and non-prefix
+// monitors), a seek and a hash join at shed levels 1-3 with MonitorAll,
+// applies every result, and checks that no shed result reached the
+// feedback cache, the optimizer's injections or a join curve. The
+// monitors a level leaves unchanged (seeks at level 1) still feed back.
+func TestShedResultsNeverReachFeedback(t *testing.T) {
+	queries := []string{
+		"SELECT COUNT(padding) FROM t WHERE c5 < 2000 AND c2 < 6000",
+		"SELECT COUNT(padding) FROM t WHERE c2 < 500",
+		"SELECT COUNT(padding) FROM t, u WHERE u.c1 < 100 AND u.c2 = t.c2",
+	}
+	for lvl := 1; lvl <= 3; lvl++ {
+		eng := joinTestEnv(t, 8000)
+		seek, err := eng.ParseQuery(queries[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.Optimizer().InjectDPC("t", seek.Pred, 1) // force the index plan
+		var shed, kept []DPCResult
+		mechs := map[string]bool{}
+		for _, sql := range queries {
+			res, err := eng.Query(sql, &RunOptions{MonitorAll: true, SampleFraction: 0.5, ShedLevel: lvl})
+			if err != nil {
+				t.Fatalf("level %d %s: %v", lvl, sql, err)
+			}
+			n := 0
+			for _, r := range res.DPC {
+				switch {
+				case r.Shed:
+					shed = append(shed, r)
+					mechs[r.Mechanism] = true
+					n++
+				case r.Mechanism != MechUnsatisfiable:
+					kept = append(kept, r)
+				}
+			}
+			if res.Stats.Runtime.ShedMonitors != n {
+				t.Errorf("level %d %s: ShedMonitors = %d, shed results %d", lvl, sql, res.Stats.Runtime.ShedMonitors, n)
+			}
+			eng.ApplyFeedback(res)
+		}
+		for _, want := range []string{MechDPSample, MechBitVector} {
+			if !mechs[want] {
+				t.Errorf("level %d: no shed %s result; the workload no longer exercises it", lvl, want)
+			}
+		}
+		keptKeys := map[string]bool{}
+		for _, r := range kept {
+			keptKeys[r.Request.Table+"|"+r.Request.Pred.String()] = true
+		}
+		for _, r := range shed {
+			if !r.Degraded {
+				t.Errorf("level %d: shed %s result for %s not Degraded", lvl, r.Mechanism, r.Request.Pred)
+			}
+			if r.Request.Join {
+				for _, tab := range []string{"t", "u"} {
+					if _, ok := eng.Optimizer().JoinDPCCurve(tab, "c2"); ok {
+						t.Errorf("level %d: shed join result grew the %s.c2 join curve", lvl, tab)
+					}
+				}
+				continue
+			}
+			if keptKeys[r.Request.Table+"|"+r.Request.Pred.String()] {
+				continue
+			}
+			if _, ok := eng.FeedbackCache().Lookup(r.Request.Table, r.Request.Pred); ok {
+				t.Errorf("level %d: shed %s result for %s reached the feedback cache", lvl, r.Mechanism, r.Request.Pred)
+			}
+			forced := r.Request.Pred.String() == seek.Pred.String() // injected above
+			if !forced && eng.Optimizer().HasInjectedDPC(r.Request.Table, r.Request.Pred) {
+				t.Errorf("level %d: shed %s result for %s was injected", lvl, r.Mechanism, r.Request.Pred)
+			}
+		}
+		if lvl == 1 && eng.FeedbackCache().Len() == 0 {
+			t.Error("level 1: nothing fed back; the unchanged seek monitor should have been")
+		}
+	}
+}
+
 // TestBufferPoolExhaustion pins every frame of a minimum-size pool and
 // checks a query fails with the typed exhaustion error — and that the
 // engine recovers completely once the pins are released.
