@@ -31,12 +31,9 @@ type admissionGate struct {
 
 // admissionWaiter is one queued admission request. grant is closed exactly
 // once, by releaseLocked, when the waiter is popped from the queue; a waiter
-// that already gave up forwards the grant to the next in line. limit is the
-// concurrency bound the waiter was admitted under (per-call overrides are
-// honored at hand-off, not just at arrival).
+// that already gave up forwards the grant to the next in line.
 type admissionWaiter struct {
 	grant     chan struct{}
-	limit     int
 	abandoned bool
 }
 
@@ -46,22 +43,16 @@ func newAdmissionGate(limit, maxQueue int) *admissionGate {
 
 // acquire blocks until the query may run, the context expires, or the queue
 // is full. It returns the time spent queued and the queue depth observed at
-// arrival. effLimit > 0 overrides the gate's configured limit for this call
-// (RunOptions.MaxConcurrent); the override only tightens or loosens the
-// admit check, not the queue bound.
-func (g *admissionGate) acquire(ctx context.Context, effLimit int) (queueWait time.Duration, queueDepth int, err error) {
+// arrival.
+func (g *admissionGate) acquire(ctx context.Context) (queueWait time.Duration, queueDepth int, err error) {
 	g.mu.Lock()
-	limit := g.limit
-	if effLimit > 0 {
-		limit = effLimit
-	}
-	if limit <= 0 {
+	if g.limit <= 0 {
 		g.active++
 		g.admitted++
 		g.mu.Unlock()
 		return 0, 0, nil
 	}
-	if g.active < limit && len(g.waiters) == 0 {
+	if g.active < g.limit && len(g.waiters) == 0 {
 		g.active++
 		g.admitted++
 		g.mu.Unlock()
@@ -73,10 +64,10 @@ func (g *admissionGate) acquire(ctx context.Context, effLimit int) (queueWait ti
 		g.mu.Unlock()
 		return 0, queueDepth, &QueryError{
 			Kind: ErrKindOverload,
-			Err:  fmt.Errorf("admission queue full (%d waiting, limit %d)", g.maxWait, limit),
+			Err:  fmt.Errorf("admission queue full (%d waiting, limit %d)", g.maxWait, g.limit),
 		}
 	}
-	w := &admissionWaiter{grant: make(chan struct{}), limit: limit}
+	w := &admissionWaiter{grant: make(chan struct{})}
 	g.waiters = append(g.waiters, w)
 	queueDepth = len(g.waiters)
 	if queueDepth > g.peakQueue {
@@ -123,15 +114,14 @@ func (g *admissionGate) release() {
 }
 
 // releaseLocked decrements active, then grants slots to queued waiters head
-// first, skipping (and discarding) abandoned ones. Each waiter is admitted
-// against its own recorded limit. The granted waiter's active slot is
-// incremented here, before the grant channel closes, so there is no window
-// where the slot is neither held nor reserved.
+// first, skipping (and discarding) abandoned ones. The granted waiter's
+// active slot is incremented here, before the grant channel closes, so there
+// is no window where the slot is neither held nor reserved.
 func (g *admissionGate) releaseLocked() {
 	g.active--
 	for len(g.waiters) > 0 {
 		w := g.waiters[0]
-		if !w.abandoned && g.active >= w.limit {
+		if !w.abandoned && g.active >= g.limit {
 			return
 		}
 		g.waiters = g.waiters[1:]
@@ -140,25 +130,6 @@ func (g *admissionGate) releaseLocked() {
 		}
 		g.active++
 		close(w.grant)
-	}
-}
-
-// pressureLevel maps current queue depth to a shed level on the paper's
-// degradation lattice: 0 no pressure, 1 any waiters, 2 a full limit's worth
-// queued, 3 four limits' worth. Used by RunOptions.ShedUnderPressure.
-func (g *admissionGate) pressureLevel() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.limit <= 0 || len(g.waiters) == 0 {
-		return 0
-	}
-	switch depth := len(g.waiters); {
-	case depth >= 4*g.limit:
-		return 3
-	case depth >= g.limit:
-		return 2
-	default:
-		return 1
 	}
 }
 

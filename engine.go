@@ -67,12 +67,6 @@ type Config struct {
 	// query whose wall time meets the threshold is captured — trace, plan,
 	// and runtime stats — retrievable via SlowQueries.
 	SlowQueryThreshold time.Duration
-	// SlowQueryLogSize bounds the slow-query log; older entries are evicted.
-	// 0 uses the default (32).
-	SlowQueryLogSize int
-	// TraceSpanCapacity sizes per-query trace buffers in spans. 0 uses
-	// trace.DefaultCapacity.
-	TraceSpanCapacity int
 }
 
 // DefaultConfig returns a 2007-era disk model, a 64 MB buffer pool,
@@ -140,7 +134,7 @@ func New(cfg Config) *Engine {
 		opt:      opt.New(cat, cfg.IOModel, cfg.CPUPerRow),
 		cache:    core.NewFeedbackCache(),
 		met:      newEngineMetrics(),
-		slow:     newSlowLog(cfg.SlowQueryLogSize),
+		slow:     new(slowLog),
 		epochs:   core.NewEpochTracker(),
 		tracked:  make(map[string]trackedEntry),
 		histCols: make(map[[2]string]bool),
@@ -260,10 +254,6 @@ type RunOptions struct {
 	// (whichever fires first wins); on expiry the query aborts with a
 	// *QueryError of kind ErrKindTimeout.
 	Timeout time.Duration
-	// FailMonitors is a fault-injection hook for tests: monitors whose
-	// mechanism name appears here panic on first observation, exercising
-	// the quarantine path. Only meaningful with MonitorAll.
-	FailMonitors []string
 	// Parallelism is the intra-query parallel degree: full scans (and
 	// hash-join probes over them) split into that many partitioned workers.
 	// 0 or 1 runs serially; values above GOMAXPROCS are clamped to it.
@@ -271,10 +261,6 @@ type RunOptions struct {
 	// identical to a serial run; only row order of unsorted results may
 	// differ.
 	Parallelism int
-	// MaxConcurrent overrides the engine's admission limit for this call
-	// (Config.MaxConcurrent). 0 inherits the engine limit; with both zero no
-	// admission control applies.
-	MaxConcurrent int
 	// MemBudget bounds the bytes this query's blocking operators may
 	// materialize (hash-join build sides, sorts, group states, parallel-scan
 	// arenas, RID sets). Exceeding it aborts the query with a *QueryError of
@@ -291,10 +277,6 @@ type RunOptions struct {
 	// report as at level 0. Applies to MonitorAll; explicit Monitor configs
 	// carry their own ShedLevel.
 	ShedLevel int
-	// ShedUnderPressure derives the shed level from the admission queue at
-	// submission time (deeper queue, higher level), taking the maximum of it
-	// and ShedLevel. Requires an engine-level Config.MaxConcurrent.
-	ShedUnderPressure bool
 	// MonitorOverheadBudget bounds the wall-clock observation time of each
 	// planted monitor; a monitor exceeding it disables itself mid-query and
 	// reports a shed (Degraded) result. 0 means unbounded.
@@ -306,21 +288,15 @@ type RunOptions struct {
 	// the statistics document — only Result.Trace and the traced-only
 	// OperatorStats fields (Wall, Calls) are populated.
 	Trace bool
-	// TraceCapacity overrides the trace buffer size in spans for this query
-	// (0 inherits Config.TraceSpanCapacity, then trace.DefaultCapacity).
-	TraceCapacity int
+
+	// failMonitors is the fault-injection seam for tests: MonitorAll
+	// monitors whose mechanism name appears here panic on first
+	// observation, exercising the quarantine path.
+	failMonitors []string
 }
 
 // traced reports whether the options request span recording.
 func (o *RunOptions) traced() bool { return o != nil && o.Trace }
-
-// traceCapacity returns the per-query span buffer override (0 = inherit).
-func (o *RunOptions) traceCapacity() int {
-	if o == nil {
-		return 0
-	}
-	return o.TraceCapacity
-}
 
 // parallelDegree clamps the requested degree to [0, GOMAXPROCS].
 func (o *RunOptions) parallelDegree() int {
@@ -393,17 +369,11 @@ func (e *Engine) RunQuery(q *opt.Query, opts *RunOptions) (*Result, error) {
 // query's constants and executed directly.
 func (e *Engine) RunQueryContext(ctx context.Context, q *opt.Query, opts *RunOptions) (res *Result, err error) {
 	defer recoverQueryPanic(&err)
-	node, skel, hit, err := e.planForQuery(q)
+	node, hit, err := e.planForQuery(q)
 	if err != nil {
 		return nil, err
 	}
-	var mcfg *exec.MonitorConfig
-	if hit {
-		mcfg = e.monitorFromSkeleton(skel, q, opts)
-	} else {
-		mcfg = e.monitorConfig(q, opts)
-	}
-	res, err = e.ExecuteContext(ctx, node, mcfg, opts)
+	res, err = e.ExecuteContext(ctx, node, monitorConfig(q, opts), opts)
 	if err != nil {
 		return nil, err
 	}
@@ -420,7 +390,7 @@ func (e *Engine) RunQueryContext(ctx context.Context, q *opt.Query, opts *RunOpt
 }
 
 // monitorConfig resolves the effective monitor configuration.
-func (e *Engine) monitorConfig(q *opt.Query, opts *RunOptions) *exec.MonitorConfig {
+func monitorConfig(q *opt.Query, opts *RunOptions) *exec.MonitorConfig {
 	if opts == nil {
 		return nil
 	}
@@ -432,14 +402,9 @@ func (e *Engine) monitorConfig(q *opt.Query, opts *RunOptions) *exec.MonitorConf
 	}
 	cfg := &exec.MonitorConfig{
 		SampleFraction: opts.SampleFraction,
-		FailMonitors:   opts.FailMonitors,
+		FailMonitors:   opts.failMonitors,
 		ShedLevel:      opts.ShedLevel,
 		OverheadBudget: opts.MonitorOverheadBudget,
-	}
-	if opts.ShedUnderPressure {
-		if p := e.gate.pressureLevel(); p > cfg.ShedLevel {
-			cfg.ShedLevel = p
-		}
 	}
 	addFor := func(table string, pred expr.Conjunction) {
 		if len(pred.Atoms) == 0 {
@@ -500,19 +465,11 @@ func (e *Engine) ExecuteContext(goCtx context.Context, node plan.Node, mcfg *exe
 	// the trace epoch.
 	var rec *trace.Recorder
 	if opts.traced() || e.cfg.SlowQueryThreshold > 0 {
-		capacity := opts.traceCapacity()
-		if capacity <= 0 {
-			capacity = e.cfg.TraceSpanCapacity
-		}
-		rec = trace.NewRecorder(capacity)
+		rec = trace.NewRecorder(trace.DefaultCapacity)
 	}
 	// Admission: queue wait counts against the query's deadline because the
 	// timeout context above wraps it.
-	effLimit := 0
-	if opts != nil {
-		effLimit = opts.MaxConcurrent
-	}
-	queueWait, queueDepth, err := e.gate.acquire(goCtx, effLimit)
+	queueWait, queueDepth, err := e.gate.acquire(goCtx)
 	if err != nil {
 		return nil, err
 	}
@@ -661,28 +618,15 @@ func (e *Engine) joinSide(q *opt.Query, inner string) (table, innerCol string, o
 	if !q.IsJoin() {
 		return "", "", 0
 	}
-	if equalFold(inner, q.Table) {
+	if strings.EqualFold(inner, q.Table) {
 		rows, _ := e.opt.EstimateCardinality(q.Table2, q.Pred2)
 		return q.Table, q.JoinCol, rows
 	}
-	if equalFold(inner, q.Table2) {
+	if strings.EqualFold(inner, q.Table2) {
 		rows, _ := e.opt.EstimateCardinality(q.Table, q.Pred)
 		return q.Table2, q.JoinCol2, rows
 	}
 	return "", "", 0
-}
-
-func equalFold(a, b string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := 0; i < len(a); i++ {
-		ca, cb := a[i]|0x20, b[i]|0x20
-		if ca != cb {
-			return false
-		}
-	}
-	return true
 }
 
 // ApplyFeedback stores every observed DPC from res in the feedback cache

@@ -371,9 +371,7 @@ func (e *Execution) attachScanMonitors(op monitoredScan, node *plan.Scan) {
 			// truth falls out of the range bounds), so levels 1-2 keep it.
 			m := &scanMonitor{req: req, kind: monExactPrefix,
 				prefixLen: len(node.Pred.Atoms), gc: core.NewGroupedCounter()}
-			m.injectFail = e.cfg.failInjected(m.mechanism())
-			m.overheadBudget = e.cfg.OverheadBudget
-			m.host = op.Stats()
+			m.monitorGuard = e.cfg.guard(op.Stats(), MechExactScan, "")
 			op.attach(m)
 			e.scanMons = append(e.scanMons, m)
 			e.satisfied[i] = true
@@ -389,6 +387,7 @@ func (e *Execution) attachScanMonitors(op monitoredScan, node *plan.Scan) {
 			continue
 		}
 		m := &scanMonitor{req: req}
+		var shedReason string
 		if req.Pred.IsPrefixOf(node.Pred) {
 			// A prefix of the scan predicate: its truth value falls out of
 			// short-circuited evaluation — exact counting at no extra cost.
@@ -404,8 +403,7 @@ func (e *Execution) attachScanMonitors(op monitoredScan, node *plan.Scan) {
 				m.kind = monSampled
 				m.pred = bound
 				m.dps = core.NewDPSample(e.cfg.sampleFraction(), e.nextSeed())
-				m.shed = true
-				m.shedReason = "load-shed: exact grouped counting degraded to page sampling (level 1)"
+				shedReason = "load-shed: exact grouped counting degraded to page sampling (level 1)"
 			default: // lvl == 2
 				m.kind = monLinear
 				m.prefixLen = len(req.Pred.Atoms)
@@ -414,8 +412,7 @@ func (e *Execution) attachScanMonitors(op monitoredScan, node *plan.Scan) {
 					m.lcBits = core.DefaultLinearCounterBits(node.Tab.NumPages())
 				}
 				m.lc = core.NewLinearCounter(m.lcBits)
-				m.shed = true
-				m.shedReason = "load-shed: exact grouped counting degraded to linear counting (level 2)"
+				shedReason = "load-shed: exact grouped counting degraded to linear counting (level 2)"
 			}
 		} else {
 			// Not a prefix: evaluating it needs short-circuiting turned
@@ -427,25 +424,21 @@ func (e *Execution) attachScanMonitors(op monitoredScan, node *plan.Scan) {
 			switch {
 			case lvl == 1:
 				f /= 4
-				m.shed = true
-				m.shedReason = "load-shed: sampling fraction thinned 4x (level 1)"
+				shedReason = "load-shed: sampling fraction thinned 4x (level 1)"
 			case lvl >= 2:
 				f /= 16
-				m.shed = true
-				m.shedReason = "load-shed: sampling fraction thinned 16x (level 2)"
+				shedReason = "load-shed: sampling fraction thinned 16x (level 2)"
 			}
 			m.dps = core.NewDPSample(f, e.nextSeed())
 		}
-		m.injectFail = e.cfg.failInjected(m.mechanism())
-		m.overheadBudget = e.cfg.OverheadBudget
-		m.host = op.Stats()
+		m.monitorGuard = e.cfg.guard(op.Stats(), m.mechanism(), shedReason)
 		op.attach(m)
 		e.scanMons = append(e.scanMons, m)
 		e.satisfied[i] = true
 	}
 }
 
-func (e *Execution) newSeekMonitor(req DPCRequest, tab *catalog.Table, mech string) *seekMonitor {
+func (e *Execution) newSeekMonitor(req DPCRequest, tab *catalog.Table, mech string, host *OpStats) *seekMonitor {
 	bits := e.cfg.LinearBits
 	if bits == 0 {
 		bits = core.DefaultLinearCounterBits(tab.NumPages())
@@ -461,13 +454,8 @@ func (e *Execution) newSeekMonitor(req DPCRequest, tab *catalog.Table, mech stri
 		}
 		shedReason = "load-shed: linear-counting bitmap thinned under overload (level 2)"
 	}
-	m := &seekMonitor{req: req, mech: mech, lc: core.NewLinearCounter(bits)}
-	if shedReason != "" {
-		m.shed = true
-		m.shedReason = shedReason
-	}
-	m.overheadBudget = e.cfg.OverheadBudget
-	m.injectFail = e.cfg.failInjected(mech)
+	m := &seekMonitor{req: req, mech: mech, lc: core.NewLinearCounter(bits),
+		monitorGuard: e.cfg.guard(host, mech, shedReason)}
 	if e.cfg.CompareSamplingEstimator {
 		size := e.cfg.ReservoirSize
 		if size <= 0 {
@@ -501,9 +489,7 @@ func (e *Execution) buildSeek(node *plan.Seek, need uint64) (Operator, error) {
 				"load-shed: monitoring disabled under overload (level 3)")
 			continue
 		}
-		m := e.newSeekMonitor(req, node.Tab, MechLinearCount)
-		m.host = op.Stats()
-		op.attach(m)
+		op.attach(e.newSeekMonitor(req, node.Tab, MechLinearCount, op.Stats()))
 		e.satisfied[i] = true
 	}
 	return op, nil
@@ -528,9 +514,7 @@ func (e *Execution) buildIntersect(node *plan.Intersect, need uint64) (Operator,
 				"load-shed: monitoring disabled under overload (level 3)")
 			continue
 		}
-		m := e.newSeekMonitor(req, node.Tab, MechLinearCount)
-		m.host = op.Stats()
-		op.attach(m)
+		op.attach(e.newSeekMonitor(req, node.Tab, MechLinearCount, op.Stats()))
 		e.satisfied[i] = true
 	}
 	return op, nil
@@ -625,13 +609,7 @@ func (e *Execution) buildJoin(node *plan.Join, need uint64) (Operator, error) {
 				filter: filter, joinColOrd: joinOrd,
 				dps: core.NewDPSample(f, e.nextSeed()),
 			}
-			if shedReason != "" {
-				m.shed = true
-				m.shedReason = shedReason
-			}
-			m.overheadBudget = e.cfg.OverheadBudget
-			m.injectFail = e.cfg.failInjected(m.mechanism())
-			m.host = innerScan.Stats()
+			m.monitorGuard = e.cfg.guard(innerScan.Stats(), MechBitVector, shedReason)
 			sink = &filterSink{m: m, f: filter}
 			innerScan.attach(m)
 			e.scanMons = append(e.scanMons, m)
@@ -723,9 +701,7 @@ func (e *Execution) buildINL(node *plan.Join, need uint64) (Operator, error) {
 			// The INL fetch stream is exactly the pages relevant to
 			// DPC(inner, join-pred): probabilistic counting applies
 			// directly (§IV).
-			m := e.newSeekMonitor(req, node.InnerTab, MechINLFetch)
-			m.host = op.Stats()
-			op.attach(m)
+			op.attach(e.newSeekMonitor(req, node.InnerTab, MechINLFetch, op.Stats()))
 			e.satisfied[i] = true
 		}
 	}

@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"pagefeedback/internal/core"
@@ -57,14 +58,106 @@ type MonitorConfig struct {
 	OverheadBudget time.Duration
 }
 
-// failInjected reports whether fault injection is armed for mechanism mech.
-func (mc *MonitorConfig) failInjected(mech string) bool {
-	for _, m := range mc.FailMonitors {
-		if m == mech {
-			return true
-		}
+// guard arms a monitor's guard at plant time: host is the operator the
+// monitor is attached to, mech its mechanism (the fault hook fires when
+// FailMonitors names it), and shedReason, when not "", why it was planted
+// below full fidelity.
+func (mc *MonitorConfig) guard(host *OpStats, mech, shedReason string) monitorGuard {
+	g := monitorGuard{host: host, shed: shedReason != "", shedReason: shedReason,
+		overheadBudget: mc.OverheadBudget}
+	if slices.Contains(mc.FailMonitors, mech) {
+		g.injectFail = "exec: injected monitor fault (" + mech + ")"
 	}
-	return false
+	return g
+}
+
+// monitorGuard holds the contract every DPC monitor keeps with the operator
+// hosting it: monitoring never fails the host query, and never costs it more
+// than the overhead budget. Each observation runs with the guard's catch
+// deferred. A monitor that panics is quarantined: it is disabled for the rest
+// of the query and reports a degraded result naming the panic. A monitor
+// planted at a cheaper lattice rung, or one that overran its budget, is shed:
+// it reports a degraded result with the shed reason. Neither observation
+// reaches the feedback cache. When a shed monitor also panics the quarantine
+// wins, so the report names the fault, not the shedding.
+type monitorGuard struct {
+	// host is the stats node of the operator the monitor is attached to.
+	// The builder assigns operator ids after attachment, so the id is read
+	// through this pointer at report time, not copied at attach time.
+	host *OpStats
+
+	disabled bool
+	failure  string // the recovered panic of a quarantined monitor
+	// injectFail, when not "", is the panic the first observation raises
+	// (the FailMonitors test hook).
+	injectFail string
+
+	shed       bool
+	shedReason string
+	// overheadBudget arms mid-query self-shedding: once obsTime (cumulative
+	// wall time spent observing) crosses it, the monitor disables itself.
+	overheadBudget time.Duration
+	obsTime        time.Duration
+}
+
+// catch quarantines the monitor when the observation it guards panics, and
+// returns control to the host. Defer it directly: defer m.catch().
+func (g *monitorGuard) catch() {
+	if r := recover(); r != nil {
+		g.disabled = true
+		g.failure = fmt.Sprint(r)
+		g.shed = false // a quarantine wins over a shed
+	}
+}
+
+// fault raises the injected fault, when armed.
+func (g *monitorGuard) fault() {
+	if g.injectFail != "" {
+		panic(g.injectFail)
+	}
+}
+
+// begin opens one timed observation: it raises an injected fault, and reads
+// the clock for end when an overhead budget is armed.
+func (g *monitorGuard) begin() (start time.Time) {
+	g.fault()
+	if g.overheadBudget > 0 {
+		start = time.Now()
+	}
+	return start
+}
+
+// end charges the observation begun at start to the overhead budget and
+// sheds the monitor once the budget is exceeded.
+func (g *monitorGuard) end(start time.Time) {
+	if g.overheadBudget <= 0 {
+		return
+	}
+	g.obsTime += time.Since(start)
+	if g.obsTime > g.overheadBudget {
+		g.disabled = true
+		g.shed = true
+		g.shedReason = fmt.Sprintf("load-shed: observation overhead %v exceeded budget %v",
+			g.obsTime, g.overheadBudget)
+	}
+}
+
+// report completes r, which carries the monitor's observation unless it was
+// disabled, with the host's operator id and the guard's verdict.
+func (g *monitorGuard) report(r DPCResult) DPCResult {
+	r.OpID = -1
+	if g.host != nil {
+		r.OpID = g.host.OpID
+	}
+	switch {
+	case g.shed:
+		// Planted at a cheaper rung than requested, or disabled by the
+		// budget: any estimate present is untrusted.
+		r.Degraded, r.Shed, r.Reason = true, true, g.shedReason
+	case g.disabled:
+		r.Degraded, r.Reason = true, "monitor quarantined: "+g.failure
+	}
+	return r
 }
 
 func (mc *MonitorConfig) sampleFraction() float64 {
@@ -130,7 +223,8 @@ type DPCResult struct {
 	Degraded bool
 	// Shed distinguishes load-shedding (deliberate degradation under
 	// pressure; the estimate may still be present) from quarantine (the
-	// monitor crashed; no observation at all).
+	// monitor crashed; no observation at all). A shed monitor that then
+	// crashes reports the quarantine.
 	Shed bool `xml:"shed,attr,omitempty"`
 	// Reason explains an unsatisfiable request, a quarantined monitor, or a
 	// shed monitor.
@@ -149,13 +243,9 @@ const (
 
 // scanMonitor is one DPC monitor attached to an SE-side scan.
 type scanMonitor struct {
+	monitorGuard
 	req  DPCRequest
 	kind scanMonitorKind
-	// host is the stats node of the operator the monitor is attached to.
-	// The builder assigns operator ids after attachment, so the id is read
-	// through this pointer at result() time, not copied at attach time.
-	// Shards leave it nil; only the template reports.
-	host *OpStats
 
 	// monExactPrefix: the scan predicate's first prefixLen atoms form the
 	// monitored predicate.
@@ -196,23 +286,6 @@ type scanMonitor struct {
 	// scan's short-circuit evaluation, only the counter is cheaper.
 	lc     *core.LinearCounter
 	lcBits uint64
-
-	// quarantine state: a monitor that panics is disabled for the rest of
-	// the query and reports a degraded result; the host query is unaffected.
-	disabled bool
-	failure  string
-	// injectFail makes the first observation panic (test hook).
-	injectFail bool
-
-	// shed state: a load-shed monitor estimates at a cheaper lattice rung
-	// (or not at all) and reports Degraded with this reason, keeping its
-	// observation out of the feedback cache.
-	shed       bool
-	shedReason string
-	// overheadBudget arms mid-query self-shedding: once obsTime (cumulative
-	// wall time spent observing) crosses it, the monitor disables itself.
-	overheadBudget time.Duration
-	obsTime        time.Duration
 }
 
 // shard returns a fresh monitor that observes one page-disjoint partition of
@@ -220,15 +293,15 @@ type scanMonitor struct {
 // observations); the bit-vector filter is shared by pointer — it is complete
 // and read-only by the time a parallel probe opens, so concurrent MayContain
 // calls are safe. Shards are folded back into the template with absorb at the
-// partition barrier.
+// partition barrier. A shard inherits the template's guard with its own
+// budget clock, starting at zero; only the template reports.
 func (m *scanMonitor) shard() *scanMonitor {
 	s := &scanMonitor{
 		req: m.req, kind: m.kind, prefixLen: m.prefixLen, pred: m.pred, raw: m.raw,
-		filter: m.filter, joinColOrd: m.joinColOrd, schema: m.schema,
-		disabled: m.disabled, failure: m.failure, injectFail: m.injectFail,
-		shed: m.shed, shedReason: m.shedReason, overheadBudget: m.overheadBudget,
-		lcBits: m.lcBits,
+		filter: m.filter, joinColOrd: m.joinColOrd, schema: m.schema, lcBits: m.lcBits,
 	}
+	s.monitorGuard = m.monitorGuard
+	s.obsTime = 0
 	switch m.kind {
 	case monExactPrefix:
 		s.gc = core.NewGroupedCounter()
@@ -256,11 +329,7 @@ func (m *scanMonitor) absorb(s *scanMonitor) {
 	if m.disabled {
 		return
 	}
-	defer func() {
-		if r := recover(); r != nil {
-			m.quarantine(r)
-		}
-	}()
+	defer m.catch()
 	m.rows += s.rows
 	m.obsTime += s.obsTime
 	switch m.kind {
@@ -285,20 +354,6 @@ func (m *scanMonitor) mechanism() string {
 	default:
 		return MechBitVector
 	}
-}
-
-// quarantine disables the monitor for the rest of the query, recording why.
-func (m *scanMonitor) quarantine(v any) {
-	m.disabled = true
-	m.failure = fmt.Sprint(v)
-}
-
-// shedOff disables the monitor as a deliberate load-shedding decision; the
-// result is Degraded with Shed set, distinguishing it from a quarantine.
-func (m *scanMonitor) shedOff(reason string) {
-	m.disabled = true
-	m.shed = true
-	m.shedReason = reason
 }
 
 // setSchema tells the monitor the scanned table's schema (attach time,
@@ -383,11 +438,7 @@ func (m *scanMonitor) safeObserveRows(rows []tuple.Row) {
 	if m.disabled {
 		return
 	}
-	defer func() {
-		if r := recover(); r != nil {
-			m.quarantine(r)
-		}
-	}()
+	defer m.catch()
 	for _, row := range rows {
 		if m.kind == monSampled {
 			m.note(m.pred.Eval(row))
@@ -405,25 +456,10 @@ func (m *scanMonitor) safeEndPage(pid storage.PageID, passed int, hist []int) {
 	if m.disabled {
 		return
 	}
-	defer func() {
-		if r := recover(); r != nil {
-			m.quarantine(r)
-		}
-	}()
-	if m.injectFail {
-		panic("exec: injected monitor fault (" + m.mechanism() + ")")
-	}
-	if m.overheadBudget <= 0 {
-		m.endPage(pid, passed, hist)
-		return
-	}
-	start := time.Now()
+	defer m.catch()
+	start := m.begin()
 	m.endPage(pid, passed, hist)
-	m.obsTime += time.Since(start)
-	if m.obsTime > m.overheadBudget {
-		m.shedOff(fmt.Sprintf("load-shed: observation overhead %v exceeded budget %v",
-			m.obsTime, m.overheadBudget))
-	}
+	m.end(start)
 }
 
 // safeLateMatch is lateMatch behind the quarantine guard.
@@ -431,11 +467,7 @@ func (m *scanMonitor) safeLateMatch(pid storage.PageID) {
 	if m.disabled {
 		return
 	}
-	defer func() {
-		if r := recover(); r != nil {
-			m.quarantine(r)
-		}
-	}()
+	defer m.catch()
 	m.lateMatch(pid)
 }
 
@@ -445,11 +477,7 @@ func (m *scanMonitor) safeFinish() {
 	if m.disabled {
 		return
 	}
-	defer func() {
-		if r := recover(); r != nil {
-			m.quarantine(r)
-		}
-	}()
+	defer m.catch()
 	switch m.kind {
 	case monExactPrefix:
 		m.gc.Finish()
@@ -517,14 +545,8 @@ func (fs *filterSink) Add(v tuple.Value) {
 	if fs.m.disabled {
 		return
 	}
-	defer func() {
-		if r := recover(); r != nil {
-			fs.m.quarantine(r)
-		}
-	}()
-	if fs.m.injectFail {
-		panic("exec: injected monitor fault (" + fs.m.mechanism() + ")")
-	}
+	defer fs.m.catch()
+	fs.m.fault() // RE-side insertions are not timed against the budget
 	fs.f.Add(v)
 }
 
@@ -541,66 +563,26 @@ func (m *scanMonitor) lateMatch(pid storage.PageID) {
 	m.dps.ObserveAtPage(pid)
 }
 
-// result finalizes the monitor into a DPCResult. A quarantined monitor
-// reports a degraded result: no page count, a reason, and Degraded set so
-// feedback consumers skip it.
+// result finalizes the monitor into a DPCResult; a disabled monitor reports
+// no observation.
 func (m *scanMonitor) result() DPCResult {
+	r := DPCResult{Request: m.req, Mechanism: m.mechanism()}
 	if m.disabled {
-		r := DPCResult{
-			Request: m.req, Mechanism: m.mechanism(), OpID: m.hostID(),
-			Degraded: true, Shed: m.shed,
-			Reason: "monitor quarantined: " + m.failure,
-		}
-		if m.shed {
-			r.Reason = m.shedReason
-		}
-		return r
+		return m.report(r)
 	}
-	var r DPCResult
 	switch m.kind {
 	case monExactPrefix:
-		r = DPCResult{
-			Request: m.req, Mechanism: MechExactScan,
-			DPC: m.gc.Count(), Exact: true, Cardinality: m.rows,
-		}
+		r.DPC, r.Exact, r.Cardinality = m.gc.Count(), true, m.rows
 	case monLinear:
-		r = DPCResult{
-			Request: m.req, Mechanism: MechLinearCount,
-			DPC: m.lc.EstimateInt(), Exact: false, Cardinality: m.rows,
-		}
+		r.DPC, r.Cardinality = m.lc.EstimateInt(), m.rows
 	case monSampled:
-		exact := m.dps.Fraction() >= 1
-		card := m.rows
-		if !exact {
-			card = int64(math.Round(float64(m.rows) / m.dps.Fraction()))
-		}
-		r = DPCResult{
-			Request: m.req, Mechanism: MechDPSample,
-			DPC: m.dps.EstimateInt(), Exact: exact, Cardinality: card,
+		r.DPC, r.Exact, r.Cardinality = m.dps.EstimateInt(), m.dps.Fraction() >= 1, m.rows
+		if !r.Exact {
+			r.Cardinality = int64(math.Round(float64(m.rows) / m.dps.Fraction()))
 		}
 	default:
-		card := int64(math.Round(float64(m.rows) / m.dps.Fraction()))
-		r = DPCResult{
-			Request: m.req, Mechanism: MechBitVector,
-			DPC: m.dps.EstimateInt(), Exact: false, Cardinality: card,
-		}
+		r.DPC = m.dps.EstimateInt()
+		r.Cardinality = int64(math.Round(float64(m.rows) / m.dps.Fraction()))
 	}
-	if m.shed {
-		// Planted at a cheaper rung than requested: the estimate is present
-		// but untrusted; it must not feed the cache.
-		r.Degraded = true
-		r.Shed = true
-		r.Reason = m.shedReason
-	}
-	r.OpID = m.hostID()
-	return r
-}
-
-// hostID returns the attached operator's id, or -1 when the monitor has
-// no host (never attached, or a worker shard).
-func (m *scanMonitor) hostID() int32 {
-	if m.host == nil {
-		return -1
-	}
-	return m.host.OpID
+	return m.report(r)
 }

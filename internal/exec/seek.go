@@ -1,9 +1,7 @@
 package exec
 
 import (
-	"fmt"
 	"sort"
-	"time"
 
 	"pagefeedback/internal/catalog"
 	"pagefeedback/internal/core"
@@ -15,27 +13,17 @@ import (
 // seekMonitor counts distinct fetched pages with probabilistic counting
 // (§III-A): in an index plan rows arrive in key order, so the same page can
 // recur arbitrarily and exact counting would need duplicate elimination.
+//
+// Seek monitors already sit at the linear-counting rung, so plant-time
+// shedding only thins their bitmap; the overhead budget can still disable
+// them mid-query.
 type seekMonitor struct {
+	monitorGuard
 	req  DPCRequest
 	lc   *core.LinearCounter
 	sd   *core.SampleDistinct // optional comparison estimator
 	rows int64
 	mech string
-	// host is the attached operator's stats node; see scanMonitor.host.
-	host *OpStats
-
-	// quarantine state; see scanMonitor.
-	disabled   bool
-	failure    string
-	injectFail bool
-
-	// shed state; see scanMonitor. Seek monitors already sit at the linear
-	// counting rung, so plant-time shedding only thins their bitmap; the
-	// overhead budget can still disable them mid-query.
-	shed           bool
-	shedReason     string
-	overheadBudget time.Duration
-	obsTime        time.Duration
 }
 
 // observe counts the pages of the rows fetched since the last call, behind
@@ -48,19 +36,8 @@ func (m *seekMonitor) observe(pids []storage.PageID) {
 	if m.disabled || len(pids) == 0 {
 		return
 	}
-	defer func() {
-		if r := recover(); r != nil {
-			m.disabled = true
-			m.failure = fmt.Sprint(r)
-		}
-	}()
-	if m.injectFail {
-		panic("exec: injected monitor fault (" + m.mech + ")")
-	}
-	var start time.Time
-	if m.overheadBudget > 0 {
-		start = time.Now()
-	}
+	defer m.catch()
+	start := m.begin()
 	m.rows += int64(len(pids))
 	for _, pid := range pids {
 		m.lc.AddPID(pid)
@@ -68,15 +45,7 @@ func (m *seekMonitor) observe(pids []storage.PageID) {
 			m.sd.AddPID(pid)
 		}
 	}
-	if m.overheadBudget > 0 {
-		m.obsTime += time.Since(start)
-		if m.obsTime > m.overheadBudget {
-			m.disabled = true
-			m.shed = true
-			m.shedReason = fmt.Sprintf("load-shed: observation overhead %v exceeded budget %v",
-				m.obsTime, m.overheadBudget)
-		}
-	}
+	m.end(start)
 }
 
 // observePages hands every monitor the pages buffered since the last call
@@ -88,38 +57,17 @@ func observePages(monitors []*seekMonitor, pids []storage.PageID) []storage.Page
 	return pids[:0]
 }
 
-func (m *seekMonitor) hostID() int32 {
-	if m.host == nil {
-		return -1
-	}
-	return m.host.OpID
-}
-
+// result finalizes the monitor into a DPCResult; a disabled monitor reports
+// no observation.
 func (m *seekMonitor) result() DPCResult {
-	if m.disabled {
-		r := DPCResult{
-			Request: m.req, Mechanism: m.mech, OpID: m.hostID(),
-			Degraded: true, Shed: m.shed,
-			Reason: "monitor quarantined: " + m.failure,
+	r := DPCResult{Request: m.req, Mechanism: m.mech}
+	if !m.disabled {
+		r.DPC, r.Cardinality = m.lc.EstimateInt(), m.rows
+		if m.sd != nil {
+			r.SamplingEstimate = m.sd.EstimateInt()
 		}
-		if m.shed {
-			r.Reason = m.shedReason
-		}
-		return r
 	}
-	r := DPCResult{
-		Request: m.req, Mechanism: m.mech, OpID: m.hostID(),
-		DPC: m.lc.EstimateInt(), Cardinality: m.rows,
-	}
-	if m.sd != nil {
-		r.SamplingEstimate = m.sd.EstimateInt()
-	}
-	if m.shed {
-		r.Degraded = true
-		r.Shed = true
-		r.Reason = m.shedReason
-	}
-	return r
+	return m.report(r)
 }
 
 // fetchPred is a fetch path's predicate and the columns it decodes. A

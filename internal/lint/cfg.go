@@ -20,11 +20,8 @@ import (
 //     decomposed into edges. Compound statements (if/for/switch/select)
 //     never appear as nodes — their structure IS the graph.
 //   - An Edge carries branch context: Cond (with Negate) for the two arms of
-//     an if or for condition, Kind for return/panic terminations, BackLoop
-//     for loop back edges, and ExitLoops for edges that leave one or more
-//     enclosing loops (loop-exit falls and breaks). pinleak uses Cond for
-//     its err-pairing; the loop metadata serves analyses that accumulate
-//     facts per iteration.
+//     an if or for condition, and Kind for return/panic terminations.
+//     pinleak uses Cond for its err-pairing.
 //   - Exit is a synthetic empty block. Explicit returns and panics edge into
 //     it with EdgeReturn/EdgePanic; falling off the end of the body edges
 //     into it with EdgeImplicitReturn.
@@ -56,12 +53,6 @@ type Edge struct {
 	// Cond evaluates to !Negate.
 	Cond   ast.Expr
 	Negate bool
-	// BackLoop is the enclosing for/range statement when this edge is a loop
-	// back edge (body end or continue back to the loop head).
-	BackLoop ast.Stmt
-	// ExitLoops lists the loop statements this edge leaves, innermost first:
-	// the loop's own exit edge leaves one, a labeled break can leave several.
-	ExitLoops []ast.Stmt
 }
 
 // Block is one basic block.
@@ -105,12 +96,10 @@ func BuildCFG(body *ast.BlockStmt) *CFG {
 
 // loopFrame tracks one enclosing loop for break/continue resolution.
 type loopFrame struct {
-	stmt     ast.Stmt // *ast.ForStmt or *ast.RangeStmt
-	label    string   // label naming this loop, "" if none
-	head     *Block   // continue target
-	after    *Block   // break target
-	isLoop   bool     // false for switch/select frames (break only)
-	breakers []*Edge  // break edges, for ExitLoops annotation
+	label  string // label naming this loop, "" if none
+	head   *Block // continue target
+	after  *Block // break target
+	isLoop bool   // false for switch/select frames (break only)
 }
 
 type pendingGoto struct {
@@ -133,19 +122,18 @@ func (b *cfgBuilder) newBlock() *Block {
 }
 
 // edge adds an edge from->to, applying opts to it.
-func (b *cfgBuilder) edge(from, to *Block, opt func(*Edge)) *Edge {
+func (b *cfgBuilder) edge(from, to *Block, opt func(*Edge)) {
 	e := &Edge{From: from, To: to}
 	if opt != nil {
 		opt(e)
 	}
 	from.Succs = append(from.Succs, e)
 	to.Preds = append(to.Preds, e)
-	return e
 }
 
 // edgeTo adds an edge from the current block.
-func (b *cfgBuilder) edgeTo(to *Block, opt func(*Edge)) *Edge {
-	return b.edge(b.cur, to, opt)
+func (b *cfgBuilder) edgeTo(to *Block, opt func(*Edge)) {
+	b.edge(b.cur, to, opt)
 }
 
 // startBlock switches statement emission to blk.
@@ -177,18 +165,6 @@ func (b *cfgBuilder) stmts(list []ast.Stmt) {
 	for _, s := range list {
 		b.stmt(s, "")
 	}
-}
-
-// exitLoopsTo returns the loop statements left when jumping out through
-// frame index fi (innermost first).
-func (b *cfgBuilder) exitLoopsTo(fi int) []ast.Stmt {
-	var out []ast.Stmt
-	for i := len(b.frames) - 1; i >= fi; i-- {
-		if b.frames[i].isLoop {
-			out = append(out, b.frames[i].stmt)
-		}
-	}
-	return out
 }
 
 // stmt emits one statement. label is the pending label when the statement
@@ -245,17 +221,17 @@ func (b *cfgBuilder) stmt(s ast.Stmt, label string) {
 			b.add(st.Cond)
 			cond := st.Cond
 			b.edgeTo(body, func(e *Edge) { e.Cond = cond })
-			b.edgeTo(after, func(e *Edge) { e.Cond = cond; e.Negate = true; e.ExitLoops = []ast.Stmt{st} })
+			b.edgeTo(after, func(e *Edge) { e.Cond = cond; e.Negate = true })
 		} else {
 			b.edgeTo(body, nil) // for{}: only break or return exits
 		}
-		b.pushLoop(st, label, head, after)
+		b.pushLoop(label, head, after)
 		b.startBlock(body)
 		b.stmts(st.Body.List)
 		if st.Post != nil {
 			b.add(st.Post)
 		}
-		b.edgeTo(head, func(e *Edge) { e.BackLoop = st })
+		b.edgeTo(head, nil)
 		b.popLoop()
 		b.startBlock(after)
 
@@ -270,11 +246,11 @@ func (b *cfgBuilder) stmt(s ast.Stmt, label string) {
 		// binding for analyzers that care.
 		b.add(st)
 		b.edgeTo(body, nil)
-		b.edgeTo(after, func(e *Edge) { e.ExitLoops = []ast.Stmt{st} })
-		b.pushLoop(st, label, head, after)
+		b.edgeTo(after, nil)
+		b.pushLoop(label, head, after)
 		b.startBlock(body)
 		b.stmts(st.Body.List)
-		b.edgeTo(head, func(e *Edge) { e.BackLoop = st })
+		b.edgeTo(head, nil)
 		b.popLoop()
 		b.startBlock(after)
 
@@ -298,17 +274,13 @@ func (b *cfgBuilder) stmt(s ast.Stmt, label string) {
 		case token.BREAK:
 			fi := b.findFrame(st.Label, false)
 			if fi >= 0 {
-				exits := b.exitLoopsTo(fi)
-				e := b.edgeTo(b.frames[fi].after, func(e *Edge) { e.ExitLoops = exits })
-				b.frames[fi].breakers = append(b.frames[fi].breakers, e)
+				b.edgeTo(b.frames[fi].after, nil)
 			}
 			b.startBlock(b.newBlock()) // dead fall-through
 		case token.CONTINUE:
 			fi := b.findFrame(st.Label, true)
 			if fi >= 0 {
-				loop := b.frames[fi].stmt
-				exits := b.exitLoopsTo(fi + 1)
-				b.edgeTo(b.frames[fi].head, func(e *Edge) { e.BackLoop = loop; e.ExitLoops = exits })
+				b.edgeTo(b.frames[fi].head, nil)
 			}
 			b.startBlock(b.newBlock())
 		case token.GOTO:
@@ -353,7 +325,7 @@ func (b *cfgBuilder) switchLike(init ast.Stmt, tag ast.Expr, body *ast.BlockStmt
 	}
 	head := b.cur
 	after := b.newBlock()
-	b.frames = append(b.frames, loopFrame{stmt: nil, label: label, after: after})
+	b.frames = append(b.frames, loopFrame{label: label, after: after})
 
 	// Pre-create case body entry blocks so fallthrough can target the next.
 	var clauses []switchClause
@@ -421,8 +393,8 @@ func (b *cfgBuilder) caseBody(stmts []ast.Stmt, idx int, clauses []switchClause,
 	}
 }
 
-func (b *cfgBuilder) pushLoop(stmt ast.Stmt, label string, head, after *Block) {
-	b.frames = append(b.frames, loopFrame{stmt: stmt, label: label, head: head, after: after, isLoop: true})
+func (b *cfgBuilder) pushLoop(label string, head, after *Block) {
+	b.frames = append(b.frames, loopFrame{label: label, head: head, after: after, isLoop: true})
 }
 
 func (b *cfgBuilder) popLoop() { b.frames = b.frames[:len(b.frames)-1] }

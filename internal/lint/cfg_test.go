@@ -129,26 +129,6 @@ func TestCFGBranchEdges(t *testing.T) {
 	}
 }
 
-// TestCFGLoopEdges pins the loop metadata: a back edge marked BackLoop and
-// an exit edge marked ExitLoops.
-func TestCFGLoopEdges(t *testing.T) {
-	g := BuildCFG(parseBody(t, `for _, v := range xs { use(v) }`))
-	var back, exit int
-	for _, b := range g.Blocks {
-		for _, e := range b.Succs {
-			if e.BackLoop != nil {
-				back++
-			}
-			if len(e.ExitLoops) > 0 {
-				exit++
-			}
-		}
-	}
-	if back != 1 || exit != 1 {
-		t.Fatalf("want one back edge and one exit edge, got %d/%d", back, exit)
-	}
-}
-
 // TestCFGReturnKinds: explicit returns, panics, and the implicit fall-off
 // all edge into Exit with the right kind.
 func TestCFGReturnKinds(t *testing.T) {

@@ -175,15 +175,11 @@ func TestTracePartitionSpans(t *testing.T) {
 func TestSlowQueryLog(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.SlowQueryThreshold = time.Nanosecond
-	cfg.SlowQueryLogSize = 2
 	eng := buildTestDBCfg(t, 4000, cfg)
-	queries := []string{
-		"SELECT COUNT(padding) FROM t WHERE c2 < 100",
-		"SELECT COUNT(padding) FROM t WHERE c2 < 200",
-		"SELECT COUNT(padding) FROM t WHERE c2 < 300",
-	}
-	for _, q := range queries {
-		res, err := eng.Query(q, &RunOptions{MonitorAll: true})
+	const queries = defaultSlowLogSize + 2
+	for i := 1; i <= queries; i++ {
+		res, err := eng.Query(fmt.Sprintf("SELECT COUNT(padding) FROM t WHERE c2 < %d", 100*i),
+			&RunOptions{MonitorAll: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -192,12 +188,14 @@ func TestSlowQueryLog(t *testing.T) {
 		}
 	}
 	slow := eng.SlowQueries()
-	if len(slow) != 2 {
-		t.Fatalf("slow log holds %d entries, want the capped 2", len(slow))
+	if len(slow) != defaultSlowLogSize {
+		t.Fatalf("slow log holds %d entries, want the capped %d", len(slow), defaultSlowLogSize)
 	}
-	// Oldest evicted: the two retained entries are the last two queries.
-	if !strings.Contains(slow[0].Query, "c2 < 200") || !strings.Contains(slow[1].Query, "c2 < 300") {
-		t.Errorf("retained entries %q, %q; want the two newest", slow[0].Query, slow[1].Query)
+	// Oldest evicted: the retained entries are the newest queries, in order.
+	for i, sq := range slow {
+		if want := fmt.Sprintf("c2 < %d", 100*(i+queries-defaultSlowLogSize+1)); !strings.HasSuffix(sq.Query, want) {
+			t.Errorf("entry %d is %q; want the query with %s", i, sq.Query, want)
+		}
 	}
 	for _, sq := range slow {
 		if sq.WallTime <= 0 {
@@ -210,8 +208,8 @@ func TestSlowQueryLog(t *testing.T) {
 			t.Errorf("%s: span trace missing:\n%s", sq.Query, sq.Trace)
 		}
 	}
-	if got := counterVal(eng.MetricsSnapshot(), "pf_slow_queries_total"); got != 3 {
-		t.Errorf("pf_slow_queries_total = %d, want 3", got)
+	if got := counterVal(eng.MetricsSnapshot(), "pf_slow_queries_total"); got != queries {
+		t.Errorf("pf_slow_queries_total = %d, want %d", got, queries)
 	}
 }
 

@@ -78,7 +78,7 @@ func TestOverloadStressBoundedConcurrency(t *testing.T) {
 	// takes well under a scheduler slice, so left to themselves the
 	// goroutines could run one after another and never fill the gate.
 	for i := 0; i < limit; i++ {
-		if _, _, err := eng.gate.acquire(context.Background(), 0); err != nil {
+		if _, _, err := eng.gate.acquire(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -164,7 +164,7 @@ func TestOverloadQueueDeadline(t *testing.T) {
 		defer close(release)
 		// Hold the slot by acquiring it directly; a real query would do the
 		// same but without a controllable duration.
-		if _, _, err := eng.gate.acquire(context.Background(), 0); err != nil {
+		if _, _, err := eng.gate.acquire(context.Background()); err != nil {
 			t.Error(err)
 			return
 		}
@@ -202,14 +202,14 @@ func TestOverloadQueueFullRejection(t *testing.T) {
 	cfg.MaxQueueDepth = 1
 	eng := overloadTestDBWith(t, cfg, 500)
 
-	if _, _, err := eng.gate.acquire(context.Background(), 0); err != nil {
+	if _, _, err := eng.gate.acquire(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	queuedErr := make(chan error, 1)
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 		defer cancel()
-		_, _, err := eng.gate.acquire(ctx, 0)
+		_, _, err := eng.gate.acquire(ctx)
 		queuedErr <- err
 		if err == nil {
 			eng.gate.release()

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"pagefeedback/internal/catalog"
-	"pagefeedback/internal/exec"
 	"pagefeedback/internal/expr"
 	"pagefeedback/internal/opt"
 	"pagefeedback/internal/plan"
@@ -44,10 +43,9 @@ const planCacheShards = 8
 // planshare analyzer).
 type planEntry struct {
 	key  string
-	node plan.Node        // optimized plan template
-	skel *monitorSkeleton // prebuilt MonitorAll request shape
-	cost time.Duration    // optimizer cost snapshot, for \stats
-	slot int              // position in the shard's CLOCK ring
+	node plan.Node     // optimized plan template
+	cost time.Duration // optimizer cost snapshot, for \stats
+	slot int           // position in the shard's CLOCK ring
 
 	globalEpoch int64
 	tableEpochs map[string]int64 // lowercased table -> feedback epoch
@@ -323,12 +321,11 @@ func (e *Engine) entryValid(ent *planEntry) bool {
 
 // planForQuery resolves a plan for q: from the cache when a valid template
 // exists (instantiated with q's constants, no optimizer call), otherwise by
-// optimizing and storing the result as a new template. The returned skeleton
-// is non-nil only on a hit.
-func (e *Engine) planForQuery(q *opt.Query) (plan.Node, *monitorSkeleton, bool, error) {
+// optimizing and storing the result as a new template. hit reports which.
+func (e *Engine) planForQuery(q *opt.Query) (node plan.Node, hit bool, err error) {
 	if e.plans == nil {
-		n, err := e.PlanQuery(q)
-		return n, nil, false, err
+		node, err = e.PlanQuery(q)
+		return node, false, err
 	}
 	key := e.planKey(q)
 	if ent, ok := e.plans.lookup(key); ok {
@@ -337,22 +334,22 @@ func (e *Engine) planForQuery(q *opt.Query) (plan.Node, *monitorSkeleton, bool, 
 			e.plans.stale.Add(1)
 		} else if inst, ok := e.instantiatePlan(ent.node, q); ok {
 			e.plans.hits.Add(1)
-			return inst, ent.skel, true, nil
+			return inst, true, nil
 		} else {
 			e.plans.fallbacks.Add(1)
 		}
 	}
 	e.plans.misses.Add(1)
 	epochs, vers, global := e.epochSnapshot(q)
-	node, err := e.PlanQuery(q)
+	node, err = e.PlanQuery(q)
 	if err != nil {
-		return nil, nil, false, err
+		return nil, false, err
 	}
 	e.plans.store(&planEntry{
-		key: key, node: node, skel: newMonitorSkeleton(q), cost: node.Est().Cost,
+		key: key, node: node, cost: node.Est().Cost,
 		globalEpoch: global, tableEpochs: epochs, tableVers: vers,
 	})
-	return node, nil, false, nil
+	return node, false, nil
 }
 
 // --- template instantiation ---------------------------------------------
@@ -363,7 +360,7 @@ func (e *Engine) planForQuery(q *opt.Query) (plan.Node, *monitorSkeleton, bool, 
 // mismatch (the caller falls back to a full optimize).
 func (e *Engine) instantiatePlan(tmpl plan.Node, q *opt.Query) (plan.Node, bool) {
 	predFor := func(tab *catalog.Table) expr.Conjunction {
-		if equalFold(tab.Name, q.Table) {
+		if strings.EqualFold(tab.Name, q.Table) {
 			return q.Pred
 		}
 		return q.Pred2
@@ -489,90 +486,4 @@ func (e *Engine) instantiatePlan(tmpl plan.Node, q *opt.Query) (plan.Node, bool)
 		}
 	}
 	return walk(tmpl)
-}
-
-// --- monitor skeleton ---------------------------------------------------
-
-// monitorSkeleton is the value-free shape of a MonitorAll configuration:
-// which (side, atom-subset, join) requests the query produces. Cached with
-// the plan template so a hit skips re-deriving the request set; instantiated
-// per execution with the query's actual predicates and the caller's options.
-type monitorSkeleton struct {
-	reqs []skelReq
-}
-
-// skelReq locates one DPC request in the query's predicate structure.
-type skelReq struct {
-	side2 bool // request targets Table2/Pred2 (else Table/Pred)
-	atom  int  // -1 = full conjunction; >= 0 = single-atom subset
-	join  bool // join-DPC request (no predicate)
-}
-
-// newMonitorSkeleton derives the request shape from the query, mirroring
-// Engine.monitorConfig exactly (asserted by a DeepEqual test).
-func newMonitorSkeleton(q *opt.Query) *monitorSkeleton {
-	sk := &monitorSkeleton{}
-	addFor := func(side2 bool, pred expr.Conjunction) {
-		if len(pred.Atoms) == 0 {
-			return
-		}
-		sk.reqs = append(sk.reqs, skelReq{side2: side2, atom: -1})
-		if len(pred.Atoms) > 1 {
-			for i := range pred.Atoms {
-				sk.reqs = append(sk.reqs, skelReq{side2: side2, atom: i})
-			}
-		}
-	}
-	addFor(false, q.Pred)
-	if q.IsJoin() {
-		addFor(true, q.Pred2)
-		sk.reqs = append(sk.reqs,
-			skelReq{side2: false, atom: -1, join: true},
-			skelReq{side2: true, atom: -1, join: true},
-		)
-	}
-	return sk
-}
-
-// monitorFromSkeleton instantiates a cached skeleton into the effective
-// monitor configuration for this execution, equivalent to
-// Engine.monitorConfig without re-deriving the request structure.
-func (e *Engine) monitorFromSkeleton(sk *monitorSkeleton, q *opt.Query, opts *RunOptions) *exec.MonitorConfig {
-	if opts == nil {
-		return nil
-	}
-	if opts.Monitor != nil {
-		return opts.Monitor
-	}
-	if !opts.MonitorAll || q == nil {
-		return nil
-	}
-	cfg := &exec.MonitorConfig{
-		SampleFraction: opts.SampleFraction,
-		FailMonitors:   opts.FailMonitors,
-		ShedLevel:      opts.ShedLevel,
-		OverheadBudget: opts.MonitorOverheadBudget,
-	}
-	if opts.ShedUnderPressure {
-		if p := e.gate.pressureLevel(); p > cfg.ShedLevel {
-			cfg.ShedLevel = p
-		}
-	}
-	for _, r := range sk.reqs {
-		table, pred := q.Table, q.Pred
-		if r.side2 {
-			table, pred = q.Table2, q.Pred2
-		}
-		req := exec.DPCRequest{Table: table}
-		switch {
-		case r.join:
-			req.Join = true
-		case r.atom >= 0:
-			req.Pred = pred.Subset(r.atom)
-		default:
-			req.Pred = pred
-		}
-		cfg.Requests = append(cfg.Requests, req)
-	}
-	return cfg
 }

@@ -3,7 +3,6 @@ package pagefeedback
 import (
 	"bytes"
 	"fmt"
-	"reflect"
 	"sync"
 	"testing"
 
@@ -166,42 +165,6 @@ func TestPlanCacheStaleAfterCreateIndex(t *testing.T) {
 	}
 	if res.PlanCacheHit {
 		t.Error("post-CreateIndex execution served a pre-DDL cached plan")
-	}
-}
-
-// TestMonitorSkeletonMatchesMonitorConfig: the cached monitor skeleton must
-// instantiate to exactly the configuration monitorConfig derives from
-// scratch, for every option shape, on both single-table and join queries.
-func TestMonitorSkeletonMatchesMonitorConfig(t *testing.T) {
-	eng := joinTestEnv(t, 2000)
-	queries := []string{
-		"SELECT COUNT(padding) FROM t WHERE c2 < 300",
-		"SELECT COUNT(padding) FROM t WHERE c2 < 300 AND c5 < 1000",
-		"SELECT COUNT(padding) FROM t, u WHERE u.c1 < 200 AND u.c2 = t.c2",
-		"SELECT COUNT(padding) FROM t, u WHERE t.c2 < 500 AND u.c1 < 200 AND u.c2 = t.c2",
-	}
-	explicit := &MonitorConfig{Requests: []DPCRequest{{Table: "t", Pred: Conjunction{}}}}
-	optVariants := []*RunOptions{
-		nil,
-		{},
-		{Monitor: explicit},
-		{MonitorAll: true},
-		{MonitorAll: true, SampleFraction: 0.25},
-		{MonitorAll: true, ShedLevel: 1, FailMonitors: []string{MechDPSample}},
-	}
-	for _, sql := range queries {
-		q, err := eng.ParseQuery(sql)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sk := newMonitorSkeleton(q)
-		for i, opts := range optVariants {
-			want := eng.monitorConfig(q, opts)
-			got := eng.monitorFromSkeleton(sk, q, opts)
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s opts[%d]: skeleton config = %+v, want %+v", sql, i, got, want)
-			}
-		}
 	}
 }
 

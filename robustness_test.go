@@ -3,6 +3,7 @@ package pagefeedback
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -226,7 +227,7 @@ func TestFaultMatrix(t *testing.T) {
 		}
 		res, err := eng.Query(sql, &RunOptions{
 			MonitorAll: true, SampleFraction: 1.0,
-			FailMonitors: []string{MechExactScan, MechDPSample, MechLinearCount, MechBitVector, MechINLFetch},
+			failMonitors: []string{MechExactScan, MechDPSample, MechLinearCount, MechBitVector, MechINLFetch},
 		})
 		if err != nil {
 			t.Fatalf("query with all monitors failing errored: %v", err)
@@ -253,8 +254,11 @@ func TestFaultMatrix(t *testing.T) {
 // query exercises, a healthy execution and one with that mechanism's
 // monitors panicking — and diffs them: identical rows, the failed monitor
 // reported Degraded with no observation, the other monitors unaffected.
-// Each query case gets a fresh engine so plan choices stay identical
-// between the healthy and the failing run.
+// Every case runs at shed levels 0-2, serially and at degree 2: a monitor
+// planted shed that then panics is quarantined, not shed — its report names
+// the panic and it counts in QuarantinedMonitors. Each query case gets a
+// fresh engine so plan choices stay identical between the healthy and the
+// failing run.
 func TestMonitorQuarantinePerMechanism(t *testing.T) {
 	seekSQL := "SELECT COUNT(padding) FROM t WHERE c2 < 500"
 	cases := []struct {
@@ -268,9 +272,6 @@ func TestMonitorQuarantinePerMechanism(t *testing.T) {
 		{name: "seek", sql: seekSQL, forceSeek: true},
 		{name: "join", sql: "SELECT COUNT(padding) FROM t, u WHERE u.c1 < 100 AND u.c2 = t.c2"},
 	}
-	opts := func(fail ...string) *RunOptions {
-		return &RunOptions{MonitorAll: true, SampleFraction: 1.0, FailMonitors: fail}
-	}
 	covered := map[string]bool{}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -282,51 +283,30 @@ func TestMonitorQuarantinePerMechanism(t *testing.T) {
 				}
 				eng.Optimizer().InjectDPC("t", pq.Pred, 1)
 			}
-			healthy, err := eng.Query(tc.sql, opts())
-			if err != nil {
-				t.Fatal(err)
-			}
-			mechs := map[string]bool{}
-			for _, r := range healthy.DPC {
-				if r.Mechanism != MechUnsatisfiable && !r.Degraded {
-					mechs[r.Mechanism] = true
-				}
-			}
-			for mech := range mechs {
-				covered[mech] = true
-				res, err := eng.Query(tc.sql, opts(mech))
-				if err != nil {
-					t.Fatalf("with %s failing: %v", mech, err)
-				}
-				if res.Rows[0][0].Int != healthy.Rows[0][0].Int {
-					t.Errorf("with %s quarantined: count %d, want %d",
-						mech, res.Rows[0][0].Int, healthy.Rows[0][0].Int)
-				}
-				degraded := 0
-				for _, r := range res.DPC {
-					switch {
-					case r.Degraded && r.Mechanism == mech:
-						degraded++
-						if r.DPC != 0 {
-							t.Errorf("%s: degraded result carries DPC %d", mech, r.DPC)
-						}
-						if !strings.Contains(r.Reason, "quarantined") {
-							t.Errorf("%s: degraded reason = %q", mech, r.Reason)
-						}
-					case r.Degraded:
-						t.Errorf("mechanism %s degraded while only %s was failed", r.Mechanism, mech)
+			for lvl := 0; lvl <= 2; lvl++ {
+				for _, par := range []int{0, 2} {
+					opts := func(fail ...string) *RunOptions {
+						return &RunOptions{MonitorAll: true, SampleFraction: 1.0,
+							ShedLevel: lvl, Parallelism: par, failMonitors: fail}
 					}
-				}
-				if degraded == 0 {
-					t.Errorf("with %s failing: no degraded result", mech)
-				}
-				if res.Stats.Runtime.QuarantinedMonitors != degraded {
-					t.Errorf("QuarantinedMonitors = %d, degraded results = %d",
-						res.Stats.Runtime.QuarantinedMonitors, degraded)
-				}
-				for _, x := range res.Stats.DPC {
-					if x.Mechanism == mech && !x.Degraded {
-						t.Errorf("statistics-xml entry for %s not marked degraded", mech)
+					healthy, err := eng.Query(tc.sql, opts())
+					if err != nil {
+						t.Fatal(err)
+					}
+					// Planted monitors report their operator; shed
+					// placeholders (never planted) report -1.
+					mechs := map[string]bool{}
+					for _, r := range healthy.DPC {
+						if r.Mechanism != MechUnsatisfiable && r.OpID >= 0 {
+							mechs[r.Mechanism] = true
+						}
+					}
+					for mech := range mechs {
+						if lvl == 0 {
+							covered[mech] = true
+						}
+						checkQuarantine(t, fmt.Sprintf("level %d, degree %d, %s failing", lvl, par, mech),
+							mech, healthy, eng, tc.sql, opts(mech))
 					}
 				}
 			}
@@ -335,6 +315,56 @@ func TestMonitorQuarantinePerMechanism(t *testing.T) {
 	for _, want := range []string{MechExactScan, MechDPSample, MechLinearCount, MechBitVector} {
 		if !covered[want] {
 			t.Errorf("mechanism %s never exercised by the quarantine matrix", want)
+		}
+	}
+}
+
+// checkQuarantine runs sql with mech's monitors failing and diffs it against
+// the healthy run: same rows; mech's planted monitors quarantined (Degraded,
+// not Shed, no observation, the panic as reason, counted in
+// QuarantinedMonitors); every other result degraded exactly as before.
+func checkQuarantine(t *testing.T, name, mech string, healthy *Result, eng *Engine, sql string, opts *RunOptions) {
+	t.Helper()
+	res, err := eng.Query(sql, opts)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if res.Rows[0][0].Int != healthy.Rows[0][0].Int {
+		t.Errorf("%s: count %d, want %d", name, res.Rows[0][0].Int, healthy.Rows[0][0].Int)
+	}
+	if len(res.DPC) != len(healthy.DPC) {
+		t.Fatalf("%s: %d DPC results, healthy run had %d", name, len(res.DPC), len(healthy.DPC))
+	}
+	quarantined, shed := 0, 0
+	for i, r := range res.DPC {
+		if r.Shed {
+			shed++
+		}
+		if r.Mechanism != mech || r.OpID < 0 {
+			if h := healthy.DPC[i]; r.Degraded != h.Degraded || r.Shed != h.Shed {
+				t.Errorf("%s: %s result changed: degraded=%v shed=%v, healthy degraded=%v shed=%v",
+					name, r.Mechanism, r.Degraded, r.Shed, h.Degraded, h.Shed)
+			}
+			continue
+		}
+		quarantined++
+		if !r.Degraded || r.Shed || !strings.HasPrefix(r.Reason, "monitor quarantined:") {
+			t.Errorf("%s: degraded=%v shed=%v reason=%q; want a quarantine", name, r.Degraded, r.Shed, r.Reason)
+		}
+		if r.DPC != 0 {
+			t.Errorf("%s: quarantined result carries DPC %d", name, r.DPC)
+		}
+	}
+	if quarantined == 0 {
+		t.Errorf("%s: no quarantined result", name)
+	}
+	if rt := res.Stats.Runtime; rt.QuarantinedMonitors != quarantined || rt.ShedMonitors != shed {
+		t.Errorf("%s: QuarantinedMonitors = %d, ShedMonitors = %d; results show %d and %d",
+			name, rt.QuarantinedMonitors, rt.ShedMonitors, quarantined, shed)
+	}
+	for _, x := range res.Stats.DPC {
+		if x.Mechanism == mech && !x.Degraded {
+			t.Errorf("%s: statistics-xml entry not marked degraded", name)
 		}
 	}
 }

@@ -7,7 +7,7 @@ import (
 	"pagefeedback/internal/opt"
 )
 
-// defaultSlowLogSize bounds the slow-query log when Config leaves it zero.
+// defaultSlowLogSize bounds the slow-query log; older entries are evicted.
 const defaultSlowLogSize = 32
 
 // SlowQuery is one captured slow query: the identifying text, its timing,
@@ -34,7 +34,6 @@ type SlowQuery struct {
 // finished enriching the result (query text, optimizer estimates).
 type slowLog struct {
 	mu      sync.Mutex
-	max     int
 	entries []slowEntry
 }
 
@@ -43,23 +42,16 @@ type slowEntry struct {
 	at  time.Time
 }
 
-func newSlowLog(size int) *slowLog {
-	if size <= 0 {
-		size = defaultSlowLogSize
-	}
-	return &slowLog{max: size}
-}
-
 // note appends a slow query, evicting the oldest past capacity.
 func (l *slowLog) note(res *Result, at time.Time) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.entries = append(l.entries, slowEntry{res: res, at: at})
-	if len(l.entries) > l.max {
-		// Shift in place; the log is small (defaultSlowLogSize) and
-		// eviction is one slot at a time.
+	if len(l.entries) > defaultSlowLogSize {
+		// Shift in place; the log is small and eviction is one slot at a
+		// time.
 		copy(l.entries, l.entries[1:])
-		l.entries = l.entries[:l.max]
+		l.entries = l.entries[:defaultSlowLogSize]
 	}
 }
 
