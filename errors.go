@@ -35,7 +35,8 @@ const (
 	// ErrKindMemory: the query exceeded its per-query memory budget
 	// (RunOptions.MemBudget) and was aborted. The budget bounds the bytes
 	// pinned by blocking operators (hash-join build sides, sorts, group
-	// states, parallel-scan arenas, RID sets).
+	// states, RID sets) and by the row arenas of parallel scans that ship
+	// rows; a parallel scan that folds an aggregate ships none.
 	ErrKindMemory ErrorKind = "memory"
 	// ErrKindExec: any other execution error.
 	ErrKindExec ErrorKind = "exec"

@@ -247,6 +247,17 @@ func (e *Execution) buildInner(n plan.Node, need uint64) (Operator, error) {
 		if err != nil {
 			return nil, err
 		}
+		// A parallel scan below, bare or running a hash join's probe, folds
+		// the aggregate in its workers: no row crosses the exchange.
+		var join *OpStats
+		src := unwrapOp(in)
+		if hj, ok := src.(*HashJoinOp); ok && hj.joined {
+			src, join = unwrapOp(hj.probe), hj.Stats()
+		}
+		if ps, ok := src.(*ParallelScan); ok {
+			op.fold = &aggFold{fn: op.fn, ord: op.ord, join: join}
+			ps.fold = op.fold
+		}
 		e.setEst(op, n)
 		op.Stats().Children = []*OpStats{in.Stats()}
 		return op, nil

@@ -19,7 +19,8 @@ type GroupAggOp struct {
 	stats    OpStats
 
 	groups valueMap[*groupState]
-	keyBuf []byte // scratch for sizing a new group's encoded key
+	chunk  []groupState // where new groups' states are cut from
+	keyBuf []byte       // scratch for sizing a new group's encoded key
 
 	out        []tuple.Row
 	pos        int
@@ -32,6 +33,11 @@ type groupState struct {
 	minV, maxV tuple.Value
 	seen       bool
 }
+
+// groupChunk is how many group states one allocation holds. Chunks are
+// fixed-size and never regrown, so a state never moves and the map can point
+// into its chunk.
+const groupChunk = 128
 
 // groupStateMemSize approximates one groupState's footprint for the memory
 // tracker (three Values plus the counters).
@@ -123,15 +129,20 @@ func (g *GroupAggOp) Open() error {
 }
 
 // accumulate folds one input row into its group's state. A row that starts a
-// new group is charged to the memory tracker for the state, the map entry,
-// and the group value's tuple.EncodeKey length, so the budget a query needs
-// does not depend on how the table is keyed.
+// new group takes the next state of the current chunk and is charged to the
+// memory tracker for the state, the map entry, and the group value's
+// tuple.EncodeKey length, so the budget a query needs does not depend on how
+// the table is keyed or chunked.
 func (g *GroupAggOp) accumulate(row tuple.Row) error {
 	gv := row[g.groupOrd]
 	st := g.groups.lookup(gv)
 	if st == nil {
 		g.keyBuf = tuple.AppendKey(g.keyBuf[:0], gv)
-		st = &groupState{key: gv}
+		if len(g.chunk) == cap(g.chunk) {
+			g.chunk = make([]groupState, 0, groupChunk)
+		}
+		g.chunk = append(g.chunk, groupState{key: gv})
+		st = &g.chunk[len(g.chunk)-1]
 		if err := g.groups.store(g.ctx.Mem, groupStateMemSize+int64(len(g.keyBuf))+mapEntryOverhead, gv, st); err != nil {
 			return err
 		}

@@ -87,7 +87,9 @@ type HashJoinOp struct {
 	// scan is the probe input when it is a bare table scan (builder only).
 	// Open pushes the completed table into it: the scan charges the probe's
 	// per-row CPU and hands up only rows with a match. A parallel scan also
-	// joins them in its workers (joined), so its batches are forwarded whole.
+	// joins them in its workers (joined), so its batches are forwarded whole;
+	// under a folded aggregate it ships none, and its barrier credits the
+	// joined rows to this operator's ActRows.
 	scan   probeHost
 	joined bool
 }

@@ -21,8 +21,8 @@ const parFlushRows = 1024
 const parPrefetchChunk = 16
 
 // parBatch is one message from a scan worker to the consumer: either a slice
-// of fully materialized rows (backed by a private arena, never reused) or a
-// terminal error.
+// of fully materialized rows, cut from an arena the worker hands over with
+// it and never writes again, or a terminal error.
 type parBatch struct {
 	rows []tuple.Row
 	err  error
@@ -35,6 +35,10 @@ type parBatch struct {
 // rows flow to the single consumer over a channel. Monitor shards and
 // per-worker CPU accounting merge exactly once, at the barrier after all
 // workers exit.
+//
+// Under a scalar aggregate the rows need not cross at all: the builder hands
+// the scan an aggFold, each worker folds what it would have shipped into its
+// own partial, and the channel carries only errors.
 //
 // Because each partition preserves grouped page access and the core counters
 // sample pages by a pure function of (seed, pid), the merged monitor state —
@@ -51,6 +55,7 @@ type ParallelScan struct {
 	demand   uint64         // columns the plan above reads (builder only)
 	monitors []*scanMonitor // templates; receive merged shard state
 	probe    *joinProbe     // optional hash-join probe push-down, set before Open
+	fold     *aggFold       // optional aggregate folded in the workers (builder only)
 	stats    OpStats
 
 	out       chan parBatch
@@ -112,6 +117,9 @@ func (p *ParallelScan) Open() error {
 	p.wctxs = p.wctxs[:0]
 	p.shards = p.shards[:0]
 	p.actRows = make([]int64, len(parts))
+	if p.fold != nil {
+		p.fold.parts = make([]aggPartial, len(parts))
+	}
 	dec := planDecode(p.tab.Schema, p.demand, p.pred, p.monitors)
 	for i, part := range parts {
 		wctx := p.ctx.child()
@@ -133,10 +141,13 @@ func (p *ParallelScan) Open() error {
 
 // worker drains one partition through its own pageVisit — the page step the
 // serial scan uses — over its iterator, monitor shard, and context; the only
-// shared mutable state it touches is the output channel. A panic anywhere
-// inside — decode failures, monitor bugs escaping the quarantine guard — is
-// converted to an *OperatorPanic and shipped to the consumer like any other
-// error, so the process-wide panic boundary holds across goroutines.
+// shared mutable state it touches is the output channel and its own slots of
+// actRows and the fold's partials. With a fold it copies no row: it folds
+// each page's output into its partial and charges those rows' CPU, as AggOp
+// would have. A panic anywhere inside — decode failures, monitor bugs
+// escaping the quarantine guard — is converted to an *OperatorPanic and
+// shipped to the consumer like any other error, so the process-wide panic
+// boundary holds across goroutines.
 func (p *ParallelScan) worker(idx int, wctx *Context, part catalog.ScanPart, mons []*scanMonitor, dec scanDecode) {
 	defer p.wg.Done()
 	defer part.Iter.Close()
@@ -231,6 +242,10 @@ func (p *ParallelScan) worker(idx int, wctx *Context, part catalog.ScanPart, mon
 		}
 		sel = visit.survivors(sel)
 		p.actRows[idx] += int64(visit.passed)
+		if p.fold != nil {
+			wctx.touch(p.fold.add(&p.fold.parts[idx], visit.batch.Rows, sel, p.probe))
+			continue
+		}
 		for _, i := range sel {
 			row := visit.batch.Rows[i]
 			if p.probe == nil {
@@ -281,10 +296,11 @@ func (p *ParallelScan) send(b parBatch) bool {
 
 // NextBatch implements Operator: each worker flush — an arena-backed row
 // slice the workers ship whole through the exchange channel — is forwarded
-// to the consumer as one dense batch. The arenas are private and never
-// reused, so unlike page-batched scans these batches stay valid after the
-// next call. The first error shipped by any worker surfaces here; Close then
-// tears the remaining workers down.
+// to the consumer as one dense batch, valid until the next call like any
+// batch. Under a fold no rows arrive, and the first call returns end of
+// stream once the barrier has merged the workers' state. The first error
+// shipped by any worker surfaces here; Close then tears the remaining
+// workers down.
 func (p *ParallelScan) NextBatch(b *Batch) (int, error) {
 	for {
 		msg, ok := <-p.out
@@ -324,7 +340,8 @@ func (p *ParallelScan) Close() error {
 // finalize runs once, after every worker has exited (the channel closing or
 // Close's Wait proves it): worker CPU accounting folds into the query
 // context, monitor shards fold into their templates, and per-worker row
-// counts fold into the operator stats. This is the single barrier of the
+// counts fold into the operator stats — under a fold over a pushed probe,
+// the joined rows into the join's as well. This is the single barrier of the
 // exchange — no merged state is visible until all partitions are done.
 func (p *ParallelScan) finalize() {
 	if p.finalized {
@@ -340,6 +357,11 @@ func (p *ParallelScan) finalize() {
 			p.monitors[j].absorb(s)
 		}
 		p.stats.ActRows += p.actRows[w]
+	}
+	if f := p.fold; f != nil && f.join != nil {
+		for i := range f.parts {
+			f.join.ActRows += f.parts[i].count
+		}
 	}
 }
 

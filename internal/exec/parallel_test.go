@@ -67,16 +67,28 @@ func heapEnv(t *testing.T, e *env) *catalog.Table {
 	return h
 }
 
+// actRowsTree lists the operator tree's ActRows in pre-order. A parallel
+// tree has the serial tree's shape — only labels differ (ParallelScan for
+// SEScan) — so the lists compare by position.
+func actRowsTree(s *OpStats) []int64 {
+	out := []int64{s.ActRows}
+	for _, c := range s.Children {
+		out = append(out, actRowsTree(c)...)
+	}
+	return out
+}
+
 // assertSameExecution runs node serially and at several parallel degrees and
 // requires identical result multisets, identical DPC feedback (the byte-for-
-// byte acceptance criterion of the parallel mode), and identical CPU
-// accounting.
+// byte acceptance criterion of the parallel mode), identical CPU accounting,
+// and identical per-operator actual row counts.
 func assertSameExecution(t *testing.T, mkEnv func(t *testing.T) (*env, plan.Node, *MonitorConfig)) {
 	t.Helper()
 	eSer, nodeSer, cfgSer := mkEnv(t)
 	serRows, serEx, serCtx := runPlanDeg(t, eSer, nodeSer, cfgSer, 0)
 	serDPC := serEx.DPCResults()
 	serSorted := sortedRowStrings(serRows)
+	serAct := actRowsTree(serEx.Root.Stats())
 
 	for _, deg := range []int{2, 4, 7} {
 		ePar, nodePar, cfgPar := mkEnv(t)
@@ -89,6 +101,9 @@ func assertSameExecution(t *testing.T, mkEnv func(t *testing.T) (*env, plan.Node
 		}
 		if got, want := parCtx.RowsTouched(), serCtx.RowsTouched(); got != want {
 			t.Errorf("deg=%d: rowsTouched = %d, serial %d", deg, got, want)
+		}
+		if got := actRowsTree(parEx.Root.Stats()); !reflect.DeepEqual(got, serAct) {
+			t.Errorf("deg=%d: ActRows tree = %v, serial %v (%s)", deg, got, serAct, opTreeLabels(parEx.Root.Stats()))
 		}
 	}
 }
@@ -158,6 +173,116 @@ func TestParallelGroupAggMatchesSerial(t *testing.T) {
 		}
 		return e, node, nil
 	})
+}
+
+// TestParallelAggregateMatchesSerial: a scalar aggregate over a parallel
+// scan, bare or running a hash join's probe, folds in the workers. Every
+// aggregate must read as the serial one, with the serial ActRows tree —
+// the join's count included, though no joined row crosses the exchange.
+// The id predicates leave some partitions without a survivor or a match,
+// whose empty partials must not count as a MIN or MAX of zero.
+func TestParallelAggregateMatchesSerial(t *testing.T) {
+	funcs := []plan.AggFunc{plan.CountAgg, plan.SumAgg, plan.MinAgg, plan.MaxAgg}
+	idFrom := func(lo int64) expr.Conjunction { return expr.And(expr.NewAtom("id", expr.Ge, tuple.Int64(lo))) }
+	idBelow := func(hi int64) expr.Conjunction { return expr.And(expr.NewAtom("id", expr.Lt, tuple.Int64(hi))) }
+	c5Below := expr.And(expr.NewAtom("c5", expr.Lt, tuple.Int64(1500)))
+	for _, f := range funcs {
+		for _, heap := range []bool{false, true} {
+			for _, pred := range []expr.Conjunction{{}, c5Below, idFrom(3700), idBelow(500)} {
+				name := fmt.Sprintf("%v/heap=%v/%v", f, heap, pred)
+				t.Run(name, func(t *testing.T) {
+					assertSameExecution(t, func(t *testing.T) (*env, plan.Node, *MonitorConfig) {
+						e := newEnv(t)
+						tab := e.sales
+						if heap {
+							tab = heapEnv(t, e)
+						}
+						scan := &plan.Scan{Tab: tab, Pred: mustBind(t, pred, tab.Schema)}
+						return e, plan.NewAgg(scan, f, "c5"), nil
+					})
+				})
+			}
+		}
+		// dim(id, val) ⋈ sales: the aggregate reads the build side (val)
+		// or the probe side (c5) of the joined row.
+		for _, col := range []string{"val", "c5"} {
+			for _, pred := range []expr.Conjunction{{}, idFrom(300), idBelow(600)} {
+				name := fmt.Sprintf("%v/join/%s/%v", f, col, pred)
+				t.Run(name, func(t *testing.T) {
+					assertSameExecution(t, func(t *testing.T) (*env, plan.Node, *MonitorConfig) {
+						e := newEnv(t)
+						join := &plan.Join{
+							Method: plan.HashJoin,
+							Outer: &plan.Scan{Tab: e.dim, Pred: mustBind(t,
+								expr.And(expr.NewAtom("val", expr.Lt, tuple.Int64(200))), e.dim.Schema)},
+							Inner:    &plan.Scan{Tab: e.sales, Pred: mustBind(t, pred, e.sales.Schema)},
+							OuterCol: "id", InnerCol: "id", Schem: joinPlanSchema(e),
+						}
+						cfg := &MonitorConfig{
+							Requests:       []DPCRequest{{Table: "sales", Join: true}},
+							SampleFraction: 1.0,
+							Seed:           3,
+						}
+						return e, plan.NewAgg(join, f, col), cfg
+					})
+				})
+			}
+		}
+	}
+
+	// The fold is what ran: the parallel aggregate owns one partial per
+	// worker.
+	e := newEnv(t)
+	_, ex, _ := runPlanDeg(t, e, plan.NewAgg(&plan.Scan{Tab: e.sales}, plan.CountAgg, ""), nil, 4)
+	if agg, ok := unwrapOp(ex.Root).(*AggOp); !ok || agg.fold == nil || len(agg.fold.parts) != 4 {
+		t.Errorf("COUNT over a degree-4 scan did not fold in the workers: %s", opTreeLabels(ex.Root.Stats()))
+	}
+}
+
+// TestParallelFoldedJoinChargesOnlyTheBuild: a COUNT folded over a parallel
+// hash-join probe materializes nothing in the exchange, so the query's memory
+// tracker reads exactly what the serial run charges — the hash build. The
+// build reads dim through a clustered range, which stays serial, so the probe
+// is the only exchange.
+func TestParallelFoldedJoinChargesOnlyTheBuild(t *testing.T) {
+	e := newEnv(t)
+	dimPred := mustBind(t, expr.And(expr.NewAtom("id", expr.Lt, tuple.Int64(1500))), e.dim.Schema)
+	ranges, _, ok := expr.IndexRanges(dimPred, []string{"id"})
+	if !ok {
+		t.Fatal("range extraction failed")
+	}
+	node := plan.NewAgg(&plan.Join{
+		Method:   plan.HashJoin,
+		Outer:    &plan.Scan{Tab: e.dim, Pred: dimPred, ClusterRange: &ranges[0]},
+		Inner:    &plan.Scan{Tab: e.sales},
+		OuterCol: "id", InnerCol: "id", Schem: joinPlanSchema(e),
+	}, plan.CountAgg, "pad")
+	used := func(deg int) int64 {
+		ctx := NewContext(e.pool)
+		ctx.Parallelism = deg
+		ctx.Mem = NewMemTracker(0)
+		ex, err := Build(ctx, node, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := ex.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := rows[0][0].Int; got != 500 {
+			t.Fatalf("deg=%d: COUNT = %d, want 500", deg, got)
+		}
+		return ctx.Mem.Used()
+	}
+	serial := used(0)
+	if serial <= 0 {
+		t.Fatalf("serial run charged %d bytes; the hash build should be charged", serial)
+	}
+	for _, deg := range []int{2, 4, 7} {
+		if got := used(deg); got != serial {
+			t.Errorf("deg=%d: MemTracker.Used() = %d, serial %d", deg, got, serial)
+		}
+	}
 }
 
 // TestParallelScanUnderSortIsDeterministic: a parallel scan below a Sort is

@@ -163,6 +163,12 @@ func (f *FilterOp) Stats() *OpStats { return &f.stats }
 
 // AggOp computes one ungrouped aggregate (COUNT/SUM/MIN/MAX) over its input
 // and emits a single row.
+//
+// When its input is a parallel scan, or a hash join whose probe a parallel
+// scan runs, the builder pushes the aggregate into the scan's workers (fold):
+// each worker folds the rows it would have shipped into a private partial,
+// the exchange carries no rows, and the operator merges the partials once
+// the input reports end of stream, which is after the scan's barrier.
 type AggOp struct {
 	ctx    *Context
 	input  Operator
@@ -170,10 +176,132 @@ type AggOp struct {
 	ord    int  // column ordinal; -1 for COUNT(*)
 	schema *tuple.Schema
 	stats  OpStats
+	fold   *aggFold // pushed into a parallel scan's workers (builder only)
 
 	done bool
 	in   Batch
 	out  [1]tuple.Row
+}
+
+// aggPartial is an aggregate's running state over some of its input rows:
+// the whole input in AggOp, one partition in a folding scan worker.
+type aggPartial struct {
+	count, sum int64
+	minV, maxV tuple.Value // meaningful once count > 0
+}
+
+// addRows folds the live rows of one batch, with the kind switch hoisted out
+// of the per-row loop. COUNT(col) counts rows like COUNT(*) does (the engine
+// has no NULLs), so a count folds the whole selection at once.
+func (p *aggPartial) addRows(fn byte, ord int, rows []tuple.Row, sel []int) {
+	switch fn {
+	case 's':
+		for _, i := range sel {
+			p.addSum(rows[i][ord])
+		}
+	case 'm', 'M':
+		for _, i := range sel {
+			p.addMinMax(rows[i][ord])
+		}
+		return
+	}
+	p.count += int64(len(sel))
+}
+
+// addSum adds one row's value to a sum; the caller counts the row.
+func (p *aggPartial) addSum(v tuple.Value) {
+	if v.Kind != tuple.KindString {
+		p.sum += v.Int
+	}
+}
+
+// addMinMax folds one row's value into the extremes and counts the row.
+func (p *aggPartial) addMinMax(v tuple.Value) {
+	if p.count == 0 || v.Compare(p.minV) < 0 {
+		p.minV = v
+	}
+	if p.count == 0 || v.Compare(p.maxV) > 0 {
+		p.maxV = v
+	}
+	p.count++
+}
+
+// merge folds q, a partial over other rows, into p. An empty partial has no
+// extremes, so it leaves a MIN or MAX alone.
+func (p *aggPartial) merge(fn byte, q *aggPartial) {
+	if q.count == 0 {
+		return
+	}
+	if fn == 'm' || fn == 'M' {
+		if p.count == 0 || q.minV.Compare(p.minV) < 0 {
+			p.minV = q.minV
+		}
+		if p.count == 0 || q.maxV.Compare(p.maxV) > 0 {
+			p.maxV = q.maxV
+		}
+	}
+	p.count += q.count
+	p.sum += q.sum
+}
+
+// result is the aggregate's value.
+func (p *aggPartial) result(fn byte) int64 {
+	switch fn {
+	case 's':
+		return p.sum
+	case 'm':
+		return p.minV.Int
+	case 'M':
+		return p.maxV.Int
+	}
+	return p.count
+}
+
+// aggFold is a scalar aggregate pushed into a parallel scan's workers. Worker
+// i writes parts[i] alone; the AggOp reads them only after the scan's
+// barrier.
+type aggFold struct {
+	fn    byte
+	ord   int // in the rows the scan would ship: joined rows under a probe
+	parts []aggPartial
+	// join is the stats of the hash join whose probe the scan runs, or nil:
+	// the barrier credits it the joined rows the workers folded.
+	join *OpStats
+}
+
+// add folds the rows a worker would have shipped for one page into p: the
+// survivors rows[sel], or under a probe each survivor joined with each of its
+// build rows, the aggregate column read from whichever side holds it. It
+// returns how many rows it folded, which the worker charges as AggOp would.
+func (f *aggFold) add(p *aggPartial, rows []tuple.Row, sel []int, probe *joinProbe) int64 {
+	if probe == nil {
+		p.addRows(f.fn, f.ord, rows, sel)
+		return int64(len(sel))
+	}
+	before := p.count
+	for _, i := range sel {
+		row := rows[i]
+		builds := probe.builds(row)
+		if f.fn == 'c' {
+			p.count += int64(len(builds))
+			continue
+		}
+		for _, b := range builds {
+			var v tuple.Value
+			if f.ord < len(b) {
+				v = b[f.ord]
+			} else {
+				v = row[f.ord-len(b)]
+			}
+			if f.fn == 's' {
+				p.addSum(v)
+				p.count++
+			} else {
+				p.addMinMax(v)
+			}
+		}
+	}
+	return p.count - before
 }
 
 // NewAgg constructs the operator. fn is one of "count", "sum", "min", "max";
@@ -209,15 +337,13 @@ func (a *AggOp) Open() error {
 }
 
 // NextBatch implements Operator: it drains the input a batch at a time
-// (CPU charged per batch of live rows) and delivers the aggregate as a
-// one-row batch. The fold is kind-specialized, with the switch hoisted out
-// of the per-row loop.
+// (CPU charged per batch of live rows), merges the workers' partials of a
+// fold, and delivers the aggregate as a one-row batch.
 func (a *AggOp) NextBatch(b *Batch) (int, error) {
 	if a.done {
 		return 0, nil
 	}
-	var count, sum int64
-	var minV, maxV tuple.Value
+	var acc aggPartial
 	for {
 		n, err := a.input.NextBatch(&a.in)
 		if err != nil {
@@ -227,42 +353,16 @@ func (a *AggOp) NextBatch(b *Batch) (int, error) {
 			break
 		}
 		a.ctx.touch(int64(n))
-		switch a.fn {
-		case 's':
-			for _, i := range a.in.Sel {
-				if v := a.in.Rows[i][a.ord]; v.Kind != tuple.KindString {
-					sum += v.Int
-				}
-			}
-		case 'm', 'M':
-			for _, i := range a.in.Sel {
-				v := a.in.Rows[i][a.ord]
-				if count == 0 || v.Compare(minV) < 0 {
-					minV = v
-				}
-				if count == 0 || v.Compare(maxV) > 0 {
-					maxV = v
-				}
-				count++
-			}
-			continue
+		acc.addRows(a.fn, a.ord, a.in.Rows, a.in.Sel)
+	}
+	if a.fold != nil {
+		for i := range a.fold.parts {
+			acc.merge(a.fn, &a.fold.parts[i])
 		}
-		// COUNT(col) counts rows like COUNT(*) does (the engine has no
-		// NULLs), so the whole selection folds at once.
-		count += int64(n)
 	}
 	a.done = true
 	a.stats.ActRows = 1
-	agg := count
-	switch a.fn {
-	case 's':
-		agg = sum
-	case 'm':
-		agg = minV.Int
-	case 'M':
-		agg = maxV.Int
-	}
-	a.out[0] = tuple.Row{tuple.Int64(agg)}
+	a.out[0] = tuple.Row{tuple.Int64(acc.result(a.fn))}
 	b.Rows = a.out[:]
 	b.Sel = append(b.Sel[:0], 0)
 	return 1, nil

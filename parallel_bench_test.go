@@ -9,13 +9,14 @@ package pagefeedback_test
 //
 // Before timing, each benchmark runs the query monitored at degree 1 and
 // degree 4 and requires the DPC feedback to be identical — the parallel mode's
-// correctness contract — and records that, plus the per-degree timings and the
-// speedup, in BENCH_parallel.json.
+// correctness contract — and records that, plus the per-degree timings, the
+// speedup and the commit measured, in BENCH_parallel.json.
 
 import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"os/exec"
 	"reflect"
 	"runtime"
 	"strings"
@@ -180,6 +181,7 @@ func recordParallelBench(b *testing.B, name string, deg int, serialSecs, paralle
 		speedup = serialSecs / parallelSecs
 	}
 	doc[name] = map[string]any{
+		"commit":             benchCommit(),
 		"degree":             deg,
 		"gomaxprocs":         runtime.GOMAXPROCS(0),
 		"cpus":               runtime.NumCPU(),
@@ -196,4 +198,20 @@ func recordParallelBench(b *testing.B, name string, deg int, serialSecs, paralle
 	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 		b.Logf("%s not written: %v", path, err)
 	}
+}
+
+// benchCommit names the source a benchmark measured: HEAD's short hash, with
+// "-dirty" appended when a tracked file other than the BENCH_*.json outputs
+// differs from HEAD.
+func benchCommit() string {
+	out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output()
+	if err != nil {
+		return "unknown"
+	}
+	rev := strings.TrimSpace(string(out))
+	st, err := exec.Command("git", "status", "--porcelain", "--untracked-files=no", "--", ".", ":!BENCH_*.json").Output()
+	if err != nil || len(st) > 0 {
+		rev += "-dirty"
+	}
+	return rev
 }
