@@ -361,7 +361,7 @@ func (e *Execution) attachScanMonitors(op monitoredScan, node *plan.Scan) {
 		}
 		bound, err := req.Pred.Bind(node.Tab.Schema)
 		if err != nil {
-			e.unsat = append(e.unsat, DPCResult{Request: req, Mechanism: MechUnsatisfiable, Reason: err.Error()})
+			e.unsat = append(e.unsat, DPCResult{Request: req, Mechanism: MechUnsatisfiable, OpID: -1, Reason: err.Error()})
 			e.satisfied[i] = true
 			continue
 		}
@@ -729,8 +729,6 @@ func findScan(op Operator) monitoredScan {
 	case *ParallelScan:
 		return o
 	case *SortOp:
-		return findScan(o.input)
-	case *FilterOp:
 		return findScan(o.input)
 	case *ProjectOp:
 		return findScan(o.input)

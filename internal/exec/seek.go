@@ -70,15 +70,14 @@ func (m *seekMonitor) result() DPCResult {
 	return m.report(r)
 }
 
-// fetchPred is a fetch path's predicate and the columns it decodes. A
-// predicate with an encoded form is judged on the fetched cell, under the
-// page pin and before any decode, so a rejected fetch decodes nothing; one
-// without is judged on the decoded row by the generic evaluator, which
-// reports the planner bug by panicking. A kept row decodes only the columns
-// the plan above demands plus the predicate's; the rest are zero-valued.
+// fetchPred is a fetch path's predicate and the columns it decodes. The
+// predicate is judged on the fetched cell, under the page pin and before any
+// decode, so a rejected fetch decodes nothing. A kept row decodes only the
+// columns the plan above demands plus the predicate's; the rest are
+// zero-valued.
 type fetchPred struct {
 	pred expr.Conjunction // bound
-	raw  expr.RawCompiled // pred over encoded cells; !OK selects the decoded fallback
+	raw  expr.RawCompiled // pred over encoded cells
 	want uint64
 }
 
@@ -96,22 +95,11 @@ func (p *fetchPred) Keep(cell []byte) bool { return p.raw.Eval(cell) }
 // fetch appends the row at rid to vals when it satisfies the predicate, and
 // reports whether it did. A rejected row leaves vals' length as it was.
 func (p *fetchPred) fetch(tab *catalog.Table, vals []tuple.Value, rid storage.RID) ([]tuple.Value, bool, error) {
-	if p.raw.OK() {
-		var keep catalog.CellFilter
-		if p.raw.Len() > 0 {
-			keep = p
-		}
-		return tab.FetchRowAppend(vals, rid, p.want, keep)
+	var keep catalog.CellFilter
+	if p.raw.Len() > 0 {
+		keep = p
 	}
-	lo := len(vals)
-	vals, _, err := tab.FetchRowAppend(vals, rid, p.want, nil)
-	if err != nil {
-		return nil, false, err
-	}
-	if !p.pred.Eval(vals[lo:]) {
-		return vals[:lo], false, nil
-	}
-	return vals, true, nil
+	return tab.FetchRowAppend(vals, rid, p.want, keep)
 }
 
 // seekPath is the fetch step both index access methods share: charge CPU

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 
-	"pagefeedback/internal/expr"
 	"pagefeedback/internal/tuple"
 )
 
@@ -102,64 +101,6 @@ func (s *SortOp) Schema() *tuple.Schema { return s.schema }
 
 // Stats implements Operator.
 func (s *SortOp) Stats() *OpStats { return &s.stats }
-
-// FilterOp applies a residual predicate in the relational engine.
-type FilterOp struct {
-	ctx   *Context
-	input Operator
-	pred  expr.Conjunction // bound to input schema
-	cc    expr.Compiled    // type-specialized pred, when compilable
-	stats OpStats
-}
-
-// NewFilter constructs the operator.
-func NewFilter(ctx *Context, input Operator, pred expr.Conjunction) *FilterOp {
-	return &FilterOp{ctx: ctx, input: input, pred: pred, cc: compilePred(ctx, pred),
-		stats: OpStats{Label: "Filter(" + pred.String() + ")"}}
-}
-
-// Open implements Operator.
-func (f *FilterOp) Open() error { return f.input.Open() }
-
-// NextBatch implements Operator: the filter never materializes rows, it
-// only compacts the batch's selection vector — column-at-a-time through the
-// compiled evaluator when the predicate compiled, per-row through the
-// generic one otherwise. The consumer's row cap passes through to the input
-// with the batch.
-func (f *FilterOp) NextBatch(b *Batch) (int, error) {
-	for {
-		n, err := f.input.NextBatch(b)
-		if err != nil || n == 0 {
-			return 0, err
-		}
-		f.ctx.touch(int64(n))
-		if f.cc.OK() {
-			b.Sel = f.cc.EvalBatch(b.Rows, b.Sel)
-		} else {
-			out := b.Sel[:0]
-			for _, i := range b.Sel {
-				if f.pred.Eval(b.Rows[i]) {
-					out = append(out, i)
-				}
-			}
-			b.Sel = out
-		}
-		if len(b.Sel) == 0 {
-			continue
-		}
-		f.stats.ActRows += int64(len(b.Sel))
-		return len(b.Sel), nil
-	}
-}
-
-// Close implements Operator.
-func (f *FilterOp) Close() error { return f.input.Close() }
-
-// Schema implements Operator.
-func (f *FilterOp) Schema() *tuple.Schema { return f.input.Schema() }
-
-// Stats implements Operator.
-func (f *FilterOp) Stats() *OpStats { return &f.stats }
 
 // AggOp computes one ungrouped aggregate (COUNT/SUM/MIN/MAX) over its input
 // and emits a single row.

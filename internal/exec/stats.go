@@ -58,11 +58,10 @@ type RuntimeStats struct {
 	RowsTouched    int64         `xml:"rowsTouched,attr"`
 	// RowsDecoded counts the rows table scans materialized as values: the
 	// scan predicate's survivors (those a pushed-down hash-join probe
-	// matches, when there is one), plus every row on the sampled pages of a
-	// monitor whose predicate has no encoded form — or every row, when the
-	// scan predicate itself has none. Scans charge RowsTouched for every
-	// cell they judge on the page bytes, so the gap between the two is the
-	// decoding late materialization avoided.
+	// matches, when there is one). A rejected row is never decoded, and
+	// monitors judge the cells of their sampled pages in place. Scans charge
+	// RowsTouched for every cell they judge on the page bytes, so the gap
+	// between the two is the decoding late materialization avoided.
 	RowsDecoded int64 `xml:"rowsDecoded,attr"`
 	// ValuesDecoded counts the column values those rows materialized: scans
 	// decode only the columns something above them reads, and leave the

@@ -4,13 +4,13 @@ import (
 	"pagefeedback/internal/tuple"
 )
 
-// Compiled predicate evaluation: the per-row hot path of every scan, seek,
-// and join operator evaluates a Conjunction by switching on the operator and
-// value kind for every atom of every row. Compile resolves that dispatch
-// once — at plan-build time — into a slice of type-specialized closures, so
-// the steady state is a direct call per atom with no switch, no Value.Compare
-// kind checks, and no interface traffic. The closures are immutable after
-// Compile and safe to share across concurrent executions of a cached plan.
+// Compiled predicate evaluation over decoded rows, for the one operator that
+// never sees a page cell: the covering index scan, whose entries are values.
+// Compile resolves the per-atom switch on operator and value kind once — at
+// plan-build time — into a slice of type-specialized closures, so the steady
+// state is a direct call per atom with no switch, no Value.Compare kind
+// checks, and no interface traffic. The closures are immutable after Compile
+// and safe to share across concurrent executions of a cached plan.
 
 // atomFn reports whether one atom accepts the row.
 type atomFn func(tuple.Row) bool
@@ -21,8 +21,9 @@ type Compiled struct {
 	fns []atomFn
 }
 
-// OK reports whether the compilation produced a usable evaluator. Callers
-// fall back to Conjunction.Eval when it is false.
+// OK reports whether the compilation produced an evaluator. It is false
+// only for the empty conjunction and an unbound atom: every atom Bind
+// accepts compiles. The zero value's Eval accepts every row.
 func (c Compiled) OK() bool { return c.fns != nil }
 
 // Len returns the number of compiled atoms.
@@ -78,8 +79,7 @@ func (c Compiled) EvalBatch(rows []tuple.Row, sel []int) []int {
 
 // Compile specializes every atom of a bound conjunction. It returns a
 // Compiled with OK()==false when the predicate is empty (evaluation is
-// already trivial) or when any atom cannot be specialized; callers then use
-// the generic evaluator, so compilation is always safe to attempt.
+// already trivial) or has an unbound atom.
 func Compile(c Conjunction) Compiled {
 	if len(c.Atoms) == 0 {
 		return Compiled{}
@@ -96,50 +96,35 @@ func Compile(c Conjunction) Compiled {
 }
 
 // compileAtom builds the specialized closure for one atom, or nil when the
-// atom's shape is not compilable (unbound, or mixed-kind constants).
+// atom is unbound. Bind has checked that every constant has the column's
+// kind, so the first constant's kind selects the comparison.
 func compileAtom(a Atom) atomFn {
 	if !a.bound {
 		return nil
 	}
 	ord := a.ord
 	switch a.Op {
-	case Eq, Ne, Lt, Le, Gt, Ge:
-		if numericKind(a.Val.Kind) {
-			return compileNumericCmp(ord, a.Op, a.Val.Int)
-		}
-		if a.Val.Kind == tuple.KindString {
-			return compileStringCmp(ord, a.Op, a.Val.Str)
-		}
-		return nil
 	case Between:
-		// Value.Compare treats Int and Date interchangeably, so a mixed
-		// numeric pair is fine; a numeric/string mix is a planner bug the
-		// generic evaluator reports by panicking, so refuse to compile it.
-		if numericKind(a.Val.Kind) && numericKind(a.Val2.Kind) {
-			lo, hi := a.Val.Int, a.Val2.Int
-			return func(row tuple.Row) bool {
-				v := row[ord].Int
-				return v >= lo && v <= hi
-			}
-		}
-		if a.Val.Kind == tuple.KindString && a.Val2.Kind == tuple.KindString {
+		if a.Val.Kind == tuple.KindString {
 			lo, hi := a.Val.Str, a.Val2.Str
 			return func(row tuple.Row) bool {
 				v := row[ord].Str
 				return v >= lo && v <= hi
 			}
 		}
-		return nil
+		lo, hi := a.Val.Int, a.Val2.Int
+		return func(row tuple.Row) bool {
+			v := row[ord].Int
+			return v >= lo && v <= hi
+		}
 	case In:
 		return compileIn(ord, a.List)
 	default:
-		return nil
+		if a.Val.Kind == tuple.KindString {
+			return compileStringCmp(ord, a.Op, a.Val.Str)
+		}
+		return compileNumericCmp(ord, a.Op, a.Val.Int)
 	}
-}
-
-// numericKind reports whether the kind compares through Value.Int.
-func numericKind(k tuple.Kind) bool {
-	return k == tuple.KindInt || k == tuple.KindDate
 }
 
 func compileNumericCmp(ord int, op CmpOp, c int64) atomFn {
@@ -154,10 +139,9 @@ func compileNumericCmp(ord int, op CmpOp, c int64) atomFn {
 		return func(row tuple.Row) bool { return row[ord].Int <= c }
 	case Gt:
 		return func(row tuple.Row) bool { return row[ord].Int > c }
-	case Ge:
+	default:
 		return func(row tuple.Row) bool { return row[ord].Int >= c }
 	}
-	return nil
 }
 
 func compileStringCmp(ord int, op CmpOp, c string) atomFn {
@@ -172,56 +156,20 @@ func compileStringCmp(ord int, op CmpOp, c string) atomFn {
 		return func(row tuple.Row) bool { return row[ord].Str <= c }
 	case Gt:
 		return func(row tuple.Row) bool { return row[ord].Str > c }
-	case Ge:
+	default:
 		return func(row tuple.Row) bool { return row[ord].Str >= c }
 	}
-	return nil
 }
 
-// compileIn specializes membership tests. IN lists are uniform-kind by
-// construction (the parser coerces every element to the column kind); a
-// mixed list is left to the generic evaluator. Larger integer lists get a
-// hash set, small ones a linear probe — IN lists in this engine are tiny,
-// so the cutoff only matters for hand-built predicates.
+// compileIn specializes membership tests; the list has the column's kind
+// (Bind checked). Larger integer lists get a hash set, small ones a linear
+// probe — IN lists in this engine are tiny, so the cutoff only matters for
+// hand-built predicates.
 func compileIn(ord int, list []tuple.Value) atomFn {
-	if len(list) == 0 {
-		return func(tuple.Row) bool { return false }
-	}
-	allNumeric, allString := true, true
-	for _, v := range list {
-		if !numericKind(v.Kind) {
-			allNumeric = false
-		}
-		if v.Kind != tuple.KindString {
-			allString = false
-		}
-	}
 	switch {
-	case allNumeric:
-		if len(list) > 8 {
-			set := make(map[int64]struct{}, len(list))
-			for _, v := range list {
-				set[v.Int] = struct{}{}
-			}
-			return func(row tuple.Row) bool {
-				_, ok := set[row[ord].Int]
-				return ok
-			}
-		}
-		vals := make([]int64, len(list))
-		for i, v := range list {
-			vals[i] = v.Int
-		}
-		return func(row tuple.Row) bool {
-			v := row[ord].Int
-			for _, c := range vals {
-				if v == c {
-					return true
-				}
-			}
-			return false
-		}
-	case allString:
+	case len(list) == 0:
+		return func(tuple.Row) bool { return false }
+	case list[0].Kind == tuple.KindString:
 		vals := make([]string, len(list))
 		for i, v := range list {
 			vals[i] = v.Str
@@ -235,6 +183,27 @@ func compileIn(ord int, list []tuple.Value) atomFn {
 			}
 			return false
 		}
+	case len(list) > 8:
+		set := make(map[int64]struct{}, len(list))
+		for _, v := range list {
+			set[v.Int] = struct{}{}
+		}
+		return func(row tuple.Row) bool {
+			_, ok := set[row[ord].Int]
+			return ok
+		}
 	}
-	return nil
+	vals := make([]int64, len(list))
+	for i, v := range list {
+		vals[i] = v.Int
+	}
+	return func(row tuple.Row) bool {
+		v := row[ord].Int
+		for _, c := range vals {
+			if v == c {
+				return true
+			}
+		}
+		return false
+	}
 }

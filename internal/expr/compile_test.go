@@ -120,3 +120,57 @@ func TestCompileRefusals(t *testing.T) {
 		t.Error("empty IN accepted a row")
 	}
 }
+
+// TestBindChecksKinds walks every column kind × constant kind × operator,
+// BETWEEN bounds and IN lists included: Bind fails exactly when a constant's
+// kind differs from the column's (INT and DATE are interchangeable), and
+// whatever it binds has both compiled forms.
+func TestBindChecksKinds(t *testing.T) {
+	kinds := []tuple.Kind{tuple.KindInt, tuple.KindString, tuple.KindDate}
+	constant := map[tuple.Kind]tuple.Value{
+		tuple.KindInt: tuple.Int64(3), tuple.KindString: tuple.Str("m"), tuple.KindDate: tuple.Date(3),
+	}
+	numeric := func(k tuple.Kind) bool { return k != tuple.KindString }
+	compatible := func(col tuple.Kind, vals ...tuple.Value) bool {
+		for _, v := range vals {
+			if numeric(col) != numeric(v.Kind) {
+				return false
+			}
+		}
+		return true
+	}
+	for _, col := range kinds {
+		schema := tuple.NewSchema(tuple.Column{Name: "c", Kind: col}, tuple.Column{Name: "s", Kind: tuple.KindString})
+		var cases [][]tuple.Value // constants per atom: one, a BETWEEN pair, or an IN list
+		for _, k := range kinds {
+			cases = append(cases, []tuple.Value{constant[k]})
+			for _, k2 := range kinds {
+				cases = append(cases, []tuple.Value{constant[k], constant[k2]})
+			}
+		}
+		for _, vals := range cases {
+			var atoms []Atom
+			if len(vals) == 1 {
+				for op := Eq; op <= Ge; op++ {
+					atoms = append(atoms, NewAtom("c", op, vals[0]))
+				}
+				atoms = append(atoms, NewIn("c", vals[0]))
+			} else {
+				atoms = append(atoms, NewBetween("c", vals[0], vals[1]), NewIn("c", vals...))
+			}
+			for _, a := range atoms {
+				b, err := a.Bind(schema)
+				if want := compatible(col, vals...); (err == nil) != want {
+					t.Errorf("%s on a %s column: Bind error %v, want compatible=%v", a, col, err, want)
+				}
+				if err != nil {
+					continue
+				}
+				if !Compile(And(b)).OK() || !CompileRaw(And(b), schema).OK() {
+					t.Errorf("%s on a %s column: bound but Compile OK=%v CompileRaw OK=%v",
+						a, col, Compile(And(b)).OK(), CompileRaw(And(b), schema).OK())
+				}
+			}
+		}
+	}
+}

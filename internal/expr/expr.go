@@ -2,10 +2,11 @@
 // comparisons on one table's columns and ordered conjunctions of them.
 //
 // Conjunctions evaluate left to right with short-circuiting, like a real
-// predicate evaluator. The distinct-page-count monitors of the paper need
-// per-atom truth values for predicates that are not a prefix of the scan
-// predicate, so Conjunction also supports evaluation with short-circuiting
-// turned off (EvalAll) — the expensive mode DPSample bounds by sampling.
+// predicate evaluator. Binding checks every constant against its column's
+// kind, so a bound conjunction always has both compiled forms: Compile for
+// decoded rows and CompileRaw for encoded cells, which scans, fetches and
+// the DPC monitors judge on the page. Conjunction.Eval is the generic
+// evaluator those compiled forms are tested against.
 package expr
 
 import (
@@ -83,11 +84,31 @@ func NewIn(col string, vals ...tuple.Value) Atom {
 	return Atom{Col: col, Op: In, List: vals}
 }
 
-// Bind resolves the atom's column against schema. It returns a bound copy.
+// Bind resolves the atom's column against schema and checks that every
+// constant has the column's kind (INT and DATE are interchangeable, as in
+// Value.Compare). It returns a bound copy. Bind is the only way to bind an
+// atom, so every bound atom has both compiled forms.
 func (a Atom) Bind(schema *tuple.Schema) (Atom, error) {
 	ord, ok := schema.Ordinal(a.Col)
 	if !ok {
 		return Atom{}, fmt.Errorf("expr: no column %q in schema %s", a.Col, schema)
+	}
+	kind := schema.Column(ord).Kind
+	same := true
+	switch a.Op {
+	case Eq, Ne, Lt, Le, Gt, Ge:
+		same = kind.Comparable(a.Val.Kind)
+	case Between:
+		same = kind.Comparable(a.Val.Kind) && kind.Comparable(a.Val2.Kind)
+	case In:
+		for _, v := range a.List {
+			same = same && kind.Comparable(v.Kind)
+		}
+	default:
+		return Atom{}, fmt.Errorf("expr: bad operator %v in %s", a.Op, a)
+	}
+	if !same {
+		return Atom{}, fmt.Errorf("expr: %s compares %s column %q with a constant of another kind", a, kind, a.Col)
 	}
 	a.ord = ord
 	a.bound = true
@@ -197,31 +218,6 @@ func (c Conjunction) FirstFail(row tuple.Row) int {
 		}
 	}
 	return -1
-}
-
-// EvalAll evaluates every atom regardless of earlier results — short-
-// circuiting turned off. If results is non-nil it must have len(Atoms) and
-// receives the per-atom truth values. The return value is the conjunction.
-func (c Conjunction) EvalAll(row tuple.Row, results []bool) bool {
-	all := true
-	for i, a := range c.Atoms {
-		ok := a.Eval(row)
-		if results != nil {
-			results[i] = ok
-		}
-		all = all && ok
-	}
-	return all
-}
-
-// EvalPrefix evaluates the first k atoms with short-circuiting.
-func (c Conjunction) EvalPrefix(row tuple.Row, k int) bool {
-	for _, a := range c.Atoms[:k] {
-		if !a.Eval(row) {
-			return false
-		}
-	}
-	return true
 }
 
 // IsPrefixOf reports whether c's atoms are exactly the first len(c.Atoms)

@@ -63,6 +63,9 @@ func TestAtomBindErrors(t *testing.T) {
 	if _, err := NewAtom("missing", Eq, tuple.Int64(1)).Bind(salesSchema()); err == nil {
 		t.Error("binding missing column succeeded")
 	}
+	if _, err := (Atom{Col: "id", Op: In + 1, Val: tuple.Int64(1)}).Bind(salesSchema()); err == nil {
+		t.Error("binding an atom with no valid operator succeeded")
+	}
 }
 
 func TestUnboundEvalPanics(t *testing.T) {
@@ -91,37 +94,6 @@ func TestConjunctionEvalShortCircuit(t *testing.T) {
 	}
 	if !(Conjunction{}).Eval(sampleRow()) {
 		t.Error("empty conjunction is not TRUE")
-	}
-}
-
-func TestConjunctionEvalAll(t *testing.T) {
-	c := mustBind(t, And(
-		NewAtom("state", Eq, tuple.Str("WA")), // false
-		NewAtom("id", Eq, tuple.Int64(1)),     // true, must still be evaluated
-	))
-	results := make([]bool, 2)
-	if c.EvalAll(sampleRow(), results) {
-		t.Error("EvalAll = true")
-	}
-	if results[0] != false || results[1] != true {
-		t.Errorf("results = %v, want [false true]", results)
-	}
-	// nil results slice is allowed.
-	if c.EvalAll(sampleRow(), nil) {
-		t.Error("EvalAll(nil) = true")
-	}
-}
-
-func TestEvalPrefix(t *testing.T) {
-	c := mustBind(t, And(
-		NewAtom("state", Eq, tuple.Str("CA")),
-		NewAtom("id", Eq, tuple.Int64(999)),
-	))
-	if !c.EvalPrefix(sampleRow(), 1) {
-		t.Error("prefix of 1 should pass")
-	}
-	if c.EvalPrefix(sampleRow(), 2) {
-		t.Error("prefix of 2 should fail")
 	}
 }
 

@@ -71,10 +71,9 @@ func (c RawCompiled) Eval(enc []byte) bool { return c.FirstFail(enc) == -1 }
 
 // CompileRaw specializes every atom of a bound conjunction to read the
 // encoded row directly. The empty conjunction compiles to the always-true
-// evaluator. It returns a RawCompiled with OK()==false only when an atom has
-// no encoded form: it is unbound, or compares a column with a constant of
-// another kind — a planner bug the generic evaluator reports by panicking,
-// so callers fall back to Conjunction.Eval on decoded rows.
+// evaluator. It returns a RawCompiled with OK()==false only when an atom is
+// unbound, or bound to a column s does not have: every atom Bind accepts
+// has an encoded form.
 func CompileRaw(c Conjunction, s *tuple.Schema) RawCompiled {
 	atoms := make([]rawAtom, len(c.Atoms))
 	for i, a := range c.Atoms {
@@ -104,7 +103,8 @@ func rawStr(enc []byte, off int) []byte {
 }
 
 // compileRawAtom builds the specialized closure for one atom, or nil when
-// the atom has no encoded form.
+// the atom is unbound or its column is out of s. Bind has checked that every
+// constant has the column's kind, so the column's kind selects the reader.
 func compileRawAtom(a Atom, s *tuple.Schema) rawAtomFn {
 	if !a.bound || a.ord >= s.NumColumns() {
 		return nil
@@ -113,44 +113,17 @@ func compileRawAtom(a Atom, s *tuple.Schema) rawAtomFn {
 		return compileRawStringAtom(a)
 	}
 	switch a.Op {
-	case Eq, Ne, Lt, Le, Gt, Ge:
-		if !numericKind(a.Val.Kind) {
-			return nil
-		}
-		c := a.Val.Int
-		switch a.Op {
-		case Eq:
-			return func(enc []byte, off int) bool { return rawInt(enc, off) == c }
-		case Ne:
-			return func(enc []byte, off int) bool { return rawInt(enc, off) != c }
-		case Lt:
-			return func(enc []byte, off int) bool { return rawInt(enc, off) < c }
-		case Le:
-			return func(enc []byte, off int) bool { return rawInt(enc, off) <= c }
-		case Gt:
-			return func(enc []byte, off int) bool { return rawInt(enc, off) > c }
-		default:
-			return func(enc []byte, off int) bool { return rawInt(enc, off) >= c }
-		}
 	case Between:
-		if !numericKind(a.Val.Kind) || !numericKind(a.Val2.Kind) {
-			return nil
-		}
 		lo, hi := a.Val.Int, a.Val2.Int
 		return func(enc []byte, off int) bool {
 			v := rawInt(enc, off)
 			return v >= lo && v <= hi
 		}
 	case In:
-		if len(a.List) == 0 {
+		switch {
+		case len(a.List) == 0:
 			return func([]byte, int) bool { return false }
-		}
-		for _, v := range a.List {
-			if !numericKind(v.Kind) {
-				return nil
-			}
-		}
-		if len(a.List) > 8 {
+		case len(a.List) > 8:
 			set := make(map[int64]struct{}, len(a.List))
 			for _, v := range a.List {
 				set[v.Int] = struct{}{}
@@ -173,8 +146,21 @@ func compileRawAtom(a Atom, s *tuple.Schema) rawAtomFn {
 			}
 			return false
 		}
+	}
+	c := a.Val.Int
+	switch a.Op {
+	case Eq:
+		return func(enc []byte, off int) bool { return rawInt(enc, off) == c }
+	case Ne:
+		return func(enc []byte, off int) bool { return rawInt(enc, off) != c }
+	case Lt:
+		return func(enc []byte, off int) bool { return rawInt(enc, off) < c }
+	case Le:
+		return func(enc []byte, off int) bool { return rawInt(enc, off) <= c }
+	case Gt:
+		return func(enc []byte, off int) bool { return rawInt(enc, off) > c }
 	default:
-		return nil
+		return func(enc []byte, off int) bool { return rawInt(enc, off) >= c }
 	}
 }
 
@@ -182,29 +168,7 @@ func compileRawAtom(a Atom, s *tuple.Schema) rawAtomFn {
 // bytes are compared in place against string constants.
 func compileRawStringAtom(a Atom) rawAtomFn {
 	switch a.Op {
-	case Eq, Ne, Lt, Le, Gt, Ge:
-		if a.Val.Kind != tuple.KindString {
-			return nil
-		}
-		c := a.Val.Str
-		switch a.Op {
-		case Eq:
-			return func(enc []byte, off int) bool { return string(rawStr(enc, off)) == c }
-		case Ne:
-			return func(enc []byte, off int) bool { return string(rawStr(enc, off)) != c }
-		case Lt:
-			return func(enc []byte, off int) bool { return string(rawStr(enc, off)) < c }
-		case Le:
-			return func(enc []byte, off int) bool { return string(rawStr(enc, off)) <= c }
-		case Gt:
-			return func(enc []byte, off int) bool { return string(rawStr(enc, off)) > c }
-		default:
-			return func(enc []byte, off int) bool { return string(rawStr(enc, off)) >= c }
-		}
 	case Between:
-		if a.Val.Kind != tuple.KindString || a.Val2.Kind != tuple.KindString {
-			return nil
-		}
 		lo, hi := a.Val.Str, a.Val2.Str
 		return func(enc []byte, off int) bool {
 			v := rawStr(enc, off)
@@ -213,9 +177,6 @@ func compileRawStringAtom(a Atom) rawAtomFn {
 	case In:
 		vals := make([]string, len(a.List))
 		for i, v := range a.List {
-			if v.Kind != tuple.KindString {
-				return nil
-			}
 			vals[i] = v.Str
 		}
 		return func(enc []byte, off int) bool {
@@ -227,7 +188,20 @@ func compileRawStringAtom(a Atom) rawAtomFn {
 			}
 			return false
 		}
+	}
+	c := a.Val.Str
+	switch a.Op {
+	case Eq:
+		return func(enc []byte, off int) bool { return string(rawStr(enc, off)) == c }
+	case Ne:
+		return func(enc []byte, off int) bool { return string(rawStr(enc, off)) != c }
+	case Lt:
+		return func(enc []byte, off int) bool { return string(rawStr(enc, off)) < c }
+	case Le:
+		return func(enc []byte, off int) bool { return string(rawStr(enc, off)) <= c }
+	case Gt:
+		return func(enc []byte, off int) bool { return string(rawStr(enc, off)) > c }
 	default:
-		return nil
+		return func(enc []byte, off int) bool { return string(rawStr(enc, off)) >= c }
 	}
 }

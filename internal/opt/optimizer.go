@@ -88,7 +88,6 @@ type Optimizer struct {
 	stats   map[string]*TableStats
 	cardInj map[string]float64 // canonical (table, pred) -> rows
 	dpcInj  map[string]float64 // canonical (table, pred) -> pages
-	joinDPC map[string]float64 // lower(table)|lower(joincol) -> pages
 	// dpcHist holds the self-tuning page-count histograms (§VI future
 	// work, implemented here): one per (table, column), fed by
 	// RecordDPCObservation and consulted for single-column range
@@ -107,7 +106,6 @@ func New(cat *catalog.Catalog, io storage.IOModel, cpuPerRow time.Duration) *Opt
 		stats:     make(map[string]*TableStats),
 		cardInj:   make(map[string]float64),
 		dpcInj:    make(map[string]float64),
-		joinDPC:   make(map[string]float64),
 		dpcHist:   make(map[string]*core.DPCHistogram),
 		joinCurve: make(map[string]*core.JoinDPCCurve),
 	}
@@ -179,15 +177,6 @@ func (o *Optimizer) InjectDPC(table string, pred expr.Conjunction, pages float64
 	o.invalidate(table)
 }
 
-// InjectJoinDPC forces the distinct page count of (table, join column) for
-// INL-join costing with table as the inner relation.
-func (o *Optimizer) InjectJoinDPC(table, joinCol string, pages float64) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	o.joinDPC[strings.ToLower(table)+"|"+strings.ToLower(joinCol)] = pages
-	o.invalidate(table)
-}
-
 // HasInjectedDPC reports whether an exact fed-back page count is currently
 // injected for (table, pred).
 func (o *Optimizer) HasInjectedDPC(table string, pred expr.Conjunction) bool {
@@ -204,7 +193,6 @@ func (o *Optimizer) ClearInjections() {
 	defer o.mu.Unlock()
 	o.cardInj = make(map[string]float64)
 	o.dpcInj = make(map[string]float64)
-	o.joinDPC = make(map[string]float64)
 	o.invalidate("")
 }
 
@@ -227,7 +215,7 @@ func (o *Optimizer) DropTableFeedback(table string) {
 	defer o.mu.Unlock()
 	defer o.invalidate(table)
 	prefix := strings.ToLower(table) + "|"
-	for _, m := range []map[string]float64{o.cardInj, o.dpcInj, o.joinDPC} {
+	for _, m := range []map[string]float64{o.cardInj, o.dpcInj} {
 		for k := range m {
 			if strings.HasPrefix(k, prefix) {
 				delete(m, k)
@@ -270,12 +258,9 @@ func (o *Optimizer) JoinDPCCurve(table, joinCol string) (*core.JoinDPCCurve, boo
 }
 
 // joinPages resolves the DPC for an INL join fetching matchRows rows from
-// the inner table: exact injection first, then the learned curve, then the
-// Mackert-Lohman analytical model.
+// the inner table: the learned curve, else the Mackert-Lohman analytical
+// model.
 func (o *Optimizer) joinPages(table, joinCol string, matchRows float64, ts *TableStats) float64 {
-	if v, ok := o.joinDPC[strings.ToLower(table)+"|"+strings.ToLower(joinCol)]; ok {
-		return v
-	}
 	// Direct map access, not JoinDPCCurve: the caller holds mu.
 	if c, ok := o.joinCurve[strings.ToLower(table)+"|"+strings.ToLower(joinCol)]; ok {
 		if est, eok := c.Estimate(matchRows, ts.Pages); eok {
@@ -350,8 +335,8 @@ func (o *Optimizer) EstimateDPC(table string, pred expr.Conjunction) (float64, e
 }
 
 // EstimateINLDPC returns the optimizer's estimate of the distinct pages of
-// inner fetched by an INL join probing with outerRows rows, honoring an
-// injected join DPC.
+// inner fetched by an INL join probing with outerRows rows, honoring a
+// learned join-DPC curve.
 func (o *Optimizer) EstimateINLDPC(inner, innerCol string, outerRows float64) (float64, error) {
 	o.mu.RLock()
 	defer o.mu.RUnlock()

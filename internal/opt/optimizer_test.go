@@ -272,9 +272,24 @@ func findJoin(t *testing.T, n plan.Node) *plan.Join {
 	return j
 }
 
+// recordJoinDPCAt feeds the join curve of (inner, innerCol) one observation,
+// dpc pages, at the operating point of an INL join probing with outerRows
+// rows: the inner rows the optimizer expects them to match. A one-point
+// curve returns dpc exactly there.
+func recordJoinDPCAt(t *testing.T, o *Optimizer, inner, innerCol string, outerRows float64, dpc int64) {
+	t.Helper()
+	ts, ok := o.TableStats(inner)
+	if !ok {
+		t.Fatalf("%s not analyzed", inner)
+	}
+	match := outerRows * float64(ts.Rows) / math.Max(float64(ts.DistinctValues(innerCol)), 1)
+	o.RecordJoinDPCObservation(inner, innerCol, int64(math.Round(match)), dpc)
+}
+
 // Without feedback, a selective join on the correlated column is costed
 // with the Mackert-Lohman estimate (thousands of scattered pages), so Hash
-// Join wins; injecting the true join DPC flips it to INL — the Fig 8 story.
+// Join wins; feeding back the true join DPC flips it to INL — the Fig 8
+// story.
 func TestJoinDPCInjectionFlipsHashToINL(t *testing.T) {
 	e := newJoinEnv(t)
 	q := joinQuery(optRows/100, "c2") // 1% of outer
@@ -287,15 +302,22 @@ func TestJoinDPCInjectionFlipsHashToINL(t *testing.T) {
 		t.Errorf("analytical join method = %v, want Hash or Merge", j.Method)
 	}
 	ts, _ := e.opt.TableStats("t")
-	trueDPC := float64(optRows/100) / ts.RowsPerPage
-	e.opt.InjectJoinDPC("t", "c2", trueDPC)
+	trueDPC := math.Ceil(float64(optRows/100) / ts.RowsPerPage)
+	outerRows, err := e.opt.EstimateCardinality(q.Table, q.Pred)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recordJoinDPCAt(t, e.opt, "t", "c2", outerRows, int64(trueDPC))
+	if got, _ := e.opt.EstimateINLDPC("t", "c2", outerRows); got != trueDPC {
+		t.Fatalf("join DPC at the operating point = %v, want the observed %v", got, trueDPC)
+	}
 	node, err = e.opt.OptimizeJoin(q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	j = findJoin(t, node)
 	if j.Method != plan.INLJoin {
-		t.Errorf("with injected join DPC method = %v, want INL", j.Method)
+		t.Errorf("with the true join DPC fed back, method = %v, want INL", j.Method)
 	}
 	if j.InnerTab.Name != "t" {
 		t.Errorf("INL inner = %s", j.InnerTab.Name)
@@ -308,7 +330,14 @@ func TestJoinHighSelectivityStaysHash(t *testing.T) {
 	e := newJoinEnv(t)
 	q := joinQuery(optRows/4, "c5") // 25% of outer, uncorrelated inner col
 	ts, _ := e.opt.TableStats("t")
-	e.opt.InjectJoinDPC("t", "c5", float64(ts.Pages)) // true: all pages
+	outerRows, err := e.opt.EstimateCardinality(q.Table, q.Pred)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recordJoinDPCAt(t, e.opt, "t", "c5", outerRows, ts.Pages) // true: all pages
+	if got, _ := e.opt.EstimateINLDPC("t", "c5", outerRows); got != float64(ts.Pages) {
+		t.Fatalf("join DPC at the operating point = %v, want every page (%d)", got, ts.Pages)
+	}
 	node, err := e.opt.OptimizeJoin(q)
 	if err != nil {
 		t.Fatal(err)

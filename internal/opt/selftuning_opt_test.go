@@ -116,10 +116,10 @@ func TestEstimateINLDPCInjection(t *testing.T) {
 	if analytical <= 0 {
 		t.Errorf("analytical INL DPC = %v", analytical)
 	}
-	e.opt.InjectJoinDPC("t", "c2", 13)
+	recordJoinDPCAt(t, e.opt, "t", "c2", 1000, 13)
 	v, _ := e.opt.EstimateINLDPC("t", "c2", 1000)
 	if v != 13 {
-		t.Errorf("injected INL DPC = %v", v)
+		t.Errorf("INL DPC from a one-point curve at its own point = %v, want 13", v)
 	}
 }
 

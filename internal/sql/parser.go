@@ -458,6 +458,12 @@ func (p *parser) parseConjunct(q *opt.Query) error {
 		if q.JoinCol != "" {
 			return fmt.Errorf("sql: multiple join predicates not supported")
 		}
+		lk := ltab.Schema.Column(ltab.Schema.MustOrdinal(left.name)).Kind
+		rk := rtab.Schema.Column(rtab.Schema.MustOrdinal(right.name)).Kind
+		if !lk.Comparable(rk) {
+			return fmt.Errorf("sql: join compares %s column %s.%s with %s column %s.%s",
+				lk, ltab.Name, left.name, rk, rtab.Name, right.name)
+		}
 		// Normalize: JoinCol on q.Table, JoinCol2 on q.Table2.
 		if strings.EqualFold(ltab.Name, q.Table) {
 			q.JoinCol, q.JoinCol2 = left.name, right.name

@@ -122,6 +122,24 @@ func TestParseJoin(t *testing.T) {
 	}
 }
 
+// TestParseJoinKinds: a join key pair must compare — INT with VARCHAR is a
+// parse error in either order (hash, INL and merge join would otherwise
+// disagree on it), while INT with DATE and VARCHAR with VARCHAR parse.
+func TestParseJoinKinds(t *testing.T) {
+	cat := testCatalog(t)
+	for _, on := range []string{"sales.state = vendors.id", "vendors.region = sales.id", "sales.pad = vendors.vid"} {
+		_, err := Parse(cat, "SELECT COUNT(*) FROM sales, vendors WHERE "+on)
+		if err == nil || !strings.Contains(err.Error(), "join compares") {
+			t.Errorf("%s: err = %v, want a join kind error", on, err)
+		}
+	}
+	for _, on := range []string{"sales.shipdate = vendors.vid", "vendors.id = sales.shipdate", "sales.state = vendors.region"} {
+		if _, err := Parse(cat, "SELECT COUNT(*) FROM sales, vendors WHERE "+on); err != nil {
+			t.Errorf("%s: %v", on, err)
+		}
+	}
+}
+
 func TestParseUnqualifiedAmbiguous(t *testing.T) {
 	cat := testCatalog(t)
 	// "id" exists in both tables.

@@ -35,6 +35,14 @@ func (k Kind) String() string {
 	}
 }
 
+// Comparable reports whether values of kinds k and o compare with each
+// other, as Value.Compare allows: the same kind, or INT with DATE.
+func (k Kind) Comparable(o Kind) bool {
+	// Past the same-kind case, both must be one of the kinds up to KindDate
+	// that is not KindString: INT or DATE.
+	return k == o || k != KindString && o != KindString && k <= KindDate && o <= KindDate
+}
+
 // Column describes one column of a table.
 type Column struct {
 	Name string
