@@ -114,10 +114,9 @@ func FormatAnalyze(res *Result, o AnalyzeOptions) string {
 			fmt.Fprintf(&b, "admission: wait=%s depth=%d\n",
 				rt.QueueWait.Round(time.Microsecond), rt.QueueDepth)
 		}
-		if rt.PoolWaits > 0 || rt.ReadRetries > 0 || rt.PrefetchedPages > 0 {
-			fmt.Fprintf(&b, "storage: pin-waits=%d (%s) read-retries=%d prefetched=%d\n",
-				rt.PoolWaits, rt.PoolWaitTime.Round(time.Microsecond),
-				rt.ReadRetries, rt.PrefetchedPages)
+		if rt.PoolWaits > 0 || rt.ReadRetries > 0 {
+			fmt.Fprintf(&b, "storage: pin-waits=%d (%s) read-retries=%d\n",
+				rt.PoolWaits, rt.PoolWaitTime.Round(time.Microsecond), rt.ReadRetries)
 		}
 		if res.Trace != nil {
 			fmt.Fprintf(&b, "trace: %d spans (%d dropped)\n",

@@ -250,8 +250,8 @@ func (s *shell) stats() {
 	fmt.Fprintf(s.out, "           %d read retries, %d checksum errors, simulated I/O %v\n",
 		io.ReadRetries, io.ChecksumErrors, io.SimulatedIO)
 	ps := s.eng.Pool().Stats()
-	fmt.Fprintf(s.out, "pool:      %d logical reads, hit ratio %.1f%%, %d evictions, %d prefetched\n",
-		ps.LogicalReads, 100*ps.HitRatio(), ps.Evictions, ps.Prefetched)
+	fmt.Fprintf(s.out, "pool:      %d logical reads, hit ratio %.1f%%, %d evictions\n",
+		ps.LogicalReads, 100*ps.HitRatio(), ps.Evictions)
 	fmt.Fprintf(s.out, "           %d frame waits totalling %v (wait budget %v)\n",
 		ps.Waits, ps.WaitTime, s.eng.Pool().WaitBudget())
 	as := s.eng.AdmissionStats()

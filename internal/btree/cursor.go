@@ -100,9 +100,6 @@ func (c *Cursor) Next() bool {
 	return true
 }
 
-// Valid reports whether the cursor points at an entry.
-func (c *Cursor) Valid() bool { return c.valid }
-
 // NextLeaf consumes the rest of the current leaf in one call, for
 // page-batched execution: fn is invoked for every remaining entry of the
 // leaf, with key and value aliasing the pinned page (do not retain them).

@@ -414,8 +414,8 @@ func (t *Table) ScanRange(r expr.KeyRange) (*RowIter, error) {
 }
 
 // ScanPart is one partition of a partitioned full scan: a page-at-a-time
-// iterator over a contiguous page range, plus the pages it will visit in
-// visit order so workers can hand them to the buffer-pool prefetcher.
+// iterator over a contiguous page range, plus its file and the pages it will
+// visit, in visit order, so a caller can see what a partition covers.
 type ScanPart struct {
 	Iter  *RowIter
 	File  storage.FileID

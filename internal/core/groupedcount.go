@@ -41,12 +41,6 @@ func (gc *GroupedCounter) Observe(pid storage.PageID, satisfies bool) {
 	}
 }
 
-// ObservePageHit records that page pid contained at least one qualifying
-// row, without per-row detail (used when the caller already aggregated).
-func (gc *GroupedCounter) ObservePageHit(pid storage.PageID) {
-	gc.Observe(pid, true)
-}
-
 func (gc *GroupedCounter) closePage() {
 	if gc.havePage && gc.curHit {
 		gc.count++

@@ -16,10 +16,6 @@ import (
 // keep the pipeline moving.
 const parFlushRows = 1024
 
-// parPrefetchChunk is the read-ahead window a worker asks the buffer pool to
-// prefetch as it advances through its page range.
-const parPrefetchChunk = 16
-
 // parBatch is one message from a scan worker to the consumer: either a slice
 // of fully materialized rows, cut from an arena the worker hands over with
 // it and never writes again, or a terminal error.
@@ -91,9 +87,6 @@ func (p *ParallelScan) setDemand(need uint64) { p.demand = need }
 
 // Table returns the scanned table.
 func (p *ParallelScan) Table() *catalog.Table { return p.tab }
-
-// Degree returns the number of partitions the scan was asked to run with.
-func (p *ParallelScan) Degree() int { return p.degree }
 
 // setProbe implements probeHost: the partitioned probe phase of a parallel
 // hash join. Every worker's page visit judges the shared, read-only table on
@@ -177,7 +170,6 @@ func (p *ParallelScan) worker(idx int, wctx *Context, part catalog.ScanPart, mon
 		sel    []int
 		arena  []tuple.Value
 		bounds []int // prefix lengths into arena, one per pending row
-		pages  int
 	)
 	// Arenas are sized for a full batch up front: growing one by append
 	// doubling would allocate (and memcpy) ~2x the final size in discarded
@@ -226,7 +218,6 @@ func (p *ParallelScan) worker(idx int, wctx *Context, part catalog.ScanPart, mon
 	}
 
 	visit.open(part.Iter, dec)
-	p.prefetch(part, 0)
 	for {
 		ok, err := visit.next()
 		if err != nil {
@@ -235,10 +226,6 @@ func (p *ParallelScan) worker(idx int, wctx *Context, part catalog.ScanPart, mon
 		}
 		if !ok {
 			break
-		}
-		pages++
-		if pages%parPrefetchChunk == 0 {
-			p.prefetch(part, pages)
 		}
 		sel = identSel(sel, visit.batch.Len())
 		p.actRows[idx] += int64(visit.passed)
@@ -267,20 +254,6 @@ func (p *ParallelScan) worker(idx int, wctx *Context, part catalog.ScanPart, mon
 		}
 	}
 	flush()
-}
-
-// prefetch asks the pool to read ahead the next chunk of the partition's
-// pages. Purely advisory: the pool skips resident pages and drops requests
-// under pressure.
-func (p *ParallelScan) prefetch(part catalog.ScanPart, done int) {
-	lo := done
-	hi := done + parPrefetchChunk
-	if hi > len(part.Pages) {
-		hi = len(part.Pages)
-	}
-	if lo < hi {
-		p.ctx.Pool.Prefetch(part.File, part.Pages[lo:hi])
-	}
 }
 
 // send ships one message to the consumer, giving up if the scan is being

@@ -72,9 +72,6 @@ type RuntimeStats struct {
 	QuarantinedMonitors int `xml:"quarantinedMonitors,attr,omitempty"`
 	// Parallelism is the effective intra-query parallel degree (0 = serial).
 	Parallelism int `xml:"parallelism,attr,omitempty"`
-	// PrefetchedPages counts pages the buffer pool read ahead of demand on
-	// behalf of parallel scan workers.
-	PrefetchedPages int64 `xml:"prefetchedPages,attr,omitempty"`
 	// QueueWait is the time the query spent in the admission queue before
 	// starting; QueueDepth is how many queries were already queued when it
 	// arrived.

@@ -3,7 +3,6 @@ package storage
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,14 +14,11 @@ import (
 var ErrPoolExhausted = errors.New("storage: buffer pool exhausted (all frames pinned)")
 
 // PoolStats accumulates buffer-pool counters. LogicalReads counts every page
-// request; Hits counts those served from memory. Prefetched counts pages
-// brought in asynchronously by Prefetch — those reads are not logical reads,
-// because no operator asked for the page yet.
+// request; Hits counts those served from memory.
 type PoolStats struct {
 	LogicalReads int64
 	Hits         int64
 	Evictions    int64
-	Prefetched   int64
 	// Waits counts fetches that found their shard exhausted and blocked for
 	// a frame; WaitTime is the total time spent blocked. Merged across
 	// shards on read.
@@ -36,16 +32,13 @@ func (s PoolStats) Sub(o PoolStats) PoolStats {
 		LogicalReads: s.LogicalReads - o.LogicalReads,
 		Hits:         s.Hits - o.Hits,
 		Evictions:    s.Evictions - o.Evictions,
-		Prefetched:   s.Prefetched - o.Prefetched,
 		Waits:        s.Waits - o.Waits,
 		WaitTime:     s.WaitTime - o.WaitTime,
 	}
 }
 
 // HitRatio returns Hits/LogicalReads, or 0 when the window saw no logical
-// reads at all — which happens when a query's pages were all brought in by
-// the prefetcher but the query was cancelled before touching any of them.
-// The old expression divided by zero there and reported NaN.
+// reads at all (a query cancelled before its first fetch), rather than NaN.
 func (s PoolStats) HitRatio() float64 {
 	if s.LogicalReads == 0 {
 		return 0
@@ -106,11 +99,6 @@ type poolShard struct {
 	cond     *sync.Cond
 	waits    int64
 	waitTime time.Duration
-
-	// inflight counts prefetch reads admitted for this shard but not yet
-	// completed; Prefetch refuses new work past prefetchWindow so a fast
-	// producer cannot flood a shard and evict the working set.
-	inflight atomic.Int32
 }
 
 // maxPoolShards caps the shard count; beyond ~16 shards the mutexes stop
@@ -137,7 +125,6 @@ type BufferPool struct {
 	// any shard lock, and Stats() reads them without stopping the world.
 	logicalReads atomic.Int64
 	hits         atomic.Int64
-	prefetched   atomic.Int64
 
 	// waitBudget (nanoseconds) bounds how long a fetch may block waiting for
 	// a frame when its shard is exhausted. Zero keeps the historical
@@ -324,89 +311,6 @@ func (s *poolShard) acquireFrameLocked(bp *BufferPool, key frameKey) (*frame, bo
 	}
 }
 
-// prefetchWindow caps the prefetch reads in flight per shard. The window
-// keeps read-ahead from racing arbitrarily far ahead of the consuming scan
-// and from churning a shard's CLOCK ring faster than demand fetches refill
-// their reference bits.
-const prefetchWindow = 8
-
-// Prefetch schedules asynchronous reads of the given pages into the pool.
-// It is purely advisory: pages already resident are skipped, pages whose
-// shard has a full in-flight window are dropped, read errors are swallowed
-// (the demand fetch will surface them), and pinned frames are never evicted
-// to make room (the CLOCK hand skips them as always). Prefetched frames
-// enter the pool unpinned with the reference bit set, so they survive one
-// sweep of the hand — long enough for a scan reading just behind the window.
-//
-// Prefetch reads do not count as logical reads or hits; they increment the
-// separate Prefetched counter in Stats.
-func (bp *BufferPool) Prefetch(file FileID, pids []PageID) {
-	admitted := make([]PageID, 0, len(pids))
-	for _, pid := range pids {
-		s := bp.shardFor(frameKey{file, pid})
-		if s.inflight.Add(1) > prefetchWindow {
-			s.inflight.Add(-1)
-			continue
-		}
-		admitted = append(admitted, pid)
-	}
-	if len(admitted) == 0 {
-		return
-	}
-	// Fire-and-forget by design: prefetch is advisory I/O with no caller to
-	// join or cancel. The per-shard inflight window (released in
-	// prefetchOne) bounds how many goroutines run, and a prefetch racing
-	// pool shutdown only populates frames that Reset then discards.
-	go func() {
-		for _, pid := range admitted {
-			bp.prefetchOne(file, pid)
-		}
-	}()
-}
-
-// prefetchOne brings one page into its shard if absent. The caller has
-// already reserved an inflight slot; it is released here.
-func (bp *BufferPool) prefetchOne(file FileID, pid PageID) {
-	key := frameKey{file, pid}
-	s := bp.shardFor(key)
-	defer s.inflight.Add(-1)
-	s.mu.Lock()
-	if _, ok := s.frames[key]; ok {
-		s.mu.Unlock()
-		return
-	}
-	fr, err := s.allocFrameLocked(bp.disk, key)
-	if err != nil {
-		// Every frame pinned: the shard has no room for advisory reads.
-		s.mu.Unlock()
-		return
-	}
-	if err := bp.disk.ReadPage(file, pid, fr.buf); err != nil {
-		s.releaseFrameLocked(fr)
-		s.mu.Unlock()
-		return
-	}
-	fr.ref = true
-	s.mu.Unlock()
-	bp.prefetched.Add(1)
-}
-
-// DrainPrefetch blocks until no prefetch reads are in flight. Tests and
-// benchmarks use it to make pool contents deterministic before asserting;
-// the hot path never needs it.
-func (bp *BufferPool) DrainPrefetch() {
-	for {
-		var n int32
-		for _, s := range bp.shards {
-			n += s.inflight.Load()
-		}
-		if n == 0 {
-			return
-		}
-		runtime.Gosched()
-	}
-}
-
 // NewPage allocates a fresh page in the file, formats it with the given type,
 // and returns it pinned and dirty.
 func (bp *BufferPool) NewPage(file FileID, typ byte) (*PinnedPage, error) {
@@ -550,10 +454,6 @@ func (bp *BufferPool) Flush() error {
 // ring regrows in the same order as in a new pool, so what is read and evicted
 // afterwards does not change.
 func (bp *BufferPool) Reset() error {
-	// Settle any in-flight prefetches first, so a read-ahead issued by the
-	// previous query cannot land after the reset and silently warm the
-	// supposedly cold cache.
-	bp.DrainPrefetch()
 	for _, s := range bp.shards {
 		s.mu.Lock()
 	}
@@ -609,7 +509,6 @@ func (bp *BufferPool) Stats() PoolStats {
 	st := PoolStats{
 		LogicalReads: bp.logicalReads.Load(),
 		Hits:         bp.hits.Load(),
-		Prefetched:   bp.prefetched.Load(),
 	}
 	for _, s := range bp.shards {
 		s.mu.Lock()
@@ -625,7 +524,6 @@ func (bp *BufferPool) Stats() PoolStats {
 func (bp *BufferPool) ResetStats() {
 	bp.logicalReads.Store(0)
 	bp.hits.Store(0)
-	bp.prefetched.Store(0)
 	for _, s := range bp.shards {
 		s.mu.Lock()
 		s.evictions = 0

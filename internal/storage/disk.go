@@ -82,7 +82,7 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // DiskManager is an in-memory page store standing in for the I/O subsystem.
 // It hands out files, serves page reads/writes, and charges simulated time
 // per the IOModel, classifying each read as sequential or random based on
-// the previously read page of the same file (a simple prefetch model).
+// whether it immediately follows the previously read page of the same file.
 //
 // Every complete write records a page checksum; reads verify it, so a torn
 // page (injected with CorruptPage, or any out-of-band mutation of the stored
@@ -132,21 +132,6 @@ type readHookBox struct{ fn func(seq int64) }
 func (d *DiskManager) SetReadHook(fn func(seq int64)) {
 	d.readSeq.Store(0)
 	d.readHook.Store(readHookBox{fn})
-}
-
-// SetBackoff replaces the transient-fault retry policy. A MaxRetries of zero
-// disables retry entirely (every transient fault surfaces immediately).
-func (d *DiskManager) SetBackoff(p BackoffPolicy) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.backoff = p
-}
-
-// Backoff returns the current retry policy.
-func (d *DiskManager) Backoff() BackoffPolicy {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.backoff
 }
 
 // FailReadsAfter arms fault injection: the next n reads succeed, every

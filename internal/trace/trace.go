@@ -54,16 +54,15 @@ const (
 	// KindAdmission is the time spent queued at the admission gate before
 	// execution began. Op is NoOp.
 	KindAdmission
-	// KindPinWait, KindReadRetry, and KindPrefetch are storage-side point
-	// events synthesized from buffer-pool and disk stat deltas after the
-	// run: N is the event count, Total the time attributed to it (pin
-	// waits only — retries and prefetches are charged to simulated IO).
+	// KindPinWait and KindReadRetry are storage-side point events
+	// synthesized from buffer-pool and disk stat deltas after the run: N is
+	// the event count, Total the time attributed to it (pin waits only —
+	// retries are charged to simulated IO).
 	// Under intra-query parallelism the per-event intervals overlap
 	// arbitrarily, so they are reported as aggregates rather than
 	// fabricated intervals.
 	KindPinWait
 	KindReadRetry
-	KindPrefetch
 )
 
 // String names the kind for rendering.
@@ -87,8 +86,6 @@ func (k Kind) String() string {
 		return "pin-wait"
 	case KindReadRetry:
 		return "read-retry"
-	case KindPrefetch:
-		return "prefetch"
 	}
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
@@ -369,7 +366,7 @@ func (t *Trace) Render() string {
 	}
 	for _, s := range t.Spans {
 		switch s.Kind {
-		case KindAdmission, KindPinWait, KindReadRetry, KindPrefetch:
+		case KindAdmission, KindPinWait, KindReadRetry:
 			appendSpan("  ", s)
 		}
 	}

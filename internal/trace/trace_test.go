@@ -85,7 +85,6 @@ func wellFormed() *Recorder {
 	r.Emit(Span{Op: 1, Kind: KindClose, Start: 17, End: 18})
 	r.Emit(Span{Op: NoOp, Kind: KindPinWait, Start: 20, End: 20, N: 3, Total: 5})
 	r.Emit(Span{Op: NoOp, Kind: KindReadRetry, Start: 20, End: 20, N: 1})
-	r.Emit(Span{Op: NoOp, Kind: KindPrefetch, Start: 20, End: 20, N: 64})
 	return r
 }
 
@@ -205,7 +204,7 @@ func TestEmitDoesNotAllocate(t *testing.T) {
 func TestRenderListsEverySection(t *testing.T) {
 	tr := wellFormed().Finish()
 	out := tr.Render()
-	for _, want := range []string{"query", "op 0:", "op 1:", "operator", "open", "next", "close", "partition", "admission", "pin-wait", "read-retry", "prefetch", "calls=7"} {
+	for _, want := range []string{"query", "op 0:", "op 1:", "operator", "open", "next", "close", "partition", "admission", "pin-wait", "read-retry", "calls=7"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Render output missing %q:\n%s", want, out)
 		}
@@ -220,7 +219,7 @@ func TestRenderListsEverySection(t *testing.T) {
 
 func TestKindStrings(t *testing.T) {
 	kinds := []Kind{KindQuery, KindOperator, KindOpen, KindClose, KindNext,
-		KindPartition, KindAdmission, KindPinWait, KindReadRetry, KindPrefetch}
+		KindPartition, KindAdmission, KindPinWait, KindReadRetry}
 	seen := map[string]bool{}
 	for _, k := range kinds {
 		s := k.String()

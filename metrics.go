@@ -36,7 +36,6 @@ type engineMetrics struct {
 
 	physicalReads *metrics.Counter
 	logicalReads  *metrics.Counter
-	prefetched    *metrics.Counter
 	readRetries   *metrics.Counter
 	spansDropped  *metrics.Counter
 
@@ -77,7 +76,6 @@ func newEngineMetrics() *engineMetrics {
 
 		physicalReads: reg.NewCounter("pf_physical_reads_total", "Pages read from simulated disk."),
 		logicalReads:  reg.NewCounter("pf_logical_reads_total", "Page requests served by the buffer pool."),
-		prefetched:    reg.NewCounter("pf_prefetched_pages_total", "Pages read ahead of demand."),
 		readRetries:   reg.NewCounter("pf_read_retries_total", "Transient storage faults absorbed by retry."),
 		spansDropped:  reg.NewCounter("pf_trace_spans_dropped_total", "Trace spans dropped by full buffers."),
 
@@ -128,7 +126,6 @@ func (m *engineMetrics) noteQuery(res *Result, err error) {
 	m.quarantinedMonitors.Add(int64(rt.QuarantinedMonitors))
 	m.physicalReads.Add(rt.PhysicalReads)
 	m.logicalReads.Add(rt.LogicalReads)
-	m.prefetched.Add(rt.PrefetchedPages)
 	m.readRetries.Add(rt.ReadRetries)
 	if res.Trace != nil {
 		m.spansDropped.Add(res.Trace.Dropped)

@@ -1,11 +1,14 @@
 package pagefeedback
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"pagefeedback/internal/exec"
 )
@@ -25,7 +28,7 @@ func raiseProcs(t *testing.T, n int) {
 // TestParallelStressMixedDegreesOneEngine is the -race workhorse for the
 // intra-query parallel mode: many goroutines run serial and parallel queries
 // (scans and hash joins, monitored and not) against ONE engine at once, so
-// partitioned workers, monitor shard merges, prefetch I/O, and plain serial
+// partitioned workers, monitor shard merges, page reads, and plain serial
 // executions all interleave on the shared buffer pool.
 func TestParallelStressMixedDegreesOneEngine(t *testing.T) {
 	raiseProcs(t, 4)
@@ -106,6 +109,51 @@ func TestParallelFeedbackMatchesSerialEngineLevel(t *testing.T) {
 		ser, par := run(0), run(4)
 		if !reflect.DeepEqual(ser, par) {
 			t.Errorf("%q: DPC feedback differs:\n  serial   %+v\n  parallel %+v", sql, ser, par)
+		}
+	}
+	assertNoPins(t, eng)
+}
+
+// TestParallelQueryLeavesNoReadsRunning checks that a parallel query's page
+// reads all belong to it: once QueryContext returns, nothing it started may
+// still be reading, so the pool and disk counters read the same right away
+// and again a moment later. A read landing after the return would be missing
+// from the query's own IO figures and charged to whatever ran next. Half the
+// runs are cancelled at their 20th disk read, while the workers still have
+// most of their partitions ahead of them.
+func TestParallelQueryLeavesNoReadsRunning(t *testing.T) {
+	raiseProcs(t, 4)
+	eng := joinTestEnv(t, 8000)
+	disk := eng.Pool().Disk()
+	for i := 0; i < 10; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancelled := i%2 == 1
+		if cancelled {
+			disk.SetReadHook(func(seq int64) {
+				if seq == 20 {
+					cancel()
+				}
+			})
+		}
+		res, err := eng.QueryContext(ctx, "SELECT COUNT(padding) FROM t WHERE c2 < 8000",
+			&RunOptions{MonitorAll: true, Parallelism: 4})
+		poolAt, diskAt := eng.Pool().Stats(), disk.Stats()
+		disk.SetReadHook(nil)
+		cancel()
+		switch {
+		case cancelled && !errors.Is(err, context.Canceled):
+			t.Fatalf("run %d: err = %v, want cancellation", i, err)
+		case !cancelled && err != nil:
+			t.Fatal(err)
+		case !cancelled && res.Stats.Runtime.Parallelism != 4:
+			t.Fatalf("run %d: query ran at degree %d, want 4", i, res.Stats.Runtime.Parallelism)
+		}
+		time.Sleep(20 * time.Millisecond)
+		if got := eng.Pool().Stats(); got != poolAt {
+			t.Errorf("run %d: pool counters moved after the query returned:\n at return %+v\n 20ms later %+v", i, poolAt, got)
+		}
+		if got := disk.Stats(); got != diskAt {
+			t.Errorf("run %d: disk counters moved after the query returned:\n at return %+v\n 20ms later %+v", i, diskAt, got)
 		}
 	}
 	assertNoPins(t, eng)

@@ -449,7 +449,6 @@ func renderDPCResults(res *Result) []string {
 func deterministicRuntime(rt exec.RuntimeStats) exec.RuntimeStats {
 	rt.QueueWait, rt.QueueDepth = 0, 0
 	rt.PoolWaits, rt.PoolWaitTime = 0, 0
-	rt.PrefetchedPages = 0
 	rt.PlanCacheHit = false
 	rt.BatchesProcessed = 0
 	return rt
