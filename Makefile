@@ -107,8 +107,9 @@ profile:
 
 # Brief fuzzing pass over the row/key codecs, the SQL parser, the batch
 # predicate evaluator, the hash-join probe's and the sampled monitors' in-place
-# cell reads, and the lint CFG builder: a smoke check suitable for CI, not a
-# soak. Corpus finds accumulate in the build cache and testdata/fuzz.
+# cell reads, the scans' page step against the row-at-a-time iterators, the
+# feedback importer, and the lint CFG builder: a smoke check suitable for CI,
+# not a soak. Corpus finds accumulate in the build cache and testdata/fuzz.
 fuzz-smoke:
 	$(GO) test ./internal/tuple -run xxx -fuzz FuzzTupleDecode -fuzztime 10s
 	$(GO) test ./internal/tuple -run xxx -fuzz FuzzKeyCodec -fuzztime 10s
@@ -117,4 +118,6 @@ fuzz-smoke:
 	$(GO) test ./internal/expr -run xxx -fuzz FuzzEvalRaw -fuzztime 10s
 	$(GO) test ./internal/exec -run xxx -fuzz FuzzProbeKey -fuzztime 10s
 	$(GO) test ./internal/exec -run xxx -fuzz FuzzMonitorCell -fuzztime 10s
+	$(GO) test ./internal/catalog -run xxx -fuzz FuzzPageLoop -fuzztime 10s
+	$(GO) test . -run xxx -fuzz FuzzImportFeedback -fuzztime 10s
 	$(GO) test ./internal/lint -run xxx -fuzz FuzzCFGBuild -fuzztime 10s

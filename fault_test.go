@@ -2,9 +2,11 @@ package pagefeedback
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
+	"pagefeedback/internal/btree"
 	"pagefeedback/internal/storage"
 )
 
@@ -60,18 +62,26 @@ func TestDiskFaultsPropagateCleanly(t *testing.T) {
 // DECODE errors while its page is still pinned (unlike a read fault, where
 // the iterator has already unpinned); if the drain doesn't release that
 // pin, every later cold-cache Reset fails. The test corrupts one data page
-// of t on "disk" and checks each blocking shape recovers.
+// of a table on "disk" and checks each blocking shape recovers, serially
+// and with two parallel workers, over a heap table (whose page step owns
+// the pin) and a clustered one (whose cursor holds its leaf until Close).
 func TestNoPinLeakAfterMidDrainFault(t *testing.T) {
-	// A heap table whose rows end in a string: corrupting cell payloads
-	// turns the string's length field into garbage, so Decode errors while
-	// the page is still pinned by the iterator.
-	buildEnv := func() *Engine {
+	// h's rows end in a string: corrupting cell payloads turns the string's
+	// length field into garbage, so Decode errors while the page is still
+	// pinned by the iterator.
+	buildEnv := func(clustered bool) *Engine {
 		eng := New(DefaultConfig())
 		h := NewSchema(
 			Column{Name: "k", Kind: KindInt},
 			Column{Name: "pad", Kind: KindString},
 		)
-		if _, err := eng.CreateHeapTable("h", h); err != nil {
+		var err error
+		if clustered {
+			_, err = eng.CreateClusteredTable("h", h, []string{"k"})
+		} else {
+			_, err = eng.CreateHeapTable("h", h)
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
 		rows := make([]Row, 2000)
@@ -97,6 +107,10 @@ func TestNoPinLeakAfterMidDrainFault(t *testing.T) {
 		}
 		if err := eng.Analyze("h", "v"); err != nil {
 			t.Fatal(err)
+		}
+		if clustered {
+			corruptLeafPayloads(t, eng, "h", 2)
+			return eng
 		}
 		// Corrupt the cell payload region of heap page 2 of h (file 0),
 		// keeping the slot directory intact so iteration reaches the cells.
@@ -127,20 +141,60 @@ func TestNoPinLeakAfterMidDrainFault(t *testing.T) {
 		// Group aggregate: corruption while draining.
 		"SELECT k, COUNT(*) FROM h GROUP BY k",
 	}
-	for _, q := range queries {
-		eng := buildEnv()
-		if _, err := eng.Query(q, nil); err == nil {
-			t.Fatalf("%q succeeded over a corrupt page", q)
+	for _, clustered := range []bool{false, true} {
+		for _, opts := range []*RunOptions{nil, {Parallelism: 2}} {
+			for _, q := range queries {
+				name := fmt.Sprintf("clustered=%v parallel=%v %q", clustered, opts != nil, q)
+				eng := buildEnv(clustered)
+				if _, err := eng.Query(q, opts); err == nil {
+					t.Fatalf("%s succeeded over a corrupt page", name)
+				}
+				if n := eng.Pool().Pinned(); n != 0 {
+					t.Fatalf("%s left %d pages pinned", name, n)
+				}
+				// The next cold-cache query (its Reset fails if any pin
+				// leaked) runs against the intact table.
+				res, err := eng.Query("SELECT COUNT(*) FROM v WHERE k < 10", nil)
+				if err != nil {
+					t.Fatalf("%s leaked pins: %v", name, err)
+				}
+				if res.Rows[0][0].Int != 10 {
+					t.Fatalf("post-corruption count = %d", res.Rows[0][0].Int)
+				}
+			}
 		}
-		// The pool must be fully unpinned: the next cold-cache query (its
-		// Reset fails if any pin leaked) runs against the intact table.
-		res, err := eng.Query("SELECT COUNT(*) FROM v WHERE k < 10", nil)
+	}
+}
+
+// corruptLeafPayloads sets the string length prefix of every row on the
+// leaf-th leaf of the clustered table name to garbage, leaving the keys and
+// the slot directory intact, and flushes the page to disk: a scan reaches
+// each cell and fails to decode it with the leaf still pinned.
+func corruptLeafPayloads(t *testing.T, eng *Engine, name string, leaf int) {
+	t.Helper()
+	tab, ok := eng.Catalog().Table(name)
+	if !ok {
+		t.Fatalf("no table %s", name)
+	}
+	parts, err := tab.ScanPartitions(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts[0].Iter.Close()
+	corrupt := func() {
+		pp, err := eng.Pool().FetchPage(parts[0].File, parts[0].Pages[leaf])
 		if err != nil {
-			t.Fatalf("%q leaked pins: %v", q, err)
+			t.Fatal(err)
 		}
-		if res.Rows[0][0].Int != 10 {
-			t.Fatalf("post-corruption count = %d", res.Rows[0][0].Int)
+		defer pp.Unpin(true)
+		for s := 0; s < pp.Page.NumSlots(); s++ {
+			_, value := btree.LeafEntry(pp.Page.Cell(storage.SlotID(s)))
+			copy(value[8:12], []byte{0xFF, 0xFF, 0xFF, 0x7F}) // the length of pad, after k's 8 bytes
 		}
+	}
+	corrupt()
+	if err := eng.Pool().Reset(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -157,9 +157,11 @@ func cellKey(cell []byte) []byte {
 	return cell[2 : 2+n]
 }
 
-func leafCellValue(cell []byte) []byte {
+// LeafEntry splits a leaf cell into its key and value, both aliasing cell:
+// a leaf cell is the key's 2-byte length, the key, then the value.
+func LeafEntry(cell []byte) (key, value []byte) {
 	n := binary.LittleEndian.Uint16(cell)
-	return cell[2+n:]
+	return cell[2 : 2+n], cell[2+n:]
 }
 
 func innerCellChild(cell []byte) storage.PageID {
@@ -302,7 +304,7 @@ func (t *Tree) Search(key []byte) (value []byte, found bool, err error) {
 	if !exact {
 		return nil, false, nil
 	}
-	v := leafCellValue(leaf.Page.Cell(storage.SlotID(slot)))
+	_, v := LeafEntry(leaf.Page.Cell(storage.SlotID(slot)))
 	return append([]byte(nil), v...), true, nil
 }
 
@@ -322,8 +324,8 @@ func (t *Tree) Get(rid storage.RID) (key, value []byte, err error) {
 	if cell == nil {
 		return nil, nil, fmt.Errorf("btree: RID %v points at deleted slot", rid)
 	}
-	return append([]byte(nil), cellKey(cell)...),
-		append([]byte(nil), leafCellValue(cell)...), nil
+	key, value = LeafEntry(cell)
+	return append([]byte(nil), key...), append([]byte(nil), value...), nil
 }
 
 // View locates the entry at rid and calls fn with its value bytes while the
@@ -342,7 +344,8 @@ func (t *Tree) View(rid storage.RID, fn func(value []byte) error) error {
 	if cell == nil {
 		return fmt.Errorf("btree: RID %v points at deleted slot", rid)
 	}
-	return fn(leafCellValue(cell))
+	_, v := LeafEntry(cell)
+	return fn(v)
 }
 
 // Insert stores value under key. It returns ErrDuplicateKey if key exists.

@@ -1,7 +1,6 @@
 package btree
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"pagefeedback/internal/storage"
@@ -15,8 +14,6 @@ type Cursor struct {
 	leaf *storage.PinnedPage
 	slot int
 	err  error
-	// valid reports whether the cursor currently points at an entry.
-	valid bool
 	// bounded cursors (CursorAtLeaf) stop after consuming a fixed number of
 	// leaves instead of following the chain to the end of the tree.
 	bounded    bool
@@ -56,86 +53,80 @@ func (t *Tree) CursorAtLeaf(pid storage.PageID, nleaves int) (*Cursor, error) {
 	return &Cursor{tree: t, leaf: pp, slot: -1, bounded: true, leavesLeft: nleaves - 1}, nil
 }
 
-// enterLeaf moves the cursor into the leaf at next, honoring the leaf budget
-// of bounded cursors. The previous leaf must already be unpinned. Returns
-// false at the end of the range or tree, or on a read error (recorded).
-func (c *Cursor) enterLeaf(next storage.PageID) bool {
-	if next == storage.InvalidPageID {
-		return false
-	}
-	if c.bounded {
-		if c.leavesLeft == 0 {
+// cross moves the cursor into the next leaf holding an entry it has not
+// consumed, when the current leaf has none left: it unpins the current leaf,
+// follows the chain past empty leaves, and honors the leaf budget of bounded
+// cursors. It is the one place a cursor changes leaves. Returns false at the
+// end of the range or tree, or on a read error (recorded).
+func (c *Cursor) cross() bool {
+	for c.slot+1 >= c.leaf.Page.NumSlots() {
+		next := c.leaf.Page.Next()
+		c.leaf.Unpin(false)
+		c.leaf = nil
+		if next == storage.InvalidPageID {
 			return false
 		}
-		c.leavesLeft--
+		if c.bounded {
+			if c.leavesLeft == 0 {
+				return false
+			}
+			c.leavesLeft--
+		}
+		pp, err := c.tree.pool.FetchPage(c.tree.file, next)
+		if err != nil {
+			c.err = err
+			return false
+		}
+		c.leaf = pp
+		c.slot = -1
 	}
-	pp, err := c.tree.pool.FetchPage(c.tree.file, next)
-	if err != nil {
-		c.err = err
-		return false
-	}
-	c.leaf = pp
 	return true
 }
 
 // Next advances to the next entry, returning false at the end of the tree or
 // on error (check Err).
 func (c *Cursor) Next() bool {
-	if c.err != nil || c.leaf == nil {
-		c.valid = false
+	if c.err != nil || c.leaf == nil || !c.cross() {
 		return false
 	}
 	c.slot++
-	for c.slot >= c.leaf.Page.NumSlots() {
-		next := c.leaf.Page.Next()
-		c.leaf.Unpin(false)
-		c.leaf = nil
-		if !c.enterLeaf(next) {
-			c.valid = false
-			return false
-		}
-		c.slot = 0
-	}
-	c.valid = true
 	return true
 }
 
-// NextLeaf consumes the rest of the current leaf in one call, for
-// page-batched execution: fn is invoked for every remaining entry of the
-// leaf, with key and value aliasing the pinned page (do not retain them).
-// If fn returns false, iteration stops with the cursor on that entry and
-// NextLeaf returns false. Crossing into the next leaf happens lazily on the
-// following call, so the just-consumed leaf remains the cursor's current
-// page until then. Returns false at the end of the tree or on error (check
-// Err).
+// Leaf hands the caller the cursor's current leaf and the address of its
+// first entry not yet consumed, crossing into the next leaf first when the
+// current one is used up. It is the page step of page-batched execution:
+// the caller walks the leaf's slots itself, from that slot to NumSlots, and
+// splits each cell with LeafEntry. Every entry of the leaf counts as
+// consumed, so the next call crosses on. The cursor keeps the leaf pinned
+// until then, or until Close: the page and the cells read from it are valid
+// only until that call. Returns false at the end of the range or tree, or on
+// error (check Err).
+func (c *Cursor) Leaf() (*storage.Page, storage.RID, bool) {
+	if c.err != nil || c.leaf == nil || !c.cross() {
+		return nil, storage.RID{}, false
+	}
+	first := storage.RID{Page: c.leaf.ID, Slot: storage.SlotID(c.slot + 1)}
+	c.slot = c.leaf.Page.NumSlots() - 1
+	return c.leaf.Page, first, true
+}
+
+// NextLeaf consumes the rest of the current leaf in one call: fn is invoked
+// for every remaining entry of the leaf, with key and value aliasing the
+// pinned page (do not retain them). If fn returns false, iteration stops
+// with the cursor on that entry and NextLeaf returns false. Crossing into
+// the next leaf happens lazily on the following call, so the just-consumed
+// leaf remains the cursor's current page until then. Returns false at the
+// end of the tree or on error (check Err).
 func (c *Cursor) NextLeaf(fn func(key, value []byte, rid storage.RID) bool) bool {
-	if c.err != nil || c.leaf == nil {
-		c.valid = false
+	page, rid, ok := c.Leaf()
+	if !ok {
 		return false
 	}
-	// Current leaf exhausted on a previous call: cross to the next one.
-	for c.slot+1 >= c.leaf.Page.NumSlots() {
-		next := c.leaf.Page.Next()
-		c.leaf.Unpin(false)
-		c.leaf = nil
-		if !c.enterLeaf(next) {
-			c.valid = false
-			return false
-		}
-		c.slot = -1
-	}
-	// The slot count and page identity are loop invariants (the leaf stays
-	// pinned for the whole sweep), so they are read once, and each cell's
-	// key length is decoded once to split key from value.
-	n := c.leaf.Page.NumSlots()
-	rid := storage.RID{Page: c.leaf.ID}
-	for c.slot+1 < n {
-		c.slot++
-		c.valid = true
-		rid.Slot = storage.SlotID(c.slot)
-		cell := c.leaf.Page.Cell(rid.Slot)
-		kl := binary.LittleEndian.Uint16(cell)
-		if !fn(cell[2:2+kl], cell[2+kl:], rid) {
+	for n := page.NumSlots(); int(rid.Slot) < n; rid.Slot++ {
+		key, value := LeafEntry(page.Cell(rid.Slot))
+		if !fn(key, value, rid) {
+			c.slot = int(rid.Slot)
 			return false
 		}
 	}
@@ -149,7 +140,8 @@ func (c *Cursor) Key() []byte {
 
 // Value returns the current entry's value (aliases the page buffer).
 func (c *Cursor) Value() []byte {
-	return leafCellValue(c.leaf.Page.Cell(storage.SlotID(c.slot)))
+	_, v := LeafEntry(c.leaf.Page.Cell(storage.SlotID(c.slot)))
+	return v
 }
 
 // RID returns the (leaf page, slot) address of the current entry.
@@ -166,5 +158,4 @@ func (c *Cursor) Close() {
 		c.leaf.Unpin(false)
 		c.leaf = nil
 	}
-	c.valid = false
 }

@@ -378,8 +378,8 @@ type RowIter struct {
 	rid   storage.RID
 	err   error
 
-	pscan *heap.PageScanner // lazily created by NextPage on heap tables
-	done  bool              // NextPage hit the hi bound
+	pscan *heap.PageScanner // lazily created by the page step on heap tables
+	done  bool              // the page step hit the hi bound
 }
 
 // ScanAll returns an iterator over all rows in page order. It has the
@@ -413,9 +413,11 @@ func (t *Table) ScanRange(r expr.KeyRange) (*RowIter, error) {
 	return &RowIter{table: t, cur: cur, hi: r.Hi}, nil
 }
 
-// ScanPart is one partition of a partitioned full scan: a page-at-a-time
-// iterator over a contiguous page range, plus its file and the pages it will
-// visit, in visit order, so a caller can see what a partition covers.
+// ScanPart is one partition of a partitioned full scan: an iterator over a
+// contiguous page range, driven only by the page steps (NextPage,
+// NextPageFiltered, NextPageJudged — exec's parallel workers use the last),
+// plus its file and the pages it will visit, in visit order, so a caller can
+// see what a partition covers.
 type ScanPart struct {
 	Iter  *RowIter
 	File  storage.FileID
@@ -427,7 +429,8 @@ type ScanPart struct {
 // split into PID ranges, clustered tables into leaf-chain ranges (located
 // via the internal levels only — no data page is read here). Fewer than n
 // partitions are returned when the table has fewer pages. The iterators
-// support only NextPage; each must be closed by its consumer.
+// support only the page steps, not Next; each must be closed by its
+// consumer.
 func (t *Table) ScanPartitions(n int) ([]ScanPart, error) {
 	if n < 1 {
 		n = 1
@@ -558,14 +561,78 @@ func (it *RowIter) NextPageFiltered(b *RowBatch, keep func(enc []byte) bool) (in
 // NextPageJudged is the one page step behind NextPage and NextPageFiltered:
 // it pins the next data page once, tells j which page it is, and decodes
 // into b only the cells j keeps (every cell when j is nil). b.PID is the
-// page and total its cell count whether or not any cell was kept.
+// page and total its cell count whether or not any cell was kept. It walks
+// the pinned page's slots in one loop: j sees each cell exactly once, with
+// EnterPage before the first, and a clustered leaf none of whose cells is
+// below the range's upper bound ends the scan without being entered.
 func (it *RowIter) NextPageJudged(b *RowBatch, j CellJudge) (total int, ok bool) {
 	if it.err != nil || it.done {
 		return 0, false
 	}
 	b.reset()
-	schema := it.table.Schema
-	visit := func(rid storage.RID, cell []byte) error {
+	if it.table.Kind == KindHeap {
+		total, it.err = it.judgeHeapPage(b, j)
+	} else {
+		total, it.err = it.judgeLeaf(b, j)
+	}
+	if it.err != nil || total == 0 {
+		return 0, false
+	}
+	b.finish(it.table.Schema.NumColumns())
+	return total, true
+}
+
+// judgeHeapPage is NextPageJudged's step over the next heap page holding a
+// live row. The pin is released on every exit, a panic in j included.
+func (it *RowIter) judgeHeapPage(b *RowBatch, j CellJudge) (int, error) {
+	if it.pscan == nil {
+		it.pscan = it.table.heapFile.ScanPages()
+	}
+	pp, first, ok := it.pscan.Page()
+	if !ok {
+		return 0, it.pscan.Err()
+	}
+	defer pp.Unpin(false)
+	b.PID = pp.ID
+	if j != nil {
+		j.EnterPage(pp.ID)
+	}
+	schema, page := it.table.Schema, pp.Page
+	total := 0
+	rid := storage.RID{Page: pp.ID, Slot: storage.SlotID(first)}
+	for n := page.NumSlots(); int(rid.Slot) < n; rid.Slot++ {
+		cell := page.Cell(rid.Slot)
+		if cell == nil {
+			continue
+		}
+		total++
+		if j != nil && !j.Keep(cell) {
+			continue
+		}
+		if err := b.add(schema, rid, cell); err != nil {
+			return 0, err
+		}
+	}
+	return total, nil
+}
+
+// judgeLeaf is NextPageJudged's step over the rest of the cursor's current
+// clustered leaf (or the next one). The first cell at or past the range's
+// upper bound ends the scan; the page is entered on the first cell below it.
+// The cursor keeps the leaf pinned until it moves on or is closed.
+func (it *RowIter) judgeLeaf(b *RowBatch, j CellJudge) (int, error) {
+	page, rid, ok := it.cur.Leaf()
+	if !ok {
+		return 0, it.cur.Err()
+	}
+	schema, hi := it.table.Schema, it.hi
+	total := 0
+	for n := page.NumSlots(); int(rid.Slot) < n; rid.Slot++ {
+		key, val := btree.LeafEntry(page.Cell(rid.Slot))
+		if hi != nil && string(key) >= string(hi) {
+			it.done = true
+			break
+		}
 		if total == 0 {
 			b.PID = rid.Page
 			if j != nil {
@@ -573,36 +640,14 @@ func (it *RowIter) NextPageJudged(b *RowBatch, j CellJudge) (total int, ok bool)
 			}
 		}
 		total++
-		if j != nil && !j.Keep(cell) {
-			return nil
+		if j != nil && !j.Keep(val) {
+			continue
 		}
-		return b.add(schema, rid, cell)
-	}
-	if it.table.Kind == KindHeap {
-		if it.pscan == nil {
-			it.pscan = it.table.heapFile.ScanPages()
+		if err := b.add(schema, rid, val); err != nil {
+			return 0, err
 		}
-		ok = it.pscan.NextPage(visit)
-		it.err = it.pscan.Err()
-	} else {
-		it.cur.NextLeaf(func(key, val []byte, rid storage.RID) bool {
-			if it.hi != nil && string(key) >= string(it.hi) {
-				it.done = true
-				return false
-			}
-			it.err = visit(rid, val)
-			return it.err == nil
-		})
-		if it.err == nil {
-			it.err = it.cur.Err()
-		}
-		ok = total > 0
 	}
-	if it.err != nil || !ok {
-		return 0, false
-	}
-	b.finish(schema.NumColumns())
-	return total, true
+	return total, nil
 }
 
 // Row returns the current row.

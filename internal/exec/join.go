@@ -113,10 +113,16 @@ type joinProbe struct {
 // looked up without allocating. A cell that is not one well-formed row is
 // kept unexamined, so the decoder still rejects it and fails the scan.
 func (p *joinProbe) matchesCell(cell []byte) bool {
-	n, str, ok := cellKey(p.schema, cell, p.ord)
-	if !ok {
+	if !p.schema.WellFormed(cell) {
 		return true
 	}
+	return p.matchesWellFormed(cell)
+}
+
+// matchesWellFormed is matchesCell for a cell the caller has already found
+// well-formed.
+func (p *joinProbe) matchesWellFormed(cell []byte) bool {
+	n, str := wellFormedCellKey(p.schema, cell, p.ord)
 	if p.schema.Column(p.ord).Kind == tuple.KindString {
 		_, found := p.table.strs[string(str)]
 		return found
@@ -133,18 +139,25 @@ func (p *joinProbe) builds(row tuple.Row) []tuple.Row {
 // cellKey reads column ord of an encoded row in place — at 8·ord in the fixed
 // prefix, behind the length prefixes otherwise: the numeric payload of an INT
 // or DATE column, or the bytes of a VARCHAR, aliasing cell. ok is false, and
-// nothing is read, when cell is not one well-formed row; the hash-join probe
-// and the join bit-vector monitor both read their keys through it.
+// nothing is read, when cell is not one well-formed row; the join bit-vector
+// monitor reads its keys through it.
 func cellKey(s *tuple.Schema, cell []byte, ord int) (n int64, str []byte, ok bool) {
 	if !s.WellFormed(cell) {
 		return 0, nil, false
 	}
+	n, str = wellFormedCellKey(s, cell, ord)
+	return n, str, true
+}
+
+// wellFormedCellKey is cellKey for a cell the caller has already found
+// well-formed.
+func wellFormedCellKey(s *tuple.Schema, cell []byte, ord int) (n int64, str []byte) {
 	off := s.ColumnOffset(cell, ord)
 	if s.Column(ord).Kind == tuple.KindString {
 		l := int(binary.LittleEndian.Uint32(cell[off:]))
-		return 0, cell[off+4 : off+4+l], true
+		return 0, cell[off+4 : off+4+l]
 	}
-	return int64(binary.LittleEndian.Uint64(cell[off:])), nil, true
+	return int64(binary.LittleEndian.Uint64(cell[off:])), nil
 }
 
 // NewHashJoin constructs the operator. buildOrd/probeOrd are the join column

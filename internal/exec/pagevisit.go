@@ -149,21 +149,24 @@ func (v *pageVisit) EnterPage(pid storage.PageID) {
 }
 
 // Keep implements catalog.CellJudge: let the sampled monitors judge one
-// encoded cell, then judge it by the predicate and then the probe. A
-// malformed cell passes both (each accepts it unexamined), so it reaches the
-// decoder and fails the scan there.
+// encoded cell, then judge it by the predicate and then the probe. The cell's
+// length prefixes are walked once, here, for both. A malformed cell passes
+// both unexamined, so it reaches the decoder and fails the scan there.
 func (v *pageVisit) Keep(cell []byte) bool {
 	for _, m := range v.judging {
 		m.addCell(cell)
 	}
-	if fi := v.raw.FirstFail(cell); fi != -1 {
-		if v.hist != nil {
-			v.hist[fi]++
+	wellFormed := v.raw.WellFormed(cell)
+	if wellFormed {
+		if fi := v.raw.FirstFailWellFormed(cell); fi != -1 {
+			if v.hist != nil {
+				v.hist[fi]++
+			}
+			return false
 		}
-		return false
 	}
 	v.passed++
-	return v.probe == nil || v.probe.matchesCell(cell)
+	return !wellFormed || v.probe == nil || v.probe.matchesWellFormed(cell)
 }
 
 // predMask is the mask of the columns a bound predicate reads; an unbound

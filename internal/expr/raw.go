@@ -49,9 +49,21 @@ func (c RawCompiled) Len() int { return len(c.atoms) }
 // must reach the decoder, which reports the corruption — raw evaluation
 // never masks it.
 func (c RawCompiled) FirstFail(enc []byte) int {
-	if !c.schema.WellFormed(enc) {
+	if !c.WellFormed(enc) {
 		return -1
 	}
+	return c.FirstFailWellFormed(enc)
+}
+
+// WellFormed reports whether enc is one well-formed row of the schema c was
+// compiled against: the check FirstFail makes before it reads any column.
+func (c RawCompiled) WellFormed(enc []byte) bool { return c.schema.WellFormed(enc) }
+
+// FirstFailWellFormed is FirstFail for a cell the caller has already found
+// WellFormed, so a page step that reads the cell in place more than once
+// walks its length prefixes once. Called on a malformed cell it may index
+// past the cell's end and panic.
+func (c RawCompiled) FirstFailWellFormed(enc []byte) int {
 	for i := range c.atoms {
 		a := &c.atoms[i]
 		off := a.off

@@ -228,8 +228,7 @@ func (it *Iterator) Close() {
 }
 
 // PageScanner walks a file one page at a time, for page-batched execution:
-// each NextPage call pins a single page once, hands every live cell to the
-// callback, and unpins before returning.
+// each page holding a live row is pinned once and handed to the caller whole.
 type PageScanner struct {
 	f   *File
 	pid storage.PageID
@@ -255,49 +254,67 @@ func (ps *PageScanner) Range(lo, hi storage.PageID) *PageScanner {
 	return ps
 }
 
-// NextPage visits the next page that contains live rows, calling fn once per
-// live cell in slot order. The cell aliases the pinned page and must not be
-// retained after fn returns. Pages with no live rows are skipped. It returns
-// false when the file is exhausted, fn returns an error, or a read fails
-// (check Err).
-func (ps *PageScanner) NextPage(fn func(rid storage.RID, cell []byte) error) bool {
-	if ps.err != nil {
-		return false
-	}
-	for ps.pid < ps.end {
-		visited, err := ps.visitPage(fn)
+// Page pins the next page that holds a live row and returns it with its
+// first live slot; pages with no live rows are skipped. It is the page step
+// of page-batched execution: the caller walks the slots itself, from first
+// to NumSlots, skipping deleted ones (nil cells). The caller owns the pin
+// and must Unpin the page, deferred, so that no exit leaks it. Returns false
+// when the range is exhausted or a read fails (check Err).
+func (ps *PageScanner) Page() (*storage.PinnedPage, int, bool) {
+	for ps.err == nil && ps.pid < ps.end {
+		pp, err := ps.f.pool.FetchPage(ps.f.file, ps.pid)
 		if err != nil {
 			ps.err = err
-			return false
+			break
 		}
-		if visited {
-			return true
+		ps.pid++
+		if first := firstLive(pp); first >= 0 {
+			return pp, first, true
 		}
 	}
-	return false
+	return nil, 0, false
 }
 
-// visitPage pins the scanner's current page, hands each live cell to fn, and
-// advances past the page; the pin is scoped to this call so neither an fn
-// error nor a panic on a corrupt cell can leak it.
-func (ps *PageScanner) visitPage(fn func(rid storage.RID, cell []byte) error) (visited bool, err error) {
-	pp, err := ps.f.pool.FetchPage(ps.f.file, ps.pid)
-	if err != nil {
-		return false, err
+// firstLive returns the first live slot of pp. When pp has none it unpins
+// pp and returns -1, and it unpins it as well if reading a corrupt slot
+// directory panics, so a skipped page never keeps its pin.
+func firstLive(pp *storage.PinnedPage) (first int) {
+	first = -1
+	defer func() {
+		if first < 0 {
+			pp.Unpin(false)
+		}
+	}()
+	for s, n := 0, pp.Page.NumSlots(); s < n; s++ {
+		if pp.Page.Cell(storage.SlotID(s)) != nil {
+			return s
+		}
+	}
+	return -1
+}
+
+// NextPage visits the next page that contains live rows, calling fn once per
+// live cell in slot order. The cell aliases the pinned page and must not be
+// retained after fn returns. It returns false when the file is exhausted, fn
+// returns an error, or a read fails (check Err). The pin is released on
+// every exit, a panic in fn included.
+func (ps *PageScanner) NextPage(fn func(rid storage.RID, cell []byte) error) bool {
+	pp, first, ok := ps.Page()
+	if !ok {
+		return false
 	}
 	defer pp.Unpin(false)
-	ps.pid++
-	for s := 0; s < pp.Page.NumSlots(); s++ {
+	for s, n := first, pp.Page.NumSlots(); s < n; s++ {
 		cell := pp.Page.Cell(storage.SlotID(s))
 		if cell == nil {
 			continue
 		}
-		visited = true
 		if err := fn(storage.RID{Page: pp.ID, Slot: storage.SlotID(s)}, cell); err != nil {
-			return visited, err
+			ps.err = err
+			return false
 		}
 	}
-	return visited, nil
+	return true
 }
 
 // Err returns the first error encountered.
