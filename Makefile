@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet vet-force build test race bench bench-check fig7 profile fuzz-smoke chaos cover
+.PHONY: all vet vet-force build test race bench bench-check bench-compare fig7 profile fuzz-smoke chaos cover
 
 all: vet build test
 
@@ -59,6 +59,18 @@ bench:
 bench-check:
 	$(GO) vet -C bench ./...
 	$(GO) test -C bench ./...
+
+# Alternating pairs of one repo-benchmark workload, REV's committed files
+# against the working tree: per-pair raw and calibrated qps, the win count,
+# each side's median and quartiles, and main.calibKernel's address mod 64 in
+# both binaries. See bench-compare.sh.
+W ?= analytic_diag
+SEED ?= 23
+PAIRS ?= 10
+
+bench-compare:
+	@test -n "$(REV)" || { echo "usage: make bench-compare REV=<rev> [W=<workload>] [SEED=<n>] [PAIRS=<n>]"; exit 2; }
+	./bench-compare.sh $(REV) $(W) $(SEED) $(PAIRS)
 
 # The paper's Fig 7 claim as the docs quote it: one traced repo-benchmark run
 # of scan_monitored (seed 1, 10 s), reduced to the monitoring overhead of the

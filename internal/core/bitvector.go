@@ -25,9 +25,15 @@ import (
 // makes the §IV exactness guarantee ("at least as many bits as distinct
 // values") achievable; a scrambling hash would suffer birthday collisions
 // at any width. Strings are hashed first.
+//
+// When the width is a power of two, value mod width is taken as a mask of
+// the low bits: the same bucket without a 64-bit divide. A hash join's own
+// probe filter is sized to a power of two for exactly this reason; the join
+// monitor's width (2 bits per inner row) usually is not, and keeps the mod.
 type BitVectorFilter struct {
 	words   []uint64
 	numBits uint64
+	mask    uint64 // numBits-1 when numBits is a power of two, else 0
 	added   int64
 }
 
@@ -35,10 +41,18 @@ type BitVectorFilter struct {
 func (bv *BitVectorFilter) bucket(v tuple.Value) uint64 {
 	switch v.Kind {
 	case tuple.KindInt, tuple.KindDate:
-		return uint64(v.Int) % bv.numBits
+		return bv.slot(uint64(v.Int))
 	default:
-		return HashValue(v) % bv.numBits
+		return bv.slot(HashValue(v))
 	}
+}
+
+// slot reduces h mod numBits, by the mask when the width is a power of two.
+func (bv *BitVectorFilter) slot(h uint64) uint64 {
+	if bv.mask != 0 {
+		return h & bv.mask
+	}
+	return h % bv.numBits
 }
 
 // NewBitVectorFilter creates a filter with the given number of bits
@@ -47,10 +61,14 @@ func NewBitVectorFilter(numBits uint64) *BitVectorFilter {
 	if numBits < 64 {
 		numBits = 64
 	}
-	return &BitVectorFilter{
+	bv := &BitVectorFilter{
 		words:   make([]uint64, (numBits+63)/64),
 		numBits: numBits,
 	}
+	if numBits&(numBits-1) == 0 {
+		bv.mask = numBits - 1
+	}
+	return bv
 }
 
 // Add hashes a join-column value of the outer relation into the filter.
@@ -85,14 +103,14 @@ func (bv *BitVectorFilter) MayContain(v tuple.Value) bool {
 // MayContainInt is MayContain for the numeric payload of an INT or DATE
 // value read in place from an encoded row.
 func (bv *BitVectorFilter) MayContainInt(n int64) bool {
-	return bv.isSet(uint64(n) % bv.numBits)
+	return bv.isSet(bv.slot(uint64(n)))
 }
 
 // MayContainBytes is MayContain for the bytes of a VARCHAR value read in
 // place from an encoded row: it hashes exactly as HashValue does and
 // allocates nothing.
 func (bv *BitVectorFilter) MayContainBytes(b []byte) bool {
-	return bv.isSet(hashBytes(b) % bv.numBits)
+	return bv.isSet(bv.slot(hashBytes(b)))
 }
 
 func (bv *BitVectorFilter) isSet(h uint64) bool { return bv.words[h/64]&(1<<(h%64)) != 0 }

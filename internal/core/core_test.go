@@ -304,6 +304,29 @@ func TestBitVectorStrings(t *testing.T) {
 	}
 }
 
+// TestBitVectorBucketIsMod: a value's bit is its value mod the width (its
+// hash mod the width for a string), whether the width is a power of two,
+// bucketed by mask, or not.
+func TestBitVectorBucketIsMod(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	for _, w := range []uint64{64, 4096, 96, 6000} {
+		for i := 0; i < 200; i++ {
+			n := r.Int63() - r.Int63()
+			s := tuple.Str(string(rune('a' + i%26)))
+			for _, c := range []struct {
+				v    tuple.Value
+				want uint64
+			}{{tuple.Int64(n), uint64(n) % w}, {tuple.Date(n), uint64(n) % w}, {s, HashValue(s) % w}} {
+				bv := NewBitVectorFilter(w)
+				bv.Add(c.v)
+				if bv.SetBits() != 1 || !bv.isSet(c.want) {
+					t.Fatalf("width %d: %v set bits %d, want bit %d alone", w, c.v, bv.SetBits(), c.want)
+				}
+			}
+		}
+	}
+}
+
 func TestBitVectorMinimumWidth(t *testing.T) {
 	bv := NewBitVectorFilter(1)
 	if bv.Bits() != 64 {

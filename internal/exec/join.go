@@ -3,8 +3,10 @@ package exec
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"pagefeedback/internal/catalog"
+	"pagefeedback/internal/core"
 	"pagefeedback/internal/expr"
 	"pagefeedback/internal/storage"
 	"pagefeedback/internal/tuple"
@@ -59,10 +61,12 @@ func (m *valueMap[V]) store(mem *MemTracker, n int64, v tuple.Value, e V) error 
 // by the time the probe side's SE scan streams rows, the filter acts as the
 // derived semi-join predicate for DPC monitoring.
 //
-// When the probe input is a bare table scan, the completed hash table itself
-// becomes a semi-join predicate of that scan (§IV's derived predicate, exact
-// rather than a bit vector): the scan reads each surviving cell's join key
-// from the page bytes and decodes only the rows with a match.
+// Every probe key is judged by the completed build table through one
+// joinProbe, whose bit vector rejects most keys without a map lookup. When
+// the probe input is a bare table scan, that probe becomes a semi-join
+// predicate of the scan (§IV's derived predicate, exact rather than a bit
+// vector): the scan reads each surviving cell's join key from the page bytes
+// and decodes only the rows with a match.
 type HashJoinOp struct {
 	ctx      *Context
 	build    Operator
@@ -74,6 +78,7 @@ type HashJoinOp struct {
 	stats    OpStats
 
 	table valueMap[[]tuple.Row]
+	keys  joinProbe // the completed table seen from the probe side; set by Open
 
 	// Probe state: the pulled probe batch and the joined-output arena. Both
 	// are transient high-water-reuse buffers bounded by one batch — rebuilt
@@ -100,13 +105,51 @@ type probeHost interface {
 	setProbe(p *joinProbe)
 }
 
-// joinProbe is a hash join's completed build table seen from its probe-side
-// scan: a semi-join predicate judged on the encoded cell before any decode.
-// It is read-only once built, so parallel scan workers share it.
+// joinProbe is a hash join's completed build table seen from its probe side:
+// a semi-join predicate judged on the encoded cell before any decode, and the
+// lookup of a decoded probe row's build rows. An INT or DATE key is tested
+// against bits first, and only a key whose bit is set reaches the map, which
+// stays the final arbiter; a VARCHAR key goes to the map alone. It is
+// read-only once built, so parallel scan workers share it.
 type joinProbe struct {
 	table  *valueMap[[]tuple.Row]
-	ord    int // probe column ordinal in the scan's schema
+	bits   core.BitVectorFilter // the table's INT/DATE keys; unused for a VARCHAR key
 	schema *tuple.Schema
+	ord    int        // probe column ordinal in schema
+	kind   tuple.Kind // the probe column's kind
+	off    int        // the key's byte offset when it is in the fixed prefix (8·ord), else -1
+}
+
+// probeBits is the width of a probe's bit vector over n distinct keys: the
+// smallest power of two that is at least 8n and at least 64. A power of two
+// buckets by mask, and 8 bits per key keep spurious hits to about one probe
+// key in eight; at a few thousand keys the vector fits in L1.
+func probeBits(n int) uint64 {
+	if n <= 8 {
+		return 64
+	}
+	return 1 << bits.Len64(8*uint64(n)-1)
+}
+
+// newJoinProbe makes the probe of a completed build table for probe column
+// ord of schema. For an INT or DATE key it charges mem the bit vector's bytes
+// before it makes it, then sets the bit of every key the table holds.
+func newJoinProbe(mem *MemTracker, table *valueMap[[]tuple.Row], schema *tuple.Schema, ord int) (joinProbe, error) {
+	p := joinProbe{table: table, schema: schema, ord: ord, kind: schema.Column(ord).Kind, off: -1}
+	if ord <= schema.FixedPrefix() {
+		p.off = 8 * ord
+	}
+	if p.kind != tuple.KindString {
+		w := probeBits(len(table.ints))
+		if err := mem.Grow(int64(w / 8)); err != nil {
+			return joinProbe{}, err
+		}
+		p.bits = *core.NewBitVectorFilter(w)
+		for k := range table.ints {
+			p.bits.Add(tuple.Int64(k))
+		}
+	}
+	return p, nil
 }
 
 // matchesCell reports whether the encoded row's join key has a build match,
@@ -122,10 +165,17 @@ func (p *joinProbe) matchesCell(cell []byte) bool {
 // matchesWellFormed is matchesCell for a cell the caller has already found
 // well-formed.
 func (p *joinProbe) matchesWellFormed(cell []byte) bool {
-	n, str := wellFormedCellKey(p.schema, cell, p.ord)
-	if p.schema.Column(p.ord).Kind == tuple.KindString {
+	off := p.off
+	if off < 0 {
+		off = p.schema.ColumnOffset(cell, p.ord)
+	}
+	n, str := cellKeyAt(cell, off, p.kind)
+	if p.kind == tuple.KindString {
 		_, found := p.table.strs[string(str)]
 		return found
+	}
+	if !p.bits.MayContainInt(n) {
+		return false
 	}
 	_, found := p.table.ints[n]
 	return found
@@ -133,7 +183,11 @@ func (p *joinProbe) matchesWellFormed(cell []byte) bool {
 
 // builds returns the build rows a decoded probe row joins with.
 func (p *joinProbe) builds(row tuple.Row) []tuple.Row {
-	return p.table.lookup(row[p.ord])
+	v := row[p.ord]
+	if p.kind != tuple.KindString && !p.bits.MayContainInt(v.Int) {
+		return nil
+	}
+	return p.table.lookup(v)
 }
 
 // cellKey reads column ord of an encoded row in place — at 8·ord in the fixed
@@ -145,15 +199,13 @@ func cellKey(s *tuple.Schema, cell []byte, ord int) (n int64, str []byte, ok boo
 	if !s.WellFormed(cell) {
 		return 0, nil, false
 	}
-	n, str = wellFormedCellKey(s, cell, ord)
+	n, str = cellKeyAt(cell, s.ColumnOffset(cell, ord), s.Column(ord).Kind)
 	return n, str, true
 }
 
-// wellFormedCellKey is cellKey for a cell the caller has already found
-// well-formed.
-func wellFormedCellKey(s *tuple.Schema, cell []byte, ord int) (n int64, str []byte) {
-	off := s.ColumnOffset(cell, ord)
-	if s.Column(ord).Kind == tuple.KindString {
+// cellKeyAt reads a key of kind k at byte offset off of a well-formed cell.
+func cellKeyAt(cell []byte, off int, k tuple.Kind) (n int64, str []byte) {
+	if k == tuple.KindString {
 		l := int(binary.LittleEndian.Uint32(cell[off:]))
 		return 0, cell[off+4 : off+4+l]
 	}
@@ -223,18 +275,22 @@ func (j *HashJoinOp) Open() error {
 	if err := j.build.Close(); err != nil {
 		return err
 	}
+	if j.keys, err = newJoinProbe(j.ctx.Mem, &j.table, j.probe.Schema(), j.probeOrd); err != nil {
+		return err
+	}
 	if j.scan != nil {
-		j.scan.setProbe(&joinProbe{table: &j.table, ord: j.probeOrd, schema: j.probe.Schema()})
+		j.scan.setProbe(&j.keys)
 	}
 	return j.probe.Open()
 }
 
 // NextBatch implements Operator for the probe phase. With a partitioned
 // probe the exchange's arena-backed batches are forwarded whole — already
-// joined by the workers. Otherwise each probe row is looked up by value;
-// matches are copied into a reused output arena, and the joined row views
-// are built only after the arena has stopped growing. Every match of a probe
-// batch is delivered, whatever the consumer's row cap.
+// joined by the workers. Otherwise each probe row is looked up through the
+// same joinProbe a pushed-down scan uses; matches are copied into a reused
+// output arena, and the joined row views are built only after the arena has
+// stopped growing. Every match of a probe batch is delivered, whatever the
+// consumer's row cap.
 func (j *HashJoinOp) NextBatch(b *Batch) (int, error) {
 	if j.joined {
 		n, err := j.probe.NextBatch(b)
@@ -255,7 +311,7 @@ func (j *HashJoinOp) NextBatch(b *Batch) (int, error) {
 		j.outBounds = j.outBounds[:0]
 		for _, i := range j.pb.Sel {
 			probe := j.pb.Rows[i]
-			for _, build := range j.table.lookup(probe[j.probeOrd]) {
+			for _, build := range j.keys.builds(probe) {
 				j.outVals = append(j.outVals, build...)
 				j.outVals = append(j.outVals, probe...)
 				j.outBounds = append(j.outBounds, len(j.outVals))

@@ -382,13 +382,21 @@ func TestParallelWorkerPanicSurfacesAsOperatorPanic(t *testing.T) {
 	ctx := NewContext(e.pool)
 	ctx.Parallelism = 4
 	ps := NewParallelScan(ctx, e.sales, expr.Conjunction{}, 4)
-	// A probe ordinal past the schema's last column makes every worker's
-	// page visit panic on its first cell, with the page pinned.
-	ps.setProbe(&joinProbe{table: &valueMap[[]tuple.Row]{}, ord: 99, schema: e.sales.Schema})
+	// A probe built for a 100-column schema reads its key at byte 792, past
+	// the end of every sales cell, so every worker's page visit panics on
+	// its first cell, with the page pinned.
+	wide := make([]tuple.Column, 100)
+	for i := range wide {
+		wide[i] = tuple.Column{Name: fmt.Sprintf("c%d", i), Kind: tuple.KindInt}
+	}
+	probe, err := newJoinProbe(nil, &valueMap[[]tuple.Row]{}, tuple.NewSchema(wide...), 99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps.setProbe(&probe)
 	if err := ps.Open(); err != nil {
 		t.Fatal(err)
 	}
-	var err error
 	var b Batch
 	for {
 		n, e := ps.NextBatch(&b)
@@ -408,7 +416,7 @@ func TestParallelWorkerPanicSurfacesAsOperatorPanic(t *testing.T) {
 		t.Fatalf("worker panic surfaced as %v (%T), want *OperatorPanic", err, err)
 	}
 	if op.Op != ps.Stats().Label || op.Value == nil {
-		t.Errorf("panic = %q in %s, want the out-of-range ordinal in %s", op.Value, op.Op, ps.Stats().Label)
+		t.Errorf("panic = %q in %s, want the out-of-range key read in %s", op.Value, op.Op, ps.Stats().Label)
 	}
 	// The pool must be fully unpinned after teardown.
 	if err := e.pool.Reset(); err != nil {

@@ -380,27 +380,35 @@ func probeFuzzSchema(desc uint32) *tuple.Schema {
 
 // FuzzProbeKey checks the push-down's in-place key read against the decoder,
 // on any layout and any bytes: a cell the decoder accepts yields the decoded
-// join key — so it matches a table holding exactly that key and misses an
-// empty one — and a cell it rejects (truncated, over-long, a length prefix
-// past the end) is kept unexamined, matching even an empty table, so the
-// decoder still fails the scan.
+// join key — so it matches a table holding that key and misses an empty one —
+// and a cell it rejects (truncated, over-long, a length prefix past the end)
+// is kept unexamined, matching even an empty table, so the decoder still
+// fails the scan. The full table also holds up to 15 more INT and DATE keys,
+// negative ones and ones congruent to the cell's key mod the bit vector's
+// width among them: every key the table holds must match (the bit vector
+// has no false negatives), and a key congruent to one it holds must not
+// (the map, not the vector, decides).
 func FuzzProbeKey(f *testing.F) {
 	mixed := uint32(2) | 0<<3 | 1<<5 | 2<<7 // (a INT, b VARCHAR, c DATE)
 	valid, err := tuple.Encode(nil, probeFuzzSchema(mixed), tuple.Row{tuple.Int64(-42), tuple.Str("x\x00y"), tuple.Date(19000)})
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(mixed, valid, uint8(2))                                                                // key behind a string
-	f.Add(mixed, valid, uint8(1))                                                                // VARCHAR key
-	f.Add(mixed, valid[:len(valid)-1], uint8(0))                                                 // truncated
-	f.Add(mixed, append(valid, 0xAA), uint8(0))                                                  // over-long
-	f.Add(uint32(1)|1<<3|0<<5, []byte{0xFF, 0xFF, 0xFF, 0x7F, 1, 2, 3, 4, 5, 6, 7, 8}, uint8(1)) // bad prefix
-	f.Add(uint32(0), make([]byte, 8), uint8(0))                                                  // one INT column
+	f.Add(mixed, valid, uint8(2), int64(7), uint8(15))                                                               // key behind a string
+	f.Add(mixed, valid, uint8(0), int64(-1), uint8(9))                                                               // negative INT key
+	f.Add(mixed, valid, uint8(1), int64(0), uint8(0))                                                                // VARCHAR key
+	f.Add(mixed, valid[:len(valid)-1], uint8(0), int64(0), uint8(0))                                                 // truncated
+	f.Add(mixed, append(valid, 0xAA), uint8(0), int64(0), uint8(0))                                                  // over-long
+	f.Add(uint32(1)|1<<3|0<<5, []byte{0xFF, 0xFF, 0xFF, 0x7F, 1, 2, 3, 4, 5, 6, 7, 8}, uint8(1), int64(0), uint8(0)) // bad prefix
+	f.Add(uint32(0), make([]byte, 8), uint8(0), int64(1<<40), uint8(4))                                              // one INT column
 
-	f.Fuzz(func(t *testing.T, desc uint32, cell []byte, ordSeed uint8) {
+	f.Fuzz(func(t *testing.T, desc uint32, cell []byte, ordSeed uint8, seed int64, extra uint8) {
 		s := probeFuzzSchema(desc)
 		ord := int(ordSeed) % s.NumColumns()
-		empty := &joinProbe{table: &valueMap[[]tuple.Row]{}, ord: ord, schema: s}
+		empty, err := newJoinProbe(nil, &valueMap[[]tuple.Row]{}, s, ord)
+		if err != nil {
+			t.Fatal(err)
+		}
 		row, err := tuple.Decode(s, cell)
 		if err != nil {
 			if !empty.matchesCell(cell) {
@@ -416,14 +424,162 @@ func FuzzProbeKey(f *testing.F) {
 		if empty.matchesCell(cell) {
 			t.Fatalf("well-formed cell %x matched an empty table", cell)
 		}
-		full := &joinProbe{table: &valueMap[[]tuple.Row]{}, ord: ord, schema: s}
-		if err := full.table.store(nil, 0, v, []tuple.Row{row}); err != nil {
+
+		table := &valueMap[[]tuple.Row]{}
+		if err := table.store(nil, 0, v, []tuple.Row{row}); err != nil {
+			t.Fatal(err)
+		}
+		// Extra keys: negative, congruent to the cell's key mod every
+		// power-of-two width up to 2^20, and next to the seed, alternately
+		// stored as INT and DATE.
+		base := seed
+		if v.Kind != tuple.KindString {
+			base = v.Int
+		}
+		var held []int64
+		for i := int64(0); i < int64(extra%16); i++ {
+			k := [...]int64{-1 - seed&0xFFFF - i, base + (i+1)<<20, seed + i, base - (i+1)<<32}[i%4]
+			kv := tuple.Int64(k)
+			if i%2 == 1 {
+				kv = tuple.Date(k)
+			}
+			if err := table.store(nil, 0, kv, []tuple.Row{row}); err != nil {
+				t.Fatal(err)
+			}
+			held = append(held, k)
+		}
+		full, err := newJoinProbe(nil, table, s, ord)
+		if err != nil {
 			t.Fatal(err)
 		}
 		if !full.matchesCell(cell) || len(full.builds(row)) != 1 {
 			t.Fatalf("cell %x missed a table holding its own key %s", cell, v)
 		}
+		if v.Kind == tuple.KindString {
+			return
+		}
+		probeKey := func(k int64) bool {
+			r := row.Clone()
+			r[ord] = tuple.Value{Kind: v.Kind, Int: k}
+			c, err := tuple.Encode(nil, s, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return full.matchesCell(c)
+		}
+		for _, k := range held {
+			if !probeKey(k) {
+				t.Fatalf("key %d held by the table missed (schema %s, ord %d)", k, s, ord)
+			}
+		}
+		if k := base + int64(full.bits.Bits()); table.ints[k] == nil && probeKey(k) {
+			t.Fatalf("key %d, congruent to held key %d mod %d, matched a table without it", k, base, full.bits.Bits())
+		}
 	})
+}
+
+// TestHashJoinProbeBitsExact holds a hash join whose build keys collide mod
+// the probe's bit-vector width to a nested-loop join, serially and at degree
+// 2, with the probe pushed into the scan and not. The build keys are DATE
+// multiples of the width around zero plus a few odd ones; the INT probe keys
+// run well past the build range on both sides, so most set bits are shared
+// by keys the table does not hold, and negative keys exercise the mask.
+func TestHashJoinProbeBitsExact(t *testing.T) {
+	d := storage.NewDiskManager(storage.DefaultIOModel())
+	pool := storage.NewBufferPool(d, 4096)
+	cat := catalog.New(pool)
+
+	// DATE build keys join the INT probe keys by their payload.
+	var brows []tuple.Row
+	for j := int64(-20); j < 20; j++ {
+		brows = append(brows, tuple.Row{tuple.Int64(j + 20), tuple.Date(j * 512)})
+	}
+	for _, k := range []int64{5, -5, 1005, -1005} {
+		brows = append(brows, tuple.Row{tuple.Int64(int64(len(brows))), tuple.Date(k)})
+	}
+	bschema := tuple.NewSchema(tuple.Column{Name: "oid", Kind: tuple.KindInt}, tuple.Column{Name: "k", Kind: tuple.KindDate})
+	build, err := cat.CreateHeapTable("b_collide", bschema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := build.BulkLoad(brows); err != nil {
+		t.Fatal(err)
+	}
+	if w := probeBits(len(brows)); w != 512 {
+		t.Fatalf("probe width for %d keys = %d; the build keys assume 512", len(brows), w)
+	}
+
+	pschema := tuple.NewSchema(tuple.Column{Name: "id", Kind: tuple.KindInt},
+		tuple.Column{Name: "k", Kind: tuple.KindInt}, tuple.Column{Name: "pad", Kind: tuple.KindString})
+	var prows []tuple.Row
+	for i := int64(0); i < semiRows; i++ {
+		// Keys from -30000 to +29995 in steps of 5, shuffled over the pages.
+		k := (i*7919)%semiRows*5 - 30000
+		prows = append(prows, tuple.Row{tuple.Int64(i), tuple.Int64(k), tuple.Str("pad")})
+	}
+	probe, err := cat.CreateClusteredTable("p_collide", pschema, []string{"id"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := probe.BulkLoad(prows); err != nil {
+		t.Fatal(err)
+	}
+
+	node := semiJoinPlan(t, probe, build, int64(len(brows)))
+	ref, matched := nestedLoopJoin(t, node)
+	if matched == 0 {
+		t.Fatal("no probe row matches; the data must both match and miss")
+	}
+	want := sortedRowStrings(ref)
+	for _, deg := range []int{0, 2} {
+		for _, pushed := range []bool{true, false} {
+			if got := runSemiJoin(t, pool, node, nil, deg, pushed); !reflect.DeepEqual(got.rows, want) {
+				t.Errorf("deg=%d pushed=%v: %d rows, nested loop %d", deg, pushed, len(got.rows), len(want))
+			}
+		}
+	}
+}
+
+// TestHashJoinProbeBitsCharged: a hash join charges its probe's bit vector —
+// width/8 bytes, width from the build's distinct INT keys — on top of the
+// build table, to the byte, and a VARCHAR key charges nothing more.
+// TestHashJoinProbeBitsMemBudget holds a budget between the two to the
+// engine's memory error.
+func TestHashJoinProbeBitsCharged(t *testing.T) {
+	d := storage.NewDiskManager(storage.DefaultIOModel())
+	pool := storage.NewBufferPool(d, 4096)
+	cat := catalog.New(pool)
+	for _, sh := range semiShapes()[:3] {
+		probe, build := semiTables(t, cat, sh)
+		node := semiJoinPlan(t, probe, build, 350)
+		var buildBytes int64
+		keys := map[tuple.Value]bool{}
+		for _, r := range survivingRows(t, node.Outer.(*plan.Scan)) {
+			buildBytes += rowMemSize(r) + mapEntryOverhead
+			keys[r[1]] = true
+		}
+		var vecBytes int64
+		if sh.buildKind != tuple.KindString {
+			vecBytes = int64(probeBits(len(keys)) / 8)
+		}
+		ctx := NewContext(pool)
+		ctx.Mem = NewMemTracker(0)
+		ex, err := Build(ctx, node, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := ex.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var outBytes int64
+		for _, r := range rows {
+			outBytes += rowMemSize(r)
+		}
+		if got, want := ctx.Mem.Used(), buildBytes+vecBytes+outBytes; got != want {
+			t.Errorf("%s: charged %d bytes, want build %d + vector %d + result %d", sh.name, got, buildBytes, vecBytes, outBytes)
+		}
+	}
 }
 
 // TestHashJoinProbeAllocs guards the push-down's point: a hash join over a

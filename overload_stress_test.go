@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"pagefeedback/internal/plan"
 )
 
 // overloadTestDB is buildTestDB with admission control switched on.
@@ -259,6 +261,61 @@ func TestOverloadMemBudget(t *testing.T) {
 	}
 	if n := eng.Pool().Pinned(); n != 0 {
 		t.Errorf("%d pins leaked after memory abort", n)
+	}
+}
+
+// TestHashJoinProbeBitsMemBudget: a hash join charges its probe's bit vector
+// after its build table, so a budget that holds the build but not the vector
+// aborts the query with ErrKindMemory, and no page stays pinned. No probe key
+// matches, so the peak is the build plus the vector: 300 distinct build keys
+// take a 4,096-bit (512-byte) vector.
+func TestHashJoinProbeBitsMemBudget(t *testing.T) {
+	const vecBytes = 4096 / 8
+	eng := New(DefaultConfig())
+	u, err := eng.CreateHeapTable("u", NewSchema(Column{Name: "oid", Kind: KindInt}, Column{Name: "k", Kind: KindInt}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := eng.CreateClusteredTable("p", NewSchema(Column{Name: "id", Kind: KindInt}, Column{Name: "k", Kind: KindInt}), []string{"id"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var urows, prows []Row
+	for j := int64(0); j < 300; j++ {
+		urows = append(urows, Row{Int64(j), Int64(3 * j)})
+	}
+	for i := int64(0); i < 3000; i++ {
+		prows = append(prows, Row{Int64(i), Int64(3*i + 1)})
+	}
+	if err := eng.Load("u", urows); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Load("p", prows); err != nil {
+		t.Fatal(err)
+	}
+	node := &plan.Join{
+		Method: plan.HashJoin, Outer: &plan.Scan{Tab: u}, Inner: &plan.Scan{Tab: p},
+		OuterCol: "k", InnerCol: "k", Schem: plan.JoinSchema(u.Name, u.Schema, p.Name, p.Schema),
+	}
+	res, err := eng.Execute(node, nil, &RunOptions{MemBudget: 64 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	peak := res.Stats.Runtime.MemPeakBytes
+	if len(res.Rows) != 0 || peak <= vecBytes {
+		t.Fatalf("%d rows, MemPeakBytes %d; want no rows and a peak above the vector's %d bytes", len(res.Rows), peak, vecBytes)
+	}
+	for _, budget := range []int64{peak - vecBytes, peak - vecBytes/2, peak - 1} {
+		_, err := eng.Execute(node, nil, &RunOptions{MemBudget: budget})
+		if qe := asQueryError(t, err); qe.Kind != ErrKindMemory {
+			t.Errorf("budget %d (peak %d): kind = %q (%v), want memory", budget, peak, qe.Kind, err)
+		}
+		if n := eng.Pool().Pinned(); n != 0 {
+			t.Errorf("budget %d: %d pins leaked after memory abort", budget, n)
+		}
+	}
+	if _, err := eng.Execute(node, nil, &RunOptions{MemBudget: peak}); err != nil {
+		t.Errorf("budget at the peak %d: %v", peak, err)
 	}
 }
 
