@@ -63,13 +63,13 @@ bench-check:
 # Alternating pairs of one repo-benchmark workload, REV's committed files
 # against the working tree: per-pair raw and calibrated qps, the win count,
 # each side's median and quartiles, and main.calibKernel's address mod 64 in
-# both binaries. See bench-compare.sh.
+# both binaries. SEED has no default: choose one no earlier comparison used.
+# See bench-compare.sh.
 W ?= analytic_diag
-SEED ?= 23
 PAIRS ?= 10
 
 bench-compare:
-	@test -n "$(REV)" || { echo "usage: make bench-compare REV=<rev> [W=<workload>] [SEED=<n>] [PAIRS=<n>]"; exit 2; }
+	@test -n "$(REV)" && test -n "$(SEED)" || { echo "usage: make bench-compare REV=<rev> SEED=<unused seed> [W=<workload>] [PAIRS=<n>]"; exit 2; }
 	./bench-compare.sh $(REV) $(W) $(SEED) $(PAIRS)
 
 # The paper's Fig 7 claim as the docs quote it: one traced repo-benchmark run

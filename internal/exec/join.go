@@ -117,7 +117,7 @@ type joinProbe struct {
 	schema *tuple.Schema
 	ord    int        // probe column ordinal in schema
 	kind   tuple.Kind // the probe column's kind
-	off    int        // the key's byte offset when it is in the fixed prefix (8·ord), else -1
+	off    int        // the key's schema.FixedOffset, or -1 when it has none
 }
 
 // probeBits is the width of a probe's bit vector over n distinct keys: the
@@ -136,8 +136,8 @@ func probeBits(n int) uint64 {
 // before it makes it, then sets the bit of every key the table holds.
 func newJoinProbe(mem *MemTracker, table *valueMap[[]tuple.Row], schema *tuple.Schema, ord int) (joinProbe, error) {
 	p := joinProbe{table: table, schema: schema, ord: ord, kind: schema.Column(ord).Kind, off: -1}
-	if ord <= schema.FixedPrefix() {
-		p.off = 8 * ord
+	if off, ok := schema.FixedOffset(ord); ok {
+		p.off = off
 	}
 	if p.kind != tuple.KindString {
 		w := probeBits(len(table.ints))

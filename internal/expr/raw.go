@@ -22,7 +22,7 @@ type rawAtomFn func(enc []byte, off int) bool
 type rawAtom struct {
 	fn  rawAtomFn
 	ord int
-	off int // static offset of a fixed-prefix column, -1 = walk to ord
+	off int // the column's Schema.FixedOffset, -1 = walk to ord
 }
 
 // RawCompiled evaluates a bound Conjunction against the encoded bytes of a
@@ -93,10 +93,11 @@ func CompileRaw(c Conjunction, s *tuple.Schema) RawCompiled {
 		if fn == nil {
 			return RawCompiled{}
 		}
-		atoms[i] = rawAtom{fn: fn, ord: a.ord, off: -1}
-		if a.ord < s.FixedPrefix() {
-			atoms[i].off = 8 * a.ord
+		off, ok := s.FixedOffset(a.ord)
+		if !ok {
+			off = -1
 		}
+		atoms[i] = rawAtom{fn: fn, ord: a.ord, off: off}
 	}
 	return RawCompiled{atoms: atoms, schema: s}
 }

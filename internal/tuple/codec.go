@@ -165,11 +165,11 @@ func (s *Schema) WellFormed(data []byte) bool {
 }
 
 // ColumnOffset returns the byte offset of column ord in data, which must be
-// WellFormed. Columns of the fixed prefix are at 8*ord; later ones are
-// reached by walking the length prefixes of the strings before them.
+// WellFormed. A column at a FixedOffset is there; later ones are reached by
+// walking the length prefixes of the strings before them.
 func (s *Schema) ColumnOffset(data []byte, ord int) int {
-	if ord <= s.fixedPrefix {
-		return 8 * ord
+	if off, ok := s.FixedOffset(ord); ok {
+		return off
 	}
 	return s.walk(data, ord)
 }

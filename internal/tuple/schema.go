@@ -92,9 +92,16 @@ func NewSchema(cols ...Column) *Schema {
 // NumColumns reports the number of columns.
 func (s *Schema) NumColumns() int { return len(s.cols) }
 
-// FixedPrefix returns the number of leading fixed-width columns: column i of
-// that prefix starts at offset 8*i of every encoded row, whatever follows.
-func (s *Schema) FixedPrefix() int { return s.fixedPrefix }
+// FixedOffset returns the byte offset at which column ord starts in every
+// encoded row, whatever follows: 8*ord for a column of the leading
+// fixed-width prefix or the column right after it. ok is false when the
+// offset depends on the lengths of strings before the column.
+func (s *Schema) FixedOffset(ord int) (off int, ok bool) {
+	if ord <= s.fixedPrefix {
+		return 8 * ord, true
+	}
+	return 0, false
+}
 
 // Column returns the i-th column.
 func (s *Schema) Column(i int) Column { return s.cols[i] }

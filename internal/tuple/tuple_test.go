@@ -35,6 +35,22 @@ func TestSchemaOrdinals(t *testing.T) {
 	}
 }
 
+// A column has a FixedOffset exactly when no string column comes before it.
+func TestSchemaFixedOffset(t *testing.T) {
+	s := NewSchema(
+		Column{Name: "a", Kind: KindInt},
+		Column{Name: "d", Kind: KindDate},
+		Column{Name: "s", Kind: KindString},
+		Column{Name: "b", Kind: KindInt},
+	)
+	for ord, want := range []int{0, 8, 16, -1} {
+		off, ok := s.FixedOffset(ord)
+		if ok != (want >= 0) || ok && off != want {
+			t.Errorf("FixedOffset(%d) = %d,%v, want %d", ord, off, ok, want)
+		}
+	}
+}
+
 func TestSchemaDuplicatePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
