@@ -13,14 +13,16 @@
 # be one no earlier comparison has used.
 #
 # Per pair it prints raw ("as the clock read") and calibrated qps of both
-# sides and the head/base ratios; then the head's win count on each, each
-# side's median and quartiles, and whether the medians differ by more than
-# the base's interquartile range. A pair in which either side failed a query
-# is not counted as a win, and a run whose output does not parse stops the
-# script. Calibrated qps divides by a calibration kernel's time, and that
-# kernel's speed depends on its address mod 64, so the script prints
-# main.calibKernel's address mod 64 for both binaries: compare calibrated
-# figures only when the two agree.
+# sides and the head/base ratios. Then, for raw qps and each end-to-end
+# metric of BENCHMARK.json, it prints the head's win count, each side's
+# median and quartiles, whether the medians differ by more than the base's
+# interquartile range, and whether the head's median is worse than the
+# base's by more than the metric's bound. A pair in which either side failed
+# a query is not counted as a win, and a run whose output does not parse
+# stops the script. Calibrated metrics divide by a calibration kernel's time,
+# and that kernel's speed depends on its address mod 64, so the script prints
+# main.calibKernel's address mod 64 for both binaries; when the two differ it
+# prints a WARNING and exits non-zero after the summary.
 set -euo pipefail
 
 if [ $# -ne 4 ]; then
@@ -49,11 +51,31 @@ calib_mod64() {
 		echo $((16#$addr % 64))
 	fi
 }
+base_mod=$(calib_mod64 "$work/bench-base")
+head_mod=$(calib_mod64 "$work/bench-head")
 echo "workload $workload, seed $seed, $pairs pairs of $seconds s runs"
-echo "base $base_commit: main.calibKernel mod 64 = $(calib_mod64 "$work/bench-base")"
-echo "head working tree of $(git -C "$root" rev-parse --short HEAD): main.calibKernel mod 64 = $(calib_mod64 "$work/bench-head")"
+echo "base $base_commit: main.calibKernel mod 64 = $base_mod"
+echo "head working tree of $(git -C "$root" rev-parse --short HEAD): main.calibKernel mod 64 = $head_mod"
+if [ "$base_mod" != "$head_mod" ]; then
+	echo "WARNING: main.calibKernel mod 64 differs (base $base_mod, head $head_mod); the script will exit non-zero after the summary" >&2
+fi
 
-# run SIDE PAIR prints "raw calibrated failed" for one run of SIDE's binary.
+# The end-to-end metrics, one "name better bound" line each, from
+# BENCHMARK.json's end_to_end list.
+metrics=$(awk '
+/"end_to_end"/ { on = 1; next }
+on && /^[[:space:]]*\]/ { exit }
+on && /"name"/ { gsub(/.*"name": *"|".*/, ""); name = $0 }
+on && /"better"/ { gsub(/.*"better": *"|".*/, ""); better = $0 }
+on && /"bound"/ { gsub(/.*"bound": *|[,[:space:]]*$/, ""); print name, better, $0 }
+' "$root/BENCHMARK.json")
+if [ -z "$metrics" ]; then
+	echo "bench-compare: no end_to_end metrics in $root/BENCHMARK.json" >&2
+	exit 1
+fi
+
+# run SIDE PAIR prints "raw failed" and then one "metric value" line per
+# end-to-end metric for one run of SIDE's binary.
 run() {
 	local dir=$root
 	[ "$1" = base ] && dir=$work/base
@@ -62,18 +84,29 @@ run() {
 		echo "bench-compare: pair $2, $1: the benchmark exited with an error" >&2
 		exit 1
 	fi
-	local raw cal failed
+	local raw failed json name better bound v
 	raw=$(echo "$out" | sed -n 's/.*as the clock read.*: qps \([0-9.]*\),.*/\1/p')
-	cal=$(echo "$out" | tail -1 | sed -n 's/.*"qps":{"value":\([0-9.e+-]*\).*/\1/p')
-	failed=$(echo "$out" | tail -1 | sed -n 's/.*"failed":\([0-9]*\).*/\1/p')
-	if [ -z "$raw" ] || [ -z "$cal" ] || [ -z "$failed" ]; then
-		echo "bench-compare: pair $2, $1: cannot read raw qps, calibrated qps and failed from the output:" >&2
+	json=$(echo "$out" | tail -1)
+	failed=$(echo "$json" | sed -n 's/.*"failed":\([0-9]*\).*/\1/p')
+	if [ -z "$raw" ] || [ -z "$failed" ]; then
+		echo "bench-compare: pair $2, $1: cannot read raw qps and failed from the output:" >&2
 		echo "$out" >&2
 		exit 1
 	fi
-	echo "$raw $cal $failed"
+	echo "$raw $failed"
+	while read -r name better bound; do
+		v=$(echo "$json" | sed -n "s/.*\"$name\":{\"value\":\([0-9.e+-]*\).*/\1/p")
+		if [ -z "$v" ]; then
+			echo "bench-compare: pair $2, $1: cannot read $name from the output:" >&2
+			echo "$out" >&2
+			exit 1
+		fi
+		echo "$name $v"
+	done <<<"$metrics"
 }
 
+# results holds one "pair side metric value" line per measurement; the raw
+# qps is the metric raw_qps, and failed counts the run's failed queries.
 results=$work/results
 printf '%4s  %10s %10s %7s  %10s %10s %7s  %s\n' pair raw-base raw-head ratio cal-base cal-head ratio failed
 for i in $(seq 1 "$pairs"); do
@@ -84,15 +117,25 @@ for i in $(seq 1 "$pairs"); do
 		h=$(run head "$i")
 		b=$(run base "$i")
 	fi
-	read -r braw bcal bfail <<<"$b"
-	read -r hraw hcal hfail <<<"$h"
-	echo "$braw $hraw $bcal $hcal $((bfail + hfail))" >>"$results"
-	awk -v i="$i" -v br="$braw" -v hr="$hraw" -v bc="$bcal" -v hc="$hcal" -v f="$bfail/$hfail" \
-		'BEGIN { printf "%4d  %10.2f %10.2f %7.3f  %10.2f %10.2f %7.3f  %s\n", i, br, hr, (br > 0 ? hr / br : 0), bc, hc, (bc > 0 ? hc / bc : 0), f }'
+	for side in base head; do
+		out=$b
+		[ "$side" = head ] && out=$h
+		echo "$out" | awk -v i="$i" -v s="$side" 'NR == 1 { print i, s, "raw_qps", $1; print i, s, "failed", $2; next } { print i, s, $1, $2 }' >>"$results"
+	done
+	awk -v i="$i" '$1 == i { v[$2, $3] = $4 }
+	END {
+		br = v["base", "raw_qps"]; hr = v["head", "raw_qps"]; bc = v["base", "qps"]; hc = v["head", "qps"]
+		printf "%4d  %10.2f %10.2f %7.3f  %10.2f %10.2f %7.3f  %d/%d\n", i, br, hr, (br > 0 ? hr / br : 0), bc, hc, (bc > 0 ? hc / bc : 0), v["base", "failed"], v["head", "failed"]
+	}' "$results"
 done
 
-# Quartiles by linear interpolation between order statistics.
-awk '
+# Per metric: the head's wins (pairs with failed queries not counted), each
+# side's median and quartiles (linear interpolation between order
+# statistics), whether the medians differ by more than the base's
+# interquartile range, and whether the head's median is worse than the
+# base's by more than the metric's bound.
+echo "raw_qps higher -
+$metrics" | awk '
 function sortn(a, n,   i, j, t) {
 	for (i = 2; i <= n; i++)
 		for (j = i; j > 1 && a[j-1] > a[j]; j--) { t = a[j]; a[j] = a[j-1]; a[j-1] = t }
@@ -101,16 +144,38 @@ function q(a, n, p,   h, lo) {
 	h = (n - 1) * p + 1; lo = int(h)
 	return lo >= n ? a[n] : a[lo] + (h - lo) * (a[lo+1] - a[lo])
 }
-function report(name, b, h, n, wins, bad,   bq1, bmed, bq3, hq1, hmed, hq3) {
-	sortn(b, n); sortn(h, n)
-	bq1 = q(b, n, .25); bmed = q(b, n, .5); bq3 = q(b, n, .75)
-	hq1 = q(h, n, .25); hmed = q(h, n, .5); hq3 = q(h, n, .75)
-	printf "%-10s head wins %d/%d (%d pairs with failed queries not counted); ", name, wins, n, bad
-	printf "base median %.2f [%.2f, %.2f], head median %.2f [%.2f, %.2f]; ", bmed, bq1, bq3, hmed, hq1, hq3
-	printf "median ratio %.3f; |median difference| %.2f %s base IQR %.2f\n", \
-		(bmed > 0 ? hmed / bmed : 0), (hmed > bmed ? hmed - bmed : bmed - hmed), \
-		((hmed > bmed ? hmed - bmed : bmed - hmed) > bq3 - bq1 ? ">" : "<="), bq3 - bq1
+FNR == NR { names[++m] = $1; better[$1] = $2; bound[$1] = $3; next }
+{ v[$1, $2, $3] = $4; if ($1 > n) n = $1 }
+END {
+	for (i = 1; i <= n; i++) bad += v[i, "base", "failed"] + v[i, "head", "failed"] > 0
+	printf "%d pairs, %d with failed queries (not counted as wins)\n", n, bad
+	printf "%-20s %6s %5s  %-32s %-32s %6s  %-16s %s\n", "metric", "better", "wins", "base median [q1, q3]", "head median [q1, q3]", "ratio", "|diff| vs IQR", "head worse than bound"
+	for (k = 1; k <= m; k++) {
+		name = names[k]; wins = 0
+		for (i = 1; i <= n; i++) {
+			b[i] = v[i, "base", name]; h[i] = v[i, "head", name]
+			if (v[i, "base", "failed"] + v[i, "head", "failed"] == 0)
+				wins += better[name] == "higher" ? h[i] > b[i] : h[i] < b[i]
+		}
+		sortn(b, n); sortn(h, n)
+		bmed = q(b, n, .5); hmed = q(h, n, .5); iqr = q(b, n, .75) - q(b, n, .25)
+		diff = hmed > bmed ? hmed - bmed : bmed - hmed
+		worse = better[name] == "higher" ? bmed - hmed : hmed - bmed
+		if (bound[name] == "-")
+			verdict = "no bound"
+		else if (worse > bound[name] * (bmed < 0 ? -bmed : bmed))
+			verdict = "WORSE by more than " bound[name]
+		else
+			verdict = "no (bound " bound[name] ")"
+		printf "%-20s %6s %2d/%-2d  %-32s %-32s %6.3f  %-16s %s\n", name, better[name], wins, n,
+			sprintf("%.4g [%.4g, %.4g]", bmed, q(b, n, .25), q(b, n, .75)),
+			sprintf("%.4g [%.4g, %.4g]", hmed, q(h, n, .25), q(h, n, .75)),
+			(bmed != 0 ? hmed / bmed : 0), sprintf("%.4g %s %.4g", diff, diff > iqr ? ">" : "<=", iqr), verdict
+	}
 }
-{ n++; br[n] = $1; hr[n] = $2; bc[n] = $3; hc[n] = $4; ok = $5 == 0; bad += !ok; rw += ok && $2 > $1; cw += ok && $4 > $3 }
-END { report("raw", br, hr, n, rw, bad); report("calibrated", bc, hc, n, cw, bad) }
-' "$results"
+' - "$results"
+
+if [ "$base_mod" != "$head_mod" ]; then
+	echo "WARNING: main.calibKernel mod 64 differs (base $base_mod, head $head_mod): calibrated metrics are not comparable" >&2
+	exit 1
+fi

@@ -180,6 +180,10 @@ func (e *Execution) buildInner(n plan.Node, need uint64) (Operator, error) {
 		if err != nil {
 			return nil, err
 		}
+		// A sort right below keeps only the rows the limit passes.
+		if so, ok := unwrapOp(in).(*SortOp); ok {
+			so.limit = node.N
+		}
 		e.setEst(op, n)
 		op.Stats().Children = []*OpStats{in.Stats()}
 		return op, nil

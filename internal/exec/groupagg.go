@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -20,11 +21,17 @@ type GroupAggOp struct {
 
 	groups valueMap[*groupState]
 	chunk  []groupState // where new groups' states are cut from
-	keyBuf []byte       // scratch for sizing a new group's encoded key
 
 	out        []tuple.Row
 	pos        int
 	outCharged int // result rows already charged to the memory tracker
+}
+
+// groupEntry is a group in the output sort: an INT or DATE group's key is
+// copied into k, so the sort compares int64s without following st.
+type groupEntry struct {
+	k  int64
+	st *groupState
 }
 
 type groupState struct {
@@ -92,23 +99,29 @@ func (g *GroupAggOp) Open() error {
 		return err
 	}
 	// Ascending group order. The group column is one column, so its keys
-	// are all numbers or all strings.
-	states := make([]*groupState, 0, len(g.groups.ints)+len(g.groups.strs))
-	for _, st := range g.groups.ints {
-		states = append(states, st)
+	// are all numbers or all strings: INT and DATE groups sort as
+	// (int64, state) pairs, VARCHAR groups by the state's key.
+	groups := make([]groupEntry, 0, len(g.groups.ints)+len(g.groups.strs))
+	for k, st := range g.groups.ints {
+		groups = append(groups, groupEntry{k, st})
 	}
-	for _, st := range g.groups.strs {
-		states = append(states, st)
+	if len(groups) > 0 {
+		slices.SortFunc(groups, func(a, b groupEntry) int { return cmp.Compare(a.k, b.k) })
+	} else {
+		for _, st := range g.groups.strs {
+			groups = append(groups, groupEntry{st: st})
+		}
+		slices.SortFunc(groups, func(a, b groupEntry) int { return a.st.key.Compare(b.st.key) })
 	}
-	slices.SortFunc(states, func(a, b *groupState) int { return a.key.Compare(b.key) })
 	// The result rows are (group value, aggregate) pairs cut from one slab,
 	// charged before it is allocated.
-	if err := g.chargeOut(states); err != nil {
+	if err := g.chargeOut(groups); err != nil {
 		return err
 	}
-	vals := make([]tuple.Value, 2*len(states))
+	vals := make([]tuple.Value, 2*len(groups))
 	g.out = g.out[:0]
-	for i, st := range states {
+	for i, e := range groups {
+		st := e.st
 		var agg int64
 		switch g.fn {
 		case 'c':
@@ -131,19 +144,18 @@ func (g *GroupAggOp) Open() error {
 // accumulate folds one input row into its group's state. A row that starts a
 // new group takes the next state of the current chunk and is charged to the
 // memory tracker for the state, the map entry, and the group value's
-// tuple.EncodeKey length, so the budget a query needs does not depend on how
+// tuple.KeySize, so the budget a query needs does not depend on how
 // the table is keyed or chunked.
 func (g *GroupAggOp) accumulate(row tuple.Row) error {
 	gv := row[g.groupOrd]
 	st := g.groups.lookup(gv)
 	if st == nil {
-		g.keyBuf = tuple.AppendKey(g.keyBuf[:0], gv)
 		if len(g.chunk) == cap(g.chunk) {
 			g.chunk = make([]groupState, 0, groupChunk)
 		}
 		g.chunk = append(g.chunk, groupState{key: gv})
 		st = &g.chunk[len(g.chunk)-1]
-		if err := g.groups.store(g.ctx.Mem, groupStateMemSize+int64(len(g.keyBuf))+mapEntryOverhead, gv, st); err != nil {
+		if err := g.groups.store(g.ctx.Mem, groupStateMemSize+int64(tuple.KeySize(gv))+mapEntryOverhead, gv, st); err != nil {
 			return err
 		}
 	}
@@ -164,20 +176,20 @@ func (g *GroupAggOp) accumulate(row tuple.Row) error {
 	return nil
 }
 
-// chargeOut charges the memory tracker for the result rows of states past
+// chargeOut charges the memory tracker for the result rows of groups past
 // the buffer's previously charged length. The buffer is rebuilt on re-open,
 // so charging every row would bill each rebuild again; the budgetable
 // quantity is the buffer's high-water footprint.
-func (g *GroupAggOp) chargeOut(states []*groupState) error {
+func (g *GroupAggOp) chargeOut(groups []groupEntry) error {
 	var bytes int64
-	for _, st := range states[min(g.outCharged, len(states)):] {
+	for _, e := range groups[min(g.outCharged, len(groups)):] {
 		// rowMemSize of the row: two values, the group value's string.
-		bytes += 2*valueMemSize + int64(len(st.key.Str))
+		bytes += 2*valueMemSize + int64(len(e.st.key.Str))
 	}
 	if err := g.ctx.Mem.Grow(bytes); err != nil {
 		return err
 	}
-	g.outCharged = max(g.outCharged, len(states))
+	g.outCharged = max(g.outCharged, len(groups))
 	return nil
 }
 

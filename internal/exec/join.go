@@ -235,22 +235,41 @@ func (j *HashJoinOp) pushProbe(s probeHost) {
 	_, j.joined = s.(*ParallelScan)
 }
 
-// Open implements Operator: drains the build input into the hash table.
-// Each build batch is retained with one copy, and a join value's first row
-// is a one-row window onto that batch's row headers, so only a duplicate
-// join value allocates a row list of its own. The build input is always
-// closed before Open returns — even on error — so no page pins outlive the
-// operator.
+// Open implements Operator: drains the build input, then builds the hash
+// table. Each build batch is retained with one copy; once the input is
+// drained, the table is made with the retained row count as its size hint, so
+// it never grows, and a join value's first row is a one-row window onto its
+// batch's row headers, so only a duplicate join value allocates a row list of
+// its own. The build input is always closed before Open returns — even on
+// error — so no page pins outlive the operator.
 func (j *HashJoinOp) Open() error {
 	if err := j.build.Open(); err != nil {
 		return err
 	}
-	j.table = valueMap[[]tuple.Row]{}
+	var batches [][]tuple.Row
+	n := 0
 	err := drain(j.ctx, j.build, func(b *Batch) error {
 		rows, err := retainRows(j.ctx.Mem, make([]tuple.Row, 0, len(b.Sel)), b)
-		if err != nil {
-			return err
+		batches = append(batches, rows)
+		n += len(rows)
+		return err
+	})
+	if err != nil {
+		j.build.Close() // release any pins held mid-batch (e.g. decode errors)
+		return err
+	}
+	if err := j.build.Close(); err != nil {
+		return err
+	}
+	j.table = valueMap[[]tuple.Row]{}
+	if n > 0 {
+		if j.build.Schema().Column(j.buildOrd).Kind == tuple.KindString {
+			j.table.strs = make(map[string][]tuple.Row, n)
+		} else {
+			j.table.ints = make(map[int64][]tuple.Row, n)
 		}
+	}
+	for _, rows := range batches {
 		for k, row := range rows {
 			v := row[j.buildOrd]
 			list := j.table.lookup(v)
@@ -266,14 +285,6 @@ func (j *HashJoinOp) Open() error {
 				j.filter.Add(v)
 			}
 		}
-		return nil
-	})
-	if err != nil {
-		j.build.Close() // release any pins held mid-batch (e.g. decode errors)
-		return err
-	}
-	if err := j.build.Close(); err != nil {
-		return err
 	}
 	if j.keys, err = newJoinProbe(j.ctx.Mem, &j.table, j.probe.Schema(), j.probeOrd); err != nil {
 		return err

@@ -12,6 +12,12 @@ import (
 // added — since a Sort drains its child completely in Open, the filter is
 // complete before anything downstream (in particular a Merge Join's inner
 // scan) runs, the property §IV relies on.
+//
+// Under a LIMIT n the sort keeps only the first n rows in output order, ties
+// broken by arrival, in a bounded heap (see keep): the same rows, in the same
+// order, as a stable sort of every row cut at n, for n rows' memory. It still
+// drains every input row, so CPU, rows touched and monitors see the input
+// whole.
 type SortOp struct {
 	ctx    *Context
 	input  Operator
@@ -23,14 +29,17 @@ type SortOp struct {
 	filter    *filterSink
 	filterOrd int
 
-	rows []tuple.Row
-	pos  int
+	limit int // rows to keep under a LIMIT, or -1 for all (builder only)
+	rows  []tuple.Row
+	seqs  []int // under a limit: the arrival number of each heap row
+	seen  int   // under a limit: input rows drained so far
+	pos   int
 }
 
 // NewSort constructs the operator; ords are the sort-column ordinals.
 func NewSort(ctx *Context, input Operator, ords []int) *SortOp {
 	return &SortOp{ctx: ctx, input: input, ords: ords, schema: input.Schema(),
-		stats: OpStats{Label: "Sort"}}
+		limit: -1, stats: OpStats{Label: "Sort"}}
 }
 
 // SetFilter wires a bit-vector filter to fill with column ord while draining.
@@ -49,12 +58,15 @@ func (s *SortOp) Open() error {
 	if err := s.input.Open(); err != nil {
 		return err
 	}
-	s.rows = s.rows[:0]
+	s.rows, s.seqs, s.seen = s.rows[:0], s.seqs[:0], 0
 	err := drain(s.ctx, s.input, func(b *Batch) error {
 		if s.filter != nil {
 			for _, i := range b.Sel {
 				s.filter.Add(b.Rows[i][s.filterOrd])
 			}
+		}
+		if s.limit >= 0 {
+			return s.keep(b)
 		}
 		var err error
 		s.rows, err = retainRows(s.ctx.Mem, s.rows, b)
@@ -67,19 +79,128 @@ func (s *SortOp) Open() error {
 	if err := s.input.Close(); err != nil {
 		return err
 	}
-	slices.SortStableFunc(s.rows, func(a, b tuple.Row) int {
-		for _, o := range s.ords {
-			if c := a[o].Compare(b[o]); c != 0 {
-				if s.desc {
-					return -c
-				}
-				return c
-			}
-		}
-		return 0
-	})
 	s.pos = 0
+	if s.limit >= 0 {
+		return s.settle()
+	}
+	slices.SortStableFunc(s.rows, s.compare)
 	return nil
+}
+
+// compare orders two rows by the sort columns.
+func (s *SortOp) compare(a, b tuple.Row) int {
+	for _, o := range s.ords {
+		if c := a[o].Compare(b[o]); c != 0 {
+			if s.desc {
+				return -c
+			}
+			return c
+		}
+	}
+	return 0
+}
+
+// keep folds one input batch into the top-limit heap, a max-heap whose root
+// is the worst row kept: by the sort columns, then by arrival. Rows fill it,
+// copied into one value slab per batch, until it holds limit rows and is
+// heapified. After that a row replaces the root only when it sorts strictly
+// before it, since on a tie the earlier arrival wins; it is copied over the
+// root's values in place (rows of one input share its schema's width), so a
+// full heap allocates nothing. The slabs are charged before they are made;
+// the strings the rows hold are charged by settle, once the heap keeps the
+// final rows.
+func (s *SortOp) keep(b *Batch) error {
+	sel := b.Sel
+	if k := min(len(sel), s.limit-len(s.rows)); k > 0 {
+		width := 0
+		for _, i := range sel[:k] {
+			width += len(b.Rows[i])
+		}
+		if err := s.ctx.Mem.Grow(int64(width) * valueMemSize); err != nil {
+			return err
+		}
+		vals := make([]tuple.Value, width)
+		for _, i := range sel[:k] {
+			n := copy(vals, b.Rows[i])
+			s.rows = append(s.rows, tuple.Row(vals[:n:n]))
+			s.seqs = append(s.seqs, s.seen)
+			s.seen++
+			vals = vals[n:]
+		}
+		sel = sel[k:]
+		if len(s.rows) == s.limit {
+			s.heapify()
+		}
+	}
+	for _, i := range sel {
+		row, seq := b.Rows[i], s.seen
+		s.seen++
+		if s.limit == 0 || s.compare(row, s.rows[0]) >= 0 {
+			continue
+		}
+		copy(s.rows[0], row)
+		s.seqs[0] = seq
+		s.siftDown(0, len(s.rows))
+	}
+	return nil
+}
+
+// settle charges the strings of the rows the heap kept, so a top-limit sort
+// is charged the kept rows' rowMemSize in all, and puts the rows in output
+// order by heap sort: the worst row left goes to the end of the heap.
+func (s *SortOp) settle() error {
+	var strs int64
+	for _, r := range s.rows {
+		for _, v := range r {
+			strs += int64(len(v.Str))
+		}
+	}
+	if err := s.ctx.Mem.Grow(strs); err != nil {
+		return err
+	}
+	s.heapify()
+	for end := len(s.rows) - 1; end > 0; end-- {
+		s.swap(0, end)
+		s.siftDown(0, end)
+	}
+	return nil
+}
+
+// heapify orders s.rows as the heap keep maintains.
+func (s *SortOp) heapify() {
+	for i := len(s.rows)/2 - 1; i >= 0; i-- {
+		s.siftDown(i, len(s.rows))
+	}
+}
+
+// worse reports whether heap row i sorts after heap row j.
+func (s *SortOp) worse(i, j int) bool {
+	c := s.compare(s.rows[i], s.rows[j])
+	return c > 0 || c == 0 && s.seqs[i] > s.seqs[j]
+}
+
+// siftDown moves heap row i down the heap s.rows[:n] to its place.
+func (s *SortOp) siftDown(i, n int) {
+	for {
+		w := i
+		if l := 2*i + 1; l < n && s.worse(l, w) {
+			w = l
+		}
+		if r := 2*i + 2; r < n && s.worse(r, w) {
+			w = r
+		}
+		if w == i {
+			return
+		}
+		s.swap(i, w)
+		i = w
+	}
+}
+
+// swap exchanges heap rows i and j.
+func (s *SortOp) swap(i, j int) {
+	s.rows[i], s.rows[j] = s.rows[j], s.rows[i]
+	s.seqs[i], s.seqs[j] = s.seqs[j], s.seqs[i]
 }
 
 // NextBatch implements Operator: the sorted rows are handed up in slices of
@@ -92,7 +213,7 @@ func (s *SortOp) NextBatch(b *Batch) (int, error) {
 
 // Close implements Operator.
 func (s *SortOp) Close() error {
-	s.rows = nil
+	s.rows, s.seqs = nil, nil
 	return nil
 }
 

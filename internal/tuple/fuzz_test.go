@@ -132,6 +132,12 @@ func FuzzKeyCodec(f *testing.F) {
 			t.Fatalf("round trip: encoded (%d, %q, %d), decoded %v", i1, s1, i2, vals)
 		}
 
+		for _, v := range []Value{Int64(i1), Date(i2), Str(s1), Str(s2)} {
+			if got, want := KeySize(v), len(AppendKey(nil, v)); got != want {
+				t.Fatalf("KeySize(%v) = %d, AppendKey writes %d bytes", v, got, want)
+			}
+		}
+
 		// Order preservation: bytes.Compare on encodings agrees with
 		// value-wise comparison, for ints and strings alike.
 		if got, want := bytes.Compare(EncodeKey(Int64(i1)), EncodeKey(Int64(i2))), Int64(i1).Compare(Int64(i2)); got != want {

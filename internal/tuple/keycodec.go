@@ -3,6 +3,7 @@ package tuple
 import (
 	"encoding/binary"
 	"fmt"
+	"strings"
 )
 
 // Key encoding: an order-preserving byte encoding of one or more values, so
@@ -42,6 +43,19 @@ func AppendKey(dst []byte, v Value) []byte {
 		panic(fmt.Sprintf("tuple: cannot key-encode kind %s", v.Kind))
 	}
 	return dst
+}
+
+// KeySize returns len(AppendKey(nil, v)) without encoding v: the tag and 8
+// bytes for an INT or DATE; for a VARCHAR the tag, the bytes, one escape
+// byte per 0x00 and the 2-byte terminator.
+func KeySize(v Value) int {
+	switch v.Kind {
+	case KindInt, KindDate:
+		return 9
+	case KindString:
+		return 3 + len(v.Str) + strings.Count(v.Str, "\x00")
+	}
+	panic(fmt.Sprintf("tuple: cannot key-encode kind %s", v.Kind))
 }
 
 // EncodeKey returns the order-preserving encoding of a composite key.

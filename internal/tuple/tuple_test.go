@@ -268,6 +268,20 @@ func TestKeyCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestKeySize: KeySize is the length AppendKey would write, for every kind,
+// the extremes of the integer range, empty strings and strings of 0x00 bytes.
+func TestKeySize(t *testing.T) {
+	vals := []Value{
+		Int64(0), Int64(-1), Int64(math.MaxInt64), Int64(math.MinInt64), Date(0), Date(-19000),
+		Str(""), Str("a"), Str("\x00"), Str("\x00\x00"), Str("a\x00b\x00"), Str("\xff\x00\xff"),
+	}
+	for _, v := range vals {
+		if got, want := KeySize(v), len(AppendKey(nil, v)); got != want {
+			t.Errorf("KeySize(%v) = %d, AppendKey writes %d bytes", v, got, want)
+		}
+	}
+}
+
 func TestKeyCodecQuick(t *testing.T) {
 	f := func(a, b int64, s1, s2 string) bool {
 		ka := EncodeKey(Int64(a), Str(s1))
