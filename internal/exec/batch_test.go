@@ -215,8 +215,9 @@ func requireExactCap(t *testing.T, what string, rows []tuple.Row) {
 }
 
 // TestRetainedRowsAllocPerBatch: the operators that keep rows past one
-// NextBatch — the hash build, the sort, the GROUP BY output and the result
-// sink — copy each batch's rows with one allocation, so their allocations
+// NextBatch — the hash build (distinct keys and one key), the sort, the
+// GROUP BY output and the result sink — copy each batch's rows with one
+// allocation, so their allocations
 // grow with the number of batches (pages), not rows. Measured at two input
 // sizes, the extra allocations of the larger stay within a few per extra
 // batch, where one per row would be 12,288. Every retained and result row
@@ -240,7 +241,7 @@ func TestRetainedRowsAllocPerBatch(t *testing.T) {
 		}
 	}
 
-	check("hash build", 1, 3, func(ctx *Context, src *replaySource) {
+	build := func(ctx *Context, src *replaySource) {
 		j := NewHashJoin(ctx, src, newReplaySource(0, 1, pageRows), 0, 0, src.schema)
 		if err := j.Open(); err != nil {
 			t.Fatal(err)
@@ -249,7 +250,9 @@ func TestRetainedRowsAllocPerBatch(t *testing.T) {
 			requireExactCap(t, "hash build", rows)
 		}
 		j.Close()
-	})
+	}
+	check("hash build", 1, 3, build)
+	check("hash build, one key", large, 3, build)
 	check("sort", 1, 2, func(ctx *Context, src *replaySource) {
 		s := NewSort(ctx, src, []int{1})
 		if err := s.Open(); err != nil {

@@ -57,9 +57,9 @@ func limitedSort(ex *Execution) *SortOp {
 	return unwrapOp(unwrapOp(ex.Root).(*LimitOp).input).(*SortOp)
 }
 
-// fullSort makes a built Limit-over-Sort sort every row and let the Limit
+// fullSort makes a built Limit-over-Sort keep every row and let the Limit
 // cut, as a Sort without a limit does.
-func fullSort(ex *Execution) { limitedSort(ex).limit = -1 }
+func fullSort(ex *Execution) { limitedSort(ex).limit = math.MaxInt }
 
 // sameRows reports whether a and b hold equal rows in the same order; nil
 // and empty are the same.
@@ -272,8 +272,10 @@ func TestGroupAggKeyOrder(t *testing.T) {
 // table once for the retained row count. Empty, all-duplicate and distinct
 // builds must join as before and be charged, to the byte, each build row's
 // rowMemSize and map entry plus the probe's bit vector; a duplicated key's
-// rows keep arrival order. Growing a build from 4,096 to 16,384 rows in
-// 64-row batches may add a few allocations per extra batch and nothing more.
+// rows keep arrival order. TestRetainedRowsAllocPerBatch bounds the build's
+// allocations per batch, distinct and all-duplicate. No test holds the size
+// hint itself: a map grown from empty joins, charges and stays within that
+// bound just the same, and Go maps report no capacity to check.
 func TestHashBuildSizedOnce(t *testing.T) {
 	const pageRows, small, large = 64, 4096, 16384
 	open := func(ctx *Context, src *replaySource) *HashJoinOp {
@@ -323,22 +325,5 @@ func TestHashBuildSizedOnce(t *testing.T) {
 			t.Errorf("%s: %d joined rows, want %d", c.name, joined, want)
 		}
 		j.Close()
-	}
-
-	for _, dup := range []int{1, large} {
-		measure := func(n int) float64 {
-			ctx := NewContext(nil)
-			ctx.Mem = NewMemTracker(0)
-			src := newReplaySource(n, min(dup, n), pageRows)
-			open(ctx, src).Close() // warm the source's selection vector
-			return testing.AllocsPerRun(5, func() { open(ctx, src).Close() })
-		}
-		a, b := measure(small), measure(large)
-		const extra = (large - small) / pageRows
-		t.Logf("dup=%d: %.0f allocations over %d rows, %.0f over %d", dup, a, small, b, large)
-		if b-a > 3*extra {
-			t.Errorf("dup=%d: %d more rows in %d more batches cost %.0f more allocations, want at most %d",
-				dup, large-small, extra, b-a, 3*extra)
-		}
 	}
 }

@@ -2,7 +2,7 @@ package exec
 
 import (
 	"fmt"
-	"slices"
+	"math"
 
 	"pagefeedback/internal/tuple"
 )
@@ -13,11 +13,11 @@ import (
 // complete before anything downstream (in particular a Merge Join's inner
 // scan) runs, the property §IV relies on.
 //
-// Under a LIMIT n the sort keeps only the first n rows in output order, ties
-// broken by arrival, in a bounded heap (see keep): the same rows, in the same
-// order, as a stable sort of every row cut at n, for n rows' memory. It still
-// drains every input row, so CPU, rows touched and monitors see the input
-// whole.
+// The sort keeps the first limit rows in output order, ties broken by
+// arrival, in a bounded heap (see keep): a stable sort of its input cut at
+// limit. Without a LIMIT right above it the limit is math.MaxInt, so every row
+// is kept. Under a LIMIT n it holds n rows' memory, but still drains every
+// input row, so CPU, rows touched and monitors see the input whole.
 type SortOp struct {
 	ctx    *Context
 	input  Operator
@@ -29,17 +29,17 @@ type SortOp struct {
 	filter    *filterSink
 	filterOrd int
 
-	limit int // rows to keep under a LIMIT, or -1 for all (builder only)
+	limit int // rows to keep: a LIMIT's n, or math.MaxInt (builder only)
 	rows  []tuple.Row
-	seqs  []int // under a limit: the arrival number of each heap row
-	seen  int   // under a limit: input rows drained so far
+	seqs  []int // the arrival number of each heap row
+	seen  int   // input rows drained so far
 	pos   int
 }
 
 // NewSort constructs the operator; ords are the sort-column ordinals.
 func NewSort(ctx *Context, input Operator, ords []int) *SortOp {
 	return &SortOp{ctx: ctx, input: input, ords: ords, schema: input.Schema(),
-		limit: -1, stats: OpStats{Label: "Sort"}}
+		limit: math.MaxInt, stats: OpStats{Label: "Sort"}}
 }
 
 // SetFilter wires a bit-vector filter to fill with column ord while draining.
@@ -65,12 +65,7 @@ func (s *SortOp) Open() error {
 				s.filter.Add(b.Rows[i][s.filterOrd])
 			}
 		}
-		if s.limit >= 0 {
-			return s.keep(b)
-		}
-		var err error
-		s.rows, err = retainRows(s.ctx.Mem, s.rows, b)
-		return err
+		return s.keep(b)
 	})
 	if err != nil {
 		s.input.Close() // release pins held mid-batch (e.g. decode errors)
@@ -80,11 +75,7 @@ func (s *SortOp) Open() error {
 		return err
 	}
 	s.pos = 0
-	if s.limit >= 0 {
-		return s.settle()
-	}
-	slices.SortStableFunc(s.rows, s.compare)
-	return nil
+	return s.settle()
 }
 
 // compare orders two rows by the sort columns.
@@ -108,7 +99,8 @@ func (s *SortOp) compare(a, b tuple.Row) int {
 // root's values in place (rows of one input share its schema's width), so a
 // full heap allocates nothing. The slabs are charged before they are made;
 // the strings the rows hold are charged by settle, once the heap keeps the
-// final rows.
+// final rows, so an unlimited sort charges them after its drain, not per
+// batch.
 func (s *SortOp) keep(b *Batch) error {
 	sel := b.Sel
 	if k := min(len(sel), s.limit-len(s.rows)); k > 0 {
@@ -133,20 +125,18 @@ func (s *SortOp) keep(b *Batch) error {
 		}
 	}
 	for _, i := range sel {
-		row, seq := b.Rows[i], s.seen
-		s.seen++
-		if s.limit == 0 || s.compare(row, s.rows[0]) >= 0 {
-			continue
+		if row := b.Rows[i]; len(s.rows) > 0 && s.compare(row, s.rows[0]) < 0 {
+			copy(s.rows[0], row)
+			s.seqs[0] = s.seen
+			s.siftDown(0, len(s.rows))
 		}
-		copy(s.rows[0], row)
-		s.seqs[0] = seq
-		s.siftDown(0, len(s.rows))
+		s.seen++
 	}
 	return nil
 }
 
-// settle charges the strings of the rows the heap kept, so a top-limit sort
-// is charged the kept rows' rowMemSize in all, and puts the rows in output
+// settle charges the strings of the rows the heap kept, so the sort is
+// charged the kept rows' rowMemSize in all, and puts the rows in output
 // order by heap sort: the worst row left goes to the end of the heap.
 func (s *SortOp) settle() error {
 	var strs int64
