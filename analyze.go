@@ -62,8 +62,7 @@ type dpcAnnotation struct {
 // result. Estimated DPCs are present when the result came through the
 // query path (fillEstimates needs the parsed query); direct plan
 // executions render est=0. Monitors that never attached to an operator
-// (unsatisfiable requests, shed placeholders, merged parallel shards) are
-// listed separately.
+// (unsatisfiable requests, merged parallel shards) are listed separately.
 func FormatAnalyze(res *Result, o AnalyzeOptions) string {
 	var b strings.Builder
 	byOp := make(map[int32][]dpcAnnotation)
@@ -80,11 +79,7 @@ func FormatAnalyze(res *Result, o AnalyzeOptions) string {
 			a.expr = res.Stats.DPC[i].Expression
 		}
 		if r.Degraded {
-			if r.Shed {
-				a.marker = ", shed"
-			} else {
-				a.marker = ", quarantined"
-			}
+			a.marker = ", quarantined"
 		}
 		if r.OpID >= 0 {
 			byOp[r.OpID] = append(byOp[r.OpID], a)
@@ -105,8 +100,7 @@ func FormatAnalyze(res *Result, o AnalyzeOptions) string {
 	}
 	rt := &res.Stats.Runtime
 	fmt.Fprintf(&b, "rows: %d\n", len(res.Rows))
-	fmt.Fprintf(&b, "monitors: %d requested, %d shed, %d quarantined\n",
-		len(res.DPC), rt.ShedMonitors, rt.QuarantinedMonitors)
+	fmt.Fprintf(&b, "monitors: %d requested, %d quarantined\n", len(res.DPC), rt.QuarantinedMonitors)
 	if o.WithTimes {
 		fmt.Fprintf(&b, "time: wall=%s simulated=%s\n",
 			res.WallTime.Round(time.Microsecond), res.SimulatedTime.Round(time.Microsecond))

@@ -38,7 +38,7 @@ func TestQError(t *testing.T) {
 // analyzeGoldens pins the deterministic rendering of FormatAnalyze for one
 // plan of every shape the renderer distinguishes: clustered-range point
 // lookup, secondary-index seek, full scan under an aggregate, index
-// nested-loops join, hash join, and a fully shed monitor. The numbers are a
+// nested-loops join, hash join, and a quarantined monitor. The numbers are a
 // pure function of the 8000-row buildJoinDB fixture and the optimizer — any
 // drift here is a real behavior change, not noise.
 var analyzeGoldens = []struct {
@@ -55,7 +55,7 @@ var analyzeGoldens = []struct {
   RangeScan(t)  (rows: est=1 act=1 q-err=1.00)
     dpc c1 = 4242: est=1 act=1 q-err=1.00 [exact-scan]
 rows: 1
-monitors: 1 requested, 0 shed, 0 quarantined
+monitors: 1 requested, 0 quarantined
 `,
 	},
 	{
@@ -66,7 +66,7 @@ monitors: 1 requested, 0 shed, 0 quarantined
   IndexSeek(t.ix_c5)  (rows: est=1 act=1 q-err=1.00)
     dpc c5 = 123: est=1 act=1 q-err=1.00 [linear-counting]
 rows: 1
-monitors: 1 requested, 0 shed, 0 quarantined
+monitors: 1 requested, 0 quarantined
 `,
 	},
 	{
@@ -77,7 +77,7 @@ monitors: 1 requested, 0 shed, 0 quarantined
   Scan(t)  (rows: est=2000 act=2000 q-err=1.00)
     dpc c2 < 2000: est=102 act=26 q-err=3.92 [exact-scan]
 rows: 1
-monitors: 1 requested, 0 shed, 0 quarantined
+monitors: 1 requested, 0 quarantined
 `,
 	},
 	{
@@ -92,7 +92,7 @@ monitors: 1 requested, 0 shed, 0 quarantined
 unplanted monitors:
   dpc(u, <join predicate>): est=8 act=0 [unsatisfiable] (the current plan does not evaluate this expression where page ids are visible (§II-B))
 rows: 1
-monitors: 3 requested, 0 shed, 0 quarantined
+monitors: 3 requested, 0 quarantined
 `,
 	},
 	{
@@ -108,19 +108,18 @@ monitors: 3 requested, 0 shed, 0 quarantined
 unplanted monitors:
   dpc(u, <join predicate>): est=8 act=0 [unsatisfiable] (the current plan does not evaluate this expression where page ids are visible (§II-B))
 rows: 1
-monitors: 3 requested, 0 shed, 0 quarantined
+monitors: 3 requested, 0 quarantined
 `,
 	},
 	{
-		name:  "shed-monitor",
+		name:  "quarantined-monitor",
 		query: "SELECT COUNT(padding) FROM t WHERE c2 < 2000",
-		opts:  RunOptions{MonitorAll: true, ShedLevel: 3},
+		opts:  RunOptions{MonitorAll: true, failMonitors: []string{MechExactScan}},
 		want: `Aggregate(count)  (rows: est=1 act=1 q-err=1.00)
   Scan(t)  (rows: est=2000 act=2000 q-err=1.00)
-unplanted monitors:
-  dpc(t, c2 < 2000): est=102 act=0 [exact-scan, shed] (load-shed: monitoring disabled under overload (level 3))
+    dpc c2 < 2000: est=102 act=0 q-err=inf [exact-scan, quarantined]
 rows: 1
-monitors: 1 requested, 1 shed, 0 quarantined
+monitors: 1 requested, 1 quarantined
 `,
 	},
 }
@@ -158,7 +157,7 @@ func TestAnalyzeGoldenParallel(t *testing.T) {
   ` + scan + `  (rows: est=2000 act=2000 q-err=1.00)
     dpc c2 < 2000: est=102 act=26 q-err=3.92 [exact-scan]
 rows: 1
-monitors: 1 requested, 0 shed, 0 quarantined
+monitors: 1 requested, 0 quarantined
 `
 	if got := FormatAnalyze(res, AnalyzeOptions{}); got != want {
 		t.Errorf("parallel analyze output drifted\n--- got ---\n%s--- want ---\n%s", got, want)

@@ -241,7 +241,7 @@ func (s *shell) meta(line string) bool {
 
 // stats prints the session-wide I/O, buffer-pool, and admission counters,
 // plus the robustness telemetry of the last query: how long it queued, what
-// it retried, waited, or shed. This is the operator's view of the overload
+// it retried or waited for. This is the operator's view of the overload
 // machinery — the counters the stress and chaos tests assert on.
 func (s *shell) stats() {
 	io := s.eng.Pool().Disk().Stats()
@@ -275,10 +275,9 @@ func (s *shell) stats() {
 	rt := s.last.Stats.Runtime
 	fmt.Fprintf(s.out, "last query: queue wait %v (depth %d), %d read retries, %d pool waits (%v)\n",
 		rt.QueueWait, rt.QueueDepth, rt.ReadRetries, rt.PoolWaits, rt.PoolWaitTime)
-	fmt.Fprintf(s.out, "            mem peak %d bytes, %d monitors shed, %d quarantined\n",
-		rt.MemPeakBytes, rt.ShedMonitors, rt.QuarantinedMonitors)
-	fmt.Fprintf(s.out, "            plan cache hit: %v, %d compiled predicates\n",
-		rt.PlanCacheHit, rt.CompiledPredicates)
+	fmt.Fprintf(s.out, "            mem peak %d bytes, %d monitors quarantined\n",
+		rt.MemPeakBytes, rt.QuarantinedMonitors)
+	fmt.Fprintf(s.out, "            plan cache hit: %v\n", rt.PlanCacheHit)
 	fmt.Fprintf(s.out, "            %d batches processed\n", rt.BatchesProcessed)
 	fmt.Fprintf(s.out, "            %d rows touched, %d decoded by table scans (%d values)\n",
 		rt.RowsTouched, rt.RowsDecoded, rt.ValuesDecoded)

@@ -266,21 +266,6 @@ type RunOptions struct {
 	// arenas, RID sets). Exceeding it aborts the query with a *QueryError of
 	// kind ErrKindMemory. 0 means unlimited.
 	MemBudget int64
-	// ShedLevel degrades DPC monitoring along the mechanism lattice to cut
-	// observation overhead under load: 0 full monitoring; 1 exact grouped
-	// counting degrades to page sampling and sampling fractions thin 4x;
-	// 2 degrades further to linear counting, thins sampling 16x and the
-	// seek/INL linear-counting bitmaps 8x, and skips join bit-vector
-	// filters; 3 plants nothing. Seek and INL monitors are unchanged at
-	// level 1, and range-scan counting at levels 1-2. Shed results are
-	// marked Degraded and never reach the feedback cache; unchanged monitors
-	// report as at level 0. Applies to MonitorAll; explicit Monitor configs
-	// carry their own ShedLevel.
-	ShedLevel int
-	// MonitorOverheadBudget bounds the wall-clock observation time of each
-	// planted monitor; a monitor exceeding it disables itself mid-query and
-	// reports a shed (Degraded) result. 0 means unbounded.
-	MonitorOverheadBudget time.Duration
 	// Trace records a per-query span tree (operator open/next/close phases,
 	// parallel partitions, admission wait, storage events) into
 	// Result.Trace. Off by default; the disabled path costs one nil check
@@ -403,8 +388,6 @@ func monitorConfig(q *opt.Query, opts *RunOptions) *exec.MonitorConfig {
 	cfg := &exec.MonitorConfig{
 		SampleFraction: opts.SampleFraction,
 		FailMonitors:   opts.failMonitors,
-		ShedLevel:      opts.ShedLevel,
-		OverheadBudget: opts.MonitorOverheadBudget,
 	}
 	addFor := func(table string, pred expr.Conjunction) {
 		if len(pred.Atoms) == 0 {
@@ -536,24 +519,23 @@ func (e *Engine) ExecuteContext(goCtx context.Context, node plan.Node, mcfg *exe
 	res.Stats = exec.ExecutionStats{
 		Plan: ex.StatsSnapshot(),
 		Runtime: exec.RuntimeStats{
-			SimulatedIO:        io.SimulatedIO,
-			SimulatedCPU:       ctx.SimCPU(),
-			SimulatedTotal:     res.SimulatedTime,
-			PhysicalReads:      io.PhysicalReads,
-			RandomReads:        io.RandomReads,
-			LogicalReads:       poolStats.LogicalReads,
-			RowsTouched:        ctx.RowsTouched(),
-			RowsDecoded:        ctx.RowsDecoded(),
-			ValuesDecoded:      ctx.ValuesDecoded(),
-			Parallelism:        ctx.Parallelism,
-			QueueWait:          queueWait,
-			QueueDepth:         queueDepth,
-			ReadRetries:        io.ReadRetries,
-			PoolWaits:          poolStats.Waits,
-			PoolWaitTime:       poolStats.WaitTime,
-			MemPeakBytes:       ctx.Mem.Used(),
-			CompiledPredicates: ctx.CompiledPredicates(),
-			BatchesProcessed:   ctx.BatchesProcessed(),
+			SimulatedIO:      io.SimulatedIO,
+			SimulatedCPU:     ctx.SimCPU(),
+			SimulatedTotal:   res.SimulatedTime,
+			PhysicalReads:    io.PhysicalReads,
+			RandomReads:      io.RandomReads,
+			LogicalReads:     poolStats.LogicalReads,
+			RowsTouched:      ctx.RowsTouched(),
+			RowsDecoded:      ctx.RowsDecoded(),
+			ValuesDecoded:    ctx.ValuesDecoded(),
+			Parallelism:      ctx.Parallelism,
+			QueueWait:        queueWait,
+			QueueDepth:       queueDepth,
+			ReadRetries:      io.ReadRetries,
+			PoolWaits:        poolStats.Waits,
+			PoolWaitTime:     poolStats.WaitTime,
+			MemPeakBytes:     ctx.Mem.Used(),
+			BatchesProcessed: ctx.BatchesProcessed(),
 		},
 	}
 	for _, r := range res.DPC {
@@ -562,11 +544,7 @@ func (e *Engine) ExecuteContext(goCtx context.Context, node plan.Node, mcfg *exe
 			expression = "<join predicate>"
 		}
 		if r.Degraded {
-			if r.Shed {
-				res.Stats.Runtime.ShedMonitors++
-			} else {
-				res.Stats.Runtime.QuarantinedMonitors++
-			}
+			res.Stats.Runtime.QuarantinedMonitors++
 		}
 		res.Stats.DPC = append(res.Stats.DPC, exec.PageCountXML{
 			Table:      r.Request.Table,
@@ -575,7 +553,6 @@ func (e *Engine) ExecuteContext(goCtx context.Context, node plan.Node, mcfg *exe
 			Actual:     r.DPC,
 			Exact:      r.Exact,
 			Degraded:   r.Degraded,
-			Shed:       r.Shed,
 			Reason:     r.Reason,
 		})
 	}

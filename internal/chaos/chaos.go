@@ -52,11 +52,6 @@ type Schedule struct {
 	Timeout time.Duration
 	// MemBudget bounds the query's operator memory in bytes (0 = none).
 	MemBudget int64
-	// ShedLevel degrades monitoring along the mechanism lattice (0-3).
-	ShedLevel int
-	// OverheadBudget caps per-monitor observation time; tiny values force
-	// mid-query self-shedding.
-	OverheadBudget time.Duration
 	// Parallelism is the intra-query degree (0 = serial).
 	Parallelism int
 	// WarmCache skips the cold-cache reset before the run.
@@ -65,10 +60,9 @@ type Schedule struct {
 
 // String renders a compact identity for error messages.
 func (s Schedule) String() string {
-	return fmt.Sprintf("%s{q%d read=%d trans=%d@%d cancel=%d to=%v mem=%d shed=%d ob=%v par=%d warm=%v}",
+	return fmt.Sprintf("%s{q%d read=%d trans=%d@%d cancel=%d to=%v mem=%d par=%d warm=%v}",
 		s.Name, s.Query, s.FailReadAfter, s.TransientLen, s.TransientAfter,
-		s.CancelAtRead, s.Timeout, s.MemBudget, s.ShedLevel, s.OverheadBudget,
-		s.Parallelism, s.WarmCache)
+		s.CancelAtRead, s.Timeout, s.MemBudget, s.Parallelism, s.WarmCache)
 }
 
 // Outcome is the observed result of running one schedule.
@@ -216,14 +210,12 @@ func (e *Env) runQuery(parent context.Context, sql string, s Schedule) Outcome {
 		disk.SetReadHook(nil)
 	}()
 	res, err := e.Eng.QueryContext(ctx, sql, &pagefeedback.RunOptions{
-		MonitorAll:            true,
-		SampleFraction:        1.0,
-		Timeout:               s.Timeout,
-		MemBudget:             s.MemBudget,
-		ShedLevel:             s.ShedLevel,
-		MonitorOverheadBudget: s.OverheadBudget,
-		Parallelism:           s.Parallelism,
-		WarmCache:             s.WarmCache,
+		MonitorAll:     true,
+		SampleFraction: 1.0,
+		Timeout:        s.Timeout,
+		MemBudget:      s.MemBudget,
+		Parallelism:    s.Parallelism,
+		WarmCache:      s.WarmCache,
 	})
 	if err != nil {
 		return Outcome{Err: err}
@@ -247,23 +239,16 @@ func (e *Env) Check(s Schedule, out Outcome) error {
 		if !equalStrings(out.Rows, want) {
 			return fmt.Errorf("%s: wrong rows: got %d, want %d", s, len(out.Rows), len(want))
 		}
-		for _, r := range out.Res.DPC {
-			if r.Shed && !r.Degraded {
-				return fmt.Errorf("%s: shed result not marked Degraded (%s)", s, r.Mechanism)
-			}
-		}
 		// Feeding a successful run back must reproduce the baseline cache:
-		// shed/degraded results are skipped, everything else is baseline-
+		// degraded results are skipped, everything else is baseline-
 		// identical because the monitors are deterministic.
 		e.Eng.ApplyFeedback(out.Res)
 		if sig := e.CacheSignature(); sig != e.baseSig {
 			return fmt.Errorf("%s: successful run perturbed the feedback cache", s)
 		}
-		if s.ShedLevel == 0 && s.OverheadBudget == 0 {
-			if got := renderDPC(out.Res); got != e.baseDPC[s.Query] {
-				return fmt.Errorf("%s: DPC feedback differs from baseline:\n got: %s\nwant: %s",
-					s, got, e.baseDPC[s.Query])
-			}
+		if got := renderDPC(out.Res); got != e.baseDPC[s.Query] {
+			return fmt.Errorf("%s: DPC feedback differs from baseline:\n got: %s\nwant: %s",
+				s, got, e.baseDPC[s.Query])
 		}
 	}
 	if n := e.Eng.Pool().Pinned(); n != 0 {
@@ -336,12 +321,6 @@ func GenerateSchedules(reads []int64) []Schedule {
 		for _, m := range []int64{512, 8 << 10, 64 << 10, 1 << 20, 8 << 20} {
 			add(Schedule{Name: "mem", Query: q, MemBudget: m})
 		}
-		for lvl := 1; lvl <= 3; lvl++ {
-			add(Schedule{Name: "shed", Query: q, ShedLevel: lvl})
-		}
-		for _, ob := range []time.Duration{time.Nanosecond, 100 * time.Microsecond} {
-			add(Schedule{Name: "overhead", Query: q, OverheadBudget: ob})
-		}
 		// Composite schedules: independent failure mechanisms landing in the
 		// same run, probing interactions between recovery paths.
 		for _, p := range positions(r, 4) {
@@ -350,6 +329,7 @@ func GenerateSchedules(reads []int64) []Schedule {
 			add(Schedule{Name: "hard+warm", Query: q, FailReadAfter: p, WarmCache: true})
 			add(Schedule{Name: "mem+trans", Query: q,
 				MemBudget: 32 << 10, TransientAfter: p, TransientLen: 2})
+			add(Schedule{Name: "cancel+mem", Query: q, CancelAtRead: p, MemBudget: 64 << 10})
 		}
 	}
 	return out

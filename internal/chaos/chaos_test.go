@@ -468,8 +468,6 @@ func diffRuntime(a, b exec.RuntimeStats) string {
 		{"QuarantinedMonitors", a.QuarantinedMonitors, b.QuarantinedMonitors},
 		{"ReadRetries", a.ReadRetries, b.ReadRetries},
 		{"MemPeakBytes", a.MemPeakBytes, b.MemPeakBytes},
-		{"ShedMonitors", a.ShedMonitors, b.ShedMonitors},
-		{"CompiledPredicates", a.CompiledPredicates, b.CompiledPredicates},
 	} {
 		if f.a != f.b {
 			return fmt.Sprintf("%s: %v vs %v", f.name, f.a, f.b)

@@ -19,7 +19,6 @@ type Execution struct {
 	scanMons  []*scanMonitor
 	seekMons  []*seekMonitor
 	unsat     []DPCResult
-	shedRes   []DPCResult  // placeholder results for monitors never planted under shed
 	satisfied map[int]bool // request index -> satisfied
 	seedCtr   int64
 	opCtr     int32 // next operator id; assignment order is construction order
@@ -55,25 +54,6 @@ func Build(ctx *Context, root plan.Node, cfg *MonitorConfig) (*Execution, error)
 		}
 	}
 	return e, nil
-}
-
-// shedLevel returns the configured plant-time shed level.
-func (e *Execution) shedLevel() int {
-	if e.cfg == nil {
-		return 0
-	}
-	return e.cfg.ShedLevel
-}
-
-// shedPlaceholder marks request i satisfied with a degraded no-observation
-// result: under heavy shedding the monitor is not planted at all, but the
-// request still surfaces in the results (Degraded, Shed) so callers can see
-// what was dropped.
-func (e *Execution) shedPlaceholder(i int, req DPCRequest, mech, reason string) {
-	e.shedRes = append(e.shedRes, DPCResult{
-		Request: req, Mechanism: mech, OpID: -1, Degraded: true, Shed: true, Reason: reason,
-	})
-	e.satisfied[i] = true
 }
 
 func (e *Execution) nextSeed() int64 {
@@ -369,7 +349,6 @@ func (e *Execution) attachScanMonitors(op monitoredScan, node *plan.Scan) {
 			e.satisfied[i] = true
 			continue
 		}
-		lvl := e.shedLevel()
 		if node.ClusterRange != nil {
 			// A range scan only sees pages inside the range: the sole
 			// observable DPC is that of the plan's own full predicate
@@ -377,76 +356,29 @@ func (e *Execution) attachScanMonitors(op monitoredScan, node *plan.Scan) {
 			if core.Key(req.Table, req.Pred) != core.Key(node.Tab.Name, node.Pred) {
 				continue
 			}
-			if lvl >= 3 {
-				e.shedPlaceholder(i, req, MechExactScan,
-					"load-shed: monitoring disabled under overload (level 3)")
-				continue
-			}
-			// Range-scan counting is already free (the scan predicate's
-			// truth falls out of the range bounds), so levels 1-2 keep it.
 			m := &scanMonitor{req: req, kind: monExactPrefix,
 				prefixLen: len(node.Pred.Atoms), gc: core.NewGroupedCounter()}
-			m.monitorGuard = e.cfg.guard(op.Stats(), MechExactScan, "")
+			m.monitorGuard = e.cfg.guard(op.Stats(), MechExactScan)
 			op.attach(m)
 			e.scanMons = append(e.scanMons, m)
 			e.satisfied[i] = true
 			continue
 		}
-		if lvl >= 3 {
-			mech := MechDPSample
-			if req.Pred.IsPrefixOf(node.Pred) {
-				mech = MechExactScan
-			}
-			e.shedPlaceholder(i, req, mech,
-				"load-shed: monitoring disabled under overload (level 3)")
-			continue
-		}
 		m := &scanMonitor{req: req}
-		var shedReason string
 		if req.Pred.IsPrefixOf(node.Pred) {
 			// A prefix of the scan predicate: its truth value falls out of
 			// short-circuited evaluation — exact counting at no extra cost.
-			// Under shedding the monitor walks down the lattice: page
-			// sampling at level 1, linear counting over the same free
-			// prefix hits at level 2.
-			switch {
-			case lvl <= 0:
-				m.kind = monExactPrefix
-				m.prefixLen = len(req.Pred.Atoms)
-				m.gc = core.NewGroupedCounter()
-			case lvl == 1:
-				m.kind = monSampled
-				m.pred = bound
-				m.dps = core.NewDPSample(e.cfg.sampleFraction(), e.nextSeed())
-				shedReason = "load-shed: exact grouped counting degraded to page sampling (level 1)"
-			default: // lvl == 2
-				m.kind = monLinear
-				m.prefixLen = len(req.Pred.Atoms)
-				m.lcBits = e.cfg.LinearBits
-				if m.lcBits == 0 {
-					m.lcBits = core.DefaultLinearCounterBits(node.Tab.NumPages())
-				}
-				m.lc = core.NewLinearCounter(m.lcBits)
-				shedReason = "load-shed: exact grouped counting degraded to linear counting (level 2)"
-			}
+			m.kind = monExactPrefix
+			m.prefixLen = len(req.Pred.Atoms)
+			m.gc = core.NewGroupedCounter()
 		} else {
 			// Not a prefix: evaluating it needs short-circuiting turned
-			// off, so bound the cost with page sampling (Fig 4). Shedding
-			// thins the sampling fraction instead of changing mechanism.
+			// off, so bound the cost with page sampling (Fig 4).
 			m.kind = monSampled
 			m.pred = bound
-			f := e.cfg.sampleFraction()
-			switch {
-			case lvl == 1:
-				f /= 4
-				shedReason = "load-shed: sampling fraction thinned 4x (level 1)"
-			case lvl >= 2:
-				f /= 16
-				shedReason = "load-shed: sampling fraction thinned 16x (level 2)"
-			}
-			m.dps = core.NewDPSample(f, e.nextSeed())
+			m.dps = core.NewDPSample(e.cfg.sampleFraction(), e.nextSeed())
 		}
-		m.monitorGuard = e.cfg.guard(op.Stats(), m.mechanism(), shedReason)
+		m.monitorGuard = e.cfg.guard(op.Stats(), m.mechanism())
 		op.attach(m)
 		e.scanMons = append(e.scanMons, m)
 		e.satisfied[i] = true
@@ -458,19 +390,8 @@ func (e *Execution) newSeekMonitor(req DPCRequest, tab *catalog.Table, mech stri
 	if bits == 0 {
 		bits = core.DefaultLinearCounterBits(tab.NumPages())
 	}
-	var shedReason string
-	if e.shedLevel() >= 2 {
-		// Seek monitors already sit at the linear-counting rung; level 2
-		// thins their bitmap to an eighth (floor 1024 bits).
-		if bits/8 >= 1024 {
-			bits /= 8
-		} else if bits > 1024 {
-			bits = 1024
-		}
-		shedReason = "load-shed: linear-counting bitmap thinned under overload (level 2)"
-	}
 	m := &seekMonitor{req: req, mech: mech, lc: core.NewLinearCounter(bits),
-		monitorGuard: e.cfg.guard(host, mech, shedReason)}
+		monitorGuard: e.cfg.guard(host, mech)}
 	if e.cfg.CompareSamplingEstimator {
 		size := e.cfg.ReservoirSize
 		if size <= 0 {
@@ -499,11 +420,6 @@ func (e *Execution) buildSeek(node *plan.Seek, need uint64) (Operator, error) {
 		if core.Key(req.Table, req.Pred) != core.Key(node.Tab.Name, node.Pred) {
 			continue
 		}
-		if e.shedLevel() >= 3 {
-			e.shedPlaceholder(i, req, MechLinearCount,
-				"load-shed: monitoring disabled under overload (level 3)")
-			continue
-		}
 		op.attach(e.newSeekMonitor(req, node.Tab, MechLinearCount, op.Stats()))
 		e.satisfied[i] = true
 	}
@@ -522,11 +438,6 @@ func (e *Execution) buildIntersect(node *plan.Intersect, need uint64) (Operator,
 			continue
 		}
 		if core.Key(req.Table, req.Pred) != core.Key(node.Tab.Name, node.Pred) {
-			continue
-		}
-		if e.shedLevel() >= 3 {
-			e.shedPlaceholder(i, req, MechLinearCount,
-				"load-shed: monitoring disabled under overload (level 3)")
 			continue
 		}
 		op.attach(e.newSeekMonitor(req, node.Tab, MechLinearCount, op.Stats()))
@@ -604,27 +515,13 @@ func (e *Execution) buildJoin(node *plan.Join, need uint64) (Operator, error) {
 			if !ok {
 				continue
 			}
-			if e.shedLevel() >= 2 {
-				// The bit-vector filter costs per-row insertions on the RE
-				// side plus filter memory; under heavy shedding it is not
-				// planted at all.
-				e.shedPlaceholder(i, req, MechBitVector,
-					"load-shed: join bit-vector filter not planted under overload (level 2+)")
-				break
-			}
-			f := e.cfg.sampleFraction()
-			var shedReason string
-			if e.shedLevel() == 1 {
-				f /= 4
-				shedReason = "load-shed: sampling fraction thinned 4x (level 1)"
-			}
 			filter := core.NewBitVectorFilter(e.bitvectorBits(innerScan))
 			m := &scanMonitor{
 				req: req, kind: monJoinFilter,
 				filter: filter, joinColOrd: joinOrd,
-				dps: core.NewDPSample(f, e.nextSeed()),
+				dps: core.NewDPSample(e.cfg.sampleFraction(), e.nextSeed()),
 			}
-			m.monitorGuard = e.cfg.guard(innerScan.Stats(), MechBitVector, shedReason)
+			m.monitorGuard = e.cfg.guard(innerScan.Stats(), MechBitVector)
 			sink = &filterSink{m: m, f: filter}
 			innerScan.attach(m)
 			e.scanMons = append(e.scanMons, m)
@@ -706,11 +603,6 @@ func (e *Execution) buildINL(node *plan.Join, need uint64) (Operator, error) {
 	if e.cfg != nil {
 		for i, req := range e.cfg.Requests {
 			if e.satisfied[i] || !req.Join || !sameTable(req.Table, node.InnerTab.Name) {
-				continue
-			}
-			if e.shedLevel() >= 3 {
-				e.shedPlaceholder(i, req, MechINLFetch,
-					"load-shed: monitoring disabled under overload (level 3)")
 				continue
 			}
 			// The INL fetch stream is exactly the pages relevant to
@@ -805,7 +697,6 @@ func (e *Execution) DPCResults() []DPCResult {
 	for _, m := range e.seekMons {
 		out = append(out, m.result())
 	}
-	out = append(out, e.shedRes...)
 	out = append(out, e.unsat...)
 	return out
 }

@@ -194,7 +194,7 @@ func feedbackBytes(results []DPCResult) string {
 	var b strings.Builder
 	for _, r := range results {
 		if r.Mechanism == MechUnsatisfiable || r.Degraded || r.Request.Join {
-			fmt.Fprintf(&b, "skip %s %s degraded=%v shed=%v\n", r.Request, r.Mechanism, r.Degraded, r.Shed)
+			fmt.Fprintf(&b, "skip %s %s degraded=%v\n", r.Request, r.Mechanism, r.Degraded)
 			continue
 		}
 		fc.Store(r.Request.Table, r.Request.Pred, core.FeedbackEntry{
@@ -209,10 +209,10 @@ func feedbackBytes(results []DPCResult) string {
 
 // TestEncodedScanParity holds every scan shape that runs through pageVisit
 // to the full-decode reference: {heap, clustered full scan, clustered range}
-// × {serial, degree 2, 4} × shed level {0, 1, 2} × sample fraction
-// {0.01, 0.5, 1.0} × {INT-only, VARCHAR-last, VARCHAR-middle}.
-// Rows, every DPCResult (exact prefix, DPSample, linear-counting rung, and a
-// hand-attached join bit-vector monitor), RowsTouched and the feedback bytes
+// × {serial, degree 2, 4} × sample fraction {0.01, 0.5, 1.0} × {INT-only,
+// VARCHAR-last, VARCHAR-middle}.
+// Rows, every DPCResult (exact prefix, DPSample, and a hand-attached join
+// bit-vector monitor), RowsTouched and the feedback bytes
 // must be identical. The reference shows sampled monitors decoded rows; the
 // scans under test judge cells, and decode exactly the predicate's
 // survivors, at the table's full width.
@@ -253,77 +253,75 @@ func TestEncodedScanParity(t *testing.T) {
 				{Table: tab.Name, Pred: expr.And(last)},                                                         // non-prefix: DPSample
 				{Table: tab.Name, Pred: expr.And(expr.NewAtom("id", expr.Ge, tuple.Int64(parityRows/2)), last)}, // non-prefix, two atoms
 			}
-			for _, shed := range []int{0, 1, 2} {
-				for _, f := range []float64{0.01, 0.5, 1.0} {
-					cfg := func() *MonitorConfig {
-						return &MonitorConfig{Requests: requests, SampleFraction: f, Seed: 5, ShedLevel: shed}
+			for _, f := range []float64{0.01, 0.5, 1.0} {
+				cfg := func() *MonitorConfig {
+					return &MonitorConfig{Requests: requests, SampleFraction: f, Seed: 5}
+				}
+				// A join bit-vector monitor, as a hash join's build side
+				// would leave it: filter complete before the scan starts.
+				joinMon := func() *scanMonitor {
+					bv := core.NewBitVectorFilter(1 << 14)
+					for v := int64(0); v < parityRows; v += 37 {
+						bv.Add(tuple.Int64(v))
 					}
-					// A join bit-vector monitor, as a hash join's build side
-					// would leave it: filter complete before the scan starts.
-					joinMon := func() *scanMonitor {
-						bv := core.NewBitVectorFilter(1 << 14)
-						for v := int64(0); v < parityRows; v += 37 {
-							bv.Add(tuple.Int64(v))
-						}
-						return &scanMonitor{
-							req: DPCRequest{Table: tab.Name, Join: true}, kind: monJoinFilter,
-							filter: bv, joinColOrd: tab.Schema.MustOrdinal("k"),
-							dps: core.NewDPSample(f, 99),
+					return &scanMonitor{
+						req: DPCRequest{Table: tab.Name, Join: true}, kind: monJoinFilter,
+						filter: bv, joinColOrd: tab.Schema.MustOrdinal("k"),
+						dps: core.NewDPSample(f, 99),
+					}
+				}
+
+				refCtx := NewContext(pool)
+				refEx := &Execution{Ctx: refCtx, cfg: cfg(), satisfied: map[int]bool{}}
+				ref := &refScan{ctx: refCtx, tab: tab, pred: pred, krange: node.ClusterRange}
+				refEx.attachScanMonitors(ref, node)
+				refJoin := joinMon()
+				refJoin.host = ref.Stats()
+				ref.attach(refJoin)
+				wantRows := sortedRowStrings(ref.run(t))
+				wantDPC := append(refEx.DPCResults(), refJoin.result())
+				wantBytes := feedbackBytes(wantDPC)
+
+				for _, deg := range []int{0, 2, 4} {
+					name := fmt.Sprintf("%s/%s/f%g/deg%d", shape, sc.name, f, deg)
+					ctx := NewContext(pool)
+					ctx.Parallelism = deg
+					ex, err := Build(ctx, node, cfg())
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					scan := findScan(ex.Root)
+					jm := joinMon()
+					jm.host = scan.Stats()
+					scan.attach(jm)
+					rows, err := ex.Run()
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if got := sortedRowStrings(rows); !reflect.DeepEqual(got, wantRows) {
+						t.Errorf("%s: rows differ: got %d, reference %d", name, len(got), len(wantRows))
+					}
+					var gotDPC []DPCResult
+					for _, r := range ex.DPCResults() {
+						if r.Mechanism != MechUnsatisfiable {
+							gotDPC = append(gotDPC, r)
 						}
 					}
-
-					refCtx := NewContext(pool)
-					refEx := &Execution{Ctx: refCtx, cfg: cfg(), satisfied: map[int]bool{}}
-					ref := &refScan{ctx: refCtx, tab: tab, pred: pred, krange: node.ClusterRange}
-					refEx.attachScanMonitors(ref, node)
-					refJoin := joinMon()
-					refJoin.host = ref.Stats()
-					ref.attach(refJoin)
-					wantRows := sortedRowStrings(ref.run(t))
-					wantDPC := append(refEx.DPCResults(), refJoin.result())
-					wantBytes := feedbackBytes(wantDPC)
-
-					for _, deg := range []int{0, 2, 4} {
-						name := fmt.Sprintf("%s/%s/shed%d/f%g/deg%d", shape, sc.name, shed, f, deg)
-						ctx := NewContext(pool)
-						ctx.Parallelism = deg
-						ex, err := Build(ctx, node, cfg())
-						if err != nil {
-							t.Fatalf("%s: %v", name, err)
-						}
-						scan := findScan(ex.Root)
-						jm := joinMon()
-						jm.host = scan.Stats()
-						scan.attach(jm)
-						rows, err := ex.Run()
-						if err != nil {
-							t.Fatalf("%s: %v", name, err)
-						}
-						if got := sortedRowStrings(rows); !reflect.DeepEqual(got, wantRows) {
-							t.Errorf("%s: rows differ: got %d, reference %d", name, len(got), len(wantRows))
-						}
-						var gotDPC []DPCResult
-						for _, r := range ex.DPCResults() {
-							if r.Mechanism != MechUnsatisfiable {
-								gotDPC = append(gotDPC, r)
-							}
-						}
-						gotDPC = append(gotDPC, jm.result())
-						if !reflect.DeepEqual(gotDPC, wantDPC) {
-							t.Errorf("%s: DPC results differ:\n got %+v\nwant %+v", name, gotDPC, wantDPC)
-						}
-						if got := feedbackBytes(gotDPC); got != wantBytes {
-							t.Errorf("%s: feedback bytes differ:\n got %s\nwant %s", name, got, wantBytes)
-						}
-						if got, want := ctx.RowsTouched(), refCtx.RowsTouched(); got != want {
-							t.Errorf("%s: RowsTouched = %d, reference %d", name, got, want)
-						}
-						if dec := ctx.RowsDecoded(); dec != int64(len(rows)) {
-							t.Errorf("%s: RowsDecoded = %d, want the %d survivors (%d touched)", name, dec, len(rows), ctx.RowsTouched())
-						}
-						if vals, want := ctx.ValuesDecoded(), ctx.RowsDecoded()*int64(tab.Schema.NumColumns()); vals != want {
-							t.Errorf("%s: ValuesDecoded = %d, want %d (every column of %d rows)", name, vals, want, ctx.RowsDecoded())
-						}
+					gotDPC = append(gotDPC, jm.result())
+					if !reflect.DeepEqual(gotDPC, wantDPC) {
+						t.Errorf("%s: DPC results differ:\n got %+v\nwant %+v", name, gotDPC, wantDPC)
+					}
+					if got := feedbackBytes(gotDPC); got != wantBytes {
+						t.Errorf("%s: feedback bytes differ:\n got %s\nwant %s", name, got, wantBytes)
+					}
+					if got, want := ctx.RowsTouched(), refCtx.RowsTouched(); got != want {
+						t.Errorf("%s: RowsTouched = %d, reference %d", name, got, want)
+					}
+					if dec := ctx.RowsDecoded(); dec != int64(len(rows)) {
+						t.Errorf("%s: RowsDecoded = %d, want the %d survivors (%d touched)", name, dec, len(rows), ctx.RowsTouched())
+					}
+					if vals, want := ctx.ValuesDecoded(), ctx.RowsDecoded()*int64(tab.Schema.NumColumns()); vals != want {
+						t.Errorf("%s: ValuesDecoded = %d, want %d (every column of %d rows)", name, vals, want, ctx.RowsDecoded())
 					}
 				}
 			}

@@ -66,12 +66,6 @@ type Context struct {
 	// valuesDecoded counts the values those rows materialized (see
 	// RuntimeStats.ValuesDecoded).
 	valuesDecoded int64
-	// compiledPreds counts operators that evaluate their predicate through
-	// a type-specialized evaluator (expr.Compiled, or expr.RawCompiled on
-	// table scans) instead of the generic per-atom dispatch. Operators increment it at construction time (single-
-	// threaded), so no synchronization is needed.
-	compiledPreds int64
-
 	// batches counts the non-empty batches operators handed their parents
 	// (and the root its sink) — an execution-shape diagnostic that no
 	// simulated cost depends on.
@@ -145,16 +139,9 @@ func (c *Context) noteDecoded(rows, values int64) {
 	c.valuesDecoded += values
 }
 
-// noteCompiled records that one operator compiled its predicate.
-func (c *Context) noteCompiled() { c.compiledPreds++ }
-
 // BatchesProcessed returns the number of non-empty batches operators have
 // delivered so far.
 func (c *Context) BatchesProcessed() int64 { return c.batches }
-
-// CompiledPredicates returns the number of operators in this execution that
-// run a compiled (type-specialized) predicate evaluator.
-func (c *Context) CompiledPredicates() int64 { return c.compiledPreds }
 
 // RowsTouched returns the total rows processed by all operators so far.
 func (c *Context) RowsTouched() int64 { return c.rowsTouched }

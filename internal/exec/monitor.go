@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"time"
 
 	"pagefeedback/internal/core"
 	"pagefeedback/internal/expr"
@@ -36,35 +35,13 @@ type MonitorConfig struct {
 	// mechanism appears here panic on their first observation, exercising
 	// the quarantine path. Production callers leave it empty.
 	FailMonitors []string
-
-	// ShedLevel degrades monitors at plant time along the paper's mechanism
-	// lattice (exact grouped counting → DPSample → linear counting →
-	// disabled), trading observation quality for overhead under load:
-	//   0  full fidelity (default);
-	//   1  exact prefix counters become DPSample, sampled monitors thin
-	//      their fraction (seek and INL monitors, and range-scan counting
-	//      through level 2, are unchanged);
-	//   2  prefix monitors fall to linear counting, sampling thins further,
-	//      seek and INL bitmaps thin, join filters are not planted;
-	//   3  no monitors are planted at all.
-	// Every monitor degraded relative to level 0 reports Degraded (with
-	// Shed set), so its observation never reaches the feedback cache —
-	// mirroring the quarantine contract.
-	ShedLevel int
-	// OverheadBudget, when > 0, caps each monitor's cumulative observation
-	// wall time; a monitor that exceeds it sheds itself mid-query — the
-	// §III-B short-circuit disable generalized from per-page sampling cost
-	// to measured overhead.
-	OverheadBudget time.Duration
 }
 
 // guard arms a monitor's guard at plant time: host is the operator the
 // monitor is attached to, mech its mechanism (the fault hook fires when
-// FailMonitors names it), and shedReason, when not "", why it was planted
-// below full fidelity.
-func (mc *MonitorConfig) guard(host *OpStats, mech, shedReason string) monitorGuard {
-	g := monitorGuard{host: host, shed: shedReason != "", shedReason: shedReason,
-		overheadBudget: mc.OverheadBudget}
+// FailMonitors names it).
+func (mc *MonitorConfig) guard(host *OpStats, mech string) monitorGuard {
+	g := monitorGuard{host: host}
 	if slices.Contains(mc.FailMonitors, mech) {
 		g.injectFail = "exec: injected monitor fault (" + mech + ")"
 	}
@@ -72,14 +49,10 @@ func (mc *MonitorConfig) guard(host *OpStats, mech, shedReason string) monitorGu
 }
 
 // monitorGuard holds the contract every DPC monitor keeps with the operator
-// hosting it: monitoring never fails the host query, and never costs it more
-// than the overhead budget. Each observation runs with the guard's catch
-// deferred. A monitor that panics is quarantined: it is disabled for the rest
-// of the query and reports a degraded result naming the panic. A monitor
-// planted at a cheaper lattice rung, or one that overran its budget, is shed:
-// it reports a degraded result with the shed reason. Neither observation
-// reaches the feedback cache. When a shed monitor also panics the quarantine
-// wins, so the report names the fault, not the shedding.
+// hosting it: monitoring never fails the host query. Each observation runs
+// with the guard's catch deferred. A monitor that panics is quarantined: it is
+// disabled for the rest of the query and reports a degraded result naming the
+// panic, which never reaches the feedback cache.
 type monitorGuard struct {
 	// host is the stats node of the operator the monitor is attached to.
 	// The builder assigns operator ids after attachment, so the id is read
@@ -91,13 +64,6 @@ type monitorGuard struct {
 	// injectFail, when not "", is the panic the first observation raises
 	// (the FailMonitors test hook).
 	injectFail string
-
-	shed       bool
-	shedReason string
-	// overheadBudget arms mid-query self-shedding: once obsTime (cumulative
-	// wall time spent observing) crosses it, the monitor disables itself.
-	overheadBudget time.Duration
-	obsTime        time.Duration
 }
 
 // catch quarantines the monitor when the observation it guards panics, and
@@ -106,7 +72,6 @@ func (g *monitorGuard) catch() {
 	if r := recover(); r != nil {
 		g.disabled = true
 		g.failure = fmt.Sprint(r)
-		g.shed = false // a quarantine wins over a shed
 	}
 }
 
@@ -117,31 +82,6 @@ func (g *monitorGuard) fault() {
 	}
 }
 
-// begin opens one timed observation: it raises an injected fault, and reads
-// the clock for end when an overhead budget is armed.
-func (g *monitorGuard) begin() (start time.Time) {
-	g.fault()
-	if g.overheadBudget > 0 {
-		start = time.Now()
-	}
-	return start
-}
-
-// end charges the observation begun at start to the overhead budget and
-// sheds the monitor once the budget is exceeded.
-func (g *monitorGuard) end(start time.Time) {
-	if g.overheadBudget <= 0 {
-		return
-	}
-	g.obsTime += time.Since(start)
-	if g.obsTime > g.overheadBudget {
-		g.disabled = true
-		g.shed = true
-		g.shedReason = fmt.Sprintf("load-shed: observation overhead %v exceeded budget %v",
-			g.obsTime, g.overheadBudget)
-	}
-}
-
 // report completes r, which carries the monitor's observation unless it was
 // disabled, with the host's operator id and the guard's verdict.
 func (g *monitorGuard) report(r DPCResult) DPCResult {
@@ -149,12 +89,7 @@ func (g *monitorGuard) report(r DPCResult) DPCResult {
 	if g.host != nil {
 		r.OpID = g.host.OpID
 	}
-	switch {
-	case g.shed:
-		// Planted at a cheaper rung than requested, or disabled by the
-		// budget: any estimate present is untrusted.
-		r.Degraded, r.Shed, r.Reason = true, true, g.shedReason
-	case g.disabled:
+	if g.disabled {
 		r.Degraded, r.Reason = true, "monitor quarantined: "+g.failure
 	}
 	return r
@@ -202,9 +137,9 @@ type DPCResult struct {
 	Request   DPCRequest
 	Mechanism string
 	// OpID is the id of the operator the monitor was attached to (matching
-	// OpStats.OpID in the executed plan), or -1 for requests that were
-	// never planted: unsatisfiable ones and shed placeholders. EXPLAIN
-	// ANALYZE uses it to print each DPC observation at its operator.
+	// OpStats.OpID in the executed plan), or -1 for unsatisfiable requests,
+	// which were never planted. EXPLAIN ANALYZE uses it to print each DPC
+	// observation at its operator.
 	OpID int32
 	// DPC is the observed/estimated distinct page count (0 when
 	// unsatisfiable).
@@ -216,18 +151,11 @@ type DPCResult struct {
 	Cardinality int64
 	// SamplingEstimate is the GEE comparison estimate, when enabled.
 	SamplingEstimate int64
-	// Degraded is true when the monitor produced no trustworthy observation
-	// — it failed mid-query and was quarantined, or it was load-shed to a
-	// cheaper mechanism under overload. The query finished normally, but
-	// ApplyFeedback ignores this result.
+	// Degraded is true when the monitor produced no trustworthy observation:
+	// it failed mid-query and was quarantined. The query finished normally,
+	// but ApplyFeedback ignores this result.
 	Degraded bool
-	// Shed distinguishes load-shedding (deliberate degradation under
-	// pressure; the estimate may still be present) from quarantine (the
-	// monitor crashed; no observation at all). A shed monitor that then
-	// crashes reports the quarantine.
-	Shed bool `xml:"shed,attr,omitempty"`
-	// Reason explains an unsatisfiable request, a quarantined monitor, or a
-	// shed monitor.
+	// Reason explains an unsatisfiable request or a quarantined monitor.
 	Reason string
 }
 
@@ -238,7 +166,6 @@ const (
 	monExactPrefix scanMonitorKind = iota // predicate is a prefix of the scan predicate
 	monSampled                            // DPSample; full evaluation on sampled pages
 	monJoinFilter                         // bit-vector semi-join predicate
-	monLinear                             // linear counting over prefix page hits (shed rung)
 )
 
 // scanMonitor is one DPC monitor attached to an SE-side scan.
@@ -272,18 +199,9 @@ type scanMonitor struct {
 	hit bool
 	// A sampled monitor copies the cells of a page in its sample here (cell i
 	// ends at pendingEnds[i]) and judges them when it closes the page, inside
-	// safeEndPage: one quarantine guard per page rather than one per cell,
-	// and, with an overhead budget armed, one pair of clock reads timing the
-	// whole page's observation — a pair per cell would cost more than the
-	// judging.
+	// safeEndPage: one quarantine guard per page rather than one per cell.
 	pending     []byte
 	pendingEnds []int
-
-	// monLinear: probabilistic counting of prefix-satisfying pages — the
-	// third rung of the shed lattice; prefix hits still come free from the
-	// scan's short-circuit evaluation, only the counter is cheaper.
-	lc     *core.LinearCounter
-	lcBits uint64
 }
 
 // shard returns a fresh monitor that observes one page-disjoint partition of
@@ -291,21 +209,16 @@ type scanMonitor struct {
 // observations); the bit-vector filter is shared by pointer — it is complete
 // and read-only by the time a parallel probe opens, so concurrent MayContain
 // calls are safe. Shards are folded back into the template with absorb at the
-// partition barrier. A shard inherits the template's guard with its own
-// budget clock, starting at zero; only the template reports.
+// partition barrier. A shard inherits the template's guard; only the
+// template reports.
 func (m *scanMonitor) shard() *scanMonitor {
 	s := &scanMonitor{
-		req: m.req, kind: m.kind, prefixLen: m.prefixLen, pred: m.pred, raw: m.raw,
-		filter: m.filter, joinColOrd: m.joinColOrd, schema: m.schema, lcBits: m.lcBits,
+		monitorGuard: m.monitorGuard, req: m.req, kind: m.kind, prefixLen: m.prefixLen,
+		pred: m.pred, raw: m.raw, filter: m.filter, joinColOrd: m.joinColOrd, schema: m.schema,
 	}
-	s.monitorGuard = m.monitorGuard
-	s.obsTime = 0
-	switch m.kind {
-	case monExactPrefix:
+	if m.kind == monExactPrefix {
 		s.gc = core.NewGroupedCounter()
-	case monLinear:
-		s.lc = core.NewLinearCounter(m.lcBits)
-	default:
+	} else {
 		s.dps = m.dps.Fork()
 	}
 	return s
@@ -319,23 +232,18 @@ func (m *scanMonitor) shard() *scanMonitor {
 // identical to a serial scan's.
 func (m *scanMonitor) absorb(s *scanMonitor) {
 	if s.disabled && !m.disabled {
-		m.disabled = true
-		m.failure = s.failure
-		m.shed = s.shed
-		m.shedReason = s.shedReason
+		// The shard's guard is a copy of the template's that differs only
+		// in the failure it caught.
+		m.monitorGuard = s.monitorGuard
 	}
 	if m.disabled {
 		return
 	}
 	defer m.catch()
 	m.rows += s.rows
-	m.obsTime += s.obsTime
-	switch m.kind {
-	case monExactPrefix:
+	if m.kind == monExactPrefix {
 		m.gc.Merge(s.gc)
-	case monLinear:
-		m.lc.Merge(s.lc)
-	default:
+	} else {
 		m.dps.Merge(s.dps)
 	}
 }
@@ -347,8 +255,6 @@ func (m *scanMonitor) mechanism() string {
 		return MechExactScan
 	case monSampled:
 		return MechDPSample
-	case monLinear:
-		return MechLinearCount
 	default:
 		return MechBitVector
 	}
@@ -429,9 +335,8 @@ func (m *scanMonitor) safeEndPage(pid storage.PageID, passed int, hist []int) {
 		return
 	}
 	defer m.catch()
-	start := m.begin()
+	m.fault()
 	m.endPage(pid, passed, hist)
-	m.end(start)
 }
 
 // safeLateMatch is lateMatch behind the quarantine guard.
@@ -450,12 +355,9 @@ func (m *scanMonitor) safeFinish() {
 		return
 	}
 	defer m.catch()
-	switch m.kind {
-	case monExactPrefix:
+	if m.kind == monExactPrefix {
 		m.gc.Finish()
-	case monLinear:
-		// Linear counting has no per-page carry state to close out.
-	default:
+	} else {
 		m.dps.Finish()
 	}
 }
@@ -472,7 +374,7 @@ func (m *scanMonitor) safeFinish() {
 // overhead rather than hiding it.
 func (m *scanMonitor) endPage(pid storage.PageID, passed int, hist []int) {
 	switch m.kind {
-	case monExactPrefix, monLinear:
+	case monExactPrefix:
 		// Rows passing the first prefixLen atoms: those that pass them all,
 		// plus those that first fail at a later atom.
 		n := passed
@@ -482,11 +384,7 @@ func (m *scanMonitor) endPage(pid storage.PageID, passed int, hist []int) {
 			}
 		}
 		m.rows += int64(n)
-		if m.kind == monExactPrefix {
-			m.gc.Observe(pid, n > 0)
-		} else if n > 0 {
-			m.lc.AddPID(pid)
-		}
+		m.gc.Observe(pid, n > 0)
 	default:
 		// One sampling decision per page; rows were evaluated (with
 		// short-circuiting off) only when the page is in the sample.
@@ -518,7 +416,7 @@ func (fs *filterSink) Add(v tuple.Value) {
 		return
 	}
 	defer fs.m.catch()
-	fs.m.fault() // RE-side insertions are not timed against the budget
+	fs.m.fault()
 	fs.f.Add(v)
 }
 
@@ -545,8 +443,6 @@ func (m *scanMonitor) result() DPCResult {
 	switch m.kind {
 	case monExactPrefix:
 		r.DPC, r.Exact, r.Cardinality = m.gc.Count(), true, m.rows
-	case monLinear:
-		r.DPC, r.Cardinality = m.lc.EstimateInt(), m.rows
 	case monSampled:
 		r.DPC, r.Exact, r.Cardinality = m.dps.EstimateInt(), m.dps.Fraction() >= 1, m.rows
 		if !r.Exact {

@@ -58,19 +58,6 @@ type pageVisit struct {
 	passed int
 }
 
-// compileScanPred compiles a scan or fetch predicate to its encoded form at
-// operator-construction time (single-threaded) and records the use in the
-// execution context's statistics. A scan or fetch path compiles this one
-// evaluator; the decoded expr.Compiled is for the covering scan, which only
-// ever sees index entries' values.
-func compileScanPred(ctx *Context, pred expr.Conjunction, s *tuple.Schema) expr.RawCompiled {
-	raw := expr.CompileRaw(pred, s)
-	if raw.OK() && raw.Len() > 0 && ctx != nil {
-		ctx.noteCompiled()
-	}
-	return raw
-}
-
 // scanDecode is what a scan's page visits decode, fixed when the scan opens
 // (every monitor is attached by then): skip is the batch's column mask, width
 // the values per decoded row, hist the histogram length (0 = no prefix
@@ -88,7 +75,7 @@ func planDecode(s *tuple.Schema, demand uint64, pred expr.Conjunction, monitors 
 	hist := 0
 	for _, m := range monitors {
 		want |= m.columns()
-		if (m.kind == monExactPrefix || m.kind == monLinear) && m.prefixLen < len(pred.Atoms) {
+		if m.kind == monExactPrefix && m.prefixLen < len(pred.Atoms) {
 			hist = len(pred.Atoms)
 		}
 	}

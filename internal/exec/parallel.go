@@ -68,7 +68,7 @@ type ParallelScan struct {
 // the table's schema) with the given worker degree (>= 2).
 func NewParallelScan(ctx *Context, tab *catalog.Table, pred expr.Conjunction, degree int) *ParallelScan {
 	return &ParallelScan{
-		ctx: ctx, tab: tab, pred: pred, raw: compileScanPred(ctx, pred, tab.Schema), degree: degree,
+		ctx: ctx, tab: tab, pred: pred, raw: expr.CompileRaw(pred, tab.Schema), degree: degree,
 		demand: tuple.AllColumns,
 		stats:  OpStats{Label: fmt.Sprintf("ParallelScan(%s) x%d", tab.Name, degree)},
 	}

@@ -34,7 +34,7 @@ func NewSEClusterRangeScan(ctx *Context, tab *catalog.Table, pred expr.Conjuncti
 
 func newSEScan(ctx *Context, tab *catalog.Table, pred expr.Conjunction, krange *expr.KeyRange, label string) *SEScan {
 	return &SEScan{tab: tab, krange: krange, demand: tuple.AllColumns,
-		visit: pageVisit{ctx: ctx, pred: pred, raw: compileScanPred(ctx, pred, tab.Schema)},
+		visit: pageVisit{ctx: ctx, pred: pred, raw: expr.CompileRaw(pred, tab.Schema)},
 		stats: OpStats{Label: label + tab.Name + ")"}}
 }
 
@@ -138,12 +138,8 @@ type CoveringScan struct {
 // NewCoveringScan builds a covering scan of ix. pred must be bound to the
 // index-column schema.
 func NewCoveringScan(ctx *Context, ix *catalog.Index, pred expr.Conjunction, schema *tuple.Schema) *CoveringScan {
-	cc := expr.Compile(pred)
-	if cc.OK() && ctx != nil {
-		ctx.noteCompiled()
-	}
 	return &CoveringScan{
-		ctx: ctx, ix: ix, cc: cc, schema: schema,
+		ctx: ctx, ix: ix, cc: expr.Compile(pred), schema: schema,
 		stats: OpStats{Label: "CoveringScan(" + ix.Table.Name + "." + ix.Name + ")"},
 	}
 }

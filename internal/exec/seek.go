@@ -13,10 +13,6 @@ import (
 // seekMonitor counts distinct fetched pages with probabilistic counting
 // (§III-A): in an index plan rows arrive in key order, so the same page can
 // recur arbitrarily and exact counting would need duplicate elimination.
-//
-// Seek monitors already sit at the linear-counting rung, so plant-time
-// shedding only thins their bitmap; the overhead budget can still disable
-// them mid-query.
 type seekMonitor struct {
 	monitorGuard
 	req  DPCRequest
@@ -29,15 +25,14 @@ type seekMonitor struct {
 // observe counts the pages of the rows fetched since the last call, behind
 // the quarantine guard: a panic inside the monitor machinery disables this
 // monitor and returns control to the fetch path, which continues as if it
-// were never attached. The host calls it once per NextBatch, so the guard
-// and, with an overhead budget, the two clock reads are paid per batch, not
-// per fetched row.
+// were never attached. The host calls it once per NextBatch, so the guard is
+// paid per batch, not per fetched row.
 func (m *seekMonitor) observe(pids []storage.PageID) {
 	if m.disabled || len(pids) == 0 {
 		return
 	}
 	defer m.catch()
-	start := m.begin()
+	m.fault()
 	m.rows += int64(len(pids))
 	for _, pid := range pids {
 		m.lc.AddPID(pid)
@@ -45,7 +40,6 @@ func (m *seekMonitor) observe(pids []storage.PageID) {
 			m.sd.AddPID(pid)
 		}
 	}
-	m.end(start)
 }
 
 // observePages hands every monitor the pages buffered since the last call
@@ -82,7 +76,7 @@ type fetchPred struct {
 }
 
 func newFetchPred(ctx *Context, pred expr.Conjunction, s *tuple.Schema) fetchPred {
-	return fetchPred{pred: pred, raw: compileScanPred(ctx, pred, s), want: tuple.AllColumns}
+	return fetchPred{pred: pred, raw: expr.CompileRaw(pred, s), want: tuple.AllColumns}
 }
 
 // setDemand sets the columns the plan above reads of the fetched rows.

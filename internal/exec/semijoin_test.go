@@ -228,10 +228,10 @@ func runSemiJoin(t *testing.T, pool *storage.BufferPool, node plan.Node, cfg *Mo
 // table judged as a semi-join on the probe scan's page bytes — to a run
 // without it, over {INT, DATE-vs-INT, VARCHAR, VARCHAR-middle} keys ×
 // {serial, degree 2, 4} × {no monitor, bit-vector and DPSample monitors at
-// f = 0.01 and 1} × shed level {0, 1, 2}. Results must equal a nested-loop
-// join; every DPCResult, RowsTouched, the scan's ActRows and the feedback
-// bytes must equal the reference; and the scans may decode no more than the
-// build rows, the matching probe rows and the rows of sampled pages.
+// f = 0.01 and 1}. Results must equal a nested-loop join; every DPCResult,
+// RowsTouched, the scan's ActRows and the feedback bytes must equal the
+// reference; and the scans may decode no more than the build rows, the
+// matching probe rows and the rows of sampled pages.
 func TestHashJoinSemiJoinParity(t *testing.T) {
 	d := storage.NewDiskManager(storage.DefaultIOModel())
 	pool := storage.NewBufferPool(d, 4096)
@@ -253,46 +253,40 @@ func TestHashJoinSemiJoinParity(t *testing.T) {
 		}
 		type monCase struct {
 			name string
-			cfg  func(shed int) *MonitorConfig
+			cfg  *MonitorConfig
 		}
-		mons := []monCase{{"none", func(int) *MonitorConfig { return nil }}}
+		mons := []monCase{{"none", nil}}
 		for _, f := range []float64{0.01, 1} {
-			mons = append(mons, monCase{fmt.Sprintf("f%g", f), func(shed int) *MonitorConfig {
-				return &MonitorConfig{Requests: requests, SampleFraction: f, Seed: 9, ShedLevel: shed}
-			}})
+			mons = append(mons, monCase{fmt.Sprintf("f%g", f),
+				&MonitorConfig{Requests: requests, SampleFraction: f, Seed: 9}})
 		}
 		for _, mc := range mons {
-			for _, shed := range []int{0, 1, 2} {
-				if mc.name == "none" && shed > 0 {
-					continue
+			want := runSemiJoin(t, pool, node, mc.cfg, 0, false)
+			if !reflect.DeepEqual(want.rows, wantRows) {
+				t.Fatalf("%s/%s: reference run returned %d rows, nested loop %d", sh.name, mc.name, len(want.rows), len(wantRows))
+			}
+			for _, deg := range []int{0, 2, 4} {
+				name := fmt.Sprintf("%s/%s/deg%d", sh.name, mc.name, deg)
+				got := runSemiJoin(t, pool, node, mc.cfg, deg, true)
+				if !reflect.DeepEqual(got.rows, wantRows) {
+					t.Errorf("%s: %d rows, nested loop %d", name, len(got.rows), len(wantRows))
 				}
-				want := runSemiJoin(t, pool, node, mc.cfg(shed), 0, false)
-				if !reflect.DeepEqual(want.rows, wantRows) {
-					t.Fatalf("%s/%s/shed%d: reference run returned %d rows, nested loop %d", sh.name, mc.name, shed, len(want.rows), len(wantRows))
+				if !reflect.DeepEqual(got.dpc, want.dpc) {
+					t.Errorf("%s: DPC results differ:\n got %+v\nwant %+v", name, got.dpc, want.dpc)
 				}
-				for _, deg := range []int{0, 2, 4} {
-					name := fmt.Sprintf("%s/%s/shed%d/deg%d", sh.name, mc.name, shed, deg)
-					got := runSemiJoin(t, pool, node, mc.cfg(shed), deg, true)
-					if !reflect.DeepEqual(got.rows, wantRows) {
-						t.Errorf("%s: %d rows, nested loop %d", name, len(got.rows), len(wantRows))
-					}
-					if !reflect.DeepEqual(got.dpc, want.dpc) {
-						t.Errorf("%s: DPC results differ:\n got %+v\nwant %+v", name, got.dpc, want.dpc)
-					}
-					if g, w := feedbackBytes(got.dpc), feedbackBytes(want.dpc); g != w {
-						t.Errorf("%s: feedback bytes differ:\n got %s\nwant %s", name, g, w)
-					}
-					if got.touched != want.touched {
-						t.Errorf("%s: RowsTouched = %d, reference %d", name, got.touched, want.touched)
-					}
-					if got.scanAct != want.scanAct {
-						t.Errorf("%s: probe scan ActRows = %d, reference %d", name, got.scanAct, want.scanAct)
-					}
-					limit := builds + matched + sampledPageRows(t, got.ex, probe)
-					if got.decoded > limit || (mc.name == "none" && got.decoded != builds+matched) {
-						t.Errorf("%s: RowsDecoded = %d; build rows %d, matching probe rows %d, bound %d",
-							name, got.decoded, builds, matched, limit)
-					}
+				if g, w := feedbackBytes(got.dpc), feedbackBytes(want.dpc); g != w {
+					t.Errorf("%s: feedback bytes differ:\n got %s\nwant %s", name, g, w)
+				}
+				if got.touched != want.touched {
+					t.Errorf("%s: RowsTouched = %d, reference %d", name, got.touched, want.touched)
+				}
+				if got.scanAct != want.scanAct {
+					t.Errorf("%s: probe scan ActRows = %d, reference %d", name, got.scanAct, want.scanAct)
+				}
+				limit := builds + matched + sampledPageRows(t, got.ex, probe)
+				if got.decoded > limit || (mc.name == "none" && got.decoded != builds+matched) {
+					t.Errorf("%s: RowsDecoded = %d; build rows %d, matching probe rows %d, bound %d",
+						name, got.decoded, builds, matched, limit)
 				}
 			}
 		}

@@ -42,8 +42,7 @@ type PageCountXML struct {
 	Estimated  int64  `xml:"estimated,attr"` // the optimizer's analytical estimate
 	Actual     int64  `xml:"actual,attr"`    // the fed-back observation
 	Exact      bool   `xml:"exact,attr"`
-	Degraded   bool   `xml:"degraded,attr,omitempty"` // monitor quarantined or shed mid-query
-	Shed       bool   `xml:"shed,attr,omitempty"`     // degradation was load-shedding, not a fault
+	Degraded   bool   `xml:"degraded,attr,omitempty"` // monitor quarantined mid-query
 	Reason     string `xml:"reason,attr,omitempty"`
 }
 
@@ -87,15 +86,6 @@ type RuntimeStats struct {
 	// MemPeakBytes is the high-water mark of bytes materialized by the
 	// query's allocating operators, when a memory tracker was attached.
 	MemPeakBytes int64 `xml:"memPeakBytes,attr,omitempty"`
-	// ShedMonitors counts DPC monitors degraded by load-shedding (planted at
-	// a cheaper rung of the mechanism lattice, or disabled under pressure);
-	// like quarantined monitors, their results never reach the feedback
-	// cache.
-	ShedMonitors int `xml:"shedMonitors,attr,omitempty"`
-	// CompiledPredicates counts operators in this execution that evaluated
-	// their predicate through a type-specialized compiled evaluator instead
-	// of the generic per-atom dispatch.
-	CompiledPredicates int64 `xml:"compiledPredicates,attr,omitempty"`
 	// PlanCacheHit reports whether the plan was instantiated from the
 	// engine's feedback-epoch plan cache instead of being optimized anew.
 	PlanCacheHit bool `xml:"planCacheHit,attr,omitempty"`

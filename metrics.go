@@ -31,7 +31,6 @@ type engineMetrics struct {
 	planCacheHits   *metrics.Counter
 	planCacheMisses *metrics.Counter
 
-	shedMonitors        *metrics.Counter
 	quarantinedMonitors *metrics.Counter
 
 	physicalReads *metrics.Counter
@@ -71,7 +70,6 @@ func newEngineMetrics() *engineMetrics {
 		planCacheHits:   reg.NewCounter("pf_plan_cache_hits_total", "Plans instantiated from the plan cache."),
 		planCacheMisses: reg.NewCounter("pf_plan_cache_misses_total", "Plans optimized anew."),
 
-		shedMonitors:        reg.NewCounter("pf_shed_monitors_total", "DPC monitors degraded by load-shedding."),
 		quarantinedMonitors: reg.NewCounter("pf_quarantined_monitors_total", "DPC monitors quarantined by faults."),
 
 		physicalReads: reg.NewCounter("pf_physical_reads_total", "Pages read from simulated disk."),
@@ -122,7 +120,6 @@ func (m *engineMetrics) noteQuery(res *Result, err error) {
 	if rt.MemPeakBytes > 0 {
 		m.memPeakBytes.Observe(rt.MemPeakBytes)
 	}
-	m.shedMonitors.Add(int64(rt.ShedMonitors))
 	m.quarantinedMonitors.Add(int64(rt.QuarantinedMonitors))
 	m.physicalReads.Add(rt.PhysicalReads)
 	m.logicalReads.Add(rt.LogicalReads)
@@ -134,7 +131,7 @@ func (m *engineMetrics) noteQuery(res *Result, err error) {
 
 // MetricsSnapshot returns a stable-ordered snapshot of every engine metric:
 // query and error counters, latency and resource histograms, plan-cache and
-// monitor-degradation counts, and the admission occupancy gauges (refreshed
+// monitor-quarantine counts, and the admission occupancy gauges (refreshed
 // here, at read time). Safe to call concurrently with queries.
 func (e *Engine) MetricsSnapshot() metrics.Snapshot {
 	active, queued, peak := e.gate.occupancy()

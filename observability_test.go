@@ -52,7 +52,7 @@ func parityRows(res *Result, parallel bool) []string {
 }
 
 // TestTraceParityMatrix is the central observability guarantee: across the
-// execution matrix (serial/parallel × shed levels), running a query with
+// execution matrix (serial, then parallel), running a query with
 // tracing on changes NOTHING observable except Result.Trace itself — rows,
 // monitored DPC feedback, deterministic runtime stats, and the exported
 // feedback state are byte-identical with an untraced engine that ran the
@@ -69,14 +69,9 @@ func TestTraceParityMatrix(t *testing.T) {
 	matrix := []struct {
 		name string
 		par  int
-		shed int
 	}{
-		{"serial-shed0", 0, 0},
-		{"parallel-shed0", 4, 0},
-		{"serial-shed1", 0, 1},
-		{"serial-shed2", 0, 2},
-		{"parallel-shed2", 4, 2},
-		{"serial-shed3", 0, 3},
+		{"serial", 0},
+		{"parallel", 4},
 	}
 	sawParallel := false
 	for _, m := range matrix {
@@ -85,7 +80,6 @@ func TestTraceParityMatrix(t *testing.T) {
 				return &RunOptions{
 					MonitorAll:  true,
 					Parallelism: m.par,
-					ShedLevel:   m.shed,
 					Trace:       traceOn,
 				}
 			}

@@ -240,10 +240,21 @@ func TestFaultMatrix(t *testing.T) {
 			t.Error("no monitor recorded as quarantined")
 		}
 		// With every monitor quarantined, feedback application is a no-op:
-		// degraded observations never reach the cache or the optimizer.
+		// degraded observations never reach the cache, a join curve or the
+		// optimizer's injections.
 		eng.ApplyFeedback(res)
 		if n := len(eng.FeedbackCache().Entries()); n != 0 {
 			t.Errorf("%d feedback entries stored from fully-degraded run", n)
+		}
+		for _, tab := range []string{"t", "u"} {
+			if _, ok := eng.Optimizer().JoinDPCCurve(tab, "c2"); ok {
+				t.Errorf("quarantined join result grew the %s.c2 join curve", tab)
+			}
+		}
+		for _, r := range res.DPC {
+			if !r.Request.Join && eng.Optimizer().HasInjectedDPC(r.Request.Table, r.Request.Pred) {
+				t.Errorf("quarantined %s result for %s was injected", r.Mechanism, r.Request.Pred)
+			}
 		}
 		assertNoPins(t, eng)
 		assertRecovered(t, eng, "SELECT COUNT(padding) FROM t WHERE c2 < 500", 500)
@@ -254,11 +265,9 @@ func TestFaultMatrix(t *testing.T) {
 // query exercises, a healthy execution and one with that mechanism's
 // monitors panicking — and diffs them: identical rows, the failed monitor
 // reported Degraded with no observation, the other monitors unaffected.
-// Every case runs at shed levels 0-2, serially and at degree 2: a monitor
-// planted shed that then panics is quarantined, not shed — its report names
-// the panic and it counts in QuarantinedMonitors. Each query case gets a
-// fresh engine so plan choices stay identical between the healthy and the
-// failing run.
+// Every case runs serially and at degree 2. Each query case gets a fresh
+// engine so plan choices stay identical between the healthy and the failing
+// run.
 func TestMonitorQuarantinePerMechanism(t *testing.T) {
 	seekSQL := "SELECT COUNT(padding) FROM t WHERE c2 < 500"
 	cases := []struct {
@@ -283,31 +292,25 @@ func TestMonitorQuarantinePerMechanism(t *testing.T) {
 				}
 				eng.Optimizer().InjectDPC("t", pq.Pred, 1)
 			}
-			for lvl := 0; lvl <= 2; lvl++ {
-				for _, par := range []int{0, 2} {
-					opts := func(fail ...string) *RunOptions {
-						return &RunOptions{MonitorAll: true, SampleFraction: 1.0,
-							ShedLevel: lvl, Parallelism: par, failMonitors: fail}
+			for _, par := range []int{0, 2} {
+				opts := func(fail ...string) *RunOptions {
+					return &RunOptions{MonitorAll: true, SampleFraction: 1.0,
+						Parallelism: par, failMonitors: fail}
+				}
+				healthy, err := eng.Query(tc.sql, opts())
+				if err != nil {
+					t.Fatal(err)
+				}
+				mechs := map[string]bool{}
+				for _, r := range healthy.DPC {
+					if r.Mechanism != MechUnsatisfiable {
+						mechs[r.Mechanism] = true
 					}
-					healthy, err := eng.Query(tc.sql, opts())
-					if err != nil {
-						t.Fatal(err)
-					}
-					// Planted monitors report their operator; shed
-					// placeholders (never planted) report -1.
-					mechs := map[string]bool{}
-					for _, r := range healthy.DPC {
-						if r.Mechanism != MechUnsatisfiable && r.OpID >= 0 {
-							mechs[r.Mechanism] = true
-						}
-					}
-					for mech := range mechs {
-						if lvl == 0 {
-							covered[mech] = true
-						}
-						checkQuarantine(t, fmt.Sprintf("level %d, degree %d, %s failing", lvl, par, mech),
-							mech, healthy, eng, tc.sql, opts(mech))
-					}
+				}
+				for mech := range mechs {
+					covered[mech] = true
+					checkQuarantine(t, fmt.Sprintf("degree %d, %s failing", par, mech),
+						mech, healthy, eng, tc.sql, opts(mech))
 				}
 			}
 		})
@@ -320,9 +323,9 @@ func TestMonitorQuarantinePerMechanism(t *testing.T) {
 }
 
 // checkQuarantine runs sql with mech's monitors failing and diffs it against
-// the healthy run: same rows; mech's planted monitors quarantined (Degraded,
-// not Shed, no observation, the panic as reason, counted in
-// QuarantinedMonitors); every other result degraded exactly as before.
+// the healthy run: same rows; mech's monitors quarantined (Degraded, no
+// observation, the panic as reason, counted in QuarantinedMonitors); every
+// other result degraded exactly as before.
 func checkQuarantine(t *testing.T, name, mech string, healthy *Result, eng *Engine, sql string, opts *RunOptions) {
 	t.Helper()
 	res, err := eng.Query(sql, opts)
@@ -335,21 +338,18 @@ func checkQuarantine(t *testing.T, name, mech string, healthy *Result, eng *Engi
 	if len(res.DPC) != len(healthy.DPC) {
 		t.Fatalf("%s: %d DPC results, healthy run had %d", name, len(res.DPC), len(healthy.DPC))
 	}
-	quarantined, shed := 0, 0
+	quarantined := 0
 	for i, r := range res.DPC {
-		if r.Shed {
-			shed++
-		}
-		if r.Mechanism != mech || r.OpID < 0 {
-			if h := healthy.DPC[i]; r.Degraded != h.Degraded || r.Shed != h.Shed {
-				t.Errorf("%s: %s result changed: degraded=%v shed=%v, healthy degraded=%v shed=%v",
-					name, r.Mechanism, r.Degraded, r.Shed, h.Degraded, h.Shed)
+		if r.Mechanism != mech {
+			if h := healthy.DPC[i]; r.Degraded != h.Degraded {
+				t.Errorf("%s: %s result changed: degraded=%v, healthy degraded=%v",
+					name, r.Mechanism, r.Degraded, h.Degraded)
 			}
 			continue
 		}
 		quarantined++
-		if !r.Degraded || r.Shed || !strings.HasPrefix(r.Reason, "monitor quarantined:") {
-			t.Errorf("%s: degraded=%v shed=%v reason=%q; want a quarantine", name, r.Degraded, r.Shed, r.Reason)
+		if !r.Degraded || !strings.HasPrefix(r.Reason, "monitor quarantined:") {
+			t.Errorf("%s: degraded=%v reason=%q; want a quarantine", name, r.Degraded, r.Reason)
 		}
 		if r.DPC != 0 {
 			t.Errorf("%s: quarantined result carries DPC %d", name, r.DPC)
@@ -358,92 +358,12 @@ func checkQuarantine(t *testing.T, name, mech string, healthy *Result, eng *Engi
 	if quarantined == 0 {
 		t.Errorf("%s: no quarantined result", name)
 	}
-	if rt := res.Stats.Runtime; rt.QuarantinedMonitors != quarantined || rt.ShedMonitors != shed {
-		t.Errorf("%s: QuarantinedMonitors = %d, ShedMonitors = %d; results show %d and %d",
-			name, rt.QuarantinedMonitors, rt.ShedMonitors, quarantined, shed)
+	if rt := res.Stats.Runtime; rt.QuarantinedMonitors != quarantined {
+		t.Errorf("%s: QuarantinedMonitors = %d; results show %d", name, rt.QuarantinedMonitors, quarantined)
 	}
 	for _, x := range res.Stats.DPC {
 		if x.Mechanism == mech && !x.Degraded {
 			t.Errorf("%s: statistics-xml entry not marked degraded", name)
-		}
-	}
-}
-
-// TestShedResultsNeverReachFeedback runs a scan (prefix and non-prefix
-// monitors), a seek and a hash join at shed levels 1-3 with MonitorAll,
-// applies every result, and checks that no shed result reached the
-// feedback cache, the optimizer's injections or a join curve. The
-// monitors a level leaves unchanged (seeks at level 1) still feed back.
-func TestShedResultsNeverReachFeedback(t *testing.T) {
-	queries := []string{
-		"SELECT COUNT(padding) FROM t WHERE c5 < 2000 AND c2 < 6000",
-		"SELECT COUNT(padding) FROM t WHERE c2 < 500",
-		"SELECT COUNT(padding) FROM t, u WHERE u.c1 < 100 AND u.c2 = t.c2",
-	}
-	for lvl := 1; lvl <= 3; lvl++ {
-		eng := joinTestEnv(t, 8000)
-		seek, err := eng.ParseQuery(queries[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng.Optimizer().InjectDPC("t", seek.Pred, 1) // force the index plan
-		var shed, kept []DPCResult
-		mechs := map[string]bool{}
-		for _, sql := range queries {
-			res, err := eng.Query(sql, &RunOptions{MonitorAll: true, SampleFraction: 0.5, ShedLevel: lvl})
-			if err != nil {
-				t.Fatalf("level %d %s: %v", lvl, sql, err)
-			}
-			n := 0
-			for _, r := range res.DPC {
-				switch {
-				case r.Shed:
-					shed = append(shed, r)
-					mechs[r.Mechanism] = true
-					n++
-				case r.Mechanism != MechUnsatisfiable:
-					kept = append(kept, r)
-				}
-			}
-			if res.Stats.Runtime.ShedMonitors != n {
-				t.Errorf("level %d %s: ShedMonitors = %d, shed results %d", lvl, sql, res.Stats.Runtime.ShedMonitors, n)
-			}
-			eng.ApplyFeedback(res)
-		}
-		for _, want := range []string{MechDPSample, MechBitVector} {
-			if !mechs[want] {
-				t.Errorf("level %d: no shed %s result; the workload no longer exercises it", lvl, want)
-			}
-		}
-		keptKeys := map[string]bool{}
-		for _, r := range kept {
-			keptKeys[r.Request.Table+"|"+r.Request.Pred.String()] = true
-		}
-		for _, r := range shed {
-			if !r.Degraded {
-				t.Errorf("level %d: shed %s result for %s not Degraded", lvl, r.Mechanism, r.Request.Pred)
-			}
-			if r.Request.Join {
-				for _, tab := range []string{"t", "u"} {
-					if _, ok := eng.Optimizer().JoinDPCCurve(tab, "c2"); ok {
-						t.Errorf("level %d: shed join result grew the %s.c2 join curve", lvl, tab)
-					}
-				}
-				continue
-			}
-			if keptKeys[r.Request.Table+"|"+r.Request.Pred.String()] {
-				continue
-			}
-			if _, ok := eng.FeedbackCache().Lookup(r.Request.Table, r.Request.Pred); ok {
-				t.Errorf("level %d: shed %s result for %s reached the feedback cache", lvl, r.Mechanism, r.Request.Pred)
-			}
-			forced := r.Request.Pred.String() == seek.Pred.String() // injected above
-			if !forced && eng.Optimizer().HasInjectedDPC(r.Request.Table, r.Request.Pred) {
-				t.Errorf("level %d: shed %s result for %s was injected", lvl, r.Mechanism, r.Request.Pred)
-			}
-		}
-		if lvl == 1 && eng.FeedbackCache().Len() == 0 {
-			t.Error("level 1: nothing fed back; the unchanged seek monitor should have been")
 		}
 	}
 }

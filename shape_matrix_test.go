@@ -118,23 +118,23 @@ var shapePins = map[bool][]shapePin{
 		{1523, 12, 11, 26023000, "56c81a47fb577bb9"},
 	},
 	true: {
-		{14000, 153, 153, 37100000, "8bed8843c33e87ca"},
-		{12500, 153, 153, 31700000, "9157dcbf209e7026"},
-		{12100, 153, 153, 31300000, "f052dbf818155886"},
-		{6000, 39, 39, 13800000, "08eb903bc84313e6"},
-		{116, 2, 2, 8116000, "c7f9834519fc8200"},
-		{12600, 153, 153, 35700000, "a458817b3a14bc70"},
-		{28000, 166, 166, 56300000, "88609b5a251365f6"},
-		{4, 2, 2, 8004000, "6ec9933852f71fe0"},
-		{6, 5, 5, 16106000, "70aaa629ef6d1c86"},
-		{1519, 10, 9, 21919000, "6599e9c67316ca79"},
-		{356, 4, 4, 16356000, "e8255d19d8fbc372"},
-		{3223, 23, 23, 21123000, "c19f151c712ea773"},
-		{12307, 153, 153, 35407000, "f039ef7195ef252c"},
-		{14000, 37, 37, 25500000, "05bac9f3f1b36256"},
-		{11055, 40, 40, 26755000, "6b060cebeadf1ecc"},
-		{20, 17, 9, 28220000, "042ff09a492e8b88"},
-		{1523, 12, 11, 26023000, "c7b28955ff735860"},
+		{14000, 153, 153, 37100000, "c7b56430fbe94dc5"},
+		{12500, 153, 153, 31700000, "df143d3b13a85072"},
+		{12100, 153, 153, 31300000, "20a16fe7f1b5e8e1"},
+		{6000, 39, 39, 13800000, "e5dd10608507abc9"},
+		{116, 2, 2, 8116000, "2a9f5c869c655246"},
+		{12600, 153, 153, 35700000, "d46b80da65f6a6d9"},
+		{28000, 166, 166, 56300000, "297ac423632492c0"},
+		{4, 2, 2, 8004000, "34e1058e62280146"},
+		{6, 5, 5, 16106000, "407810a6058a129e"},
+		{1519, 10, 9, 21919000, "f3c846c02b719616"},
+		{356, 4, 4, 16356000, "23be23adf694242f"},
+		{3223, 23, 23, 21123000, "c98bec8e5e9621a4"},
+		{12307, 153, 153, 35407000, "235563c542e709e4"},
+		{14000, 37, 37, 25500000, "3b04c0a01b53bf3f"},
+		{11055, 40, 40, 26755000, "a05963604868da9a"},
+		{20, 17, 9, 28220000, "27944b7c957532e7"},
+		{1523, 12, 11, 26023000, "a1d53e29c63a574b"},
 	},
 }
 
