@@ -358,7 +358,7 @@ func (s *shell) feedback(args []string) {
 		}
 		for _, e := range entries {
 			fmt.Fprintf(s.out, "  %s | %-40s card=%-8d dpc=%-6d %s\n",
-				e.Table, e.Predicate, e.Cardinality, e.DPC, e.Mechanism)
+				e.Table, e.Pred, e.Cardinality, e.DPC, e.Mechanism)
 		}
 	case "export":
 		if len(args) < 2 {

@@ -1,6 +1,7 @@
 package pagefeedback
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"testing"
@@ -81,4 +82,62 @@ func TestConcurrentReadOnlyQueriesOneEngine(t *testing.T) {
 		t.Error(err)
 	}
 	assertNoPins(t, eng)
+}
+
+// TestConcurrentFeedbackSurfaces drives every feedback surface of one
+// engine at once: ApplyFeedback, InjectFromCache, ExportFeedback,
+// ImportFeedback and InvalidateFeedback. The feedback cache and the
+// optimizer are the only state they share, each behind its own lock; run
+// under -race, this holds that no other shared state is left unguarded.
+func TestConcurrentFeedbackSurfaces(t *testing.T) {
+	eng := buildTestDB(t, 5000)
+	var results []*Result
+	for _, sql := range []string{
+		"SELECT COUNT(padding) FROM t WHERE c2 < 100",
+		"SELECT COUNT(padding) FROM t WHERE c5 < 300 AND c2 < 900",
+	} {
+		res, err := eng.Query(sql, &RunOptions{MonitorAll: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		results = append(results, res)
+	}
+	eng.ApplyFeedback(results[0])
+	var dump bytes.Buffer
+	if err := eng.ExportFeedback(&dump); err != nil {
+		t.Fatal(err)
+	}
+
+	var wg sync.WaitGroup
+	run := func(f func(i int)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				f(i)
+			}
+		}()
+	}
+	run(func(i int) { eng.ApplyFeedback(results[i%len(results)]) })
+	run(func(int) {
+		for _, res := range results {
+			eng.InjectFromCache(res.Query)
+		}
+	})
+	run(func(int) {
+		if err := eng.ExportFeedback(new(bytes.Buffer)); err != nil {
+			t.Error(err)
+		}
+	})
+	run(func(int) {
+		if _, err := eng.ImportFeedback(bytes.NewReader(dump.Bytes())); err != nil {
+			t.Error(err)
+		}
+	})
+	run(func(i int) {
+		if i%10 == 0 {
+			eng.InvalidateFeedback("t")
+		}
+	})
+	wg.Wait()
 }

@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
-	"sync"
 	"time"
 
 	"pagefeedback/internal/catalog"
@@ -97,17 +96,6 @@ type Engine struct {
 	// disabled.
 	epochs *core.EpochTracker
 	plans  *planCache
-
-	// fmu guards tracked, histCols, and joinCols: ApplyFeedback,
-	// InvalidateFeedback, ImportFeedback, and ExportFeedback may run
-	// concurrently with each other and with queries.
-	fmu sync.Mutex
-	// tracked mirrors the feedback cache with structured predicates (the
-	// cache stores rendered text), for ExportFeedback; histCols and
-	// joinCols record which histograms/curves have received observations.
-	tracked  map[string]trackedEntry
-	histCols map[[2]string]bool
-	joinCols map[[2]string]bool
 }
 
 // New creates an empty engine.
@@ -126,19 +114,16 @@ func New(cfg Config) *Engine {
 	pool.SetWaitBudget(cfg.PoolWaitBudget)
 	cat := catalog.New(pool)
 	e := &Engine{
-		cfg:      cfg,
-		disk:     disk,
-		pool:     pool,
-		cat:      cat,
-		gate:     newAdmissionGate(cfg.MaxConcurrent, cfg.MaxQueueDepth),
-		opt:      opt.New(cat, cfg.IOModel, cfg.CPUPerRow),
-		cache:    core.NewFeedbackCache(),
-		met:      newEngineMetrics(),
-		slow:     new(slowLog),
-		epochs:   core.NewEpochTracker(),
-		tracked:  make(map[string]trackedEntry),
-		histCols: make(map[[2]string]bool),
-		joinCols: make(map[[2]string]bool),
+		cfg:    cfg,
+		disk:   disk,
+		pool:   pool,
+		cat:    cat,
+		gate:   newAdmissionGate(cfg.MaxConcurrent, cfg.MaxQueueDepth),
+		opt:    opt.New(cat, cfg.IOModel, cfg.CPUPerRow),
+		cache:  core.NewFeedbackCache(),
+		met:    newEngineMetrics(),
+		slow:   new(slowLog),
+		epochs: core.NewEpochTracker(),
 	}
 	if cfg.PlanCacheSize >= 0 {
 		size := cfg.PlanCacheSize
@@ -160,13 +145,6 @@ func New(cfg Config) *Engine {
 	return e
 }
 
-// track records a structured copy of a cache entry for ExportFeedback.
-func (e *Engine) track(table string, pred expr.Conjunction, entry core.FeedbackEntry) {
-	e.fmu.Lock()
-	e.tracked[core.Key(table, pred)] = trackedEntry{table: table, pred: pred, entry: entry}
-	e.fmu.Unlock()
-}
-
 // tableVersion returns the modification counter of the named table (0 if
 // it does not exist).
 func (e *Engine) tableVersion(name string) int64 {
@@ -183,24 +161,6 @@ func (e *Engine) tableVersion(name string) int64 {
 func (e *Engine) InvalidateFeedback(table string) {
 	e.cache.DropTable(table)
 	e.opt.DropTableFeedback(table)
-	e.fmu.Lock()
-	defer e.fmu.Unlock()
-	lower := strings.ToLower(table)
-	for k, te := range e.tracked {
-		if strings.EqualFold(te.table, table) {
-			delete(e.tracked, k)
-		}
-	}
-	for k := range e.histCols {
-		if strings.ToLower(k[0]) == lower {
-			delete(e.histCols, k)
-		}
-	}
-	for k := range e.joinCols {
-		if strings.ToLower(k[0]) == lower {
-			delete(e.joinCols, k)
-		}
-	}
 }
 
 // Catalog exposes the table catalog.
@@ -374,6 +334,22 @@ func (e *Engine) RunQueryContext(ctx context.Context, q *opt.Query, opts *RunOpt
 	return res, nil
 }
 
+// feedbackExprs calls fn with each expression the engine monitors and
+// keeps feedback for on one side of a query: the full predicate, then —
+// when it has more than one atom — each single-atom sub-predicate (a
+// candidate index's view of the query).
+func feedbackExprs(table string, pred expr.Conjunction, fn func(table string, pred expr.Conjunction)) {
+	if len(pred.Atoms) == 0 {
+		return
+	}
+	fn(table, pred)
+	if len(pred.Atoms) > 1 {
+		for i := range pred.Atoms {
+			fn(table, pred.Subset(i))
+		}
+	}
+}
+
 // monitorConfig resolves the effective monitor configuration.
 func monitorConfig(q *opt.Query, opts *RunOptions) *exec.MonitorConfig {
 	if opts == nil {
@@ -389,25 +365,12 @@ func monitorConfig(q *opt.Query, opts *RunOptions) *exec.MonitorConfig {
 		SampleFraction: opts.SampleFraction,
 		FailMonitors:   opts.failMonitors,
 	}
-	addFor := func(table string, pred expr.Conjunction) {
-		if len(pred.Atoms) == 0 {
-			return
-		}
-		// The full predicate.
+	add := func(table string, pred expr.Conjunction) {
 		cfg.Requests = append(cfg.Requests, exec.DPCRequest{Table: table, Pred: pred})
-		// Each proper single-column sub-predicate (a candidate index's
-		// view of the query).
-		if len(pred.Atoms) > 1 {
-			for i := range pred.Atoms {
-				cfg.Requests = append(cfg.Requests, exec.DPCRequest{
-					Table: table, Pred: pred.Subset(i),
-				})
-			}
-		}
 	}
-	addFor(q.Table, q.Pred)
+	feedbackExprs(q.Table, q.Pred, add)
 	if q.IsJoin() {
-		addFor(q.Table2, q.Pred2)
+		feedbackExprs(q.Table2, q.Pred2, add)
 		cfg.Requests = append(cfg.Requests,
 			exec.DPCRequest{Table: q.Table, Join: true},
 			exec.DPCRequest{Table: q.Table2, Join: true},
@@ -602,9 +565,9 @@ func (e *Engine) joinSide(q *opt.Query, inner string) (table, innerCol string, o
 }
 
 // ApplyFeedback stores every observed DPC from res in the feedback cache
-// and injects it into the optimizer, so the next optimization of the same
-// (or a predicate-equivalent) query uses the fed-back values — the §V
-// evaluation methodology.
+// and injects the value the cache keeps into the optimizer, so the next
+// optimization of the same (or a predicate-equivalent) query uses the
+// fed-back values — the §V evaluation methodology.
 func (e *Engine) ApplyFeedback(res *Result) {
 	for _, r := range res.DPC {
 		if r.Mechanism == exec.MechUnsatisfiable || r.Degraded {
@@ -624,23 +587,18 @@ func (e *Engine) ApplyFeedback(res *Result) {
 					// its own operating point and interpolates between
 					// points elsewhere (§VI).
 					e.opt.RecordJoinDPCObservation(r.Request.Table, innerCol, r.Cardinality, r.DPC)
-					e.fmu.Lock()
-					e.joinCols[[2]string{r.Request.Table, innerCol}] = true
-					e.fmu.Unlock()
 				}
 			}
 			continue
 		}
-		e.opt.InjectDPC(r.Request.Table, r.Request.Pred, float64(r.DPC))
-		entry := core.FeedbackEntry{
-			Cardinality:  r.Cardinality,
-			DPC:          r.DPC,
-			Mechanism:    r.Mechanism,
-			Exact:        r.Exact,
-			TableVersion: e.tableVersion(r.Request.Table),
-		}
-		e.cache.Store(r.Request.Table, r.Request.Pred, entry)
-		e.track(r.Request.Table, r.Request.Pred, entry)
+		e.learn(core.FeedbackEntry{
+			Table:       r.Request.Table,
+			Pred:        r.Request.Pred,
+			Cardinality: r.Cardinality,
+			DPC:         r.DPC,
+			Mechanism:   r.Mechanism,
+			Exact:       r.Exact,
+		})
 		// Feed the self-tuning page-count histogram when the predicate is
 		// a single-column range (§VI): future queries with different
 		// constants on the same column benefit without re-monitoring.
@@ -650,9 +608,6 @@ func (e *Engine) ApplyFeedback(res *Result) {
 				a := r.Request.Pred.Atoms[0]
 				if lo, hi, ok := core.ObservationFromAtomRange(a.Op.String(), a.Val, a.Val2); ok {
 					e.opt.RecordDPCObservation(r.Request.Table, cols[0], lo, hi, r.Cardinality, r.DPC)
-					e.fmu.Lock()
-					e.histCols[[2]string{r.Request.Table, cols[0]}] = true
-					e.fmu.Unlock()
 				}
 			}
 		}
@@ -661,37 +616,31 @@ func (e *Engine) ApplyFeedback(res *Result) {
 
 // InjectFromCache looks up the feedback cache for the query's predicates —
 // the full conjunction and each single-atom sub-predicate, since the
-// latter drive index-fetch costing — and injects any hits: reuse of
-// feedback across similar queries (§II-C). It returns the number of
-// injected values.
+// latter drive index-fetch costing — and injects any hits observed at the
+// table's current version: reuse of feedback across similar queries
+// (§II-C). It returns the number of injected values.
 func (e *Engine) InjectFromCache(q *opt.Query) int {
 	n := 0
 	inject := func(table string, pred expr.Conjunction) {
-		if len(pred.Atoms) == 0 {
-			return
-		}
-		cur := e.tableVersion(table)
-		use := func(p expr.Conjunction) {
-			entry, ok := e.cache.Lookup(table, p)
-			if !ok {
-				return
-			}
-			if entry.TableVersion != cur {
-				return // observed against different data: stale
-			}
-			e.opt.InjectDPC(table, p, float64(entry.DPC))
+		if entry, ok := e.cache.Lookup(table, pred, e.tableVersion(table)); ok {
+			e.opt.InjectDPC(table, pred, float64(entry.DPC))
 			n++
 		}
-		use(pred)
-		if len(pred.Atoms) > 1 {
-			for i := range pred.Atoms {
-				use(pred.Subset(i))
-			}
-		}
 	}
-	inject(q.Table, q.Pred)
+	feedbackExprs(q.Table, q.Pred, inject)
 	if q.IsJoin() {
-		inject(q.Table2, q.Pred2)
+		feedbackExprs(q.Table2, q.Pred2, inject)
 	}
 	return n
+}
+
+// learn stores one observation, stamped with its table's current version,
+// and injects the page count the cache kept — the stored exact count, when
+// an estimate of the same version arrives after it. It is the one path from
+// feedback (ApplyFeedback, ImportFeedback) into the cache and the
+// optimizer's injections, so both report the same value.
+func (e *Engine) learn(entry core.FeedbackEntry) {
+	entry.TableVersion = e.tableVersion(entry.Table)
+	kept := e.cache.Store(entry)
+	e.opt.InjectDPC(entry.Table, entry.Pred, float64(kept.DPC))
 }

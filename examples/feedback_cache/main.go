@@ -28,7 +28,7 @@ func main() {
 	fmt.Printf("feedback cache now holds %d entries:\n", eng.FeedbackCache().Len())
 	for _, e := range eng.FeedbackCache().Entries() {
 		fmt.Printf("  %s | %-35s card=%-6d dpc=%-5d via %s (exact=%v)\n",
-			e.Table, e.Predicate, e.Cardinality, e.DPC, e.Mechanism, e.Exact)
+			e.Table, e.Pred, e.Cardinality, e.DPC, e.Mechanism, e.Exact)
 	}
 
 	// Simulate a fresh session: injections gone, cache kept.

@@ -7,7 +7,7 @@ import (
 	"pagefeedback/internal/exec"
 )
 
-// determinismWorkload leaves tracked feedback entries, page-count
+// determinismWorkload leaves feedback cache entries, page-count
 // histograms (single-column ranges) and a join curve behind once applied.
 var determinismWorkload = []string{
 	"SELECT COUNT(padding) FROM t WHERE c2 < 2000",
@@ -40,12 +40,11 @@ func TestFeedbackSurfacesRenderDeterministically(t *testing.T) {
 			}
 			eng.ApplyFeedback(res)
 		}
-		eng.fmu.Lock()
-		tracked, hists, curves := len(eng.tracked), len(eng.histCols), len(eng.joinCols)
-		eng.fmu.Unlock()
-		if tracked < 4 || hists == 0 || curves == 0 {
-			t.Fatalf("workload left %d tracked entries, %d histograms, %d join curves; want >= 4, >= 1, >= 1",
-				tracked, hists, curves)
+		entries := eng.FeedbackCache().Len()
+		hists, curves := len(eng.Optimizer().DPCHistograms()), len(eng.Optimizer().JoinDPCCurves())
+		if entries < 4 || hists == 0 || curves == 0 {
+			t.Fatalf("workload left %d cache entries, %d histograms, %d join curves; want >= 4, >= 1, >= 1",
+				entries, hists, curves)
 		}
 
 		for _, sql := range append(determinismWorkload, determinismStatsQuery) {

@@ -263,7 +263,7 @@ func (e *Env) CacheSignature() string {
 	var b strings.Builder
 	for _, en := range e.Eng.FeedbackCache().Entries() {
 		fmt.Fprintf(&b, "%s|%s|%d|%d|%s|%v|%d\n",
-			en.Table, en.Predicate, en.Cardinality, en.DPC, en.Mechanism, en.Exact, en.TableVersion)
+			en.Table, en.Pred, en.Cardinality, en.DPC, en.Mechanism, en.Exact, en.TableVersion)
 	}
 	return b.String()
 }

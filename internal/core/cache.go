@@ -13,7 +13,7 @@ import (
 // the DPC was obtained.
 type FeedbackEntry struct {
 	Table       string
-	Predicate   string // display form
+	Pred        expr.Conjunction
 	Cardinality int64
 	DPC         int64
 	Mechanism   string // "exact-scan", "linear-counting", "dpsample", "bitvector+dpsample", ...
@@ -44,27 +44,33 @@ func Key(table string, pred expr.Conjunction) string {
 	return pred.CanonicalKey(table)
 }
 
-// Store records an observation, overwriting a previous one for the same key.
-// An exact observation is never overwritten by an estimated one for the
-// same key (the exact scan count dominates a sampled estimate).
-func (fc *FeedbackCache) Store(table string, pred expr.Conjunction, e FeedbackEntry) {
-	k := Key(table, pred)
+// Store records an observation of (e.Table, e.Pred) and returns the entry
+// the cache keeps for it. A new observation replaces the old one, except
+// that an estimate never replaces an exact count of the same table version
+// (the exact scan count dominates a sampled estimate); an exact count of an
+// older version describes data that is gone and loses to anything newer.
+func (fc *FeedbackCache) Store(e FeedbackEntry) FeedbackEntry {
+	k := Key(e.Table, e.Pred)
 	fc.mu.Lock()
 	defer fc.mu.Unlock()
-	if old, ok := fc.entries[k]; ok && old.Exact && !e.Exact {
-		return
+	if old, ok := fc.entries[k]; ok && old.Exact && !e.Exact && old.TableVersion == e.TableVersion {
+		return old
 	}
-	e.Table = table
-	e.Predicate = pred.String()
 	fc.entries[k] = e
+	return e
 }
 
-// Lookup returns the stored observation for (table, pred), if any.
-func (fc *FeedbackCache) Lookup(table string, pred expr.Conjunction) (FeedbackEntry, bool) {
+// Lookup returns the stored observation for (table, pred) if it was taken
+// at the given table version; an entry observed against other data is
+// stale and not returned.
+func (fc *FeedbackCache) Lookup(table string, pred expr.Conjunction, version int64) (FeedbackEntry, bool) {
 	fc.mu.RLock()
 	defer fc.mu.RUnlock()
 	e, ok := fc.entries[Key(table, pred)]
-	return e, ok
+	if !ok || e.TableVersion != version {
+		return FeedbackEntry{}, false
+	}
+	return e, true
 }
 
 // DropTable removes every observation for the table (case-insensitive),
@@ -91,19 +97,19 @@ func (fc *FeedbackCache) Len() int {
 	return len(fc.entries)
 }
 
-// Entries returns all observations sorted by table then predicate text.
+// Entries returns all observations in cache-key order: by table, then by
+// the predicate's canonical (conjunct-order-insensitive) rendering.
 func (fc *FeedbackCache) Entries() []FeedbackEntry {
 	fc.mu.RLock()
 	defer fc.mu.RUnlock()
-	out := make([]FeedbackEntry, 0, len(fc.entries))
-	for _, e := range fc.entries {
-		out = append(out, e)
+	keys := make([]string, 0, len(fc.entries))
+	for k := range fc.entries {
+		keys = append(keys, k)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Table != out[j].Table {
-			return out[i].Table < out[j].Table
-		}
-		return out[i].Predicate < out[j].Predicate
-	})
+	sort.Strings(keys)
+	out := make([]FeedbackEntry, len(keys))
+	for i, k := range keys {
+		out[i] = fc.entries[k]
+	}
 	return out
 }

@@ -47,10 +47,11 @@ func NewDPCHistogram() *DPCHistogram { return &DPCHistogram{} }
 // maxObservations bounds memory; oldest observations are dropped first.
 const maxObservations = 256
 
-// Add records one observation.
-func (h *DPCHistogram) Add(o DPCObservation) {
+// Add records one observation, reporting whether it was kept (empty or
+// inverted ranges are not).
+func (h *DPCHistogram) Add(o DPCObservation) bool {
 	if o.Rows <= 0 || o.DPC <= 0 || o.Hi < o.Lo {
-		return
+		return false
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -58,6 +59,7 @@ func (h *DPCHistogram) Add(o DPCObservation) {
 	if len(h.obs) > maxObservations {
 		h.obs = h.obs[len(h.obs)-maxObservations:]
 	}
+	return true
 }
 
 // Len returns the number of stored observations.

@@ -33,17 +33,19 @@ func NewJoinDPCCurve() *JoinDPCCurve { return &JoinDPCCurve{} }
 // maxCurvePoints bounds memory per curve.
 const maxCurvePoints = 128
 
-// Add records one observation. Points with duplicate Rows keep the latest.
-func (c *JoinDPCCurve) Add(p JoinDPCPoint) {
+// Add records one observation, reporting whether it was kept (points
+// without rows or pages are not). Points with duplicate Rows keep the
+// latest.
+func (c *JoinDPCCurve) Add(p JoinDPCPoint) bool {
 	if p.Rows <= 0 || p.DPC <= 0 {
-		return
+		return false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	i := sort.Search(len(c.pts), func(i int) bool { return c.pts[i].Rows >= p.Rows })
 	if i < len(c.pts) && c.pts[i].Rows == p.Rows {
 		c.pts[i] = p
-		return
+		return true
 	}
 	c.pts = append(c.pts, JoinDPCPoint{})
 	copy(c.pts[i+1:], c.pts[i:])
@@ -58,6 +60,7 @@ func (c *JoinDPCCurve) Add(p JoinDPCPoint) {
 		}
 		c.pts = kept
 	}
+	return true
 }
 
 // Len returns the number of stored points.

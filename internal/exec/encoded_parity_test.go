@@ -197,7 +197,8 @@ func feedbackBytes(results []DPCResult) string {
 			fmt.Fprintf(&b, "skip %s %s degraded=%v\n", r.Request, r.Mechanism, r.Degraded)
 			continue
 		}
-		fc.Store(r.Request.Table, r.Request.Pred, core.FeedbackEntry{
+		fc.Store(core.FeedbackEntry{
+			Table: r.Request.Table, Pred: r.Request.Pred,
 			Cardinality: r.Cardinality, DPC: r.DPC, Mechanism: r.Mechanism, Exact: r.Exact,
 		})
 	}

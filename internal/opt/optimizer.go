@@ -3,6 +3,7 @@ package opt
 import (
 	"fmt"
 	"math"
+	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -92,11 +93,20 @@ type Optimizer struct {
 	// work, implemented here): one per (table, column), fed by
 	// RecordDPCObservation and consulted for single-column range
 	// predicates that have no exact injection.
-	dpcHist map[string]*core.DPCHistogram
+	dpcHist map[string]Learned[*core.DPCHistogram]
 	// joinCurve holds the learned join-DPC curves (§VI's page-count
 	// statistics over join expressions): one per (inner table, join
 	// column), mapping matching inner rows to distinct pages.
-	joinCurve map[string]*core.JoinDPCCurve
+	joinCurve map[string]Learned[*core.JoinDPCCurve]
+}
+
+// Learned is a page-count statistic learned from execution feedback — a
+// histogram or a join curve — under the table and column spelling it was
+// first recorded with. A statistic exists only once it holds an
+// observation.
+type Learned[T any] struct {
+	Table, Column string
+	Stat          T
 }
 
 // New creates an optimizer over cat with the given device and CPU model.
@@ -106,8 +116,8 @@ func New(cat *catalog.Catalog, io storage.IOModel, cpuPerRow time.Duration) *Opt
 		stats:     make(map[string]*TableStats),
 		cardInj:   make(map[string]float64),
 		dpcInj:    make(map[string]float64),
-		dpcHist:   make(map[string]*core.DPCHistogram),
-		joinCurve: make(map[string]*core.JoinDPCCurve),
+		dpcHist:   make(map[string]Learned[*core.DPCHistogram]),
+		joinCurve: make(map[string]Learned[*core.JoinDPCCurve]),
 	}
 }
 
@@ -201,8 +211,8 @@ func (o *Optimizer) ClearInjections() {
 func (o *Optimizer) ClearDPCHistograms() {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	o.dpcHist = make(map[string]*core.DPCHistogram)
-	o.joinCurve = make(map[string]*core.JoinDPCCurve)
+	o.dpcHist = make(map[string]Learned[*core.DPCHistogram])
+	o.joinCurve = make(map[string]Learned[*core.JoinDPCCurve])
 	o.invalidate("")
 }
 
@@ -241,12 +251,13 @@ func (o *Optimizer) RecordJoinDPCObservation(table, joinCol string, matchRows, d
 	defer o.mu.Unlock()
 	defer o.invalidate(table)
 	key := strings.ToLower(table) + "|" + strings.ToLower(joinCol)
-	c := o.joinCurve[key]
-	if c == nil {
-		c = core.NewJoinDPCCurve()
+	c, ok := o.joinCurve[key]
+	if !ok {
+		c = Learned[*core.JoinDPCCurve]{table, joinCol, core.NewJoinDPCCurve()}
+	}
+	if c.Stat.Add(core.JoinDPCPoint{Rows: matchRows, DPC: dpc}) {
 		o.joinCurve[key] = c
 	}
-	c.Add(core.JoinDPCPoint{Rows: matchRows, DPC: dpc})
 }
 
 // JoinDPCCurve returns the learned curve for (table, joinCol), if any.
@@ -254,7 +265,15 @@ func (o *Optimizer) JoinDPCCurve(table, joinCol string) (*core.JoinDPCCurve, boo
 	o.mu.RLock()
 	defer o.mu.RUnlock()
 	c, ok := o.joinCurve[strings.ToLower(table)+"|"+strings.ToLower(joinCol)]
-	return c, ok
+	return c.Stat, ok
+}
+
+// JoinDPCCurves lists the learned join curves, ordered by table then join
+// column as first spelled.
+func (o *Optimizer) JoinDPCCurves() []Learned[*core.JoinDPCCurve] {
+	o.mu.RLock()
+	defer o.mu.RUnlock()
+	return sortedLearned(o.joinCurve)
 }
 
 // joinPages resolves the DPC for an INL join fetching matchRows rows from
@@ -263,7 +282,7 @@ func (o *Optimizer) JoinDPCCurve(table, joinCol string) (*core.JoinDPCCurve, boo
 func (o *Optimizer) joinPages(table, joinCol string, matchRows float64, ts *TableStats) float64 {
 	// Direct map access, not JoinDPCCurve: the caller holds mu.
 	if c, ok := o.joinCurve[strings.ToLower(table)+"|"+strings.ToLower(joinCol)]; ok {
-		if est, eok := c.Estimate(matchRows, ts.Pages); eok {
+		if est, eok := c.Stat.Estimate(matchRows, ts.Pages); eok {
 			return est
 		}
 	}
@@ -291,12 +310,13 @@ func (o *Optimizer) RecordDPCObservation(table, col string, lo, hi int64, rows, 
 		}
 	}
 	key := strings.ToLower(table) + "|" + strings.ToLower(col)
-	h := o.dpcHist[key]
-	if h == nil {
-		h = core.NewDPCHistogram()
+	h, ok := o.dpcHist[key]
+	if !ok {
+		h = Learned[*core.DPCHistogram]{table, col, core.NewDPCHistogram()}
+	}
+	if h.Stat.Add(core.DPCObservation{Lo: lo, Hi: hi, Rows: rows, DPC: dpc}) {
 		o.dpcHist[key] = h
 	}
-	h.Add(core.DPCObservation{Lo: lo, Hi: hi, Rows: rows, DPC: dpc})
 }
 
 // DPCHistogram returns the learned histogram for (table, col), if any.
@@ -304,7 +324,31 @@ func (o *Optimizer) DPCHistogram(table, col string) (*core.DPCHistogram, bool) {
 	o.mu.RLock()
 	defer o.mu.RUnlock()
 	h, ok := o.dpcHist[strings.ToLower(table)+"|"+strings.ToLower(col)]
-	return h, ok
+	return h.Stat, ok
+}
+
+// DPCHistograms lists the learned page-count histograms, ordered by table
+// then column as first spelled.
+func (o *Optimizer) DPCHistograms() []Learned[*core.DPCHistogram] {
+	o.mu.RLock()
+	defer o.mu.RUnlock()
+	return sortedLearned(o.dpcHist)
+}
+
+// sortedLearned lists m's statistics by (Table, Column). Keys are unique
+// case-insensitively, so the order is total and exports are deterministic.
+func sortedLearned[T any](m map[string]Learned[T]) []Learned[T] {
+	out := make([]Learned[T], 0, len(m))
+	for _, l := range m {
+		out = append(out, l)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Table != out[j].Table {
+			return out[i].Table < out[j].Table
+		}
+		return out[i].Column < out[j].Column
+	})
+	return out
 }
 
 // EstimateCardinality returns the optimizer's row estimate for (table,
@@ -368,7 +412,7 @@ func (o *Optimizer) estimateDPC(table string, ts *TableStats, pred expr.Conjunct
 	if col, lo, hi, ok := predValueRange(pred); ok {
 		// Direct map access, not DPCHistogram: the caller holds mu.
 		if h, hok := o.dpcHist[strings.ToLower(table)+"|"+strings.ToLower(col)]; hok {
-			if est, eok := h.EstimateRange(lo, hi, rows, ts.RowsPerPage, ts.Pages); eok {
+			if est, eok := h.Stat.EstimateRange(lo, hi, rows, ts.RowsPerPage, ts.Pages); eok {
 				return est
 			}
 		}

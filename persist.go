@@ -7,7 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"strings"
 	"syscall"
 
 	"pagefeedback/internal/core"
@@ -97,35 +97,21 @@ func opFromString(s string) (expr.CmpOp, error) {
 	return 0, fmt.Errorf("pagefeedback: unknown operator %q", s)
 }
 
-// trackedEntry pairs a cache entry with its reconstructed predicate; the
-// engine keeps them so ExportFeedback can serialize the atoms (the cache
-// itself stores only rendered text).
-type trackedEntry struct {
-	table string
-	pred  expr.Conjunction
-	entry core.FeedbackEntry
-}
-
-// ExportFeedback writes the current feedback state as JSON.
+// ExportFeedback writes the current feedback state as JSON: the feedback
+// cache's entries in key order, then the optimizer's histograms and join
+// curves in (table, column) order, so two engines with identical learned
+// state produce byte-identical dumps and successive dumps diff cleanly.
 func (e *Engine) ExportFeedback(w io.Writer) error {
 	dump := feedbackDump{Version: 1}
-	e.fmu.Lock()
-	defer e.fmu.Unlock()
-	trackKeys := make([]string, 0, len(e.tracked))
-	for k := range e.tracked {
-		trackKeys = append(trackKeys, k)
-	}
-	sort.Strings(trackKeys)
-	for _, k := range trackKeys {
-		te := e.tracked[k]
+	for _, en := range e.cache.Entries() {
 		ej := feedbackEntryJSON{
-			Table:       te.table,
-			Cardinality: te.entry.Cardinality,
-			DPC:         te.entry.DPC,
-			Mechanism:   te.entry.Mechanism,
-			Exact:       te.entry.Exact,
+			Table:       en.Table,
+			Cardinality: en.Cardinality,
+			DPC:         en.DPC,
+			Mechanism:   en.Mechanism,
+			Exact:       en.Exact,
 		}
-		for _, a := range te.pred.Atoms {
+		for _, a := range en.Pred.Atoms {
 			aj := atomJSON{Col: a.Col, Op: a.Op.String(), Val: valueToJSON(a.Val)}
 			if a.Op == expr.Between {
 				v2 := valueToJSON(a.Val2)
@@ -138,21 +124,15 @@ func (e *Engine) ExportFeedback(w io.Writer) error {
 		}
 		dump.Entries = append(dump.Entries, ej)
 	}
-	// Emit histograms and join curves in sorted key order so exports are
-	// deterministic: two engines with identical learned state produce
-	// byte-identical dumps, and successive dumps diff cleanly.
-	hists := e.histDumpSources()
-	for _, key := range sortedKeys(hists) {
+	for _, h := range e.opt.DPCHistograms() {
 		dump.Histograms = append(dump.Histograms, histogramDumpJSON{
-			Table: key[0], Column: key[1], Observations: hists[key],
+			Table: h.Table, Column: h.Column, Observations: h.Stat.Observations(),
 		})
 	}
-	for _, key := range sortedKeys(e.joinCols) {
-		if c, ok := e.opt.JoinDPCCurve(key[0], key[1]); ok {
-			dump.JoinCurves = append(dump.JoinCurves, joinCurveDumpJSON{
-				Table: key[0], JoinCol: key[1], Points: c.Points(),
-			})
-		}
+	for _, c := range e.opt.JoinDPCCurves() {
+		dump.JoinCurves = append(dump.JoinCurves, joinCurveDumpJSON{
+			Table: c.Table, JoinCol: c.Column, Points: c.Stat.Points(),
+		})
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
@@ -227,41 +207,17 @@ func syncDir(dir string) error {
 	return nil
 }
 
-// sortedKeys returns m's [table, column] keys in lexicographic order.
-func sortedKeys[V any](m map[[2]string]V) [][2]string {
-	keys := make([][2]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
-		}
-		return keys[i][1] < keys[j][1]
-	})
-	return keys
-}
-
-// histDumpSources snapshots the learned histograms by walking the columns
-// the engine has recorded observations for. Callers hold e.fmu.
-func (e *Engine) histDumpSources() map[[2]string][]core.DPCObservation {
-	out := make(map[[2]string][]core.DPCObservation)
-	for key := range e.histCols {
-		if h, ok := e.opt.DPCHistogram(key[0], key[1]); ok {
-			out[key] = h.Observations()
-		}
-	}
-	return out
-}
-
 // ImportFeedback loads a JSON dump produced by ExportFeedback, storing the
-// entries in the cache, injecting their page counts, and replaying the
-// histogram observations. It returns the number of entries loaded.
+// entries in the cache stamped with each table's current version (the dump
+// carries none), injecting the page counts the cache keeps, and replaying
+// the histogram and join-curve observations. It returns the number of
+// entries loaded.
 //
 // The import is two-phase: the whole dump is decoded and validated before
 // anything touches the engine, so a malformed dump — unknown operator or
-// value kind, negative counts, duplicate keys, a version from the future —
-// is rejected wholesale and never half-poisons the cache or the optimizer.
+// value kind, negative counts, two entries for one expression or two
+// records for one histogram or join curve, a version from the future — is
+// rejected wholesale and never half-poisons the cache or the optimizer.
 func (e *Engine) ImportFeedback(r io.Reader) (int, error) {
 	var dump feedbackDump
 	if err := json.NewDecoder(r).Decode(&dump); err != nil {
@@ -271,13 +227,17 @@ func (e *Engine) ImportFeedback(r io.Reader) (int, error) {
 		return 0, fmt.Errorf("pagefeedback: unsupported feedback dump version %d", dump.Version)
 	}
 	// Phase 1: validate and build, touching no engine state.
-	type pendingEntry struct {
-		table string
-		pred  expr.Conjunction
-		entry core.FeedbackEntry
+	pending := make([]core.FeedbackEntry, 0, len(dump.Entries))
+	// Each expression, histogram and join curve may appear once: a second
+	// record would be merged into the first and exported as one.
+	seen := make(map[string]bool)
+	dup := func(key string) error {
+		if seen[key] {
+			return fmt.Errorf("pagefeedback: duplicate %s", key)
+		}
+		seen[key] = true
+		return nil
 	}
-	pending := make([]pendingEntry, 0, len(dump.Entries))
-	seen := make(map[string]bool, len(dump.Entries))
 	for i, ej := range dump.Entries {
 		if ej.Table == "" {
 			return 0, fmt.Errorf("pagefeedback: entry %d has no table", i)
@@ -321,22 +281,21 @@ func (e *Engine) ImportFeedback(r io.Reader) (int, error) {
 			}
 			pred.Atoms = append(pred.Atoms, a)
 		}
-		key := core.Key(ej.Table, pred)
-		if seen[key] {
-			return 0, fmt.Errorf("pagefeedback: duplicate entry for %s", key)
+		if err := dup("entry for " + core.Key(ej.Table, pred)); err != nil {
+			return 0, err
 		}
-		seen[key] = true
-		pending = append(pending, pendingEntry{
-			table: ej.Table, pred: pred,
-			entry: core.FeedbackEntry{
-				Cardinality: ej.Cardinality, DPC: ej.DPC,
-				Mechanism: ej.Mechanism, Exact: ej.Exact,
-			},
+		pending = append(pending, core.FeedbackEntry{
+			Table: ej.Table, Pred: pred,
+			Cardinality: ej.Cardinality, DPC: ej.DPC,
+			Mechanism: ej.Mechanism, Exact: ej.Exact,
 		})
 	}
 	for _, hd := range dump.Histograms {
 		if hd.Table == "" || hd.Column == "" {
 			return 0, fmt.Errorf("pagefeedback: histogram dump without table/column")
+		}
+		if err := dup("histogram for " + strings.ToLower(hd.Table) + "|" + strings.ToLower(hd.Column)); err != nil {
+			return 0, err
 		}
 		for _, o := range hd.Observations {
 			if o.Rows < 0 || o.DPC < 0 || o.Hi < o.Lo {
@@ -348,6 +307,9 @@ func (e *Engine) ImportFeedback(r io.Reader) (int, error) {
 		if cd.Table == "" || cd.JoinCol == "" {
 			return 0, fmt.Errorf("pagefeedback: join curve dump without table/column")
 		}
+		if err := dup("join curve for " + strings.ToLower(cd.Table) + "|" + strings.ToLower(cd.JoinCol)); err != nil {
+			return 0, err
+		}
 		for _, p := range cd.Points {
 			if p.Rows < 0 || p.DPC < 0 {
 				return 0, fmt.Errorf("pagefeedback: invalid join point for %s.%s: %+v", cd.Table, cd.JoinCol, p)
@@ -355,26 +317,18 @@ func (e *Engine) ImportFeedback(r io.Reader) (int, error) {
 		}
 	}
 	// Phase 2: apply. Nothing below can fail.
-	for _, p := range pending {
-		e.cache.Store(p.table, p.pred, p.entry)
-		e.opt.InjectDPC(p.table, p.pred, float64(p.entry.DPC))
-		e.track(p.table, p.pred, p.entry)
+	for _, en := range pending {
+		e.learn(en)
 	}
 	for _, hd := range dump.Histograms {
 		for _, o := range hd.Observations {
 			e.opt.RecordDPCObservation(hd.Table, hd.Column, o.Lo, o.Hi, o.Rows, o.DPC)
 		}
-		e.fmu.Lock()
-		e.histCols[[2]string{hd.Table, hd.Column}] = true
-		e.fmu.Unlock()
 	}
 	for _, cd := range dump.JoinCurves {
 		for _, p := range cd.Points {
 			e.opt.RecordJoinDPCObservation(cd.Table, cd.JoinCol, p.Rows, p.DPC)
 		}
-		e.fmu.Lock()
-		e.joinCols[[2]string{cd.Table, cd.JoinCol}] = true
-		e.fmu.Unlock()
 	}
 	return len(pending), nil
 }

@@ -74,8 +74,9 @@ func TestFeedbackInvalidatedByDataChange(t *testing.T) {
 }
 
 // TestStaleCacheEntryVersionCheck: even when an entry survives in the
-// cache (e.g. imported from a dump taken against other data), a table-
-// version mismatch stops InjectFromCache from using it.
+// cache (the table was mutated through the catalog directly, without
+// InvalidateFeedback), a table-version mismatch stops InjectFromCache from
+// using it.
 func TestStaleCacheEntryVersionCheck(t *testing.T) {
 	eng := buildTestDB(t, 10000)
 	const q = "SELECT COUNT(padding) FROM t WHERE c2 < 100"
