@@ -16,7 +16,10 @@ const BatchSize = 1024
 // A filled batch — Rows, Sel, and the rows themselves — is valid only until
 // the next NextBatch call on the same operator. Consumers that keep rows
 // (sorts, hash builds, the result sink) copy them out a batch at a time with
-// retainRows.
+// retainRows. Producers reuse their buffers on that call: the serial scan
+// its row batch, the parallel exchange its worker's arena, which test
+// binaries poison on the way back (TestExchangeTeardownAtQuota covers the
+// hand-back, the parity matrices at degree 4 the poison).
 type Batch struct {
 	Rows []tuple.Row
 	Sel  []int

@@ -17,8 +17,10 @@ var ErrMemBudget = errors.New("exec: per-query memory budget exceeded")
 // MemTracker accounts the bytes materialized by one query's allocating
 // operators — hash-join build tables, sort buffers, group-aggregate state,
 // and the row arenas a parallel scan ships when no aggregate folds in its
-// workers. It is shared by all workers of a parallel query (child contexts
-// carry the same tracker), so accounting is atomic.
+// workers: at most two per worker, charged when made and reused once the
+// consumer hands them back (TestParallelMemPeakBound). It is shared by all
+// workers of a parallel query (child contexts carry the same tracker), so
+// accounting is atomic.
 //
 // A nil *MemTracker is valid and means "unlimited": Grow on nil is a no-op
 // returning nil, so operators charge unconditionally without branching on

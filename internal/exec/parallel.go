@@ -1,9 +1,11 @@
 package exec
 
 import (
+	"errors"
 	"fmt"
 	"runtime/debug"
 	"sync"
+	"testing"
 
 	"pagefeedback/internal/catalog"
 	"pagefeedback/internal/expr"
@@ -16,13 +18,38 @@ import (
 // keep the pipeline moving.
 const parFlushRows = 1024
 
-// parBatch is one message from a scan worker to the consumer: either a slice
-// of fully materialized rows, cut from an arena the worker hands over with
-// it and never writes again, or a terminal error.
-type parBatch struct {
+// parArenasPerWorker is how many arenas a row-shipping worker makes and
+// charges; past it the worker waits for the consumer to hand one back.
+const parArenasPerWorker = 2
+
+// parArena is one worker flush: the values of the rows it ships and the row
+// views sliced from them. It crosses the exchange whole, stays the
+// consumer's batch until the next NextBatch call, and then goes back to home,
+// the free list of the worker that made it, to be filled again.
+type parArena struct {
+	vals []tuple.Value
 	rows []tuple.Row
-	err  error
+	home chan parArena
 }
+
+// parBatch is one message from a scan worker to the consumer: either an
+// arena of fully materialized rows or a terminal error.
+type parBatch struct {
+	arena parArena
+	err   error
+}
+
+// errExchangeClosed ends a worker that was waiting for an arena when the
+// consumer closed the scan; nobody reads it.
+var errExchangeClosed = errors.New("exec: parallel scan closed")
+
+// poisonArenas is true in test binaries: a handed-back arena is overwritten
+// with poisonValue, so an operator that keeps a row view past the next
+// NextBatch call reads values no decoder produces and fails its parity test.
+var poisonArenas = testing.Testing()
+
+// poisonValue has a kind no decoder produces.
+var poisonValue = tuple.Value{Kind: tuple.Kind(0xff), Int: -0x5eadbeef, Str: "\x00poisoned"}
 
 // ParallelScan executes a full table scan as a partition-parallel exchange:
 // the table is split into contiguous page-disjoint partitions (heap PID
@@ -54,6 +81,7 @@ type ParallelScan struct {
 	fold     *aggFold       // optional aggregate folded in the workers (builder only)
 	stats    OpStats
 
+	held      parArena // the consumer's current batch, handed back next call
 	out       chan parBatch
 	stop      chan struct{}
 	wg        sync.WaitGroup
@@ -105,6 +133,7 @@ func (p *ParallelScan) Open() error {
 	}
 	p.stop = make(chan struct{})
 	p.out = make(chan parBatch, 2*p.degree)
+	p.held = parArena{}
 	p.stopped = false
 	p.finalized = false
 	p.wctxs = p.wctxs[:0]
@@ -134,8 +163,9 @@ func (p *ParallelScan) Open() error {
 
 // worker drains one partition through its own pageVisit — the page step the
 // serial scan uses — over its iterator, monitor shard, and context; the only
-// shared mutable state it touches is the output channel and its own slots of
-// actRows and the fold's partials. With a fold it copies no row: it folds
+// shared mutable state it touches is the output channel, its arenas' free
+// list, and its own slots of actRows and the fold's partials. Without a fold
+// it ships its rows in arenas (see take); with one it copies no row: it folds
 // each page's output into its partial and charges those rows' CPU, as AggOp
 // would have. A panic anywhere inside — decode failures, monitor bugs
 // escaping the quarantine guard — is converted to an *OperatorPanic and
@@ -168,51 +198,67 @@ func (p *ParallelScan) worker(idx int, wctx *Context, part catalog.ScanPart, mon
 	var (
 		visit  = pageVisit{ctx: wctx, pred: p.pred, raw: p.raw, monitors: mons, probe: p.probe}
 		sel    []int
-		arena  []tuple.Value
-		bounds []int // prefix lengths into arena, one per pending row
+		vals   []tuple.Value // the arena being filled; nil until its first row
+		rows   []tuple.Row   // the arena's row views
+		free   chan parArena // arenas the consumer handed back
+		made   int
+		bounds []int // prefix lengths into vals, one per pending row
+		fail   error // why emit stopped: a budget overrun or the scan closing
 	)
 	// Arenas are sized for a full batch up front: growing one by append
 	// doubling would allocate (and memcpy) ~2x the final size in discarded
-	// steps on every flush, which on a busy query is most of the exchange
-	// overhead. Flushes happen on page boundaries, so leave headroom for the
+	// steps. Flushes happen on page boundaries, so leave headroom for the
 	// last page's overshoot past parFlushRows.
-	arenaCap := 0
-	var memErr error
+	const arenaRows = parFlushRows + parFlushRows/2
+	// take readies an arena for the next flush. The worker's first two are
+	// made here and charged against the query's memory budget, so the charge
+	// is min(flushes, 2) arenas whatever the scheduling; after that it waits
+	// for the consumer to hand one back.
+	take := func(width int) error {
+		if made < parArenasPerWorker {
+			if free == nil {
+				free = make(chan parArena, parArenasPerWorker)
+			}
+			if err := wctx.Mem.Grow(int64(arenaRows*width) * valueMemSize); err != nil {
+				return err
+			}
+			made++
+			vals = make([]tuple.Value, 0, arenaRows*width)
+			rows = make([]tuple.Row, 0, arenaRows)
+			return nil
+		}
+		select {
+		case a := <-free:
+			vals, rows = a.vals[:0], a.rows
+			return nil
+		case <-p.stop:
+			return errExchangeClosed
+		}
+	}
 	// emit appends one output row, the concatenation of head and tail (tail
 	// is nil unless the worker joins).
 	emit := func(head, tail tuple.Row) {
-		if memErr != nil {
+		if fail != nil {
 			return
 		}
-		if arena == nil {
-			if arenaCap == 0 {
-				arenaCap = (parFlushRows + parFlushRows/2) * (len(head) + len(tail))
-			}
-			// Arenas are retained by the consumer, so each one is charged
-			// against the query's memory budget when allocated.
-			if memErr = wctx.Mem.Grow(int64(arenaCap) * valueMemSize); memErr != nil {
+		if vals == nil {
+			if fail = take(len(head) + len(tail)); fail != nil {
 				return
 			}
-			arena = make([]tuple.Value, 0, arenaCap)
 		}
-		arena = append(arena, head...)
-		arena = append(arena, tail...)
-		bounds = append(bounds, len(arena))
+		vals = append(vals, head...)
+		vals = append(vals, tail...)
+		bounds = append(bounds, len(vals))
 	}
 	flush := func() bool {
 		if len(bounds) == 0 {
 			return true
 		}
-		rows := make([]tuple.Row, len(bounds))
-		lo := 0
-		for i, hi := range bounds {
-			rows[i] = tuple.Row(arena[lo:hi:hi])
-			lo = hi
-		}
-		if !p.send(parBatch{rows: rows}) {
+		rows = sliceRows(rows, vals, bounds)
+		if !p.send(parBatch{arena: parArena{vals: vals, rows: rows, home: free}}) {
 			return false
 		}
-		arena = nil // handed to the consumer; start a fresh arena
+		vals, rows = nil, nil // the consumer's until it hands them back
 		bounds = bounds[:0]
 		return true
 	}
@@ -243,8 +289,8 @@ func (p *ParallelScan) worker(idx int, wctx *Context, part catalog.ScanPart, mon
 				emit(b, row)
 			}
 		}
-		if memErr != nil {
-			p.send(parBatch{err: memErr})
+		if fail != nil {
+			p.send(parBatch{err: fail})
 			return
 		}
 		if len(bounds) >= parFlushRows {
@@ -267,39 +313,55 @@ func (p *ParallelScan) send(b parBatch) bool {
 	}
 }
 
-// NextBatch implements Operator: each worker flush — an arena-backed row
-// slice the workers ship whole through the exchange channel — is forwarded
-// to the consumer as one dense batch, valid until the next call like any
-// batch. Under a fold no rows arrive, and the first call returns end of
-// stream once the barrier has merged the workers' state. The first error
-// shipped by any worker surfaces here; Close then tears the remaining
-// workers down.
+// NextBatch implements Operator: each worker flush — an arena of rows the
+// workers ship whole through the exchange channel — is forwarded to the
+// consumer as one dense batch. The batch is valid until the next call, so
+// the call first hands the previous arena back to the worker that made it.
+// Under a fold no rows arrive, and the first call returns end of stream once
+// the barrier has merged the workers' state. The first error shipped by any
+// worker surfaces here; Close then tears the remaining workers down.
 func (p *ParallelScan) NextBatch(b *Batch) (int, error) {
-	for {
-		msg, ok := <-p.out
-		if !ok {
-			p.finalize()
-			return 0, nil
-		}
-		if msg.err != nil {
-			return 0, msg.err
-		}
-		if len(msg.rows) == 0 {
-			continue
-		}
-		b.Rows = msg.rows
-		b.Sel = identSel(b.Sel, len(msg.rows))
-		return len(msg.rows), nil
+	p.handBack()
+	msg, ok := <-p.out
+	if !ok {
+		p.finalize()
+		return 0, nil
 	}
+	if msg.err != nil {
+		return 0, msg.err
+	}
+	p.held = msg.arena
+	b.Rows = msg.arena.rows
+	b.Sel = identSel(b.Sel, len(b.Rows))
+	return len(b.Rows), nil
 }
 
-// Close implements Operator: it signals the workers to stop, drains the
+// handBack returns the consumer's current arena to its worker's free list,
+// poisoned first in test binaries. The list holds every arena its worker
+// made, so the send never blocks.
+func (p *ParallelScan) handBack() {
+	a := p.held
+	if a.home == nil {
+		return
+	}
+	p.held = parArena{}
+	if poisonArenas {
+		for i := range a.vals {
+			a.vals[i] = poisonValue
+		}
+	}
+	a.home <- a
+}
+
+// Close implements Operator: it hands back the consumer's batch, signals the
+// workers to stop — one waiting for an arena stops waiting — drains the
 // channel so none of them blocks on a send, waits for all of them to exit,
 // and merges their state. Safe to call multiple times.
 func (p *ParallelScan) Close() error {
 	if p.stop == nil {
 		return nil // never opened
 	}
+	p.handBack()
 	if !p.stopped {
 		p.stopped = true
 		close(p.stop)

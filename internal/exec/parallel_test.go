@@ -4,13 +4,16 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"pagefeedback/internal/catalog"
 	"pagefeedback/internal/expr"
 	"pagefeedback/internal/plan"
+	"pagefeedback/internal/storage"
 	"pagefeedback/internal/tuple"
 )
 
@@ -45,21 +48,24 @@ func sortedRowStrings(rows []tuple.Row) []string {
 // heapEnv adds a heap table mirroring sales' integer columns, so both
 // partitioning shapes (PID ranges and leaf chains) run through the same
 // assertions.
-func heapEnv(t *testing.T, e *env) *catalog.Table {
+func heapEnv(t *testing.T, e *env) *catalog.Table { return heapTable(t, e, "hsales", envRows) }
+
+// heapTable adds heap table name(id, c5, pad) with n rows.
+func heapTable(t *testing.T, e *env, name string, n int) *catalog.Table {
 	t.Helper()
 	schema := tuple.NewSchema(
 		tuple.Column{Name: "id", Kind: tuple.KindInt},
 		tuple.Column{Name: "c5", Kind: tuple.KindInt},
 		tuple.Column{Name: "pad", Kind: tuple.KindString},
 	)
-	h, err := e.cat.CreateHeapTable("hsales", schema)
+	h, err := e.cat.CreateHeapTable(name, schema)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pad := strings.Repeat("y", 60)
-	rows := make([]tuple.Row, envRows)
-	for i := 0; i < envRows; i++ {
-		rows[i] = tuple.Row{tuple.Int64(int64(i)), tuple.Int64(int64((i * 7) % envRows)), tuple.Str(pad)}
+	rows := make([]tuple.Row, n)
+	for i := 0; i < n; i++ {
+		rows[i] = tuple.Row{tuple.Int64(int64(i)), tuple.Int64(int64((i * 7) % n)), tuple.Str(pad)}
 	}
 	if _, err := h.BulkLoad(rows); err != nil {
 		t.Fatal(err)
@@ -421,6 +427,106 @@ func TestParallelWorkerPanicSurfacesAsOperatorPanic(t *testing.T) {
 	// The pool must be fully unpinned after teardown.
 	if err := e.pool.Reset(); err != nil {
 		t.Errorf("pins leaked after worker panic: %v", err)
+	}
+}
+
+// waitUntil polls cond until it holds, failing the test after 10 s.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting until %s", what)
+		}
+	}
+}
+
+// closeWithin runs ps.Close and fails the test if it has not returned in 10 s.
+func closeWithin(t *testing.T, ps *ParallelScan) {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- ps.Close() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("close: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close hung with workers waiting for arenas")
+	}
+}
+
+// TestExchangeTeardownAtQuota: every worker of a 16-flush heap scan makes its
+// two arenas and then waits for the consumer to hand one back. A consumer
+// that stops after its first batch must still close the scan: the workers
+// stop waiting, and no goroutine and no pin outlives Close.
+func TestExchangeTeardownAtQuota(t *testing.T) {
+	e := newEnv(t)
+	h := heapTable(t, e, "big", 16*parFlushRows)
+	base := runtime.NumGoroutine()
+	ps := NewParallelScan(NewContext(e.pool), h, expr.Conjunction{}, 4)
+	if err := ps.Open(); err != nil {
+		t.Fatal(err)
+	}
+	var b Batch
+	if n, err := ps.NextBatch(&b); err != nil || n == 0 {
+		t.Fatalf("first batch: %d rows, %v", n, err)
+	}
+	// Eight arenas exist; the consumer holds one, so all are shipped and
+	// every worker waits at its quota once seven fill the channel.
+	waitUntil(t, "every worker waits for an arena", func() bool { return len(ps.out) == 4*parArenasPerWorker-1 })
+	closeWithin(t, ps)
+	waitUntil(t, "the workers exit", func() bool { return runtime.NumGoroutine() <= base })
+	if n := e.pool.Pinned(); n != 0 {
+		t.Errorf("%d pages pinned after Close", n)
+	}
+}
+
+// TestExchangeFaultWhileWaitingForArena: one worker's first page read fails
+// while the other three wait at their arena quota. The fault must surface as
+// the scan's error behind the queued batches, and Close must still end every
+// worker and release every pin.
+func TestExchangeFaultWhileWaitingForArena(t *testing.T) {
+	e := newEnv(t)
+	h := heapTable(t, e, "big", 16*parFlushRows)
+	parts, err := h.ScanPartitions(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range parts {
+		p.Iter.Close()
+	}
+	if err := e.pool.Reset(); err != nil { // write the table back; reads go cold
+		t.Fatal(err)
+	}
+	if err := e.pool.Disk().CorruptPage(parts[2].File, parts[2].Pages[0]); err != nil {
+		t.Fatal(err)
+	}
+	base := runtime.NumGoroutine()
+	ps := NewParallelScan(NewContext(e.pool), h, expr.Conjunction{}, 4)
+	if err := ps.Open(); err != nil {
+		t.Fatal(err)
+	}
+	// Three healthy workers ship two arenas each and wait; the faulting one
+	// ships its error and exits.
+	waitUntil(t, "three workers wait and the fault is shipped", func() bool { return len(ps.out) == 3*parArenasPerWorker+1 })
+	var b Batch
+	for {
+		n, err2 := ps.NextBatch(&b)
+		if err2 != nil {
+			err = err2
+			break
+		}
+		if n == 0 {
+			t.Fatal("scan ended without surfacing the read fault")
+		}
+	}
+	if !errors.Is(err, storage.ErrChecksum) {
+		t.Errorf("scan error = %v, want the torn page's checksum error", err)
+	}
+	closeWithin(t, ps)
+	waitUntil(t, "the workers exit", func() bool { return runtime.NumGoroutine() <= base })
+	if n := e.pool.Pinned(); n != 0 {
+		t.Errorf("%d pages pinned after Close", n)
 	}
 }
 

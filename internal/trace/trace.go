@@ -10,10 +10,12 @@
 //     *Recorder, so the untraced path is a single pointer compare.
 //  2. Alloc-free when enabled. Span holds no pointers and the buffer is
 //     sized up front, so emitting a span never allocates; a full buffer
-//     drops the newest span and counts it rather than growing.
+//     drops the newest span and counts it rather than growing. Buffers of
+//     DefaultCapacity are pooled: Finish copies out the claimed spans and
+//     recycles the buffer, so a query allocates only the spans it keeps.
 //  3. Safe concurrent emission. Parallel-scan workers share the query's
 //     recorder; slots are claimed with a single atomic add and never
-//     reused, so no two writers ever touch the same slot.
+//     reused within a query, so no two writers ever touch the same slot.
 //
 // Spans carry operator ids, not pointers: the engine aligns spans with the
 // operator-stats tree (which carries the same ids) at render time, so the
@@ -23,6 +25,7 @@ package trace
 import (
 	"fmt"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -125,14 +128,27 @@ type Recorder struct {
 	dropped atomic.Int64
 }
 
+// recorders recycles DefaultCapacity recorders between queries.
+var recorders = sync.Pool{New: func() any {
+	return &Recorder{spans: make([]Span, DefaultCapacity)}
+}}
+
 // NewRecorder returns a recorder whose epoch is now and whose buffer
-// holds capacity spans (DefaultCapacity if capacity <= 0). All span
-// memory is allocated here, once.
+// holds capacity spans (DefaultCapacity if capacity <= 0). A
+// DefaultCapacity buffer comes from a pool that Finish refills, so the
+// buffer is allocated once per process, not once per query.
 func NewRecorder(capacity int) *Recorder {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Recorder{epoch: time.Now(), spans: make([]Span, capacity)}
+	if capacity != DefaultCapacity {
+		return &Recorder{epoch: time.Now(), spans: make([]Span, capacity)}
+	}
+	r := recorders.Get().(*Recorder)
+	r.epoch = time.Now()
+	r.claimed.Store(0)
+	r.dropped.Store(0)
+	return r
 }
 
 // Now returns the current offset from the trace epoch.
@@ -159,21 +175,19 @@ func (r *Recorder) Emit(s Span) {
 func (r *Recorder) Dropped() int64 { return r.dropped.Load() }
 
 // Finish emits the root query span and freezes the recorder into a
-// Trace. The recorder must not be emitted to afterwards; Finish is not
-// safe to run concurrently with Emit.
+// Trace whose spans are an exact-size copy of the claimed slots, then
+// returns a DefaultCapacity recorder to the pool. The recorder must not be
+// used afterwards; Finish is not safe to run concurrently with Emit.
 func (r *Recorder) Finish() *Trace {
 	wall := r.Now()
 	r.Emit(Span{Op: NoOp, Kind: KindQuery, Start: 0, End: wall})
-	n := r.claimed.Load()
-	if n > int64(len(r.spans)) {
-		n = int64(len(r.spans))
+	spans := make([]Span, min(r.claimed.Load(), int64(len(r.spans))))
+	copy(spans, r.spans)
+	t := &Trace{Epoch: r.epoch, Wall: wall, Spans: spans, Dropped: r.dropped.Load()}
+	if len(r.spans) == DefaultCapacity {
+		recorders.Put(r)
 	}
-	return &Trace{
-		Epoch:   r.epoch,
-		Wall:    wall,
-		Spans:   r.spans[:n],
-		Dropped: r.dropped.Load(),
-	}
+	return t
 }
 
 // Trace is a finished, immutable recording.

@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -239,5 +241,71 @@ func TestNowAdvances(t *testing.T) {
 	time.Sleep(time.Millisecond)
 	if b := r.Now(); b <= a {
 		t.Errorf("Now did not advance: %v then %v", a, b)
+	}
+}
+
+// TestFinishedTraceOutlivesItsBuffer: a finished trace owns its spans. The
+// next query's recorder reuses the pooled buffer and overwrites every slot
+// the first one claimed, and the first trace must read as it did.
+func TestFinishedTraceOutlivesItsBuffer(t *testing.T) {
+	first := NewRecorder(DefaultCapacity)
+	for i := range 5 {
+		first.Emit(Span{Op: int32(i), Kind: KindOperator, Start: 1, End: 2, N: int64(i)})
+	}
+	tr := first.Finish()
+	snapshot := append([]Span(nil), tr.Spans...)
+
+	second := NewRecorder(DefaultCapacity)
+	for i := range 9 {
+		second.Emit(Span{Op: int32(100 + i), Kind: KindNext, Start: 3, End: 4, N: -1})
+	}
+	second.Finish()
+	if !reflect.DeepEqual(tr.Spans, snapshot) {
+		t.Errorf("first trace changed after a second traced run:\n got %+v\nwant %+v", tr.Spans, snapshot)
+	}
+}
+
+// TestFinishSpansAreExact: Finish hands out a slice of exactly the claimed
+// spans, not a window onto the recorder's buffer.
+func TestFinishSpansAreExact(t *testing.T) {
+	for _, capacity := range []int{2, 16, DefaultCapacity} {
+		r := NewRecorder(capacity)
+		for range 5 {
+			r.Emit(Span{Kind: KindOpen})
+		}
+		tr := r.Finish()
+		if want := min(6, capacity); len(tr.Spans) != want || cap(tr.Spans) != want {
+			t.Errorf("capacity %d: len %d cap %d, want both %d", capacity, len(tr.Spans), cap(tr.Spans), want)
+		}
+	}
+}
+
+// TestRecorderBufferIsReused: once warm, a traced query's recorder costs the
+// spans it keeps and the Trace header, not a fresh DefaultCapacity buffer
+// (192 KB). The race detector makes sync.Pool drop a share of its items, so
+// the measurement runs only without it.
+func TestRecorderBufferIsReused(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	round := func() {
+		r := NewRecorder(DefaultCapacity)
+		for i := range 20 {
+			r.Emit(Span{Op: int32(i), Kind: KindOperator})
+		}
+		r.Finish()
+	}
+	round()
+	const rounds = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range rounds {
+		round()
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / rounds
+	t.Logf("%d B per round", per)
+	if per >= 4<<10 {
+		t.Errorf("NewRecorder + 20 Emits + Finish allocate %d B per round, want < 4 KB", per)
 	}
 }
