@@ -2,6 +2,7 @@ package pagefeedback_test
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
@@ -109,6 +110,68 @@ func TestMonitoredScanDecodesOnlyWhatSurvives(t *testing.T) {
 		if tc.opts != nil && sampled == 0 {
 			t.Errorf("%s: no DPSample monitor ran, so the sampled-page decode path went unexercised: %+v", tc.name, res.DPC)
 		}
+	}
+}
+
+// TestMonitoredJoinShipsRowsAtDegreeTwo is the row-shipping counterpart of
+// the monitored-parallel case above, whose COUNT folds in the exchange
+// workers, so that no row crosses the exchange. Here a monitored degree-2
+// hash join ships joined rows. Both scans are parallel: the hash build copies
+// its kept columns out of arenas that test binaries poison once handed back,
+// and the probe's workers expand each build row to the join schema. Rows,
+// DPC results, exported feedback, RowsTouched, RowsDecoded and ValuesDecoded
+// equal the serial run's, each degree on a fresh engine.
+func TestMonitoredJoinShipsRowsAtDegreeTwo(t *testing.T) {
+	const sql = "SELECT t1.c3, t.c4 FROM t, t1 WHERE t1.c5 < 1000 AND t1.c2 = t.c2"
+	type run struct {
+		rows, dpc, feedback      string
+		touched, decoded, values int64
+	}
+	runAt := func(degree int) run {
+		eng := pagefeedback.New(pagefeedback.DefaultConfig())
+		if _, err := datagen.BuildSynthetic(eng, 20000, 1); err != nil {
+			t.Fatal(err)
+		}
+		res, err := eng.Query(sql, &pagefeedback.RunOptions{MonitorAll: true, SampleFraction: 0.01, Parallelism: degree})
+		if err != nil {
+			t.Fatalf("degree %d: %v", degree, err)
+		}
+		if len(res.Rows) != 1000 || len(res.DPC) == 0 {
+			t.Fatalf("degree %d: %d rows and %d DPC results, want one row per t1 survivor and the monitors' results", degree, len(res.Rows), len(res.DPC))
+		}
+		if degree > 0 {
+			joined := res.Stats.Plan.Children[0]
+			if res.Stats.Runtime.Parallelism != degree || joined.Label != "HashJoin" ||
+				!strings.HasPrefix(joined.Children[0].Label, "ParallelScan(t1)") || !strings.HasPrefix(joined.Children[1].Label, "ParallelScan(t)") {
+				t.Fatalf("degree %d: want a hash join of two parallel scans, got %s over %+v", degree, joined.Label, joined.Children)
+			}
+		}
+		eng.ApplyFeedback(res)
+		var fb strings.Builder
+		if err := eng.ExportFeedback(&fb); err != nil {
+			t.Fatal(err)
+		}
+		rows := make([]string, len(res.Rows))
+		for i, r := range res.Rows {
+			rows[i] = fmt.Sprint(r)
+		}
+		sort.Strings(rows)
+		rt := res.Stats.Runtime
+		return run{strings.Join(rows, ";"), fmt.Sprintf("%+v", res.DPC), fb.String(), rt.RowsTouched, rt.RowsDecoded, rt.ValuesDecoded}
+	}
+	serial, parallel := runAt(0), runAt(2)
+	if parallel.rows != serial.rows {
+		t.Error("degree 2 rows differ from the serial run's")
+	}
+	if parallel.dpc != serial.dpc {
+		t.Errorf("DPC results differ:\n degree 2 %s\n serial   %s", parallel.dpc, serial.dpc)
+	}
+	if parallel.feedback != serial.feedback {
+		t.Errorf("exported feedback differs:\n degree 2 %s\n serial   %s", parallel.feedback, serial.feedback)
+	}
+	if parallel.touched != serial.touched || parallel.decoded != serial.decoded || parallel.values != serial.values {
+		t.Errorf("degree 2 touched %d, decoded %d rows and %d values; serial %d, %d, %d",
+			parallel.touched, parallel.decoded, parallel.values, serial.touched, serial.decoded, serial.values)
 	}
 }
 

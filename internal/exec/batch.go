@@ -101,16 +101,28 @@ func drain(ctx *Context, op Operator, f func(b *Batch) error) error {
 
 // retainRows copies b's live rows out of the operator-owned batch into
 // memory that outlives it, and appends a view of each copy to dst in
-// selection order. It charges mem the rows' rowMemSize before it allocates,
-// then makes one value slab of exactly the rows' total width, so retaining a
-// batch costs one allocation however many rows it holds. Each view has
-// cap == len: appending to a retained row can never write into its neighbour.
-func retainRows(mem *MemTracker, dst []tuple.Row, b *Batch) ([]tuple.Row, error) {
+// selection order. With cols nil a copy is the whole row; otherwise it holds
+// only the row's columns cols, in that order (a hash build keeps the columns
+// the plan reads). It charges mem the copies' rowMemSize before it
+// allocates, then makes one value slab of exactly the copies' total width, so
+// retaining a batch costs one allocation however many rows it holds. Each
+// view has cap == len: appending to a retained row can never write into its
+// neighbour.
+func retainRows(mem *MemTracker, dst []tuple.Row, b *Batch, cols []int) ([]tuple.Row, error) {
 	width := 0
 	var bytes int64
 	for _, i := range b.Sel {
-		width += len(b.Rows[i])
-		bytes += rowMemSize(b.Rows[i])
+		row := b.Rows[i]
+		if cols == nil {
+			width += len(row)
+			bytes += rowMemSize(row)
+			continue
+		}
+		width += len(cols)
+		bytes += int64(len(cols)) * valueMemSize
+		for _, o := range cols {
+			bytes += int64(len(row[o].Str))
+		}
 	}
 	if err := mem.Grow(bytes); err != nil {
 		return dst, err
@@ -118,7 +130,14 @@ func retainRows(mem *MemTracker, dst []tuple.Row, b *Batch) ([]tuple.Row, error)
 	vals := make([]tuple.Value, width)
 	lo := 0
 	for _, i := range b.Sel {
-		hi := lo + copy(vals[lo:], b.Rows[i])
+		row, hi := b.Rows[i], lo+len(cols)
+		if cols == nil {
+			hi = lo + copy(vals[lo:], row)
+		} else {
+			for k, o := range cols {
+				vals[lo+k] = row[o]
+			}
+		}
 		dst = append(dst, tuple.Row(vals[lo:hi:hi]))
 		lo = hi
 	}

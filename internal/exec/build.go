@@ -534,6 +534,7 @@ func (e *Execution) buildJoin(node *plan.Join, need uint64) (Operator, error) {
 	switch node.Method {
 	case plan.HashJoin:
 		hj := NewHashJoin(e.Ctx, outer, inner, outerOrd, innerOrd, node.Schem)
+		hj.setDemand(outerNeed) // the build keeps only these columns
 		if sink != nil {
 			hj.SetFilter(sink) // build phase fills it (Fig 5)
 		}
@@ -681,7 +682,7 @@ func (e *Execution) collect() ([]tuple.Row, error) {
 		if err != nil || n == 0 {
 			return rows, err
 		}
-		if rows, err = retainRows(e.Ctx.Mem, rows, &b); err != nil {
+		if rows, err = retainRows(e.Ctx.Mem, rows, &b, nil); err != nil {
 			return nil, err
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"pagefeedback/internal/catalog"
 	"pagefeedback/internal/core"
@@ -61,6 +62,11 @@ func (m *valueMap[V]) store(mem *MemTracker, n int64, v tuple.Value, e V) error 
 // by the time the probe side's SE scan streams rows, the filter acts as the
 // derived semi-join predicate for DPC monitoring.
 //
+// The build keeps only the build columns the plan above reads (setDemand),
+// key included; the joinProbe expands a kept row to the full join schema,
+// zero-valued in the columns nobody reads, so operators above see the
+// schema's width.
+//
 // Every probe key is judged by the completed build table through one
 // joinProbe, whose bit vector rejects most keys without a map lookup. When
 // the probe input is a bare table scan, that probe becomes a semi-join
@@ -73,6 +79,8 @@ type HashJoinOp struct {
 	probe    Operator
 	buildOrd int
 	probeOrd int
+	need     uint64 // build columns the plan above reads (builder only)
+	colBuf   [8]int // backs the kept-column list of a build keeping at most 8 columns, which then allocates nothing
 	schema   *tuple.Schema
 	filter   *filterSink // optional; filled during build
 	stats    OpStats
@@ -111,6 +119,10 @@ type probeHost interface {
 // against bits first, and only a key whose bit is set reaches the map, which
 // stays the final arbiter; a VARCHAR key goes to the map alone. It is
 // read-only once built, so parallel scan workers share it.
+//
+// It also owns the build rows' layout: a kept build row holds build columns
+// cols only, so every reader of build rows goes through appendJoined or
+// buildCol.
 type joinProbe struct {
 	table  *valueMap[[]tuple.Row]
 	bits   core.BitVectorFilter // the table's INT/DATE keys; unused for a VARCHAR key
@@ -118,6 +130,8 @@ type joinProbe struct {
 	ord    int        // probe column ordinal in schema
 	kind   tuple.Kind // the probe column's kind
 	off    int        // the key's schema.FixedOffset, or -1 when it has none
+	cols   []int      // the build ordinals a kept build row holds, ascending
+	width  int        // the build schema's column count
 }
 
 // probeBits is the width of a probe's bit vector over n distinct keys: the
@@ -132,10 +146,11 @@ func probeBits(n int) uint64 {
 }
 
 // newJoinProbe makes the probe of a completed build table for probe column
-// ord of schema. For an INT or DATE key it charges mem the bit vector's bytes
-// before it makes it, then sets the bit of every key the table holds.
-func newJoinProbe(mem *MemTracker, table *valueMap[[]tuple.Row], schema *tuple.Schema, ord int) (joinProbe, error) {
-	p := joinProbe{table: table, schema: schema, ord: ord, kind: schema.Column(ord).Kind, off: -1}
+// ord of schema; the table's rows hold build columns cols of a width-column
+// build. For an INT or DATE key it charges mem the bit vector's bytes before
+// it makes it, then sets the bit of every key the table holds.
+func newJoinProbe(mem *MemTracker, table *valueMap[[]tuple.Row], schema *tuple.Schema, ord int, cols []int, width int) (joinProbe, error) {
+	p := joinProbe{table: table, schema: schema, ord: ord, kind: schema.Column(ord).Kind, off: -1, cols: cols, width: width}
 	if off, ok := schema.FixedOffset(ord); ok {
 		p.off = off
 	}
@@ -190,6 +205,28 @@ func (p *joinProbe) builds(row tuple.Row) []tuple.Row {
 	return p.table.lookup(v)
 }
 
+// appendJoined appends to dst the joined row of a kept build row and a probe
+// row: the build schema's columns, zero-valued where the build keeps none,
+// then the probe row's.
+func (p *joinProbe) appendJoined(dst []tuple.Value, build, probe tuple.Row) []tuple.Value {
+	n := len(dst)
+	dst = slices.Grow(dst, p.width+len(probe))[:n+p.width]
+	clear(dst[n:])
+	for k, o := range p.cols {
+		dst[n+o] = build[k]
+	}
+	return append(dst, probe...)
+}
+
+// buildCol reads build column ord of a kept build row: the zero Value when
+// the build keeps no such column.
+func (p *joinProbe) buildCol(build tuple.Row, ord int) tuple.Value {
+	if k, ok := slices.BinarySearch(p.cols, ord); ok {
+		return build[k]
+	}
+	return tuple.Value{}
+}
+
 // cellKey reads column ord of an encoded row in place — at 8·ord in the fixed
 // prefix, behind the length prefixes otherwise: the numeric payload of an INT
 // or DATE column, or the bytes of a VARCHAR, aliasing cell. ok is false, and
@@ -217,9 +254,33 @@ func cellKeyAt(cell []byte, off int, k tuple.Kind) (n int64, str []byte) {
 func NewHashJoin(ctx *Context, build, probe Operator, buildOrd, probeOrd int, schema *tuple.Schema) *HashJoinOp {
 	return &HashJoinOp{
 		ctx: ctx, build: build, probe: probe,
-		buildOrd: buildOrd, probeOrd: probeOrd, schema: schema,
+		buildOrd: buildOrd, probeOrd: probeOrd, need: tuple.AllColumns, schema: schema,
 		stats: OpStats{Label: "HashJoin"},
 	}
+}
+
+// setDemand sets the build columns the plan above reads; Build calls it.
+// The build keeps those and the key.
+func (j *HashJoinOp) setDemand(need uint64) { j.need = need | ordMask(j.buildOrd) }
+
+// buildCols appends to dst, grown once, the build ordinals the build keeps,
+// ascending: the demanded ones. A build wider than 64 columns has no mask
+// bits past the 64th, so it keeps every column.
+func buildCols(dst []int, need uint64, width int) []int {
+	n := width
+	if width > 64 {
+		need = tuple.AllColumns
+	} else {
+		need &= ^uint64(0) >> uint(64-width)
+		n = bits.OnesCount64(need)
+	}
+	cols := slices.Grow(dst, n)
+	for o := 0; o < width; o++ {
+		if o >= 64 || need&(1<<uint(o)) != 0 {
+			cols = append(cols, o)
+		}
+	}
+	return cols
 }
 
 // SetFilter wires a bit-vector filter to fill during the build phase.
@@ -236,20 +297,25 @@ func (j *HashJoinOp) pushProbe(s probeHost) {
 }
 
 // Open implements Operator: drains the build input, then builds the hash
-// table. Each build batch is retained with one copy; once the input is
-// drained, the table is made with the retained row count as its size hint, so
-// it never grows, and a join value's first row is a one-row window onto its
-// batch's row headers, so only a duplicate join value allocates a row list of
-// its own. The build input is always closed before Open returns — even on
-// error — so no page pins outlive the operator.
+// table. Each build batch is retained with one copy of the demanded columns
+// (buildCols), charged len(cols)·valueMemSize plus their strings per row;
+// once the input is drained, the table is made with the retained row count as
+// its size hint, so it never grows, and a join value's first row is a one-row
+// window onto its batch's row headers, so only a duplicate join value
+// allocates a row list of its own. The table is keyed by the key's position
+// in the kept row. The build input is always closed before Open returns —
+// even on error — so no page pins outlive the operator.
 func (j *HashJoinOp) Open() error {
 	if err := j.build.Open(); err != nil {
 		return err
 	}
+	width := j.build.Schema().NumColumns()
+	cols := buildCols(j.colBuf[:0], j.need, width)
+	key, _ := slices.BinarySearch(cols, j.buildOrd)
 	var batches [][]tuple.Row
 	n := 0
 	err := drain(j.ctx, j.build, func(b *Batch) error {
-		rows, err := retainRows(j.ctx.Mem, make([]tuple.Row, 0, len(b.Sel)), b)
+		rows, err := retainRows(j.ctx.Mem, make([]tuple.Row, 0, len(b.Sel)), b, cols)
 		batches = append(batches, rows)
 		n += len(rows)
 		return err
@@ -271,7 +337,7 @@ func (j *HashJoinOp) Open() error {
 	}
 	for _, rows := range batches {
 		for k, row := range rows {
-			v := row[j.buildOrd]
+			v := row[key]
 			list := j.table.lookup(v)
 			if list == nil {
 				list = rows[k : k+1 : k+1]
@@ -286,7 +352,7 @@ func (j *HashJoinOp) Open() error {
 			}
 		}
 	}
-	if j.keys, err = newJoinProbe(j.ctx.Mem, &j.table, j.probe.Schema(), j.probeOrd); err != nil {
+	if j.keys, err = newJoinProbe(j.ctx.Mem, &j.table, j.probe.Schema(), j.probeOrd, cols, width); err != nil {
 		return err
 	}
 	if j.scan != nil {
@@ -323,8 +389,7 @@ func (j *HashJoinOp) NextBatch(b *Batch) (int, error) {
 		for _, i := range j.pb.Sel {
 			probe := j.pb.Rows[i]
 			for _, build := range j.keys.builds(probe) {
-				j.outVals = append(j.outVals, build...)
-				j.outVals = append(j.outVals, probe...)
+				j.outVals = j.keys.appendJoined(j.outVals, build, probe)
 				j.outBounds = append(j.outBounds, len(j.outVals))
 			}
 		}

@@ -235,19 +235,26 @@ func (p *ParallelScan) worker(idx int, wctx *Context, part catalog.ScanPart, mon
 			return errExchangeClosed
 		}
 	}
-	// emit appends one output row, the concatenation of head and tail (tail
-	// is nil unless the worker joins).
-	emit := func(head, tail tuple.Row) {
+	// emit appends one output row: row itself, or when the worker joins, the
+	// joined row of build row b and row.
+	emit := func(b, row tuple.Row) {
 		if fail != nil {
 			return
 		}
 		if vals == nil {
-			if fail = take(len(head) + len(tail)); fail != nil {
+			width := len(row)
+			if p.probe != nil {
+				width += p.probe.width
+			}
+			if fail = take(width); fail != nil {
 				return
 			}
 		}
-		vals = append(vals, head...)
-		vals = append(vals, tail...)
+		if p.probe == nil {
+			vals = append(vals, row...)
+		} else {
+			vals = p.probe.appendJoined(vals, b, row)
+		}
 		bounds = append(bounds, len(vals))
 	}
 	flush := func() bool {
@@ -282,7 +289,7 @@ func (p *ParallelScan) worker(idx int, wctx *Context, part catalog.ScanPart, mon
 		for _, i := range sel {
 			row := visit.batch.Rows[i]
 			if p.probe == nil {
-				emit(row, nil)
+				emit(nil, row)
 				continue
 			}
 			for _, b := range p.probe.builds(row) {

@@ -247,9 +247,11 @@ func TestParallelAggregateMatchesSerial(t *testing.T) {
 
 // TestParallelFoldedJoinChargesOnlyTheBuild: a COUNT folded over a parallel
 // hash-join probe materializes nothing in the exchange, so the query's memory
-// tracker reads exactly what the serial run charges — the hash build. The
-// build reads dim through a clustered range, which stays serial, so the probe
-// is the only exchange.
+// tracker reads exactly what the serial run charges — the hash build, its
+// probe's bit vector and the one-value result row. The build reads dim
+// through a clustered range, which stays serial, so the probe is the only
+// exchange. COUNT reads no column, so the build keeps dim.id alone: one value
+// and one map entry for each of its 500 rows.
 func TestParallelFoldedJoinChargesOnlyTheBuild(t *testing.T) {
 	e := newEnv(t)
 	dimPred := mustBind(t, expr.And(expr.NewAtom("id", expr.Lt, tuple.Int64(1500))), e.dim.Schema)
@@ -281,8 +283,9 @@ func TestParallelFoldedJoinChargesOnlyTheBuild(t *testing.T) {
 		return ctx.Mem.Used()
 	}
 	serial := used(0)
-	if serial <= 0 {
-		t.Fatalf("serial run charged %d bytes; the hash build should be charged", serial)
+	const want = 500*(valueMemSize+mapEntryOverhead) + 4096/8 + valueMemSize // 40,544 B
+	if serial != want {
+		t.Fatalf("serial run charged %d bytes, want %d", serial, want)
 	}
 	for _, deg := range []int{2, 4, 7} {
 		if got := used(deg); got != serial {
@@ -395,7 +398,7 @@ func TestParallelWorkerPanicSurfacesAsOperatorPanic(t *testing.T) {
 	for i := range wide {
 		wide[i] = tuple.Column{Name: fmt.Sprintf("c%d", i), Kind: tuple.KindInt}
 	}
-	probe, err := newJoinProbe(nil, &valueMap[[]tuple.Row]{}, tuple.NewSchema(wide...), 99)
+	probe, err := newJoinProbe(nil, &valueMap[[]tuple.Row]{}, tuple.NewSchema(wide...), 99, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -399,7 +399,7 @@ func FuzzProbeKey(f *testing.F) {
 	f.Fuzz(func(t *testing.T, desc uint32, cell []byte, ordSeed uint8, seed int64, extra uint8) {
 		s := probeFuzzSchema(desc)
 		ord := int(ordSeed) % s.NumColumns()
-		empty, err := newJoinProbe(nil, &valueMap[[]tuple.Row]{}, s, ord)
+		empty, err := newJoinProbe(nil, &valueMap[[]tuple.Row]{}, s, ord, nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -442,7 +442,7 @@ func FuzzProbeKey(f *testing.F) {
 			}
 			held = append(held, k)
 		}
-		full, err := newJoinProbe(nil, table, s, ord)
+		full, err := newJoinProbe(nil, table, s, ord, nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

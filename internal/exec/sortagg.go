@@ -340,10 +340,10 @@ func (f *aggFold) add(p *aggPartial, rows []tuple.Row, sel []int, probe *joinPro
 		}
 		for _, b := range builds {
 			var v tuple.Value
-			if f.ord < len(b) {
-				v = b[f.ord]
+			if f.ord < probe.width {
+				v = probe.buildCol(b, f.ord)
 			} else {
-				v = row[f.ord-len(b)]
+				v = row[f.ord-probe.width]
 			}
 			if f.fn == 's' {
 				p.addSum(v)

@@ -268,9 +268,12 @@ func TestOverloadMemBudget(t *testing.T) {
 // after its build table, so a budget that holds the build but not the vector
 // aborts the query with ErrKindMemory, and no page stays pinned. No probe key
 // matches, so the peak is the build plus the vector: 300 distinct build keys
-// take a 4,096-bit (512-byte) vector.
+// take a 4,096-bit (512-byte) vector. The plan's root is the join, so the
+// build keeps both of u's columns: 2 × 32 B of values and a 48 B map entry
+// per row.
 func TestHashJoinProbeBitsMemBudget(t *testing.T) {
 	const vecBytes = 4096 / 8
+	const buildBytes = 300 * (2*32 + 48)
 	eng := New(DefaultConfig())
 	u, err := eng.CreateHeapTable("u", NewSchema(Column{Name: "oid", Kind: KindInt}, Column{Name: "k", Kind: KindInt}))
 	if err != nil {
@@ -302,8 +305,8 @@ func TestHashJoinProbeBitsMemBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	peak := res.Stats.Runtime.MemPeakBytes
-	if len(res.Rows) != 0 || peak <= vecBytes {
-		t.Fatalf("%d rows, MemPeakBytes %d; want no rows and a peak above the vector's %d bytes", len(res.Rows), peak, vecBytes)
+	if len(res.Rows) != 0 || peak != buildBytes+vecBytes {
+		t.Fatalf("%d rows, MemPeakBytes %d; want no rows and the build's %d bytes plus the vector's %d", len(res.Rows), peak, buildBytes, vecBytes)
 	}
 	for _, budget := range []int64{peak - vecBytes, peak - vecBytes/2, peak - 1} {
 		_, err := eng.Execute(node, nil, &RunOptions{MemBudget: budget})
