@@ -14,6 +14,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"runtime"
@@ -129,7 +130,7 @@ type shell struct {
 	parallel int
 	last     *pagefeedback.Result
 	prepared map[string]*pagefeedback.Stmt
-	out      *os.File
+	out      io.Writer
 }
 
 // runOpts assembles the run options from the shell toggles.
@@ -284,14 +285,15 @@ func (s *shell) stats() {
 }
 
 // prepare handles \prepare NAME SELECT ... — the SQL is everything after the
-// name, placeholders included.
+// second field, placeholders included.
 func (s *shell) prepare(line string, fields []string) {
 	if len(fields) < 3 {
 		fmt.Fprintln(s.out, `usage: \prepare NAME SELECT ... WHERE col < ?`)
 		return
 	}
 	name := fields[1]
-	sql := strings.TrimSpace(line[strings.Index(line, name)+len(name):])
+	rest := strings.TrimSpace(strings.TrimPrefix(line, fields[0]))
+	sql := strings.TrimSpace(strings.TrimPrefix(rest, name))
 	stmt, err := s.eng.Prepare(sql)
 	if err != nil {
 		fmt.Fprintln(s.out, "error:", err)

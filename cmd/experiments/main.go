@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	experiments [-rows N] [-realscale F] [-seed S] [-sample F] [table1|fig6|fig7|fig8|fig9|fig10|fig11|bitvector|estimators|dpsample|bitmap|all]
+//	experiments [-rows N] [-realscale F] [-seed S] [-sample F] [table1|fig6|fig7|fig8|fig9|fig10|fig11|bitvector|estimators|dpsample|bitmap|poolsize|transfer|all]
 //
 // With no experiment names, everything runs. Output goes to stdout in the
 // same row/series structure the paper reports.
@@ -33,10 +33,11 @@ func main() {
 		Out:            os.Stdout,
 	}
 
+	all := []string{"table1", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11",
+		"bitvector", "estimators", "dpsample", "bitmap", "poolsize", "transfer"}
 	names := flag.Args()
 	if len(names) == 0 || (len(names) == 1 && strings.EqualFold(names[0], "all")) {
-		names = []string{"table1", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11",
-			"bitvector", "estimators", "dpsample", "bitmap", "poolsize", "transfer"}
+		names = all
 	}
 
 	runners := map[string]func() error{
@@ -61,11 +62,7 @@ func main() {
 	for _, name := range names {
 		run, ok := runners[strings.ToLower(name)]
 		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q; choose from:", name)
-			for k := range runners {
-				fmt.Fprintf(os.Stderr, " %s", k)
-			}
-			fmt.Fprintln(os.Stderr)
+			fmt.Fprintf(os.Stderr, "unknown experiment %q; choose from: %s\n", name, strings.Join(all, " "))
 			os.Exit(2)
 		}
 		fmt.Println()

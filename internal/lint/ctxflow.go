@@ -10,11 +10,11 @@ import (
 // points down through every operator, never be re-rooted mid-stack.
 //
 //   - context.Background() / context.TODO() are forbidden outside package
-//     main (cmd/, examples/) and tests. Two sanctioned exceptions inside
-//     library code: (1) a convenience wrapper — a method on a type that also
-//     has a "<Name>Context" sibling taking the context explicitly — may
-//     root a fresh background context; (2) a nil-guard that assigns a
-//     default into the function's own context.Context parameter.
+//     main (cmd/) and tests. Two sanctioned exceptions inside library
+//     code: (1) a convenience wrapper — a method on a type that also has a
+//     "<Name>Context" sibling taking the context explicitly — may root a
+//     fresh background context; (2) a nil-guard that assigns a default into
+//     the function's own context.Context parameter.
 //   - Any function that takes a context.Context must take it as its first
 //     parameter.
 var CtxFlowAnalyzer = &Analyzer{
