@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet vet-force build test race bench bench-check bench-compare fig7 profile fuzz-smoke chaos cover
+.PHONY: all vet vet-force build test race bench-check bench-compare fig7 profile fuzz-smoke chaos cover
 
 all: vet build test
 
@@ -42,16 +42,6 @@ race:
 chaos:
 	$(GO) test -race -count=1 ./internal/chaos/
 	$(GO) test -race -count=1 -run 'TestOverload' .
-
-# BENCH_STAMP labels this run's entry in the BENCH_throughput.json trajectory;
-# it defaults to the HEAD commit date so re-runs at the same commit are
-# recognizable. Override with BENCH_STAMP=... for ad-hoc labels.
-BENCH_STAMP ?= $(shell git log -1 --format=%cI 2>/dev/null || date -u +%Y-%m-%dT%H:%M:%SZ)
-
-bench:
-	BENCH_STAMP=$(BENCH_STAMP) $(GO) test \
-		-bench 'BenchmarkThroughput|BenchmarkScanAlloc|BenchmarkPoolContention|BenchmarkParallelScan|BenchmarkParallelHashJoin|BenchmarkPreparedThroughput|BenchmarkPlanCache|BenchmarkTraceOverhead' \
-		-benchmem -run xxx .
 
 # bench/ is its own module calling internal/* directly, so nothing above
 # compiles it: vet and test it from its own directory. Run this after any
@@ -109,13 +99,15 @@ cover:
 	awk "BEGIN { exit !($$total >= $(COVER_FLOOR)) }" || \
 		{ echo "FAIL: total coverage $$total% is below the $(COVER_FLOOR)% floor"; exit 1; }
 
-# Profile the hot path: runs the parallel throughput benchmark under the CPU
-# and heap profilers, then prints the top CPU consumers. Open the interactive
-# views with `go tool pprof cpu.prof` / `go tool pprof mem.prof`.
+# Profile one repo-benchmark workload (W, as for bench-compare): its smoke
+# test runs under the CPU and heap profilers and leaves cpu.prof, mem.prof and
+# the test binary bench.test at the repo root. The top CPU consumers are
+# printed without the calibration kernel, which is not engine work. Open the
+# interactive views with `go tool pprof bench.test cpu.prof` (or mem.prof).
 profile:
-	$(GO) test -bench BenchmarkThroughput -benchtime 5s -run xxx \
-		-cpuprofile cpu.prof -memprofile mem.prof .
-	$(GO) tool pprof -top -nodecount 15 cpu.prof
+	$(GO) test -C bench -run 'TestSmoke/$(W)$$' -count=1 -o $(CURDIR)/bench.test \
+		-cpuprofile cpu.prof -memprofile mem.prof -outputdir $(CURDIR) .
+	$(GO) tool pprof -top -nodecount 15 -ignore calibKernel bench.test cpu.prof
 
 # Brief fuzzing pass over the row/key codecs, the SQL parser, the batch
 # predicate evaluator, the hash-join probe's and the sampled monitors' in-place

@@ -10,7 +10,7 @@ import (
 	"testing"
 	"time"
 
-	"pagefeedback/internal/exec"
+	"pagefeedback/internal/plan"
 )
 
 // raiseProcs lifts GOMAXPROCS to at least n for the test's duration so the
@@ -89,26 +89,32 @@ func TestParallelStressMixedDegreesOneEngine(t *testing.T) {
 // TestParallelFeedbackMatchesSerialEngineLevel runs the same monitored
 // queries serially and at parallelism 4 through the full engine stack and
 // requires identical DPC feedback — the end-to-end version of the exec-level
-// partition-invariance property tests.
+// partition-invariance property tests. The join must plan as a hash join, so
+// that its probe scan runs in the exchange, and the parallel runs must report
+// degree 4.
 func TestParallelFeedbackMatchesSerialEngineLevel(t *testing.T) {
 	raiseProcs(t, 4)
 	eng := joinTestEnv(t, 8000)
-	for _, sql := range []string{
-		"SELECT COUNT(padding) FROM t WHERE c5 < 4000",
-		"SELECT COUNT(padding) FROM t, u WHERE u.c1 < 400 AND u.c2 = t.c2",
-	} {
-		run := func(deg int) []exec.DPCResult {
+	const join = "SELECT COUNT(padding) FROM t, u WHERE u.c1 < 400 AND u.c2 = t.c2"
+	if m := joinMethodOf(t, eng, join); m != plan.HashJoin {
+		t.Fatalf("%q plans %v, want %v", join, m, plan.HashJoin)
+	}
+	for _, sql := range []string{"SELECT COUNT(padding) FROM t WHERE c5 < 4000", join} {
+		run := func(deg int) *Result {
 			res, err := eng.Query(sql, &RunOptions{
 				MonitorAll: true, SampleFraction: 0.25, WarmCache: true, Parallelism: deg,
 			})
 			if err != nil {
 				t.Fatalf("%q p=%d: %v", sql, deg, err)
 			}
-			return res.DPC
+			return res
 		}
 		ser, par := run(0), run(4)
-		if !reflect.DeepEqual(ser, par) {
-			t.Errorf("%q: DPC feedback differs:\n  serial   %+v\n  parallel %+v", sql, ser, par)
+		if got := par.Stats.Runtime.Parallelism; got != 4 {
+			t.Errorf("%q: ran at degree %d, want 4", sql, got)
+		}
+		if !reflect.DeepEqual(ser.DPC, par.DPC) {
+			t.Errorf("%q: DPC feedback differs:\n  serial   %+v\n  parallel %+v", sql, ser.DPC, par.DPC)
 		}
 	}
 	assertNoPins(t, eng)
