@@ -22,7 +22,11 @@
 # stops the script. Calibrated metrics divide by a calibration kernel's time,
 # and that kernel's speed depends on its address mod 64, so the script prints
 # main.calibKernel's address mod 64 for both binaries; when the two differ it
-# prints a WARNING and exits non-zero after the summary.
+# prints a WARNING and exits non-zero after the summary. Next to it the
+# script compares the two binaries' text symbols (`go tool nm -size -sort
+# address`, types T and t) and prints either "text layout identical (N
+# symbols)" or "K of N text symbols moved or resized": a change that deletes
+# only code no program links leaves the layout identical.
 set -euo pipefail
 
 if [ $# -ne 4 ]; then
@@ -51,11 +55,26 @@ calib_mod64() {
 		echo $((16#$addr % 64))
 	fi
 }
+# text_layout prints a binary's text symbols as "address size type name".
+text_layout() {
+	go tool nm -size -sort address "$1" | awk '$3 == "T" || $3 == "t"'
+}
+text_layout "$work/bench-base" >"$work/text-base"
+text_layout "$work/bench-head" >"$work/text-head"
+text_n=$(wc -l <"$work/text-head")
+if cmp -s "$work/text-base" "$work/text-head"; then
+	text_verdict="text layout identical ($text_n symbols)"
+else
+	# Head symbols with no line of the same address, size and name in base.
+	text_k=$(comm -13 <(sort "$work/text-base") <(sort "$work/text-head") | wc -l)
+	text_verdict="$text_k of $text_n text symbols moved or resized"
+fi
 base_mod=$(calib_mod64 "$work/bench-base")
 head_mod=$(calib_mod64 "$work/bench-head")
 echo "workload $workload, seed $seed, $pairs pairs of $seconds s runs"
 echo "base $base_commit: main.calibKernel mod 64 = $base_mod"
 echo "head working tree of $(git -C "$root" rev-parse --short HEAD): main.calibKernel mod 64 = $head_mod"
+echo "$text_verdict"
 if [ "$base_mod" != "$head_mod" ]; then
 	echo "WARNING: main.calibKernel mod 64 differs (base $base_mod, head $head_mod); the script will exit non-zero after the summary" >&2
 fi

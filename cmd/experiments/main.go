@@ -6,7 +6,8 @@
 //	experiments [-rows N] [-realscale F] [-seed S] [-sample F] [table1|fig6|fig7|fig8|fig9|fig10|fig11|bitvector|estimators|dpsample|bitmap|poolsize|transfer|all]
 //
 // With no experiment names, everything runs. Output goes to stdout in the
-// same row/series structure the paper reports.
+// same row/series structure the paper reports, one blank line between
+// experiments, so one experiment's output is exactly what it printed.
 package main
 
 import (
@@ -19,10 +20,11 @@ import (
 )
 
 func main() {
-	rows := flag.Int("rows", 200000, "synthetic table rows (paper: 100M)")
-	realScale := flag.Float64("realscale", 1.0, "real-database scale relative to 1:100 of Table I")
-	seed := flag.Int64("seed", 1, "data-generation and sampling seed")
-	sample := flag.Float64("sample", 0.01, "DPSample page-sampling fraction")
+	def := experiments.DefaultConfig()
+	rows := flag.Int("rows", def.SyntheticRows, "synthetic table rows (paper: 100M)")
+	realScale := flag.Float64("realscale", def.RealScale, "real-database scale relative to 1:100 of Table I")
+	seed := flag.Int64("seed", def.Seed, "data-generation and sampling seed")
+	sample := flag.Float64("sample", def.SampleFraction, "DPSample page-sampling fraction")
 	flag.Parse()
 
 	cfg := experiments.Config{
@@ -59,13 +61,15 @@ func main() {
 		"transfer":   func() error { _, err := experiments.SelfTuningTransfer(cfg); return err },
 	}
 
-	for _, name := range names {
+	for i, name := range names {
 		run, ok := runners[strings.ToLower(name)]
 		if !ok {
 			fmt.Fprintf(os.Stderr, "unknown experiment %q; choose from: %s\n", name, strings.Join(all, " "))
 			os.Exit(2)
 		}
-		fmt.Println()
+		if i > 0 {
+			fmt.Println()
+		}
 		if err := run(); err != nil {
 			fmt.Fprintf(os.Stderr, "experiment %s failed: %v\n", name, err)
 			os.Exit(1)

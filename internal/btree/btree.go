@@ -27,9 +27,6 @@ import (
 // ErrDuplicateKey is returned by Insert when the exact key already exists.
 var ErrDuplicateKey = errors.New("btree: duplicate key")
 
-// ErrKeyNotFound is returned by Delete when the key does not exist.
-var ErrKeyNotFound = errors.New("btree: key not found")
-
 // metaPageID is the fixed location of the tree's metadata page.
 const metaPageID storage.PageID = 0
 
@@ -66,29 +63,6 @@ func Create(pool *storage.BufferPool) (*Tree, error) {
 	t := &Tree{pool: pool, file: file, root: rootPage.ID, height: 1, leafCount: 1}
 	if err := t.saveMeta(); err != nil {
 		return nil, err
-	}
-	return t, nil
-}
-
-// Open loads an existing tree from file.
-func Open(pool *storage.BufferPool, file storage.FileID) (*Tree, error) {
-	meta, err := pool.FetchPage(file, metaPageID)
-	if err != nil {
-		return nil, err
-	}
-	defer meta.Unpin(false)
-	if meta.Page.Type() != storage.PageTypeMeta {
-		return nil, fmt.Errorf("btree: file %d page 0 is not a meta page", file)
-	}
-	t := &Tree{
-		pool:   pool,
-		file:   file,
-		root:   storage.PageID(meta.Page.Extra()),
-		height: int(meta.Page.Extra2()),
-	}
-	if cell := meta.Page.Cell(0); len(cell) >= 16 {
-		t.leafCount = int64(binary.LittleEndian.Uint64(cell))
-		t.entryCount = int64(binary.LittleEndian.Uint64(cell[8:]))
 	}
 	return t, nil
 }
@@ -132,7 +106,7 @@ func (t *Tree) saveMeta() error {
 // Inner cell: [keyLen uint16][key][child uint32]
 //
 // Inner-node convention: cell i holds (sepKey_i, child_i) where sepKey_i is
-// the smallest key that was in child_i when the cell was created. Search
+// the smallest key that was in child_i when the cell was created. A lookup
 // descends into the child of the largest i with sepKey_i <= searchKey
 // (child 0 if searchKey precedes every separator).
 
@@ -293,44 +267,9 @@ func (t *Tree) innerChildren(pid storage.PageID) ([]storage.PageID, error) {
 	return children, nil
 }
 
-// Search returns a copy of the value stored under key, or found=false.
-func (t *Tree) Search(key []byte) (value []byte, found bool, err error) {
-	leaf, _, err := t.descend(key, false)
-	if err != nil {
-		return nil, false, err
-	}
-	defer leaf.Unpin(false)
-	slot, exact := findSlot(leaf.Page, key)
-	if !exact {
-		return nil, false, nil
-	}
-	_, v := LeafEntry(leaf.Page.Cell(storage.SlotID(slot)))
-	return append([]byte(nil), v...), true, nil
-}
-
-// Get returns a copy of the value at an explicit RID (leaf page + slot),
-// used by clustered tables where secondary indexes store row RIDs. The leaf
-// page is fetched directly without a root-to-leaf traversal.
-func (t *Tree) Get(rid storage.RID) (key, value []byte, err error) {
-	pp, err := t.pool.FetchPage(t.file, rid.Page)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer pp.Unpin(false)
-	if pp.Page.Type() != storage.PageTypeBTreeLeaf {
-		return nil, nil, fmt.Errorf("btree: RID %v is not in a leaf page", rid)
-	}
-	cell := pp.Page.Cell(rid.Slot)
-	if cell == nil {
-		return nil, nil, fmt.Errorf("btree: RID %v points at deleted slot", rid)
-	}
-	key, value = LeafEntry(cell)
-	return append([]byte(nil), key...), append([]byte(nil), value...), nil
-}
-
 // View locates the entry at rid and calls fn with its value bytes while the
 // leaf is pinned. The value aliases the page buffer and must not be retained
-// after fn returns; in exchange, point reads avoid the copies Get makes.
+// after fn returns.
 func (t *Tree) View(rid storage.RID, fn func(value []byte) error) error {
 	pp, err := t.pool.FetchPage(t.file, rid.Page)
 	if err != nil {
@@ -372,14 +311,8 @@ func (t *Tree) Insert(key, value []byte) (storage.RID, error) {
 		t.entryCount++
 		return rid, t.saveMeta()
 	}
-	// Leaf full: compact first (reclaims space from deleted entries), retry.
-	leaf.Page.Compact()
-	if s, ok := leaf.Page.InsertCellAt(slot, cell); ok {
-		rid := storage.RID{Page: leaf.ID, Slot: s}
-		leaf.Unpin(true)
-		t.entryCount++
-		return rid, t.saveMeta()
-	}
+	// Leaf full. Entries are never deleted and a split compacts both
+	// halves, so the page holds no dead space to reclaim: split it.
 	rid, err := t.splitLeafAndInsert(leaf, path, slot, cell)
 	if err != nil {
 		return storage.RID{}, err
@@ -458,11 +391,6 @@ func (t *Tree) insertIntoParent(path []pathStep, sepKey []byte, child storage.Pa
 		parent.Unpin(true)
 		return nil
 	}
-	parent.Page.Compact()
-	if _, ok := parent.Page.InsertCellAt(slot, cell); ok {
-		parent.Unpin(true)
-		return nil
-	}
 	// Split the inner node. Unlike leaves, the middle separator moves up
 	// rather than being copied.
 	right, err := t.pool.NewPage(t.file, storage.PageTypeBTreeInner)
@@ -524,22 +452,4 @@ func (t *Tree) growRoot(sepKey []byte, rightChild storage.PageID) error {
 	t.height++
 	newRoot.Unpin(true)
 	return nil
-}
-
-// Delete removes key from the tree (lazy: leaves are never merged, matching
-// the common behaviour of production engines under read-mostly workloads).
-func (t *Tree) Delete(key []byte) error {
-	leaf, _, err := t.descend(key, false)
-	if err != nil {
-		return err
-	}
-	slot, exact := findSlot(leaf.Page, key)
-	if !exact {
-		leaf.Unpin(false)
-		return ErrKeyNotFound
-	}
-	leaf.Page.RemoveCellAt(slot)
-	leaf.Unpin(true)
-	t.entryCount--
-	return t.saveMeta()
 }

@@ -26,6 +26,34 @@ func newTestTree(t *testing.T, poolPages int) *Tree {
 
 func intKey(v int64) []byte { return tuple.EncodeKey(tuple.Int64(v)) }
 
+// lookup is a point read through a SeekGE cursor: it returns a copy of the
+// value stored under key, or found=false.
+func lookup(t *testing.T, tr *Tree, key []byte) (value []byte, found bool) {
+	t.Helper()
+	c, err := tr.SeekGE(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if c.Next() && bytes.Equal(c.Key(), key) {
+		return append([]byte(nil), c.Value()...), true
+	}
+	if err := c.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return nil, false
+}
+
+// valueAt reads the value stored at rid through View.
+func valueAt(tr *Tree, rid storage.RID) ([]byte, error) {
+	var out []byte
+	err := tr.View(rid, func(v []byte) error {
+		out = append([]byte(nil), v...)
+		return nil
+	})
+	return out, err
+}
+
 func TestInsertSearchSmall(t *testing.T) {
 	tr := newTestTree(t, 64)
 	for i := int64(0); i < 100; i++ {
@@ -34,15 +62,12 @@ func TestInsertSearchSmall(t *testing.T) {
 		}
 	}
 	for i := int64(0); i < 100; i++ {
-		v, found, err := tr.Search(intKey(i))
-		if err != nil {
-			t.Fatal(err)
-		}
+		v, found := lookup(t, tr, intKey(i))
 		if !found || string(v) != fmt.Sprintf("v%d", i) {
-			t.Fatalf("Search(%d) = %q,%v", i, v, found)
+			t.Fatalf("lookup(%d) = %q,%v", i, v, found)
 		}
 	}
-	if _, found, _ := tr.Search(intKey(1000)); found {
+	if _, found := lookup(t, tr, intKey(1000)); found {
 		t.Error("found missing key")
 	}
 	if tr.Entries() != 100 {
@@ -75,8 +100,8 @@ func TestInsertManyRandomOrderSplits(t *testing.T) {
 	}
 	// Every key findable.
 	for i := 0; i < n; i += 97 {
-		if _, found, err := tr.Search(intKey(int64(i))); err != nil || !found {
-			t.Fatalf("Search(%d) found=%v err=%v", i, found, err)
+		if _, found := lookup(t, tr, intKey(int64(i))); !found {
+			t.Fatalf("lookup(%d) not found", i)
 		}
 	}
 	// Full scan is sorted and complete.
@@ -138,40 +163,21 @@ func TestSeekGE(t *testing.T) {
 	}
 }
 
-func TestDelete(t *testing.T) {
-	tr := newTestTree(t, 64)
-	for i := int64(0); i < 50; i++ {
-		tr.Insert(intKey(i), []byte("x"))
-	}
-	if err := tr.Delete(intKey(25)); err != nil {
-		t.Fatal(err)
-	}
-	if _, found, _ := tr.Search(intKey(25)); found {
-		t.Error("deleted key still found")
-	}
-	if err := tr.Delete(intKey(25)); err != ErrKeyNotFound {
-		t.Errorf("second delete err = %v", err)
-	}
-	if tr.Entries() != 49 {
-		t.Errorf("Entries = %d", tr.Entries())
-	}
-}
-
 func TestGetByRID(t *testing.T) {
 	tr := newTestTree(t, 64)
 	rid, err := tr.Insert(intKey(7), []byte("row-7"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	k, v, err := tr.Get(rid)
+	v, err := valueAt(tr, rid)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(k, intKey(7)) || string(v) != "row-7" {
-		t.Errorf("Get = %x,%q", k, v)
+	if string(v) != "row-7" {
+		t.Errorf("View = %q", v)
 	}
-	if _, _, err := tr.Get(storage.RID{Page: 0, Slot: 0}); err == nil {
-		t.Error("Get on meta page succeeded")
+	if _, err := valueAt(tr, storage.RID{Page: 0, Slot: 0}); err == nil {
+		t.Error("View on meta page succeeded")
 	}
 }
 
@@ -194,19 +200,19 @@ func TestBulkLoadAndScan(t *testing.T) {
 	}
 	// RIDs must address the right rows directly.
 	for i := 0; i < n; i += 131 {
-		k, v, err := tr.Get(res.RIDs[i])
+		v, err := valueAt(tr, res.RIDs[i])
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(k, entries[i].Key) || !bytes.Equal(v, entries[i].Value) {
+		if !bytes.Equal(v, entries[i].Value) {
 			t.Errorf("RID %d resolves to wrong entry", i)
 		}
 	}
-	// Search works through the built inner levels.
+	// Seeks work through the built inner levels.
 	for i := 0; i < n; i += 37 {
-		v, found, err := tr.Search(intKey(int64(i)))
-		if err != nil || !found || !bytes.Equal(v, entries[i].Value) {
-			t.Fatalf("Search(%d) after bulk load: found=%v err=%v", i, found, err)
+		v, found := lookup(t, tr, intKey(int64(i)))
+		if !found || !bytes.Equal(v, entries[i].Value) {
+			t.Fatalf("lookup(%d) after bulk load: found=%v", i, found)
 		}
 	}
 	// Full scan returns everything in order.
@@ -322,34 +328,9 @@ func TestInsertAfterBulkLoad(t *testing.T) {
 		}
 	}
 	for _, k := range []int64{-5, 1, 999, 501, 0, 998} {
-		if _, found, err := tr.Search(intKey(k)); err != nil || !found {
-			t.Errorf("Search(%d) after mixed load: found=%v err=%v", k, found, err)
+		if _, found := lookup(t, tr, intKey(k)); !found {
+			t.Errorf("lookup(%d) after mixed load: not found", k)
 		}
-	}
-}
-
-func TestOpenPersistedTree(t *testing.T) {
-	d := storage.NewDiskManager(storage.IOModel{RandomRead: time.Millisecond, SeqRead: time.Microsecond})
-	bp := storage.NewBufferPool(d, 64)
-	tr, err := Create(bp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := int64(0); i < 200; i++ {
-		tr.Insert(intKey(i), []byte("p"))
-	}
-	if err := bp.Reset(); err != nil { // flush + cold cache
-		t.Fatal(err)
-	}
-	tr2, err := Open(bp, tr.File())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr2.Entries() != 200 || tr2.Height() != tr.Height() {
-		t.Errorf("reopened: entries=%d height=%d", tr2.Entries(), tr2.Height())
-	}
-	if _, found, _ := tr2.Search(intKey(150)); !found {
-		t.Error("key lost across reopen")
 	}
 }
 

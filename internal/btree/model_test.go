@@ -13,7 +13,7 @@ import (
 )
 
 // TestTreeModelRandomOps drives the tree with long random sequences of
-// insert/delete/search/scan against a map model, across several seeds and
+// insert/lookup/scan against a map model, across several seeds and
 // key distributions. This is the broad-coverage complement to the targeted
 // split/bulk-load tests.
 func TestTreeModelRandomOps(t *testing.T) {
@@ -62,24 +62,11 @@ func runTreeModel(t *testing.T, seed, keyMax int64, ops int) {
 				}
 				model[k] = val
 			}
-		case 5, 6: // delete
-			err := tr.Delete(key)
-			if _, exists := model[k]; exists {
-				if err != nil {
-					t.Fatalf("op %d: delete: %v", op, err)
-				}
-				delete(model, k)
-			} else if err != ErrKeyNotFound {
-				t.Fatalf("op %d: phantom delete err = %v", op, err)
-			}
-		case 7, 8: // point search
-			v, found, err := tr.Search(key)
-			if err != nil {
-				t.Fatalf("op %d: search: %v", op, err)
-			}
+		case 5, 6, 7, 8: // point lookup
+			v, found := lookup(t, tr, key)
 			want, exists := model[k]
 			if found != exists || (found && string(v) != want) {
-				t.Fatalf("op %d: search(%d) = %q,%v; model %q,%v", op, k, v, found, want, exists)
+				t.Fatalf("op %d: lookup(%d) = %q,%v; model %q,%v", op, k, v, found, want, exists)
 			}
 		case 9: // occasional full-scan audit
 			if op%500 != 0 {
@@ -175,8 +162,8 @@ func TestTreeDeepInnerSplits(t *testing.T) {
 	}
 	// Random point lookups through 3+ levels.
 	for k := 0; k < n; k += 173 {
-		if _, found, err := tr.Search(mkKey(k)); err != nil || !found {
-			t.Fatalf("Search(%d): found=%v err=%v", k, found, err)
+		if _, found := lookup(t, tr, mkKey(k)); !found {
+			t.Fatalf("lookup(%d): not found", k)
 		}
 	}
 }
@@ -191,7 +178,7 @@ func TestTreeOversizedEntryRejected(t *testing.T) {
 }
 
 // TestTreeModelAfterBulkLoad mixes bulk loading with subsequent random
-// mutations — the lifecycle of a production table.
+// inserts and lookups — the lifecycle of a loaded table that grows.
 func TestTreeModelAfterBulkLoad(t *testing.T) {
 	d := storage.NewDiskManager(storage.IOModel{RandomRead: time.Millisecond, SeqRead: time.Microsecond})
 	bp := storage.NewBufferPool(d, 512)
@@ -226,14 +213,10 @@ func TestTreeModelAfterBulkLoad(t *testing.T) {
 				model[k] = v
 			}
 		} else {
-			err := tr.Delete(key)
-			if _, exists := model[k]; exists {
-				if err != nil {
-					t.Fatal(err)
-				}
-				delete(model, k)
-			} else if err != ErrKeyNotFound {
-				t.Fatalf("phantom delete err = %v", err)
+			v, found := lookup(t, tr, key)
+			want, exists := model[k]
+			if found != exists || (found && string(v) != want) {
+				t.Fatalf("op %d: lookup(%d) = %q,%v; model %q,%v", op, k, v, found, want, exists)
 			}
 		}
 	}

@@ -41,8 +41,8 @@ type Table struct {
 	version   int64 // bumped by every mutation; see Version
 }
 
-// Version returns the table's modification counter. Every Insert, Delete,
-// and BulkLoad advances it; consumers of execution feedback compare the
+// Version returns the table's modification counter. Every Insert and
+// BulkLoad advances it; consumers of execution feedback compare the
 // version a page count was observed at against the current one to decide
 // whether the observation is still trustworthy.
 func (t *Table) Version() int64 { return t.version }
@@ -213,23 +213,6 @@ func (t *Table) ClusterHeight() int {
 		return 0
 	}
 	return t.clustered.Height()
-}
-
-// FetchRow reads the row at rid. This is the Fetch the paper's access-method
-// costing is about: each distinct page touched is a logical (and on a cold
-// cache, physical random) I/O.
-func (t *Table) FetchRow(rid storage.RID) (tuple.Row, error) {
-	var enc []byte
-	var err error
-	if t.Kind == KindHeap {
-		enc, err = t.heapFile.Get(rid)
-	} else {
-		_, enc, err = t.clustered.Get(rid)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return tuple.Decode(t.Schema, enc)
 }
 
 // FetchRowInto reads the row at rid, decoding into row's backing array when

@@ -16,6 +16,12 @@ func newTestCatalog() *Catalog {
 	return New(storage.NewBufferPool(d, 512))
 }
 
+// fetchRow reads and decodes the row at rid through FetchRowAppend.
+func fetchRow(tab *Table, rid storage.RID) (tuple.Row, error) {
+	vals, _, err := tab.FetchRowAppend(nil, rid, tuple.AllColumns, nil)
+	return tuple.Row(vals), err
+}
+
 func salesSchema() *tuple.Schema {
 	return tuple.NewSchema(
 		tuple.Column{Name: "id", Kind: tuple.KindInt},
@@ -76,9 +82,9 @@ func testTableRoundTrip(t *testing.T, tab *Table) {
 	if tab.NumPages() <= 0 {
 		t.Errorf("NumPages = %d", tab.NumPages())
 	}
-	// FetchRow by RID returns the loaded row.
+	// A fetch by RID returns the loaded row.
 	for i := 0; i < 1000; i += 137 {
-		row, err := tab.FetchRow(rids[i])
+		row, err := fetchRow(tab, rids[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,7 +150,7 @@ func TestInsertSingleRows(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		row, err := tab.FetchRow(rid)
+		row, err := fetchRow(tab, rid)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,7 +197,7 @@ func TestCreateIndexAndSeek(t *testing.T) {
 		if it.Values()[0].Str != "CA" {
 			t.Fatalf("seek returned state %v", it.Values()[0])
 		}
-		row, err := tab.FetchRow(it.RID())
+		row, err := fetchRow(tab, it.RID())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -394,7 +400,7 @@ func TestIndexOnHeapTable(t *testing.T) {
 	defer it.Close()
 	n := 0
 	for it.Next() {
-		row, err := tab.FetchRow(it.RID())
+		row, err := fetchRow(tab, it.RID())
 		if err != nil {
 			t.Fatal(err)
 		}

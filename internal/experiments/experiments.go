@@ -45,15 +45,18 @@ func DefaultConfig() Config {
 	}
 }
 
+// normalize fills the unset scale fields from DefaultConfig. Seed is left
+// alone: zero is a seed like any other.
 func (c *Config) normalize() {
+	d := DefaultConfig()
 	if c.SyntheticRows <= 0 {
-		c.SyntheticRows = 200000
+		c.SyntheticRows = d.SyntheticRows
 	}
 	if c.RealScale <= 0 {
-		c.RealScale = 1.0
+		c.RealScale = d.RealScale
 	}
 	if c.SampleFraction <= 0 {
-		c.SampleFraction = 0.01
+		c.SampleFraction = d.SampleFraction
 	}
 	if c.Out == nil {
 		c.Out = io.Discard

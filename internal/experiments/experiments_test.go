@@ -2,11 +2,14 @@ package experiments
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// smallConfig keeps the tests fast; benches run the full scale.
+// smallConfig keeps the tests fast; cmd/experiments defaults to the full
+// scale (DefaultConfig).
 func smallConfig() Config {
 	return Config{
 		SyntheticRows:  20000,
@@ -16,11 +19,55 @@ func smallConfig() Config {
 	}
 }
 
+// regenFlags is smallConfig as cmd/experiments flags.
+const regenFlags = "-rows 20000 -realscale 0.05 -seed 1 -sample 0.05"
+
+// smallConfigTo is smallConfig printing into out.
+func smallConfigTo(out *bytes.Buffer) Config {
+	cfg := smallConfig()
+	cfg.Out = out
+	return cfg
+}
+
+// checkGolden compares an experiment's printed output with
+// testdata/<name>.golden. The sim-clock experiments are deterministic at a
+// given scale and seed, so any difference is a change in the paper's
+// numbers: the test fails, keeps the actual output for inspection, and
+// names the command that regenerates the golden if the change is meant.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", name+".golden")
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(got, want) {
+		return
+	}
+	actual := filepath.Join(t.TempDir(), name+".actual")
+	if err := os.WriteFile(actual, got, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	line := 0
+	for line < len(gl) && line < len(wl) && gl[line] == wl[line] {
+		line++
+	}
+	at := func(ls []string) string {
+		if line < len(ls) {
+			return ls[line]
+		}
+		return "<end of output>"
+	}
+	t.Errorf("%s output differs from %s at line %d:\n got: %q\nwant: %q\n"+
+		"actual output in %s; if the change is intended, regenerate with\n"+
+		"  go run ./cmd/experiments %s %s > internal/experiments/testdata/%s.golden",
+		name, path, line+1, at(gl), at(wl), actual, regenFlags, name, name)
+}
+
 func TestTableI(t *testing.T) {
 	var buf bytes.Buffer
-	cfg := smallConfig()
-	cfg.Out = &buf
-	rows, err := TableI(cfg)
+	rows, err := TableI(smallConfigTo(&buf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,14 +82,16 @@ func TestTableI(t *testing.T) {
 	if !strings.Contains(buf.String(), "TABLE I") {
 		t.Error("header missing")
 	}
+	checkGolden(t, "table1", buf.Bytes())
 }
 
 func TestFig6ShapeSmall(t *testing.T) {
-	cfg := smallConfig()
-	rs, err := Fig6(cfg)
+	var buf bytes.Buffer
+	rs, err := Fig6(smallConfigTo(&buf))
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "fig6", buf.Bytes())
 	if len(rs) != 100 {
 		t.Fatalf("got %d results, want 100", len(rs))
 	}
@@ -79,11 +128,12 @@ func TestFig6ShapeSmall(t *testing.T) {
 }
 
 func TestFig8ShapeSmall(t *testing.T) {
-	cfg := smallConfig()
-	rs, err := Fig8(cfg)
+	var buf bytes.Buffer
+	rs, err := Fig8(smallConfigTo(&buf))
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "fig8", buf.Bytes())
 	if len(rs) != 40 {
 		t.Fatalf("got %d results", len(rs))
 	}
@@ -112,11 +162,12 @@ func TestFig8ShapeSmall(t *testing.T) {
 }
 
 func TestFig10ShapeSmall(t *testing.T) {
-	cfg := smallConfig()
-	points, mean, stdev, err := Fig10(cfg)
+	var buf bytes.Buffer
+	points, mean, stdev, err := Fig10(smallConfigTo(&buf))
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "fig10", buf.Bytes())
 	if len(points) < 10 {
 		t.Fatalf("only %d CR points", len(points))
 	}
@@ -139,11 +190,12 @@ func TestFig10ShapeSmall(t *testing.T) {
 }
 
 func TestFig11ShapeSmall(t *testing.T) {
-	cfg := smallConfig()
-	rs, err := Fig11(cfg)
+	var buf bytes.Buffer
+	rs, err := Fig11(smallConfigTo(&buf))
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "fig11", buf.Bytes())
 	if len(rs) < 10 {
 		t.Fatalf("only %d speedup results", len(rs))
 	}
@@ -162,11 +214,12 @@ func TestFig11ShapeSmall(t *testing.T) {
 }
 
 func TestBitvectorAccuracySmall(t *testing.T) {
-	cfg := smallConfig()
-	points, err := BitvectorAccuracy(cfg)
+	var buf bytes.Buffer
+	points, err := BitvectorAccuracy(smallConfigTo(&buf))
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "bitvector", buf.Bytes())
 	if len(points) < 4 {
 		t.Fatalf("only %d points", len(points))
 	}
@@ -187,11 +240,12 @@ func TestBitvectorAccuracySmall(t *testing.T) {
 }
 
 func TestEstimatorComparisonSmall(t *testing.T) {
-	cfg := smallConfig()
-	points, err := EstimatorComparison(cfg)
+	var buf bytes.Buffer
+	points, err := EstimatorComparison(smallConfigTo(&buf))
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "estimators", buf.Bytes())
 	if len(points) == 0 {
 		t.Fatal("no comparison points (no seek plans chosen)")
 	}
@@ -203,11 +257,12 @@ func TestEstimatorComparisonSmall(t *testing.T) {
 }
 
 func TestDPSampleErrorSmall(t *testing.T) {
-	cfg := smallConfig()
-	points, err := DPSampleError(cfg)
+	var buf bytes.Buffer
+	points, err := DPSampleError(smallConfigTo(&buf))
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "dpsample", buf.Bytes())
 	if len(points) != 5 {
 		t.Fatalf("got %d points", len(points))
 	}
@@ -223,11 +278,12 @@ func TestDPSampleErrorSmall(t *testing.T) {
 }
 
 func TestBitmapSizeAblationSmall(t *testing.T) {
-	cfg := smallConfig()
-	points, err := BitmapSizeAblation(cfg)
+	var buf bytes.Buffer
+	points, err := BitmapSizeAblation(smallConfigTo(&buf))
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "bitmap", buf.Bytes())
 	if len(points) == 0 {
 		t.Fatal("no points (seek never chosen)")
 	}
@@ -240,11 +296,12 @@ func TestBitmapSizeAblationSmall(t *testing.T) {
 }
 
 func TestPoolSizeAblationSmall(t *testing.T) {
-	cfg := smallConfig()
-	points, err := PoolSizeAblation(cfg)
+	var buf bytes.Buffer
+	points, err := PoolSizeAblation(smallConfigTo(&buf))
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "poolsize", buf.Bytes())
 	if len(points) != 3 {
 		t.Fatalf("got %d points", len(points))
 	}
@@ -257,11 +314,12 @@ func TestPoolSizeAblationSmall(t *testing.T) {
 }
 
 func TestSelfTuningTransferSmall(t *testing.T) {
-	cfg := smallConfig()
-	points, err := SelfTuningTransfer(cfg)
+	var buf bytes.Buffer
+	points, err := SelfTuningTransfer(smallConfigTo(&buf))
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "transfer", buf.Bytes())
 	byCol := map[string]float64{}
 	for _, p := range points {
 		byCol[p.Col] = p.MeanSpeedup

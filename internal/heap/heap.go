@@ -29,41 +29,6 @@ func Create(pool *storage.BufferPool) (*File, error) {
 	return &File{pool: pool, file: file, lastPage: pp.ID}, nil
 }
 
-// Open attaches to an existing heap file, scanning it once to recover the
-// row count and append position.
-func Open(pool *storage.BufferPool, file storage.FileID) (*File, error) {
-	n := pool.Disk().NumPages(file)
-	if n == 0 {
-		return nil, fmt.Errorf("heap: file %d is empty", file)
-	}
-	f := &File{pool: pool, file: file, lastPage: storage.PageID(n - 1)}
-	for pid := storage.PageID(0); int(pid) < n; pid++ {
-		live, err := liveRows(pool, file, pid)
-		if err != nil {
-			return nil, err
-		}
-		f.rowCount += live
-	}
-	return f, nil
-}
-
-// liveRows counts the live cells of one page, with the pin scoped to the
-// call so no path — including a panic on a corrupt page — leaks it.
-func liveRows(pool *storage.BufferPool, file storage.FileID, pid storage.PageID) (int64, error) {
-	pp, err := pool.FetchPage(file, pid)
-	if err != nil {
-		return 0, err
-	}
-	defer pp.Unpin(false)
-	var n int64
-	for s := 0; s < pp.Page.NumSlots(); s++ {
-		if pp.Page.Cell(storage.SlotID(s)) != nil {
-			n++
-		}
-	}
-	return n, nil
-}
-
 // FileID returns the backing file.
 func (f *File) FileID() storage.FileID { return f.file }
 
@@ -107,27 +72,9 @@ func (f *File) Insert(rowBytes []byte) (storage.RID, error) {
 	return rid, nil
 }
 
-// Get returns a copy of the row at rid, or an error if the slot is deleted
-// or out of range.
-func (f *File) Get(rid storage.RID) ([]byte, error) {
-	pp, err := f.pool.FetchPage(f.file, rid.Page)
-	if err != nil {
-		return nil, err
-	}
-	defer pp.Unpin(false)
-	if int(rid.Slot) >= pp.Page.NumSlots() {
-		return nil, fmt.Errorf("heap: no slot %v", rid)
-	}
-	cell := pp.Page.Cell(rid.Slot)
-	if cell == nil {
-		return nil, fmt.Errorf("heap: slot %v deleted", rid)
-	}
-	return append([]byte(nil), cell...), nil
-}
-
 // View locates the row at rid and calls fn with its bytes while the page is
 // pinned. The cell aliases the page buffer and must not be retained after fn
-// returns; in exchange, point reads avoid the copy Get makes.
+// returns.
 func (f *File) View(rid storage.RID, fn func(cell []byte) error) error {
 	pp, err := f.pool.FetchPage(f.file, rid.Page)
 	if err != nil {

@@ -20,18 +20,28 @@ func newTestHeap(t *testing.T) *File {
 	return f
 }
 
+// rowAt reads a copy of the row at rid through View.
+func rowAt(f *File, rid storage.RID) ([]byte, error) {
+	var out []byte
+	err := f.View(rid, func(cell []byte) error {
+		out = append([]byte(nil), cell...)
+		return nil
+	})
+	return out, err
+}
+
 func TestInsertGet(t *testing.T) {
 	f := newTestHeap(t)
 	rid, err := f.Insert([]byte("row one"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := f.Get(rid)
+	got, err := rowAt(f, rid)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(got) != "row one" {
-		t.Errorf("Get = %q", got)
+		t.Errorf("View = %q", got)
 	}
 	if f.NumRows() != 1 {
 		t.Errorf("NumRows = %d", f.NumRows())
@@ -62,7 +72,7 @@ func TestInsertSpillsToNewPages(t *testing.T) {
 		}
 	}
 	for i := 0; i < n; i += 101 {
-		got, err := f.Get(rids[i])
+		got, err := rowAt(f, rids[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,11 +85,11 @@ func TestInsertSpillsToNewPages(t *testing.T) {
 func TestGetErrors(t *testing.T) {
 	f := newTestHeap(t)
 	rid, _ := f.Insert([]byte("x"))
-	if _, err := f.Get(storage.RID{Page: rid.Page, Slot: 99}); err == nil {
-		t.Error("Get of missing slot succeeded")
+	if _, err := rowAt(f, storage.RID{Page: rid.Page, Slot: 99}); err == nil {
+		t.Error("View of missing slot succeeded")
 	}
-	if _, err := f.Get(storage.RID{Page: 99, Slot: 0}); err == nil {
-		t.Error("Get of missing page succeeded")
+	if _, err := rowAt(f, storage.RID{Page: 99, Slot: 0}); err == nil {
+		t.Error("View of missing page succeeded")
 	}
 }
 
@@ -90,8 +100,8 @@ func TestDelete(t *testing.T) {
 	if err := f.Delete(rid); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Get(rid); err == nil {
-		t.Error("Get of deleted row succeeded")
+	if _, err := rowAt(f, rid); err == nil {
+		t.Error("View of deleted row succeeded")
 	}
 	if err := f.Delete(rid); err == nil {
 		t.Error("double delete succeeded")
@@ -186,33 +196,6 @@ func TestScanIsSequentialIO(t *testing.T) {
 	if st.SequentialReads < st.PhysicalReads-1 {
 		t.Errorf("scan: %d/%d reads sequential, want all but the first",
 			st.SequentialReads, st.PhysicalReads)
-	}
-}
-
-func TestOpenRecoversState(t *testing.T) {
-	d := storage.NewDiskManager(storage.IOModel{RandomRead: time.Millisecond, SeqRead: time.Microsecond})
-	bp := storage.NewBufferPool(d, 64)
-	f, err := Create(bp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 500; i++ {
-		f.Insert(make([]byte, 100))
-	}
-	rid, _ := f.Insert([]byte("marker"))
-	f.Delete(rid)
-	bp.Flush()
-
-	f2, err := Open(bp, f.FileID())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f2.NumRows() != 500 {
-		t.Errorf("reopened NumRows = %d, want 500", f2.NumRows())
-	}
-	// Appends continue on the last page.
-	if _, err := f2.Insert([]byte("after reopen")); err != nil {
-		t.Fatal(err)
 	}
 }
 

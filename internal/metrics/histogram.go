@@ -11,8 +11,7 @@ import (
 // (25%) while keeping the bucket array small and fixed-size. Bucket 0
 // holds non-positive values; octave o >= 2 has sub-bucket width
 // 2^(o-2); octaves 0 and 1 are narrower than four values and use width
-// 1. The layout is identical for the atomic Histogram and the private
-// HistShard so shards merge by plain bucket-wise addition.
+// 1. Two histograms merge by plain bucket-wise addition.
 const (
 	subBuckets = 4
 	// numBuckets covers bucket 0 plus octaves 0..62 (all positive int64).
@@ -51,8 +50,7 @@ func BucketBounds(i int) (lo, hi int64) {
 }
 
 // Histogram is the shared, concurrently writable form. Observe is a few
-// atomic adds; there is no lock anywhere. For per-row recording inside a
-// worker, prefer a private HistShard merged at a barrier.
+// atomic adds; there is no lock anywhere.
 type Histogram struct {
 	name    string
 	help    string
@@ -71,7 +69,8 @@ func (h *Histogram) Observe(v int64) {
 // Merge folds another histogram's counts into h, bucket-wise. Both sides
 // may be observed concurrently; each bucket moves atomically.
 //
-// dbvet:commutative — bucket-wise addition; order is irrelevant.
+// dbvet:commutative — bucket-wise addition; any merge order or grouping
+// yields the same totals (see TestShardMergeCommutativeAssociative).
 func (h *Histogram) Merge(o *Histogram) {
 	for i := range o.buckets {
 		if n := o.buckets[i].Load(); n != 0 {
@@ -80,21 +79,6 @@ func (h *Histogram) Merge(o *Histogram) {
 	}
 	h.count.Add(o.count.Load())
 	h.sum.Add(o.sum.Load())
-}
-
-// Absorb folds a shard into the histogram with one atomic add per
-// non-empty bucket. The shard may be reused afterwards (it is not
-// cleared).
-func (h *Histogram) Absorb(s *HistShard) {
-	for i, n := range s.Buckets {
-		if n != 0 {
-			h.buckets[i].Add(n)
-		}
-	}
-	if s.Count != 0 {
-		h.count.Add(s.Count)
-		h.sum.Add(s.Sum)
-	}
 }
 
 // Name returns the registered name.
@@ -112,36 +96,6 @@ func (h *Histogram) Snapshot() HistSnapshot {
 		}
 	}
 	return s
-}
-
-// HistShard is a worker-private accumulator with no atomics: the
-// per-item cost is two plain adds. Shards merge commutatively and
-// associatively, so the combined result is the same for any merge order
-// or grouping — the property that lets parallel workers be scheduled
-// freely, mirroring the monitor shards in internal/core.
-type HistShard struct {
-	Count   int64
-	Sum     int64
-	Buckets [numBuckets]int64
-}
-
-// Observe records one value.
-func (s *HistShard) Observe(v int64) {
-	s.Buckets[bucketFor(v)]++
-	s.Count++
-	s.Sum += v
-}
-
-// Merge folds o into s. o is unchanged.
-//
-// dbvet:commutative — bucket-wise addition; any merge order or grouping
-// yields the same totals (see TestShardMergeCommutativeAssociative).
-func (s *HistShard) Merge(o *HistShard) {
-	s.Count += o.Count
-	s.Sum += o.Sum
-	for i, n := range o.Buckets {
-		s.Buckets[i] += n
-	}
 }
 
 // Bucket is one non-empty histogram bucket.

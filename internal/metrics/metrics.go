@@ -4,12 +4,9 @@
 // take a stable-ordered snapshot or a Prometheus text rendering at any
 // time without pausing writers.
 //
-// Histograms follow the same merge discipline as the monitor shards in
-// internal/core: parallel workers accumulate into private, non-atomic
-// HistShard values and merge them into the shared histogram at a barrier,
-// so the per-row path never touches shared cache lines. Merge is
-// commutative and associative, which makes the merged result independent
-// of worker scheduling.
+// Histogram.Merge is bucket-wise addition, so it is commutative and
+// associative: a merged histogram does not depend on the order in which
+// its parts were folded in.
 package metrics
 
 import (

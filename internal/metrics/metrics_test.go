@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -132,67 +133,47 @@ func sampleValues(n int, seed int64) []int64 {
 	return out
 }
 
-// TestShardMergeEqualsSerial mirrors the internal/core monitor-merge
-// suite: observations split across K shards, merged in arbitrary
-// order/grouping, must equal one shard fed serially.
-func TestShardMergeEqualsSerial(t *testing.T) {
-	values := sampleValues(5000, 42)
-	var serial HistShard
+// filled returns a histogram holding the given observations.
+func filled(values []int64) *Histogram {
+	var h Histogram
 	for _, v := range values {
-		serial.Observe(v)
+		h.Observe(v)
 	}
-	for _, shards := range []int{1, 2, 3, 7} {
-		parts := make([]HistShard, shards)
-		for i, v := range values {
-			parts[i%shards].Observe(v)
-		}
-		// Merge right-to-left into parts[0].
-		var merged HistShard
-		for i := len(parts) - 1; i >= 0; i-- {
-			merged.Merge(&parts[i])
-		}
-		if merged != serial {
-			t.Errorf("%d shards: merged result differs from serial", shards)
-		}
-	}
+	return &h
 }
 
+// merged returns a fresh histogram with each part merged into it in order.
+func merged(parts ...*Histogram) *Histogram {
+	var h Histogram
+	for _, p := range parts {
+		h.Merge(p)
+	}
+	return &h
+}
+
+// TestShardMergeCommutativeAssociative pins Histogram.Merge's
+// dbvet:commutative contract: histograms holding shards of the
+// observations merge to the same totals in any order or grouping.
 func TestShardMergeCommutativeAssociative(t *testing.T) {
-	a, b, c := HistShard{}, HistShard{}, HistShard{}
-	for _, v := range sampleValues(1000, 7) {
-		a.Observe(v)
-	}
-	for _, v := range sampleValues(1000, 8) {
-		b.Observe(v)
-	}
-	for _, v := range sampleValues(1000, 9) {
-		c.Observe(v)
-	}
-	ab, ba := a, b
-	ab.Merge(&b)
-	ba.Merge(&a)
-	if ab != ba {
+	a := filled(sampleValues(1000, 7))
+	b := filled(sampleValues(1000, 8))
+	c := filled(sampleValues(1000, 9))
+	if !reflect.DeepEqual(merged(a, b).Snapshot(), merged(b, a).Snapshot()) {
 		t.Error("Merge is not commutative: a+b != b+a")
 	}
-	// (a+b)+c vs a+(b+c)
-	abc1 := a
-	abc1.Merge(&b)
-	abc1.Merge(&c)
-	bc := b
-	bc.Merge(&c)
-	abc2 := a
-	abc2.Merge(&bc)
-	if abc1 != abc2 {
+	if !reflect.DeepEqual(merged(merged(a, b), c).Snapshot(), merged(a, merged(b, c)).Snapshot()) {
 		t.Error("Merge is not associative: (a+b)+c != a+(b+c)")
 	}
 }
 
+// TestAbsorbMatchesDirectObserve checks that merging shards of the
+// observations into a histogram equals observing them all directly.
 func TestAbsorbMatchesDirectObserve(t *testing.T) {
 	values := sampleValues(3000, 11)
 	r := NewRegistry()
 	direct := r.NewHistogram("direct", "")
 	viaShards := r.NewHistogram("sharded", "")
-	var s1, s2 HistShard
+	var s1, s2 Histogram
 	for i, v := range values {
 		direct.Observe(v)
 		if i%2 == 0 {
@@ -201,16 +182,10 @@ func TestAbsorbMatchesDirectObserve(t *testing.T) {
 			s2.Observe(v)
 		}
 	}
-	viaShards.Absorb(&s1)
-	viaShards.Absorb(&s2)
-	d, s := direct.Snapshot(), viaShards.Snapshot()
-	if d.Count != s.Count || d.Sum != s.Sum || len(d.Buckets) != len(s.Buckets) {
+	viaShards.Merge(&s1)
+	viaShards.Merge(&s2)
+	if d, s := direct.Snapshot(), viaShards.Snapshot(); !reflect.DeepEqual(d, s) {
 		t.Fatalf("snapshots differ: direct %+v sharded %+v", d, s)
-	}
-	for i := range d.Buckets {
-		if d.Buckets[i] != s.Buckets[i] {
-			t.Fatalf("bucket %d differs: %+v vs %+v", i, d.Buckets[i], s.Buckets[i])
-		}
 	}
 }
 
@@ -243,7 +218,7 @@ func TestQuantileAndMean(t *testing.T) {
 
 // TestConcurrentWritersMergeOnRead is the registry's -race test: N
 // goroutines hammer a counter, a gauge, and a histogram (both directly
-// and through private shards absorbed at the end) while readers
+// and through private histograms merged at the end) while readers
 // repeatedly snapshot and render. Final totals must be exact.
 func TestConcurrentWritersMergeOnRead(t *testing.T) {
 	const writers, perWriter = 8, 2000
@@ -277,7 +252,7 @@ func TestConcurrentWritersMergeOnRead(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			var shard HistShard
+			var shard Histogram
 			for i := 0; i < perWriter; i++ {
 				c.Inc()
 				g.Add(1)
@@ -288,7 +263,7 @@ func TestConcurrentWritersMergeOnRead(t *testing.T) {
 					shard.Observe(int64(i))
 				}
 			}
-			h.Absorb(&shard)
+			h.Merge(&shard)
 		}(w)
 	}
 	wg.Wait()

@@ -488,15 +488,9 @@ type candidate struct {
 	cost time.Duration
 }
 
-// OptimizeSingle picks the cheapest access path for a single-table query
+// optimizeSingle picks the cheapest access path for a single-table query
 // and wraps it in the query's output shape (aggregate, or
 // projection/order/limit).
-func (o *Optimizer) OptimizeSingle(q *Query) (plan.Node, error) {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	return o.optimizeSingle(q)
-}
-
 func (o *Optimizer) optimizeSingle(q *Query) (plan.Node, error) {
 	need, err := o.neededColumns(q)
 	if err != nil {
@@ -744,19 +738,13 @@ func (o *Optimizer) accessPath(table string, pred expr.Conjunction) (plan.Node, 
 
 // --- join planning -----------------------------------------------------
 
-// OptimizeJoin picks the cheapest join strategy for a two-table query:
+// optimizeJoin picks the cheapest join strategy for a two-table query:
 // Hash Join (either build side), Index Nested Loops (either inner, when an
 // index on the join column exists), or Merge Join (when both sides are
 // clustered on their join columns, or with explicit sorts).
-func (o *Optimizer) OptimizeJoin(q *Query) (plan.Node, error) {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	return o.optimizeJoin(q)
-}
-
 func (o *Optimizer) optimizeJoin(q *Query) (plan.Node, error) {
 	if !q.IsJoin() {
-		return nil, fmt.Errorf("opt: OptimizeJoin on single-table query")
+		return nil, fmt.Errorf("opt: optimizeJoin on single-table query")
 	}
 	tabA, ok := o.cat.Table(q.Table)
 	if !ok {

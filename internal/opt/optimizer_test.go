@@ -101,7 +101,7 @@ func TestAnalyzeUnknownTable(t *testing.T) {
 	if err := e.opt.AnalyzeTable("nope"); err == nil {
 		t.Error("analyze of missing table succeeded")
 	}
-	if _, err := e.opt.OptimizeSingle(&Query{Table: "nope"}); err == nil {
+	if _, err := e.opt.Optimize(&Query{Table: "nope"}); err == nil {
 		t.Error("optimize of missing table succeeded")
 	}
 }
@@ -114,7 +114,7 @@ func TestOptimizerBelievesIndependence(t *testing.T) {
 	e := newOptEnv(t)
 	pred := expr.And(expr.NewAtom("c2", expr.Lt, tuple.Int64(optRows/100)))
 	q := &Query{Table: "t", Pred: pred, Agg: plan.CountAgg, AggCol: "pad"}
-	node, err := e.opt.OptimizeSingle(q)
+	node, err := e.opt.Optimize(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestInjectedDPCFlipsToSeek(t *testing.T) {
 	trueDPC := float64(optRows/100) / ts.RowsPerPage // contiguous rows
 	e.opt.InjectDPC("t", pred, trueDPC)
 	q := &Query{Table: "t", Pred: pred, Agg: plan.CountAgg, AggCol: "pad"}
-	node, err := e.opt.OptimizeSingle(q)
+	node, err := e.opt.Optimize(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,14 +155,14 @@ func TestUncorrelatedStaysScan(t *testing.T) {
 	e := newOptEnv(t)
 	pred := expr.And(expr.NewAtom("c5", expr.Lt, tuple.Int64(optRows/20))) // 5%
 	q := &Query{Table: "t", Pred: pred, Agg: plan.CountAgg, AggCol: "pad"}
-	node, _ := e.opt.OptimizeSingle(q)
+	node, _ := e.opt.Optimize(q)
 	if _, isScan := accessOf(t, node).(*plan.Scan); !isScan {
 		t.Fatalf("analytical choice = %s, want Scan", accessOf(t, node).Label())
 	}
 	// Even the true DPC (~ all qualifying rows on distinct pages) keeps it
 	// a scan.
 	e.opt.InjectDPC("t", pred, float64(optRows/20))
-	node, _ = e.opt.OptimizeSingle(q)
+	node, _ = e.opt.Optimize(q)
 	if _, isScan := accessOf(t, node).(*plan.Scan); !isScan {
 		t.Errorf("true-DPC choice = %s, want Scan still", accessOf(t, node).Label())
 	}
@@ -173,7 +173,7 @@ func TestVerySelectivePredicatePicksSeekAnyway(t *testing.T) {
 	// A handful of rows: even Yao's estimate is small enough for a seek.
 	pred := expr.And(expr.NewAtom("c5", expr.Lt, tuple.Int64(5)))
 	q := &Query{Table: "t", Pred: pred, Agg: plan.CountAgg, AggCol: "pad"}
-	node, _ := e.opt.OptimizeSingle(q)
+	node, _ := e.opt.Optimize(q)
 	if _, isSeek := accessOf(t, node).(*plan.Seek); !isSeek {
 		t.Errorf("choice = %s, want Seek", accessOf(t, node).Label())
 	}
@@ -185,7 +185,7 @@ func TestInjectCardinalityOverridesHistogram(t *testing.T) {
 	e.opt.InjectCardinality("t", pred, 3) // pretend: 3 rows
 	e.opt.InjectDPC("t", pred, 1)
 	q := &Query{Table: "t", Pred: pred, Agg: plan.CountAgg, AggCol: "pad"}
-	node, _ := e.opt.OptimizeSingle(q)
+	node, _ := e.opt.Optimize(q)
 	access := accessOf(t, node)
 	if _, isSeek := access.(*plan.Seek); !isSeek {
 		t.Fatalf("choice = %s, want Seek with tiny injected cardinality", access.Label())
@@ -194,7 +194,7 @@ func TestInjectCardinalityOverridesHistogram(t *testing.T) {
 		t.Errorf("Est.Rows = %v, want 3 (injected)", access.Est().Rows)
 	}
 	e.opt.ClearInjections()
-	node, _ = e.opt.OptimizeSingle(q)
+	node, _ = e.opt.Optimize(q)
 	if _, isScan := accessOf(t, node).(*plan.Scan); !isScan {
 		t.Error("ClearInjections did not restore analytical choice")
 	}
@@ -210,7 +210,7 @@ func TestIndexIntersectionConsidered(t *testing.T) {
 	)
 	e.opt.InjectDPC("t", pred, 2) // intersected set: 2 pages
 	q := &Query{Table: "t", Pred: pred, Agg: plan.CountAgg, AggCol: "pad"}
-	node, err := e.opt.OptimizeSingle(q)
+	node, err := e.opt.Optimize(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func recordJoinDPCAt(t *testing.T, o *Optimizer, inner, innerCol string, outerRo
 func TestJoinDPCInjectionFlipsHashToINL(t *testing.T) {
 	e := newJoinEnv(t)
 	q := joinQuery(optRows/100, "c2") // 1% of outer
-	node, err := e.opt.OptimizeJoin(q)
+	node, err := e.opt.Optimize(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +311,7 @@ func TestJoinDPCInjectionFlipsHashToINL(t *testing.T) {
 	if got, _ := e.opt.EstimateINLDPC("t", "c2", outerRows); got != trueDPC {
 		t.Fatalf("join DPC at the operating point = %v, want the observed %v", got, trueDPC)
 	}
-	node, err = e.opt.OptimizeJoin(q)
+	node, err = e.opt.Optimize(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +338,7 @@ func TestJoinHighSelectivityStaysHash(t *testing.T) {
 	if got, _ := e.opt.EstimateINLDPC("t", "c5", outerRows); got != float64(ts.Pages) {
 		t.Fatalf("join DPC at the operating point = %v, want every page (%d)", got, ts.Pages)
 	}
-	node, err := e.opt.OptimizeJoin(q)
+	node, err := e.opt.Optimize(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,8 +365,8 @@ func TestOptimizeDispatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	findJoin(t, n)
-	if _, err := e.opt.OptimizeJoin(single); err == nil {
-		t.Error("OptimizeJoin accepted single-table query")
+	if _, err := e.opt.optimizeJoin(single); err == nil {
+		t.Error("optimizeJoin accepted single-table query")
 	}
 }
 
@@ -376,7 +376,7 @@ func TestCoveringIndexScanChosen(t *testing.T) {
 	// needs, and its leaves are ~20x narrower than the table.
 	pred := expr.And(expr.NewAtom("c5", expr.Lt, tuple.Int64(optRows/2)))
 	q := &Query{Table: "t", Pred: pred, Agg: plan.CountAgg, AggCol: "c5"}
-	node, err := e.opt.OptimizeSingle(q)
+	node, err := e.opt.Optimize(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,7 +389,7 @@ func TestCoveringIndexScanChosen(t *testing.T) {
 	}
 	// With a non-covered output column the table must be visited.
 	q2 := &Query{Table: "t", Pred: pred, Agg: plan.CountAgg, AggCol: "pad"}
-	node2, _ := e.opt.OptimizeSingle(q2)
+	node2, _ := e.opt.Optimize(q2)
 	if _, isCov := accessOf(t, node2).(*plan.CoveringScan); isCov {
 		t.Error("covering scan chosen despite uncovered output column")
 	}

@@ -127,7 +127,7 @@ func TestClusteredRangeScanChosenForClusterKeyPredicate(t *testing.T) {
 	e := newOptEnv(t)
 	pred := expr.And(expr.NewAtom("c1", expr.Lt, tuple.Int64(optRows/100)))
 	q := &Query{Table: "t", Pred: pred, Agg: 0, AggCol: "pad"}
-	node, err := e.opt.OptimizeSingle(q)
+	node, err := e.opt.Optimize(q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -246,13 +246,6 @@ func (d *DiskManager) CreateFile() FileID {
 	return id
 }
 
-// DropFile removes a file and all its pages.
-func (d *DiskManager) DropFile(id FileID) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	delete(d.files, id)
-}
-
 // NumPages returns the number of allocated pages in the file.
 func (d *DiskManager) NumPages(id FileID) int {
 	d.mu.Lock()

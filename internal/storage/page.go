@@ -48,8 +48,8 @@ const (
 //
 //	off 0:  page type (byte)
 //	off 4:  next page (uint32), e.g. right-sibling pointer for leaves
-//	off 8:  extra (uint32), e.g. rightmost child for internal nodes
-//	off 12: extra2 (uint32)
+//	off 8:  extra (uint32), e.g. the root of a B+tree meta page
+//	off 12: extra2 (uint32), e.g. the height of a B+tree meta page
 //
 // Slot machinery starts at byte 16:
 //
@@ -107,14 +107,8 @@ func (p *Page) SetNext(id PageID) {
 	binary.LittleEndian.PutUint32(p.buf[4:], uint32(id))
 }
 
-// Extra returns the first owner-defined header word.
-func (p *Page) Extra() uint32 { return binary.LittleEndian.Uint32(p.buf[8:]) }
-
 // SetExtra updates the first owner-defined header word.
 func (p *Page) SetExtra(v uint32) { binary.LittleEndian.PutUint32(p.buf[8:], v) }
-
-// Extra2 returns the second owner-defined header word.
-func (p *Page) Extra2() uint32 { return binary.LittleEndian.Uint32(p.buf[12:]) }
 
 // SetExtra2 updates the second owner-defined header word.
 func (p *Page) SetExtra2(v uint32) { binary.LittleEndian.PutUint32(p.buf[12:], v) }

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -43,8 +44,10 @@ func TestPageHeaderFields(t *testing.T) {
 	p.SetNext(42)
 	p.SetExtra(7)
 	p.SetExtra2(9)
-	if p.Type() != PageTypeBTreeLeaf || p.Next() != 42 || p.Extra() != 7 || p.Extra2() != 9 {
-		t.Errorf("header round trip failed: %d %d %d %d", p.Type(), p.Next(), p.Extra(), p.Extra2())
+	extra := binary.LittleEndian.Uint32(p.Bytes()[8:])
+	extra2 := binary.LittleEndian.Uint32(p.Bytes()[12:])
+	if p.Type() != PageTypeBTreeLeaf || p.Next() != 42 || extra != 7 || extra2 != 9 {
+		t.Errorf("header round trip failed: %d %d %d %d", p.Type(), p.Next(), extra, extra2)
 	}
 }
 

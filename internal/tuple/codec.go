@@ -197,17 +197,3 @@ func (s *Schema) walk(data []byte, upto int) int {
 	}
 	return off
 }
-
-// EncodedSize returns the number of bytes Encode would produce for row.
-func EncodedSize(s *Schema, row Row) int {
-	n := 0
-	for i := 0; i < s.NumColumns() && i < len(row); i++ {
-		switch s.Column(i).Kind {
-		case KindInt, KindDate:
-			n += 8
-		case KindString:
-			n += 4 + len(row[i].Str)
-		}
-	}
-	return n
-}

@@ -126,19 +126,6 @@ func (s *Schema) MustOrdinal(name string) int {
 	return i
 }
 
-// Project returns a new schema consisting of the named columns, in order.
-func (s *Schema) Project(names ...string) (*Schema, error) {
-	cols := make([]Column, 0, len(names))
-	for _, n := range names {
-		i, ok := s.Ordinal(n)
-		if !ok {
-			return nil, fmt.Errorf("tuple: no column %q", n)
-		}
-		cols = append(cols, s.cols[i])
-	}
-	return NewSchema(cols...), nil
-}
-
 // String renders the schema as "(name KIND, ...)".
 func (s *Schema) String() string {
 	var b strings.Builder

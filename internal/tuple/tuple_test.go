@@ -60,20 +60,6 @@ func TestSchemaDuplicatePanics(t *testing.T) {
 	NewSchema(Column{Name: "a", Kind: KindInt}, Column{Name: "A", Kind: KindString})
 }
 
-func TestSchemaProject(t *testing.T) {
-	s := testSchema()
-	p, err := s.Project("shipdate", "id")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.NumColumns() != 2 || p.Column(0).Name != "shipdate" || p.Column(1).Name != "id" {
-		t.Errorf("Project produced %v", p)
-	}
-	if _, err := s.Project("nope"); err == nil {
-		t.Error("Project(nope) succeeded")
-	}
-}
-
 func TestSchemaString(t *testing.T) {
 	got := testSchema().String()
 	want := "(id INT, name VARCHAR, shipdate DATE)"
@@ -158,9 +144,6 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 	if got[2].Kind != KindDate {
 		t.Errorf("decoded kind = %v, want DATE", got[2].Kind)
-	}
-	if n := EncodedSize(s, row); n != len(b) {
-		t.Errorf("EncodedSize = %d, len = %d", n, len(b))
 	}
 }
 
